@@ -1,0 +1,68 @@
+"""Derivation-invariant vertex sets of a hypergraph and their traces.
+
+A vertex s is deletion-invariant when removing s from any edge containing
+it lands back in the family (the single-vertex edge {s} is exempt, its
+face is the empty edge). It is insertion-invariant when adding s to any
+nonempty edge missing it lands back in the family. Restricting a
+hypergraph onto its deletion-invariant vertices always yields an
+augmented simplicial complex; restricting onto the insertion-invariant
+vertices of a family without the empty edge yields an independence
+hypergraph. Vertices touching no edge are vacuously invariant in both
+modes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import EmptyEdgePresent, SchemaViolation
+from .hypergraphs import Hypergraph, HypergraphClass, trace
+
+PARTIAL = "partial"
+DIFFERENTIAL = "d"
+
+
+def is_invariant(h: Hypergraph, s: int, mode: str) -> bool:
+    if not 0 <= s < len(h.vertices):
+        raise SchemaViolation(f"vertex index {s} out of range")
+    if mode == PARTIAL:
+        for e in h.edges:
+            if s in e and len(e) > 1:
+                if tuple(v for v in e if v != s) not in h.edges:
+                    return False
+        return True
+    if mode == DIFFERENTIAL:
+        for e in h.edges:
+            if e and s not in e:
+                if tuple(sorted(e + (s,))) not in h.edges:
+                    return False
+        return True
+    raise SchemaViolation(f"unknown invariance mode {mode!r}")
+
+
+def invariant_vertices(h: Hypergraph, mode: str) -> tuple:
+    return tuple(s for s in range(len(h.vertices)) if is_invariant(h, s, mode))
+
+
+@dataclass(frozen=True)
+class InvariantReport:
+    mode: str
+    invariant_vertices: tuple  # sorted vertex indices of h
+    trace: Hypergraph
+
+
+def invariant_trace(h: Hypergraph, mode: str) -> InvariantReport:
+    if mode == DIFFERENTIAL and h.has_empty_edge:
+        raise EmptyEdgePresent(
+            "insertion-invariant traces are defined for families without the empty edge"
+        )
+    verts = invariant_vertices(h, mode)
+    restricted = trace(h, verts)
+    cls = restricted.classify()
+    if mode == PARTIAL:
+        ok = cls in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH)
+    else:
+        ok = cls in (HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH)
+    if not ok:
+        raise SchemaViolation(f"invariant trace failed to classify for mode {mode}")
+    return InvariantReport(mode, verts, restricted)
