@@ -38,6 +38,7 @@ from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
     _field_rref,
+    boundary_invariants,
     homology_presentation,
     kernel_basis,
     rank,
@@ -179,6 +180,7 @@ class BuiltComplex:
         self.bases = {}
         self.mats = {}
         self._solvers = {}
+        self._invariants = {}
         carrier, ring = spec.carrier, spec.ring
         sgn = -1 if spec.lowering else 1
         for n in spec.degrees():
@@ -216,7 +218,18 @@ class BuiltComplex:
     def homology(self, n: int) -> HomologyGroup:
         if (n - self.spec.q) % self.spec.step != 0 or n < -1:
             raise SchemaViolation(f"degree {n} is not on the offset-{self.spec.q} grid")
-        return HomologyGroup(n, homology_presentation(self.matrix(n), self.incoming_matrix(n)))
+        sgn = -1 if self.spec.lowering else 1
+        return HomologyGroup(n, homology_presentation(
+            self.matrix(n), self.incoming_matrix(n),
+            self.invariants(n), self.invariants(n - sgn * self.spec.step),
+        ))
+
+    def invariants(self, n: int) -> tuple:
+        """(rank, nonunit invariant factors) of the matrix leaving degree n,
+        computed once: each matrix serves the degrees at both its ends."""
+        if n not in self._invariants:
+            self._invariants[n] = boundary_invariants(self.matrix(n))
+        return self._invariants[n]
 
     def solver(self, n: int) -> "DegreeSolver":
         if n not in self._solvers:

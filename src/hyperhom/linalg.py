@@ -6,9 +6,17 @@ fraction-free row combinations with gcd normalization; rational ranks are
 taken after clearing denominators row by row (row scaling preserves rank
 and kernels are computed separately with Fraction arithmetic).
 
-The integer kernel is returned as a basis of the *saturated* kernel
-lattice, i.e. all integer vectors annihilated by the matrix. It is found
-by recorded unimodular column reduction: drive the matrix to column
+Homology over Z of a free complex needs no kernel lattice: H_n is free of
+rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
+the incoming boundary. The Smith normal form behind this is sparse first.
+Unit pivots are eliminated on row dicts in least Markowitz cost order.
+What is left is a small block, finished modulo D, the absolute value of
+a nonzero r x r minor found by Bareiss elimination (r is the rank). Every
+nonzero invariant factor divides D, so no entry ever grows past D.
+
+The integer kernel is still available as a basis of the *saturated*
+kernel lattice, i.e. all integer vectors annihilated by the matrix. It is
+found by recorded unimodular column reduction: drive the matrix to column
 echelon form while applying the same column operations to an identity
 matrix; the transform columns matching the zeroed-out matrix columns are
 exactly the kernel lattice basis.
@@ -16,6 +24,7 @@ exactly the kernel lattice basis.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -308,9 +317,6 @@ def _integer_kernel(m: SparseMatrix) -> list:
     basis = []
     for j in range(lead, ncols):
         vec = transform[j]
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
         # unimodularity already makes the vector primitive; keep a sign convention
         first = next((v for v in vec if v != 0), 1)
         if first < 0:
@@ -330,116 +336,190 @@ def smith_normal_form(m: SparseMatrix) -> list:
     """Diagonal of the Smith normal form of an integer matrix, zeros included."""
     if m.ring != ZZ:
         raise SchemaViolation("Smith normal form requires integer entries")
-    a = [[0] * m.cols for _ in range(m.rows)]
+    rows = {}
     for (i, j), v in m.entries:
-        a[i][j] = v
-    return _snf_diagonal(a, m.rows, m.cols)
+        rows.setdefault(i, {})[j] = v
+    units = _eliminate_units(rows)
+    factors = _residual_factors(rows)
+    diag = [1] * units + factors
+    return diag + [0] * (min(m.rows, m.cols) - len(diag))
 
 
-def _snf_diagonal(a: list, nrows: int, ncols: int) -> list:
-    n = min(nrows, ncols)
-    diag = []
-    t = 0
-    while t < n:
-        # locate the nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            pv = a[t][t]
-            done = True
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // pv
-                    for j in range(t, ncols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // pv
-                    for i in range(t, nrows):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        done = False
-                        break
-            if done:
-                break
-        pv = a[t][t]
-        # enforce divisibility of the remaining block by the pivot
-        fixed = True
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % pv != 0:
-                    for jj in range(t, ncols):
-                        a[t][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        diag.append(abs(pv))
-        t += 1
-    diag.extend([0] * (n - len(diag)))
-    return diag
+def _eliminate_units(rows: dict) -> int:
+    """Schur-complement away +-1 pivots of {row: {col: int}}, in place.
 
-
-def _solve_in_lattice(basis: list, targets: list, dim: int) -> list:
-    """Solve basis-matrix * x = target (integer basis columns) for each target.
-
-    Every target must lie in the lattice spanned by the basis; this holds
-    whenever the basis is a saturated kernel and the targets are integer
-    vectors inside the rational kernel.
+    Each step takes the unit entry of least Markowitz cost
+    (row length - 1) * (column length - 1), so fill-in stays small. Costs
+    in the heap go stale as columns shrink; a popped entry whose cost has
+    grown is pushed back. Returns the number of pivots; afterwards no
+    entry is a unit and emptied rows are gone.
     """
-    k = len(basis)
-    ncols = k + len(targets)
-    dense = [[Fraction(0)] * ncols for _ in range(dim)]
-    for j, vec in enumerate(basis):
-        for i, v in enumerate(vec):
-            dense[i][j] = Fraction(v)
-    for j, vec in enumerate(targets):
-        for i, v in enumerate(vec):
-            dense[i][k + j] = Fraction(v)
-    pivots = _field_rref(dense, k, Ring("Q"))
-    if len(pivots) != k:
-        raise SchemaViolation("kernel basis is not independent")
-    sols = []
-    for j in range(len(targets)):
-        x = [Fraction(0)] * k
-        for r, c in enumerate(pivots):
-            x[c] = dense[r][k + j]
-        # consistency: rows below the pivot block must have cancelled
-        for r in range(len(pivots), dim):
-            if dense[r][k + j] != 0:
-                raise SchemaViolation("target outside the kernel lattice")
-        if any(v.denominator != 1 for v in x):
-            raise SchemaViolation("kernel lattice is not saturated")
-        sols.append([int(v) for v in x])
-    return sols
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, pi, pj = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or prow.get(pj) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[pj]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, pi, pj))
+            continue
+        units += 1
+        pv = prow.pop(pj)
+        del rows[pi]
+        for j in prow:
+            cols[j].discard(pi)
+        for i in cols.pop(pj) - {pi}:
+            row = rows[i]
+            f = row.pop(pj) * pv
+            for j, w in prow.items():
+                nv = row.get(j, 0) - f * w
+                if nv:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = nv
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+                continue
+            for j, v in row.items():
+                if v in (1, -1):
+                    heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+    return units
 
 
-def homology_presentation(boundary_out: SparseMatrix, boundary_in: SparseMatrix) -> SubquotientPresentation:
+def _residual_factors(rows: dict) -> list:
+    """Nonzero invariant factors of the block left by unit elimination.
+
+    Bareiss elimination gives the rank r and D, the absolute value of a
+    nonzero r x r minor. Every nonzero invariant factor divides D, so the
+    block is diagonalised over Z/DZ, where no entry exceeds D, and the
+    factors are read back from the diagonal as gcd(pivot, D).
+    """
+    if not rows:
+        return []
+    col_ids = sorted({j for row in rows.values() for j in row})
+    where = {j: k for k, j in enumerate(col_ids)}
+    block = []
+    for row in rows.values():
+        dense = [0] * len(col_ids)
+        for j, v in row.items():
+            dense[where[j]] = v
+        block.append(dense)
+    r, det = _bareiss([list(row) for row in block])
+    return _factors_mod(block, r, abs(det))
+
+
+def _bareiss(a: list) -> tuple:
+    """Rank of a dense integer matrix and a nonzero minor of that size,
+    by fraction-free elimination with full pivoting (destroys a)."""
+    prev = 1
+    for t in range(min(len(a), len(a[0]))):
+        if not _pivot_to(a, t):
+            return t, prev
+        p, top = a[t][t], a[t]
+        for row in a[t + 1:]:
+            f = row[t]
+            for j in range(t + 1, len(row)):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return min(len(a), len(a[0])), prev
+
+
+def _factors_mod(a: list, r: int, d: int) -> list:
+    """The r nonzero invariant factors of an integer matrix of rank r,
+    given the absolute value d of one of its nonzero r x r minors.
+
+    The matrix is diagonalised modulo d by invertible row and column
+    operations. Its cokernel modulo d is then the sum of Z/gcd(pivot, d),
+    plus one Z/d per row left without a pivot, and it equals
+    Z/d_1 + ... + Z/d_r + (Z/d)^(rows - r) because every d_i divides d.
+    Putting the cyclic orders into a divisibility chain with gcd/lcm swaps
+    recovers d_1 | ... | d_r as its first r terms.
+    """
+    nrows = len(a)
+    a = [[v % d for v in row] for row in a]
+    orders = []
+    for t in range(min(nrows, len(a[0]))):
+        if not _pivot_to(a, t):
+            break
+        _clear_column(a, t, d)
+        while any(a[t][t + 1:]):
+            # column operations are row operations on the transpose
+            a = [list(col) for col in zip(*a)]
+            _clear_column(a, t, d)
+        orders.append(gcd(a[t][t], d))
+    orders += [d] * (nrows - len(orders))
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] * orders[j] // g
+    return orders[:r]
+
+
+def _pivot_to(a: list, t: int) -> bool:
+    """Swap a nonzero entry of the trailing block into (t, t); False when
+    the block is zero."""
+    for i in range(t, len(a)):
+        for j in range(t, len(a[i])):
+            if a[i][j]:
+                a[t], a[i] = a[i], a[t]
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+                return True
+    return False
+
+
+def _clear_column(a: list, t: int, d: int) -> None:
+    """Zero column t below the pivot by Euclidean row steps modulo d. Each
+    remainder is smaller than the pivot it replaces, so this ends; a unit
+    pivot is scaled to 1 first, which divides everything."""
+    if gcd(a[t][t], d) == 1:
+        inv = pow(a[t][t], -1, d)
+        a[t] = [v * inv % d for v in a[t]]
+    i = t + 1
+    while i < len(a):
+        if a[i][t]:
+            q = a[i][t] // a[t][t]
+            a[i] = [(w - q * v) % d for v, w in zip(a[t], a[i])]
+            if a[i][t]:
+                a[t], a[i] = a[i], a[t]
+                continue
+        i += 1
+
+
+def boundary_invariants(m: SparseMatrix) -> tuple:
+    """(rank, nonunit invariant factors) of a boundary matrix. Over a field
+    there are no invariant factors to report."""
+    if m.ring.is_field:
+        return rank(m), ()
+    nonzero = [d for d in smith_normal_form(m) if d]
+    return len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
+def homology_presentation(
+    boundary_out: SparseMatrix,
+    boundary_in: SparseMatrix,
+    out_invariants: tuple | None = None,
+    in_invariants: tuple | None = None,
+) -> SubquotientPresentation:
     """Isomorphism type of Ker(boundary_out) / Im(boundary_in).
 
     `boundary_out` maps the middle module down and `boundary_in` maps into
     it, so boundary_out.cols == boundary_in.rows and the composite must be
-    zero.
+    zero. For a free complex the group is free of rank
+    dim - rank(out) - rank(in), plus the nonunit invariant factors of `in`.
+    Callers that already hold `boundary_invariants` of either matrix pass
+    them in.
     """
     if boundary_out.ring != boundary_in.ring:
         raise SchemaViolation("boundary maps live over different rings")
@@ -450,22 +530,6 @@ def homology_presentation(boundary_out: SparseMatrix, boundary_in: SparseMatrix)
         )
     if not boundary_out.mul(boundary_in).is_zero():
         raise CompositionNotZero("boundary composed with boundary is nonzero")
-    ring = boundary_out.ring
-    if ring.is_field:
-        dim_ker = boundary_out.cols - rank(boundary_out)
-        return SubquotientPresentation(dim_ker - rank(boundary_in))
-    kernel = kernel_basis(boundary_out)
-    if not kernel:
-        return SubquotientPresentation(0)
-    targets = [boundary_in.column(j) for j in range(boundary_in.cols)]
-    coords = _solve_in_lattice(kernel, targets, boundary_out.cols)
-    k = len(kernel)
-    items = []
-    for j, vec in enumerate(coords):
-        for i, v in enumerate(vec):
-            if v:
-                items.append(((i, j), v))
-    rel = SparseMatrix.from_entries(k, len(coords), ZZ, items)
-    factors = [d for d in smith_normal_form(rel) if d != 0]
-    torsion = tuple(d for d in factors if d >= 2)
-    return SubquotientPresentation(k - len(factors), torsion)
+    rank_out, _ = out_invariants or boundary_invariants(boundary_out)
+    rank_in, torsion = in_invariants or boundary_invariants(boundary_in)
+    return SubquotientPresentation(boundary_out.cols - rank_out - rank_in, torsion)

@@ -1,0 +1,214 @@
+"""Differential test of integer homology: the rank/Smith-normal-form route
+against the kernel-lattice route it replaced.
+
+The lattice route takes a saturated basis of Ker(out), solves every
+column of the incoming boundary in it with Fraction row reduction, and
+reads the group off a dense Smith normal form of the coordinates. It is
+slow but independent of the sparse SNF, so it serves as the oracle here.
+"""
+
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+
+from hyperhom.homology import (
+    ComplexSpec,
+    build_complex,
+    homology_table,
+    independence_carrier,
+    simplicial_carrier,
+)
+from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
+from hyperhom.linalg import SubquotientPresentation, _field_rref, kernel_basis
+from hyperhom.rings import QQ, ZZ
+from hyperhom.words import VertexSet, WedgeOperator
+
+
+def lattice_snf(a: list, nrows: int, ncols: int) -> list:
+    """Dense Smith normal form diagonal by repeated least-entry division."""
+    n = min(nrows, ncols)
+    diag = []
+    t = 0
+    while t < n:
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        for row in a:
+            row[t], row[bj] = row[bj], row[t]
+        while True:
+            pv = a[t][t]
+            done = True
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // pv
+                    for j in range(t, ncols):
+                        a[i][j] -= q * a[t][j]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // pv
+                    for i in range(t, nrows):
+                        a[i][j] -= q * a[i][t]
+                    if a[t][j]:
+                        for i in range(t, nrows):
+                            a[i][t], a[i][j] = a[i][j], a[i][t]
+                        done = False
+                        break
+            if done:
+                break
+        pv = a[t][t]
+        # enforce divisibility of the remaining block by the pivot
+        fixed = True
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] % pv != 0:
+                    for jj in range(t, ncols):
+                        a[t][jj] += a[i][jj]
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        diag.append(abs(pv))
+        t += 1
+    return diag + [0] * (n - len(diag))
+
+
+def solve_in_lattice(basis: list, targets: list, dim: int) -> list:
+    """Integer coordinates of each target in the lattice spanned by basis."""
+    k = len(basis)
+    dense = [[Fraction(0)] * (k + len(targets)) for _ in range(dim)]
+    for j, vec in enumerate(basis + targets):
+        for i, v in enumerate(vec):
+            dense[i][j] = Fraction(v)
+    pivots = _field_rref(dense, k, QQ)
+    assert len(pivots) == k, "kernel basis is not independent"
+    sols = []
+    for j in range(len(targets)):
+        assert all(dense[r][k + j] == 0 for r in range(k, dim)), "target outside the lattice"
+        x = [Fraction(0)] * k
+        for r, c in enumerate(pivots):
+            x[c] = dense[r][k + j]
+        assert all(v.denominator == 1 for v in x), "kernel lattice is not saturated"
+        sols.append([int(v) for v in x])
+    return sols
+
+
+def lattice_presentation(out, inn) -> SubquotientPresentation:
+    kernel = kernel_basis(out)
+    if not kernel:
+        return SubquotientPresentation(0)
+    targets = [inn.column(j) for j in range(inn.cols)]
+    coords = solve_in_lattice(kernel, targets, out.cols)
+    rel = [[coords[j][i] for j in range(len(coords))] for i in range(len(kernel))]
+    factors = [d for d in lattice_snf(rel, len(kernel), len(coords)) if d]
+    return SubquotientPresentation(
+        len(kernel) - len(factors), tuple(d for d in factors if d >= 2)
+    )
+
+
+def lattice_table(spec: ComplexSpec) -> list:
+    built = build_complex(spec)
+    return [
+        lattice_presentation(built.matrix(n), built.incoming_matrix(n))
+        for n in spec.degrees()
+    ]
+
+
+def random_operator(rng, kind: str, nverts: int, arity: int) -> WedgeOperator:
+    weights = [-3, -2, -1, 1, 1, 2, 2, 3, 4, 6]
+    gens = list(combinations(range(nverts), arity))
+    terms = [(rng.choice(weights), g) for g in gens if rng.random() < 0.8]
+    return WedgeOperator.build(kind, arity, terms or [(2, gens[0])])
+
+
+def random_family(rng, nverts: int, op: ClosureOp, with_empty: bool) -> Hypergraph:
+    vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
+    seeds = frozenset(e for e in power_set(vs) if e and rng.random() < 0.35)
+    h = closure(Hypergraph(vs, seeds or frozenset({(0,)})), op)
+    edges = set(h.edges) - {()}
+    if with_empty:
+        # an upward-closed family holding the empty edge is the power set
+        edges = {()} | (edges if op == ClosureOp.DELTA_UP else set(power_set(vs)))
+    return Hypergraph(vs, frozenset(edges))
+
+
+def test_rank_snf_route_matches_lattice_route():
+    rng = random.Random(2024)
+    cases = torsion = 0
+    seen = set()
+    for trial in range(300):
+        lowering = trial % 2 == 0
+        arity = 3 if trial % 4 >= 2 else 1
+        with_empty = trial % 8 < 4
+        nverts = rng.randint(arity + 1, 6 if arity == 3 else 5)
+        if lowering:
+            h = random_family(rng, nverts, ClosureOp.DELTA_UP, with_empty)
+            carrier = simplicial_carrier(h)
+        else:
+            h = random_family(rng, nverts, ClosureOp.BAR_DELTA_UP, with_empty)
+            if not h.edges:
+                continue
+            carrier = independence_carrier(h)
+        op = random_operator(rng, "partial" if lowering else "d", nverts, arity)
+        for q in range(arity):
+            spec = ComplexSpec(carrier, op, q, ZZ)
+            got = [g.presentation for g in homology_table(spec)]
+            assert got == lattice_table(spec), (h.sorted_edges(), op, q)
+            cases += len(got)
+            torsion += sum(1 for p in got if p.torsion_factors)
+            seen.add((lowering, arity, q, h.has_empty_edge))
+    assert cases > 1200 and torsion > 100, (cases, torsion)
+    # both operator families, arity 1 and 3, every offset, empty edge in and out
+    assert seen == {
+        (low, a, q, e) for low in (True, False) for a in (1, 3) for q in range(a)
+        for e in (True, False)
+    }
+
+
+def test_arity_three_coefficient_patterns():
+    vs = VertexSet.of(*[f"v{i}" for i in range(8)])
+    edges = frozenset(c for r in range(6) for c in combinations(range(8), r))
+    carrier = simplicial_carrier(Hypergraph(vs, edges))
+    gens = list(combinations(range(8), 3))
+    with_torsion = 0
+    for mult in range(1, 5):
+        for shift in range(5):
+            for mod in (5, 7):
+                op = WedgeOperator.build(
+                    "partial", 3, [(((mult * i + shift) % mod) + 1, g) for i, g in enumerate(gens)]
+                )
+                spec = ComplexSpec(carrier, op, 1, ZZ)
+                got = [g.presentation for g in homology_table(spec)]
+                assert got == lattice_table(spec), (mult, shift, mod)
+                with_torsion += any(p.torsion_factors for p in got)
+    # [3,3,3,3], [9,9] or [2,2] at degree one
+    assert with_torsion == 10
+
+
+def test_weighted_nine_vertex_four_skeleton_is_fast():
+    # the lattice route ran for more than nine minutes on this complex
+    vs = VertexSet.of(*[f"v{i}" for i in range(9)])
+    edges = frozenset(c for r in range(6) for c in combinations(range(9), r))
+    op = WedgeOperator.weighted_sum("partial", range(1, 10))
+    start = time.perf_counter()
+    table = homology_table(ComplexSpec(simplicial_carrier(Hypergraph(vs, edges)), op, 0, ZZ))
+    elapsed = time.perf_counter() - start
+    assert {g.degree: g.presentation for g in table} == {
+        n: SubquotientPresentation(56 if n == 4 else 0) for n in range(-1, 5)
+    }
+    assert elapsed < 10.0, elapsed

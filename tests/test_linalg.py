@@ -65,8 +65,14 @@ def test_integer_kernel_is_saturated():
 
 def test_snf_trivial_cases():
     assert smith_normal_form(SparseMatrix.identity(2, ZZ)) == [1, 1]
-    assert smith_normal_form(mat(1, 1, ZZ, [[3]])) == [3]
     assert smith_normal_form(mat(2, 2, ZZ, [[2, 0], [0, 3]])) == [1, 6]
+    # the residual block is finished modulo D = |minor|; a pivot that
+    # reduces to zero there stands for the factor D itself
+    for d in (3, 2, 6, 12, 97, 2**70 + 1):
+        assert smith_normal_form(mat(1, 1, ZZ, [[d]])) == [d]
+        assert smith_normal_form(mat(1, 1, ZZ, [[-d]])) == [d]
+    assert smith_normal_form(mat(2, 2, ZZ, [[0, 3], [2, 0]])) == [1, 6]
+    assert smith_normal_form(mat(2, 3, ZZ, [[2, 0, 4], [0, 3, 0]])) == [1, 6]
 
 
 def test_snf_with_zero_rows():

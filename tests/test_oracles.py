@@ -64,21 +64,36 @@ def test_snf_against_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    rng = random.Random(7)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        dense = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    def check(dense):
+        rows, cols = len(dense), len(dense[0])
         ours = smith_normal_form(
             SparseMatrix.from_entries(
                 rows, cols, ZZ,
                 [((i, j), v) for i, r in enumerate(dense) for j, v in enumerate(r) if v],
             )
         )
-        m = sympy.Matrix(dense)
-        theirs = sympy_snf(m, domain=sympy.ZZ)
+        theirs = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
         diag = [abs(int(theirs[i, i])) for i in range(min(rows, cols))]
-        # align conventions: both diagonals, zeros trailing, nonneg entries
-        assert sorted(ours) == sorted(diag), (dense, ours, diag)
+        # align conventions: nonzero factors ascending, zeros trailing
+        nonzero = sorted(d for d in diag if d)
+        assert ours == nonzero + [0] * (len(diag) - len(nonzero)), (dense, ours, diag)
+
+    rng = random.Random(7)
+    for trial in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        dense = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0 and rows > 2:
+            # dependent rows make the matrix rank deficient
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            dense[-1] = [a * x + b * y for x, y in zip(dense[0], dense[1])]
+        scale = rng.choice((1, 2, 3, 4, 6, 9))
+        check([[scale * v for v in row] for row in dense])
+    # no unit entries, so the whole matrix is finished modulo a large minor
+    for _ in range(20):
+        n = rng.randint(4, 7)
+        check([[rng.choice((-1, 1)) * rng.randint(2, 60) for _ in range(n)] for _ in range(n)])
+    check([[6, 10, 15], [10, 15, 6], [15, 6, 10]])
+    check([[2 * (i + j) + 4 for j in range(5)] for i in range(5)])
 
 
 def test_integer_kernel_saturation_via_invariant_factors():
