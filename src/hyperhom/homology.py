@@ -232,6 +232,8 @@ class BuiltComplex:
         return self._invariants[n]
 
     def solver(self, n: int) -> "DegreeSolver":
+        """Solver at degree n; off the grid the module is zero and so is
+        its homology."""
         if n not in self._solvers:
             self._solvers[n] = DegreeSolver(
                 self.spec.ring, self.dim(n), self.matrix(n), self.incoming_matrix(n)
@@ -254,7 +256,13 @@ def homology_table(spec: ComplexSpec) -> list:
 
 class DegreeSolver:
     """Cycle representatives and homology coordinates at one degree,
-    field coefficients only."""
+    field coefficients only.
+
+    One row reduction of [in-columns | cycle basis | I] does all the work.
+    Its pivot columns are the columns independent of those before them:
+    first a basis of the boundaries, then the representatives. The
+    identity block records the row operations, which carry a cycle onto
+    its coordinates along the pivot columns."""
 
     def __init__(self, ring: Ring, dim: int, out_mat: SparseMatrix, in_mat: SparseMatrix):
         if not ring.is_field:
@@ -262,27 +270,21 @@ class DegreeSolver:
         self.ring = ring
         self.dim = dim
         self.out_mat = out_mat
-        cycles = kernel_basis(out_mat) if out_mat.rows else [
-            [ring.one if i == j else ring.zero for i in range(dim)] for j in range(dim)
-        ]
-        boundary = []
-        reducer = _IncrementalBasis(ring, dim)
-        for j in range(in_mat.cols):
-            col = in_mat.column(j)
-            if reducer.add(col):
-                boundary.append(col)
-        self.reps = [z for z in cycles if reducer.add(z)]
-        self.boundary_rank = len(boundary)
+        cycles = kernel_basis(out_mat)
+        ncols = in_mat.cols + len(cycles)
+        aug = in_mat.dense_rows()
+        for i, row in enumerate(aug):
+            row.extend(z[i] for z in cycles)
+            row.extend(ring.one if i == k else ring.zero for k in range(dim))
+        pivots = _field_rref(aug, ncols, ring)
+        self.boundary_rank = sum(c < in_mat.cols for c in pivots)
+        self.reps = [cycles[c - in_mat.cols] for c in pivots[self.boundary_rank:]]
         self.betti = len(self.reps)
-        # solving column basis: boundaries then representatives
-        self._cols = boundary + self.reps
-        self._dense = [
-            [self._cols[j][i] for j in range(len(self._cols))] for i in range(dim)
-        ]
-        aug = [row + [ring.one if i == k else ring.zero for k in range(dim)]
-               for i, row in enumerate(self._dense)]
-        self._pivots = _field_rref(aug, len(self._cols), ring)
-        self._transform = [row[len(self._cols):] for row in aug]
+        # transform rows of the representative pivots, then of the rows a
+        # cycle must leave at zero
+        self._transform = SparseMatrix.from_rows(
+            [row[ncols:] for row in aug[self.boundary_rank:]], dim, ring
+        )
 
     def is_cycle(self, vec) -> bool:
         return all(self.ring.is_zero(v) for v in self.out_mat.apply(vec))
@@ -290,18 +292,10 @@ class DegreeSolver:
     def coords(self, vec) -> tuple:
         """Homology coordinates of a cycle; None when vec is outside the
         cycle space."""
-        ring = self.ring
-        w = [
-            sum_ring(ring, (ring.mul(t, v) for t, v in zip(row, vec)))
-            for row in self._transform
-        ]
-        for i in range(len(self._pivots), self.dim):
-            if not ring.is_zero(w[i]):
-                return None
-        x = [ring.zero] * len(self._cols)
-        for r, c in enumerate(self._pivots):
-            x[c] = w[r]
-        return tuple(x[self.boundary_rank :])
+        w = self._transform.apply(vec)
+        if any(not self.ring.is_zero(v) for v in w[self.betti:]):
+            return None
+        return tuple(w[: self.betti])
 
 
 def sum_ring(ring, items):
@@ -309,27 +303,6 @@ def sum_ring(ring, items):
     for v in items:
         acc = ring.add(acc, v)
     return acc
-
-
-class _IncrementalBasis:
-    def __init__(self, ring, dim):
-        self.ring = ring
-        self.dim = dim
-        self.rows = {}  # pivot index -> reduced vector with unit pivot
-
-    def add(self, vec) -> bool:
-        ring = self.ring
-        v = list(vec)
-        for p, row in self.rows.items():
-            c = v[p]
-            if not ring.is_zero(c):
-                v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
-        for p in range(self.dim):
-            if not ring.is_zero(v[p]):
-                inv = ring.inv(v[p])
-                self.rows[p] = [ring.mul(inv, a) for a in v]
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -342,31 +315,27 @@ class InducedMap:
     target_rank: int
     matrix: tuple  # target_rank rows, source_rank columns
 
+    def as_matrix(self, ring: Ring) -> SparseMatrix:
+        return SparseMatrix.from_rows(self.matrix, self.source_rank, ring)
+
     def compose(self, inner: "InducedMap", ring: Ring) -> "InducedMap":
         """self after inner."""
         if inner.target_degree != self.source_degree or inner.target_rank != self.source_rank:
             raise SchemaViolation("shape mismatch in composition")
-        rows = []
-        for row in self.matrix:
-            out = []
-            for j in range(inner.source_rank):
-                out.append(
-                    sum_ring(ring, (ring.mul(row[k], inner.matrix[k][j])
-                                    for k in range(inner.target_rank)))
-                )
-            rows.append(tuple(out))
+        product = self.as_matrix(ring).mul(inner.as_matrix(ring))
         return InducedMap(
-            inner.source_degree, self.target_degree,
-            inner.source_rank, self.target_rank, tuple(rows),
+            inner.source_degree, self.target_degree, inner.source_rank, self.target_rank,
+            tuple(map(tuple, product.dense_rows())),
         )
 
     def rank(self, ring: Ring) -> int:
-        dense = [list(r) for r in self.matrix]
-        return len(_field_rref(dense, self.source_rank, ring))
+        return rank(self.as_matrix(ring))
 
 
-def _descend_matrix(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
-                    what: str) -> tuple:
+def _descend(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
+             src_n: int, tgt_n: int, what: str) -> InducedMap:
+    """Homology map of a chain map, on the representative bases of src and
+    tgt; the images of the representatives are checked to be cycles."""
     cols = []
     for z in src.reps:
         v = chain_mat.apply(z)
@@ -379,11 +348,7 @@ def _descend_matrix(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolve
         if c is None:
             raise NotAChainMap(f"{what} leaves the cycle space")
         cols.append(c)
-    return tuple(tuple(col[i] for col in cols) for i in range(tgt.betti))
-
-
-def _descend(chain_mat, src, tgt, src_n, tgt_n, what) -> InducedMap:
-    matrix = _descend_matrix(chain_mat, src, tgt, what)
+    matrix = tuple(tuple(col[i] for col in cols) for i in range(tgt.betti))
     return InducedMap(src_n, tgt_n, src.betti, tgt.betti, matrix)
 
 
@@ -422,17 +387,11 @@ def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
         if lhs.entries != rhs.entries:
             raise NotAChainMap("even operator does not commute with the boundary")
 
-    out = {}
-    for n in spec.degrees():
-        m = n + shift
-        tgt_solver = (
-            target.solver(m)
-            if m >= -1
-            else DegreeSolver(ring, 0, SparseMatrix.zero(0, 0, ring), SparseMatrix.zero(0, 0, ring))
-        )
-        out[n] = _descend(even_mats[n], source.solver(n), tgt_solver, n, m,
-                          "even operator action")
-    return out
+    return {
+        n: _descend(even_mats[n], source.solver(n), target.solver(n + shift), n, n + shift,
+                    "even operator action")
+        for n in spec.degrees()
+    }
 
 
 def _inclusion_matrix(small_basis, large_basis, ring) -> SparseMatrix:
@@ -443,6 +402,16 @@ def _inclusion_matrix(small_basis, large_basis, ring) -> SparseMatrix:
             raise NotIncluded(f"edge {w} of the smaller family is missing above")
         items.append(((index[w], j), ring.one))
     return SparseMatrix.from_entries(len(large_basis), len(small_basis), ring, items)
+
+
+def inclusion_map(small: BuiltComplex, large: BuiltComplex, n: int) -> InducedMap:
+    """Homology map in degree n induced by the inclusion of one built
+    complex in another with the same operator, offset and ring."""
+    if (small.spec.operator, small.spec.q, small.spec.ring) != (
+            large.spec.operator, large.spec.q, large.spec.ring):
+        raise SchemaViolation("inclusion needs one operator, offset and ring")
+    mat = _inclusion_matrix(small.basis(n), large.basis(n), small.spec.ring)
+    return _descend(mat, small.solver(n), large.solver(n), n, n, "inclusion")
 
 
 def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOperator,
@@ -457,11 +426,7 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     make = simplicial_carrier if operator.kind == "partial" else independence_carrier
     src = build_complex(ComplexSpec(make(small), operator, q, ring))
     tgt = build_complex(ComplexSpec(make(large), operator, q, ring))
-    out = {}
-    for n in tgt.spec.degrees():
-        mat = _inclusion_matrix(src.basis(n), tgt.basis(n), ring)
-        out[n] = _descend(mat, src.solver(n), tgt.solver(n), n, n, "inclusion")
-    return out
+    return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
 
 
 @dataclass(frozen=True)
@@ -482,14 +447,10 @@ class LongExactSequence:
         return all(j[2] for j in self.junctions)
 
 
-def _matrix_rank(matrix, ncols, ring) -> int:
-    dense = [list(r) for r in matrix]
-    return len(_field_rref(dense, ncols, ring))
-
-
-def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
-                   q: int, ring: Ring) -> LongExactSequence:
-    """The long exact sequence linking intersection, direct sum, and union.
+def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
+                 q: int, ring: Ring) -> dict:
+    """The four built complexes of a Mayer-Vietoris square, keyed "cap",
+    "a", "b" and "cup".
 
     Degree-lowering operators need matching empty-edge membership: the
     degree -1 truncation of the two sides otherwise disagrees and the
@@ -507,63 +468,65 @@ def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
         )
     cap = combine(a, b, CombineOp.INTERSECT)
     cup = combine(a, b, CombineOp.UNION)
-    complexes = {
+    return {
         name: build_complex(ComplexSpec(make(h), operator, q, ring))
         for name, h in (("cap", cap), ("a", a), ("b", b), ("cup", cup))
     }
-    grid = complexes["cup"].spec.degrees()
-    if lowering:
+
+
+def mv_sequence(complexes: dict) -> LongExactSequence:
+    """The long exact sequence linking intersection, direct sum, and union
+    of the complexes built by `mv_complexes`."""
+    spec = complexes["cup"].spec
+    ring = spec.ring
+    grid = spec.degrees()
+    if spec.lowering:
         grid = list(reversed(grid))
-    sgn = -1 if lowering else 1
-    step = operator.arity
+    sgn = -1 if spec.lowering else 1
 
     nodes = []
     maps = []
     for n in grid:
-        s_cap = complexes["cap"].solver(n)
-        s_a = complexes["a"].solver(n)
-        s_b = complexes["b"].solver(n)
-        s_cup = complexes["cup"].solver(n)
-        nodes.append(SequenceNode("intersection", n, s_cap.betti))
-        maps.append(_mv_first_map(complexes, n, ring))
-        nodes.append(SequenceNode("sum", n, s_a.betti + s_b.betti))
+        betti = {name: cx.solver(n).betti for name, cx in complexes.items()}
+        nodes.append(SequenceNode("intersection", n, betti["cap"]))
+        maps.append(_mv_first_map(complexes, n))
+        nodes.append(SequenceNode("sum", n, betti["a"] + betti["b"]))
         maps.append(_mv_second_map(complexes, n, ring))
-        nodes.append(SequenceNode("union", n, s_cup.betti))
-        maps.append(_mv_connecting(complexes, n, sgn * step, ring))
+        nodes.append(SequenceNode("union", n, betti["cup"]))
+        maps.append(_mv_connecting(complexes, n, sgn * spec.step, ring))
     # final connecting map targets a vanishing group
+
+    def map_rank(i):
+        return rank(SparseMatrix.from_rows(maps[i], nodes[i].free_rank, ring))
+
     junctions = []
     for i, node in enumerate(nodes):
-        rank_in = _matrix_rank(maps[i - 1], nodes[i - 1].free_rank, ring) if i else 0
-        nullity = node.free_rank - _matrix_rank(maps[i], node.free_rank, ring)
+        rank_in = map_rank(i - 1) if i else 0
+        nullity = node.free_rank - map_rank(i)
         junctions.append((rank_in, nullity, rank_in == nullity))
     # the last map leaves the listed window; exactness there needs the
     # kernel of nothing, so fold it into a trailing zero-node junction
-    tail_rank = _matrix_rank(maps[-1], nodes[-1].free_rank, ring) if maps else 0
+    tail_rank = map_rank(len(maps) - 1) if maps else 0
     junctions.append((tail_rank, 0, tail_rank == 0))
     return LongExactSequence(tuple(nodes), tuple(maps), tuple(junctions))
 
 
-def _mv_first_map(complexes, n, ring):
-    s_cap = complexes["cap"].solver(n)
-    incl_a = _inclusion_matrix(complexes["cap"].basis(n), complexes["a"].basis(n), ring)
-    incl_b = _inclusion_matrix(complexes["cap"].basis(n), complexes["b"].basis(n), ring)
-    ma = _descend_matrix(incl_a, s_cap, complexes["a"].solver(n), "intersection inclusion")
-    mb = _descend_matrix(incl_b, s_cap, complexes["b"].solver(n), "intersection inclusion")
-    return tuple(list(ma) + list(mb))
+def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
+                   q: int, ring: Ring) -> LongExactSequence:
+    """The long exact sequence linking intersection, direct sum, and union;
+    see `mv_complexes` for the conditions on the two sides."""
+    return mv_sequence(mv_complexes(a, b, operator, q, ring))
+
+
+def _mv_first_map(complexes, n):
+    return (inclusion_map(complexes["cap"], complexes["a"], n).matrix
+            + inclusion_map(complexes["cap"], complexes["b"], n).matrix)
 
 
 def _mv_second_map(complexes, n, ring):
-    s_a = complexes["a"].solver(n)
-    s_b = complexes["b"].solver(n)
-    s_cup = complexes["cup"].solver(n)
-    incl_a = _inclusion_matrix(complexes["a"].basis(n), complexes["cup"].basis(n), ring)
-    incl_b = _inclusion_matrix(complexes["b"].basis(n), complexes["cup"].basis(n), ring)
-    ma = _descend_matrix(incl_a, s_a, s_cup, "union inclusion")
-    mb = _descend_matrix(incl_b, s_b, s_cup, "union inclusion")
-    rows = []
-    for i in range(s_cup.betti):
-        rows.append(tuple(list(ma[i]) + [ring.neg(v) for v in mb[i]]))
-    return tuple(rows)
+    ma = inclusion_map(complexes["a"], complexes["cup"], n).matrix
+    mb = inclusion_map(complexes["b"], complexes["cup"], n).matrix
+    return tuple(ra + tuple(ring.neg(v) for v in rb) for ra, rb in zip(ma, mb))
 
 
 def _mv_connecting(complexes, n, signed_step, ring):
@@ -572,13 +535,11 @@ def _mv_connecting(complexes, n, signed_step, ring):
     m = n + signed_step
     s_cup = complexes["cup"].solver(n)
     cap_cx = complexes["cap"]
-    s_cap_next = cap_cx.solver(m) if m >= -1 else DegreeSolver(
-        ring, 0, SparseMatrix.zero(0, 0, ring), SparseMatrix.zero(0, 0, ring)
-    )
+    s_cap_next = cap_cx.solver(m)
     a_basis = {w: i for i, w in enumerate(complexes["a"].basis(n))}
     cap_index = {w: i for i, w in enumerate(cap_cx.basis(m))}
     bnd_a = complexes["a"].matrix(n)
-    a_target_basis = complexes["a"].basis(m) if m >= -1 else []
+    a_target_basis = complexes["a"].basis(m)
     cols = []
     for z in s_cup.reps:
         u = [ring.zero] * len(a_basis)

@@ -41,10 +41,13 @@ class CombineOp(Enum):
 
 
 def _as_edge(vertices, raw) -> tuple:
+    """Sorted index tuple of an edge given by vertex labels or indices."""
     idx = []
     for v in raw:
         if isinstance(v, str):
             v = vertices.index(v)
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaViolation(f"vertex {v!r} is neither a label nor an index")
         if not 0 <= v < len(vertices):
             raise SchemaViolation(f"vertex index {v} out of range")
         idx.append(v)

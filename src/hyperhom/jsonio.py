@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SchemaViolation
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, _as_edge
 from .persistence import Filtration
 from .rings import Ring
 from .words import VertexSet, WedgeOperator
@@ -120,11 +120,8 @@ def filtration_from_json(data) -> Filtration:
     for row in data["edges"]:
         _require(isinstance(row, dict) and "edge" in row and "birth" in row,
                  "each filtration row needs 'edge' and 'birth'")
-        edge = [vs.index(v) if isinstance(v, str) else v for v in row["edge"]]
-        birth = row["birth"]
-        if isinstance(birth, bool) or not isinstance(birth, (int, str)):
-            raise SchemaViolation("births are integers or 'a/b' strings")
-        births.append((tuple(edge), Fraction(birth)))
+        _require(isinstance(row["edge"], list), "each edge must be a list")
+        births.append((_as_edge(vs, row["edge"]), coefficient_from_json(row["birth"])))
     return Filtration.of(vs, births, cls)
 
 

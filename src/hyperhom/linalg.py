@@ -56,6 +56,13 @@ class SparseMatrix:
         return SparseMatrix(rows, cols, ring, tuple(sorted(seen.items())))
 
     @staticmethod
+    def from_rows(data, cols, ring) -> "SparseMatrix":
+        """Matrix of a dense row list; `cols` fixes the width when there
+        are no rows."""
+        items = [((i, j), v) for i, row in enumerate(data) for j, v in enumerate(row)]
+        return SparseMatrix.from_entries(len(data), cols, ring, items)
+
+    @staticmethod
     def zero(rows, cols, ring) -> "SparseMatrix":
         return SparseMatrix(rows, cols, ring, ())
 

@@ -8,9 +8,13 @@ when the empty edge participates it must be born with the first edges
 inclusion maps would stop being chain maps).
 
 The grading here steps by the full operator arity, so persistence is
-computed directly from the ranks of inclusion-induced maps over the
-critical grid rather than by a single matrix reduction; barcodes then
-fall out by inclusion-exclusion over grid pairs.
+computed from the ranks of inclusion-induced maps over the critical grid
+rather than by a single filtered matrix reduction. Each threshold's
+complex is built once, with its solvers, and every grid pair descends
+the inclusion between two built complexes; barcodes then fall out by
+inclusion-exclusion over grid pairs. Persistent Mayer-Vietoris builds the
+four complexes of each threshold once and reads the vertical maps of its
+naturality squares from the inclusions between consecutive thresholds.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
     ComplexSpec,
     build_complex,
-    inclusion_induced,
+    inclusion_map,
     independence_carrier,
-    mayer_vietoris,
+    mv_complexes,
+    mv_sequence,
     simplicial_carrier,
 )
-from .hypergraphs import CombineOp, Hypergraph, combine
+from .hypergraphs import Hypergraph
+from .linalg import SparseMatrix
 from .rings import Ring
 from .words import VertexSet, WedgeOperator
 
@@ -137,17 +143,13 @@ def persistent_ranks(f: Filtration, operator: WedgeOperator, q: int,
         raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
     grid = f.critical_values()
     make = _carrier_for(f)
-    built = {}
-    for i, x in enumerate(grid):
-        built[i] = build_complex(ComplexSpec(make(f.complex_at(x)), operator, q, ring))
+    built = [build_complex(ComplexSpec(make(f.complex_at(x)), operator, q, ring))
+             for x in grid]
     ranks = {}
     for i in range(len(grid)):
         ranks[(i, i)] = built[i].solver(n).betti
         for j in range(i + 1, len(grid)):
-            maps = inclusion_induced(
-                f.complex_at(grid[i]), f.complex_at(grid[j]), operator, q, ring
-            )
-            ranks[(i, j)] = maps[n].rank(ring) if n in maps else 0
+            ranks[(i, j)] = inclusion_map(built[i], built[j], n).rank(ring)
     return PersistentRanks(n, tuple(grid), ranks)
 
 
@@ -203,76 +205,40 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
     _check_operator(fa, operator)
     grid = sorted(set(fa.critical_values()) | set(fb.critical_values()))
     sequences = []
-    for x in grid:
-        sequences.append(
-            mayer_vietoris(fa.complex_at(x), fb.complex_at(x), operator, q, ring)
-        )
     commute = True
-    for t in range(len(grid) - 1):
-        x, y = grid[t], grid[t + 1]
-        if not _mv_square_check(fa, fb, operator, q, ring, x, y,
-                                sequences[t], sequences[t + 1]):
+    previous = None
+    for x in grid:
+        # only two thresholds' complexes are alive at a time
+        current = mv_complexes(fa.complex_at(x), fb.complex_at(x), operator, q, ring)
+        sequences.append(mv_sequence(current))
+        if previous is not None and not _mv_square_check(
+                previous, current, sequences[-2], sequences[-1]):
             commute = False
+        previous = current
     return PersistentMV(tuple(grid), tuple(sequences), commute)
 
 
-def _as_cells(rows, shape):
-    return {
-        (i, j): v
-        for i, row in enumerate(rows)
-        for j, v in enumerate(row)
-        if v != 0
-    }, shape
+# the complexes behind each node label of a Mayer-Vietoris sequence
+_NODE_PARTS = {"intersection": ("cap",), "sum": ("a", "b"), "union": ("cup",)}
 
 
-def _mul_cells(ring, a, ash, b, bsh):
-    if ash[1] != bsh[0]:
-        raise SchemaViolation("shape mismatch in square check")
-    by_row = {}
-    for (k, j), v in b.items():
-        by_row.setdefault(k, []).append((j, v))
-    out = {}
-    for (i, k), v in a.items():
-        for j, w in by_row.get(k, ()):
-            key = (i, j)
-            out[key] = ring.add(out.get(key, ring.zero), ring.mul(v, w))
-    return {k: v for k, v in out.items() if not ring.is_zero(v)}, (ash[0], bsh[1])
-
-
-def _mv_square_check(fa, fb, operator, q, ring, x, y, seq_x, seq_y) -> bool:
-    """Verify the three vertical inclusion families commute with every
+def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
+    """Verify that the vertical inclusion maps from the complexes `cx_x` of
+    one threshold into those of the next, `cx_y`, commute with every
     horizontal map of the two sequences."""
-    ax, bx = fa.complex_at(x), fb.complex_at(x)
-    ay, by = fa.complex_at(y), fb.complex_at(y)
-    vert = {
-        "intersection": inclusion_induced(
-            combine(ax, bx, CombineOp.INTERSECT),
-            combine(ay, by, CombineOp.INTERSECT), operator, q, ring),
-        "a": inclusion_induced(ax, ay, operator, q, ring),
-        "b": inclusion_induced(bx, by, operator, q, ring),
-        "union": inclusion_induced(
-            combine(ax, bx, CombineOp.UNION),
-            combine(ay, by, CombineOp.UNION), operator, q, ring),
-    }
+    ring = cx_x["cup"].spec.ring
 
-    def vertical(label, degree):
-        if label in ("intersection", "union"):
-            m = vert[label].get(degree)
-            if m is None:
-                return {}, (0, 0)
-            return _as_cells(m.matrix, (m.target_rank, m.source_rank))
-        ma = vert["a"].get(degree)
-        mb = vert["b"].get(degree)
-        ra, rb = (ma.target_rank if ma else 0), (mb.target_rank if mb else 0)
-        ca, cb = (ma.source_rank if ma else 0), (mb.source_rank if mb else 0)
-        cells = {}
-        if ma:
-            cells.update(_as_cells(ma.matrix, None)[0])
-        if mb:
-            for (i, j), v in _as_cells(mb.matrix, None)[0].items():
-                cells[(ra + i, ca + j)] = v
-        return cells, (ra + rb, ca + cb)
+    def vertical(label, n):
+        # block diagonal over the node's parts
+        rows, cols = [], 0
+        for part in _NODE_PARTS[label]:
+            m = inclusion_map(cx_x[part], cx_y[part], n)
+            rows += [(0,) * cols + row for row in m.matrix]
+            cols += m.source_rank
+        return SparseMatrix.from_rows(rows, cols, ring)
 
+    vert = {(node.label, node.degree): vertical(node.label, node.degree)
+            for node in seq_x.nodes}
     pos_y = {(n.label, n.degree): i for i, n in enumerate(seq_y.nodes)}
     for idx in range(len(seq_x.nodes) - 1):
         src = seq_x.nodes[idx]
@@ -283,12 +249,10 @@ def _mv_square_check(fa, fb, operator, q, ring, x, y, seq_x, seq_y) -> bool:
         ytgt = seq_y.nodes[ydx + 1]
         if (ytgt.label, ytgt.degree) != (tgt.label, tgt.degree):
             return False
-        h_x = _as_cells(seq_x.maps[idx], (tgt.free_rank, src.free_rank))
-        h_y = _as_cells(seq_y.maps[ydx], (ytgt.free_rank, seq_y.nodes[ydx].free_rank))
-        v_src = vertical(src.label, src.degree)
-        v_tgt = vertical(tgt.label, tgt.degree)
-        lhs = _mul_cells(ring, *v_tgt, *h_x)
-        rhs = _mul_cells(ring, *h_y, *v_src)
+        h_x = SparseMatrix.from_rows(seq_x.maps[idx], src.free_rank, ring)
+        h_y = SparseMatrix.from_rows(seq_y.maps[ydx], seq_y.nodes[ydx].free_rank, ring)
+        lhs = vert[(tgt.label, tgt.degree)].mul(h_x)
+        rhs = h_y.mul(vert[(src.label, src.degree)])
         if lhs != rhs:
             return False
     return True

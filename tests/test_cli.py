@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hyperhom.cli import main
 from hyperhom.jsonio import (
     filtration_from_json,
@@ -295,3 +297,36 @@ def test_selftest_rejects_unknown_suite(capsys):
     code = main(["selftest", "--suite", "nope"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2 and doc["error"] == "SchemaViolation"
+
+
+SEG_OP_DOC = {"kind": "partial",
+              "terms": [{"coeff": 1, "vertices": ["s0"]}, {"coeff": 1, "vertices": ["s1"]}]}
+
+
+def seg_filtration(edge, birth):
+    return {"vertices": ["s0", "s1"], "class": "simplicial",
+            "edges": [{"edge": [], "birth": 0}, {"edge": ["s0"], "birth": 0},
+                      {"edge": edge, "birth": birth}]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("persist", seg_filtration(["s1"], "abc")),
+    ("persist", seg_filtration(["s1"], "1/0")),
+    ("persist", seg_filtration([None], 0)),
+    ("persist", seg_filtration([7], 0)),
+    ("classify", {"vertices": ["s0", "s1"], "edges": [[], [1.5]]}),
+], ids=["birth-abc", "birth-1/0", "null-in-edge", "vertex-index-7", "float-vertex"])
+def test_malformed_edges_and_births_are_rejected(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    if command == "persist":
+        op = write(tmp_path, "op.json", SEG_OP_DOC)
+        argv = ["persist", "--filtration", path, "--operator", op,
+                "--ring", "Q", "--n", "0"]
+    else:
+        argv = ["classify", path]
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+    assert "Traceback" not in captured.out + captured.err

@@ -21,6 +21,7 @@ from hyperhom.homology import (
     word_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
+from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
@@ -284,6 +285,72 @@ def test_operator_action_functoriality_random():
                 assert m12.target_rank == 0
                 continue
             assert outer.compose(inner, QQ).matrix == m12.matrix
+
+
+def greedy_representatives(in_cols, cycles, ring, dim):
+    """Each in-column, then each cycle, kept when it raises the rank of the
+    vectors kept before it; the kept cycles are the representatives."""
+    kept, reps = [], []
+    for k, v in enumerate(in_cols + cycles):
+        if rank(SparseMatrix.from_rows(kept + [v], dim, ring)) > len(kept):
+            kept.append(v)
+            if k >= len(in_cols):
+                reps.append(v)
+    return reps
+
+
+def random_operator(rng, kind, nverts, arity):
+    if arity == 1:
+        return WedgeOperator.weighted_sum(kind, [rng.randint(1, 3) for _ in range(nverts)])
+    terms = [(rng.randint(1, 3), tuple(sorted(rng.sample(range(nverts), 3))))
+             for _ in range(rng.randint(1, 2))]
+    return WedgeOperator.build(kind, 3, terms)
+
+
+def test_degree_solver_against_greedy_rank_oracle():
+    rng = random.Random(101)
+    seen = {"reps": 0, "non_cycles": 0, "partial": 0, "d": 0}
+    for trial in range(40):
+        kind = ("partial", "d")[trial % 2]
+        ring = (QQ, GF(5))[trial // 2 % 2]
+        nverts = rng.randint(3, 5)
+        vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
+        seed = [e for e in power_set(vs) if e and rng.random() < 0.35]
+        up = ClosureOp.DELTA_UP if kind == "partial" else ClosureOp.BAR_DELTA_UP
+        h = closure(Hypergraph(vs, frozenset(seed)), up)
+        if kind == "partial" and rng.random() < 0.5:
+            h = h.with_edges(h.edges | {()})
+        op = random_operator(rng, kind, nverts, rng.choice([1, 1, 3]))
+        if op.is_zero or not h.edges:
+            continue
+        built = build_complex(spec(h, op, ring, rng.randint(0, op.arity - 1)))
+        zero, one = ring.zero, ring.one
+        for n in built.spec.degrees():
+            solver = built.solver(n)
+            dim = built.dim(n)
+            in_mat = built.incoming_matrix(n)
+            in_cols = [in_mat.column(j) for j in range(in_mat.cols)]
+            cycles = kernel_basis(built.matrix(n))
+            assert solver.reps == greedy_representatives(in_cols, cycles, ring, dim)
+            assert solver.betti == built.homology(n).presentation.free_rank
+            for k, z in enumerate(solver.reps):
+                assert solver.coords(z) == tuple(one if i == k else zero
+                                                 for i in range(solver.betti))
+            for col in in_cols:
+                assert solver.coords(col) == (zero,) * solver.betti
+            for i in range(dim):
+                e = [one if j == i else zero for j in range(dim)]
+                if not solver.is_cycle(e):
+                    assert solver.coords(e) is None
+                    seen["non_cycles"] += 1
+            seen["reps"] += solver.betti
+        off_grid = [h.top_degree + op.arity, -1 - op.arity]
+        if op.arity > 1:
+            off_grid.append(built.spec.q + 1)
+        for m in off_grid:
+            assert built.solver(m).betti == 0 and built.solver(m).dim == 0
+        seen[kind] += 1
+    assert min(seen.values()) >= 10
 
 
 def test_inclusion_zero_map_into_vanishing_group():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,21 @@ from fractions import Fraction
 import pytest
 
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
-from hyperhom.homology import ComplexSpec, operator_action, simplicial_carrier
+from hyperhom.homology import (
+    ComplexSpec,
+    homology_table,
+    inclusion_induced,
+    independence_carrier,
+    mayer_vietoris,
+    mv_complexes,
+    mv_sequence,
+    operator_action,
+    simplicial_carrier,
+)
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
 from hyperhom.persistence import (
     Filtration,
+    _mv_square_check,
     barcode,
     complex_at,
     persistent_mv,
@@ -114,6 +126,70 @@ def random_simplicial_filtration(rng, nverts, with_empty=None):
     return Filtration.of(vs, list(births.items()), "simplicial")
 
 
+def random_independence_filtration(rng, nverts):
+    """Edgewise complement of a simplicial filtration that has the empty
+    edge but not the full simplex: an independence filtration."""
+    f = random_simplicial_filtration(rng, nverts, with_empty=True)
+    full = tuple(range(nverts))
+    births = [(tuple(v for v in full if v not in e), b) for e, b in f.births if e != full]
+    return Filtration.of(f.vertices, births, "independence")
+
+
+def random_operator(rng, kind, nverts, arity):
+    if arity == 1:
+        return WedgeOperator.weighted_sum(kind, [rng.randint(1, 3) for _ in range(nverts)])
+    terms = [(rng.randint(1, 3), tuple(sorted(rng.sample(range(nverts), 3))))
+             for _ in range(rng.randint(1, 2))]
+    return WedgeOperator.build(kind, 3, terms)
+
+
+def ranks_by_pairs(f, op, q, ring):
+    """The per-pair route: one inclusion_induced call per grid pair and the
+    Betti number of each threshold on the diagonal, for every degree."""
+    grid = f.critical_values()
+    make = simplicial_carrier if f.monotonicity_class == "simplicial" else independence_carrier
+    degrees = [n for n in range(-1, f.final_complex.top_degree + 1)
+               if (n - q) % op.arity == 0]
+    out = {n: {} for n in degrees}
+    for i, x in enumerate(grid):
+        betti = {g.degree: g.presentation.free_rank
+                 for g in homology_table(ComplexSpec(make(f.complex_at(x)), op, q, ring))}
+        for n in degrees:
+            out[n][(i, i)] = betti.get(n, 0)
+        for j in range(i + 1, len(grid)):
+            maps = inclusion_induced(f.complex_at(x), f.complex_at(grid[j]), op, q, ring)
+            for n in degrees:
+                out[n][(i, j)] = maps[n].rank(ring) if n in maps else 0
+    return out
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("cls", ["simplicial", "independence"])
+def test_persistent_ranks_match_per_pair_route(cls, arity, ring):
+    rng = random.Random(f"{cls}:{arity}:{ring}")
+    kind = "partial" if cls == "simplicial" else "d"
+    persisting = dying = 0
+    for t in range(8):
+        nverts = rng.randint(3, 4) if arity == 1 else rng.randint(4, 5)
+        if cls == "simplicial":
+            f = random_simplicial_filtration(rng, nverts, with_empty=t % 2 == 0)
+        else:
+            f = random_independence_filtration(rng, nverts)
+        op = random_operator(rng, kind, nverts, arity)
+        if op.is_zero:
+            continue
+        for q in range(arity):
+            for n, expected in ranks_by_pairs(f, op, q, ring).items():
+                got = persistent_ranks(f, op, q, ring, n).ranks
+                assert got == expected
+                for (i, j), r in got.items():
+                    if i < j:
+                        persisting += r > 0
+                        dying += r < got[(i, i)]
+    assert persisting > 0 and dying > 0
+
+
 def test_rank_monotonicity_and_functoriality_random():
     rng = random.Random(67)
     for _ in range(15):
@@ -135,8 +211,6 @@ def test_rank_monotonicity_and_functoriality_random():
 
 
 def test_inclusion_composition_functoriality():
-    from hyperhom.homology import inclusion_induced
-
     rng = random.Random(71)
     for _ in range(10):
         f = random_simplicial_filtration(rng, 3)
@@ -154,8 +228,6 @@ def test_inclusion_composition_functoriality():
 
 
 def test_action_commutes_with_persistence_maps():
-    from hyperhom.homology import inclusion_induced
-
     rng = random.Random(73)
     for _ in range(10):
         f = random_simplicial_filtration(rng, 3)
@@ -196,12 +268,40 @@ def test_persistent_mv_grown_pair():
 
 def test_persistent_mv_random():
     rng = random.Random(79)
-    for _ in range(6):
-        fa = random_simplicial_filtration(rng, 3, with_empty=False)
-        fb = random_simplicial_filtration(rng, 3, with_empty=False)
-        rep = persistent_mv(fa, fb, alpha(1, 1, 1), 0, QQ)
+    cases = [("simplicial", False)] * 4 + [("simplicial", True)] * 4 + [("independence", None)] * 4
+    for cls, with_empty in cases:
+        if cls == "simplicial":
+            fa = random_simplicial_filtration(rng, 3, with_empty=with_empty)
+            fb = random_simplicial_filtration(rng, 3, with_empty=with_empty)
+            op = alpha(1, 1, 1)
+        else:
+            fa = random_independence_filtration(rng, 3)
+            fb = random_independence_filtration(rng, 3)
+            op = omega(*[rng.randint(1, 3) for _ in range(3)])
+        rep = persistent_mv(fa, fb, op, 0, QQ)
         assert rep.squares_commute
         assert all(seq.all_exact for seq in rep.sequences)
+        for x, seq in zip(rep.grid, rep.sequences):
+            assert seq == mayer_vietoris(fa.complex_at(x), fb.complex_at(x), op, 0, QQ)
+
+
+def test_mv_square_check_sees_a_changed_entry():
+    fa = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
+    fb = Filtration.of(S3, [((1,), 0), ((2,), 0), ((1, 2), 2)], "simplicial")
+    op = alpha(1, 1, 1)
+    cx_x = mv_complexes(fa.complex_at(0), fb.complex_at(0), op, 0, QQ)
+    cx_y = mv_complexes(fa.complex_at(1), fb.complex_at(1), op, 0, QQ)
+    seq_x, seq_y = mv_sequence(cx_x), mv_sequence(cx_y)
+    assert _mv_square_check(cx_x, cx_y, seq_x, seq_y)
+    # change the later intersection-to-sum map in degree 0: its source, the
+    # class of s1, maps isomorphically between the thresholds, so the
+    # square through it must fail
+    k = [(node.label, node.degree) for node in seq_y.nodes].index(("intersection", 0))
+    rows = seq_y.maps[k]
+    assert len(rows) == 3 and len(rows[0]) == 1
+    changed = ((rows[0][0] + 1,),) + rows[1:]
+    maps = seq_y.maps[:k] + (changed,) + seq_y.maps[k + 1:]
+    assert not _mv_square_check(cx_x, cx_y, seq_x, dataclasses.replace(seq_y, maps=maps))
 
 
 def test_operator_kind_must_match_class():
