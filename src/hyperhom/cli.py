@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio, selftest
 from .errors import InputError, InternalCheckError, SchemaViolation
@@ -191,9 +190,9 @@ def cmd_duality(args) -> int:
     labels = _comma_list(args.vertices)
     vs = VertexSet(tuple(labels))
     if args.coeffs:
-        coeffs = [Fraction(c) for c in _comma_list(args.coeffs)]
+        coeffs = [jsonio.coefficient_from_json(c) for c in _comma_list(args.coeffs)]
     else:
-        coeffs = [Fraction(1)] * len(vs)
+        coeffs = [1] * len(vs)
     report = duality_check(vs, coeffs, args.q, args.max_degree)
     _emit(
         {

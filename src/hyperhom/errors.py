@@ -62,6 +62,10 @@ class PowerSetTooLarge(InputError):
     pass
 
 
+class CarrierTooLarge(InputError):
+    pass
+
+
 class CompositionNotZero(InternalCheckError):
     pass
 

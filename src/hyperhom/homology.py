@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import (
+    CarrierTooLarge,
     ClassMismatch,
     CompositionNotZero,
     NotAChainMap,
@@ -33,7 +34,7 @@ from .errors import (
     SchemaViolation,
     VertexSetMismatch,
 )
-from .hypergraphs import CombineOp, Hypergraph, combine
+from .hypergraphs import WORDS_CAP, CombineOp, Hypergraph, combine
 from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
@@ -102,9 +103,24 @@ def independence_carrier(h: Hypergraph) -> Carrier:
     return Carrier(INDEPENDENCE_EDGES, h.vertices, hypergraph=h)
 
 
+def _word_count(nv: int, max_degree: int) -> int:
+    """Basis words of the all-words carrier on nv letters, counting each
+    degree at least once. Exact up to WORDS_CAP; above it, only known to
+    exceed it (the exponent is clipped, so no huge power is formed)."""
+    if nv < 2:
+        return max_degree + 2
+    length = min(max_degree + 2, WORDS_CAP.bit_length() + 1)
+    return (nv**length - 1) // (nv - 1)
+
+
 def word_carrier(vertices: VertexSet, max_degree: int) -> Carrier:
     if max_degree < -1:
         raise SchemaViolation("truncation degree must be at least -1")
+    if _word_count(len(vertices), max_degree) > WORDS_CAP:
+        raise CarrierTooLarge(
+            f"all words through degree {max_degree} on {len(vertices)} letters "
+            f"exceed the cap of {WORDS_CAP}"
+        )
     return Carrier(ALL_WORDS, vertices, max_degree=max_degree)
 
 

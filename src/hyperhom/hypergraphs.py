@@ -4,19 +4,24 @@ Edges are sorted index tuples; the empty tuple is the permitted empty
 hyperedge. The closure operators produce the smallest/largest simplicial
 complex or independence hypergraph around a family, `gamma`/`Gamma` are
 the global and local complements, and `trace` restricts onto a vertex
-subset. Full power-set enumeration is capped at 20 vertices.
+subset. Full power-set enumeration is capped at 20 vertices, and all-words
+carriers at 2**16 words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain as _ichain, combinations
 
 from .errors import NotASubset, PowerSetTooLarge, SchemaViolation, VertexSetMismatch
 from .words import VertexMap, VertexSet
 
 POWERSET_CAP = 20
+# Most basis words, summed over degrees -1..max_degree, that an all-words
+# carrier (`homology.word_carrier`) may hold; checked before enumerating.
+WORDS_CAP = 2**16
 
 
 class HypergraphClass(Enum):
@@ -40,8 +45,8 @@ class CombineOp(Enum):
     UNION = "union"
 
 
-def _as_edge(vertices, raw) -> tuple:
-    """Sorted index tuple of an edge given by vertex labels or indices."""
+def _vertex_indices(vertices, raw) -> list:
+    """Indices of vertices given by labels or indices, in the given order."""
     idx = []
     for v in raw:
         if isinstance(v, str):
@@ -51,6 +56,12 @@ def _as_edge(vertices, raw) -> tuple:
         if not 0 <= v < len(vertices):
             raise SchemaViolation(f"vertex index {v} out of range")
         idx.append(v)
+    return idx
+
+
+def _as_edge(vertices, raw) -> tuple:
+    """Sorted index tuple of an edge given by vertex labels or indices."""
+    idx = _vertex_indices(vertices, raw)
     edge = tuple(sorted(set(idx)))
     if len(edge) != len(idx):
         raise SchemaViolation(f"edge {raw} repeats a vertex")
@@ -84,16 +95,31 @@ class Hypergraph:
         return Hypergraph(self.vertices, frozenset(edges))
 
     def classify(self) -> HypergraphClass:
+        """Simplicial complex (closed under nonempty subfaces), independence
+        hypergraph (closed under supersets), both, or neither; computed
+        once per hypergraph.
+
+        Codimension 1 suffices both ways. Down: if every edge of size >= 2
+        keeps all its one-vertex deletions, then so does each of those, and
+        by induction every nonempty subface is present. Up: likewise, if
+        every edge keeps all its one-vertex insertions, every superset is
+        present.
+        """
+        return self._class
+
+    @cached_property
+    def _class(self) -> HypergraphClass:
+        edges = self.edges
         down = all(
-            tau in self.edges
-            for e in self.edges
-            for k in range(1, len(e))
-            for tau in combinations(e, k)
+            e[:i] + e[i + 1 :] in edges
+            for e in edges
+            if len(e) >= 2
+            for i in range(len(e))
         )
         everything = range(len(self.vertices))
         up = all(
-            tuple(sorted(set(e) | {v})) in self.edges
-            for e in self.edges
+            tuple(sorted(e + (v,))) in edges
+            for e in edges
             for v in everything
             if v not in e
         )
@@ -107,11 +133,11 @@ class Hypergraph:
 
     @property
     def is_simplicial_complex(self) -> bool:
-        return self.classify() in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH)
+        return self._class in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH)
 
     @property
     def is_independence_hypergraph(self) -> bool:
-        return self.classify() in (
+        return self._class in (
             HypergraphClass.INDEPENDENCE_HYPERGRAPH,
             HypergraphClass.BOTH,
         )

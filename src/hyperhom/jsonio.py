@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SchemaViolation
-from .hypergraphs import Hypergraph, _as_edge
+from .hypergraphs import Hypergraph, _as_edge, _vertex_indices
 from .persistence import Filtration
 from .rings import Ring
 from .words import VertexSet, WedgeOperator
@@ -80,11 +80,8 @@ def operator_from_json(data, vertices: VertexSet) -> WedgeOperator:
         _require(isinstance(term, dict) and "coeff" in term and "vertices" in term,
                  "each term needs 'coeff' and 'vertices'")
         coeff = coefficient_from_json(term["coeff"])
-        gens = []
-        for v in term["vertices"]:
-            gens.append(vertices.index(v) if isinstance(v, str) else v)
-        _require(all(isinstance(g, int) and 0 <= g < len(vertices) for g in gens),
-                 "term vertices must name vertices of the set")
+        _require(isinstance(term["vertices"], list), "term vertices must be a list")
+        gens = _vertex_indices(vertices, term["vertices"])
         _require(all(a < b for a, b in zip(gens, gens[1:])),
                  "term vertices must be strictly increasing in the vertex order")
         if arity is None:

@@ -16,10 +16,19 @@ Convention: inserting into the empty word is allowed, so the raising
 operator sends the degree -1 generator to the sum of single-letter words.
 This is the unique extension of the insertion formula to length zero and
 it preserves anticommutation (exercised by the test suite).
+
+`face`, `insert`, `partial` and `differential` are the reference
+primitives on `FreeChain`. `wedge_apply`, which every boundary matrix and
+operator action goes through, uses their closed forms on plain
+{word: multiplicity} dicts instead: a deletion or insertion at position i
+has sign (-1)^i, a deletion of a letter absent from the word is zero, and
+on strictly increasing words a simplicial insertion survives at exactly
+one position (found by bisection) or not at all.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -388,19 +397,79 @@ class WedgeOperator:
         )
 
 
+def _delete_all(g: int, cur: dict) -> dict:
+    """`partial(g, ·)` on a {word: multiplicity} dict."""
+    out = {}
+    for u, m in cur.items():
+        for i, x in enumerate(u):
+            if x == g:
+                v = u[:i] + u[i + 1 :]
+                out[v] = out.get(v, 0) + (-m if i & 1 else m)
+    return out
+
+
+def _insert_all(g: int, cur: dict) -> dict:
+    """`differential(g, ·, FULL)` on a {word: multiplicity} dict."""
+    out = {}
+    for u, m in cur.items():
+        for i in range(len(u) + 1):
+            v = u[:i] + (g,) + u[i:]
+            out[v] = out.get(v, 0) + (-m if i & 1 else m)
+    return out
+
+
 def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> FreeChain:
     """Apply a wedge operator; lowers degree by its arity for kind
-    "partial", raises it for kind "d"."""
-    shift = -op.arity if op.kind == "partial" else op.arity
-    out = FreeChain.zero(chain.ring, chain.degree + shift)
-    for coeff, gens in op.terms:
-        cur = chain
-        for g in reversed(gens):
-            if op.kind == "partial":
-                cur = partial(g, cur)
+    "partial", raises it for kind "d".
+
+    Each monomial composes its generators right to left on one word at a
+    time, with integer multiplicities, through the closed forms of `face`
+    and `insert`: deleting or inserting at position i has sign (-1)^i. A
+    deletion monomial whose generators are not all letters of the word
+    gives zero. In the simplicial ambient each insertion has at most one
+    surviving position, found by bisection, so the monomial's image is a
+    single signed word, or zero when a generator is already a letter.
+    Coefficients are coerced once, all of them, before any term is
+    skipped, and one `FreeChain` is built at the end.
+    """
+    ring = chain.ring
+    lowering = op.kind == "partial"
+    simplicial = not lowering and ambient == SIMPLICIAL
+    step = _delete_all if lowering else _insert_all
+    if simplicial and op.arity and op.terms:
+        for w in chain.terms:
+            if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
+                raise NotSimplicial(f"word {w} is not strictly increasing")
+    monomials = [(ring.coerce(c), gens[::-1]) for c, gens in op.terms]
+    monomials = [(c, gens) for c, gens in monomials if c != 0]
+    acc = {}
+    for w, cw in chain.terms.items():
+        letters = set(w)
+        for c, gens in monomials:
+            if lowering and not letters.issuperset(gens):
+                continue
+            if simplicial and not letters.isdisjoint(gens):
+                continue
+            if simplicial:
+                u, m = w, 1
+                for g in gens:
+                    i = bisect_left(u, g)
+                    u = u[:i] + (g,) + u[i:]
+                    if i & 1:
+                        m = -m
+                image = {u: m}
             else:
-                cur = differential(g, cur, ambient)
-        out = out + cur.scaled(coeff)
+                image = {w: 1}
+                for g in gens:
+                    image = step(g, image)
+            k = c * cw
+            for v, m in image.items():
+                acc[v] = acc.get(v, 0) + k * m
+    if ring.p is not None:
+        acc = {v: x % ring.p for v, x in acc.items()}
+    shift = -op.arity if lowering else op.arity
+    out = FreeChain(ring, chain.degree + shift)
+    out.terms = {v: x for v, x in acc.items() if x != 0}
     return out
 
 

@@ -330,3 +330,36 @@ def test_malformed_edges_and_births_are_rejected(tmp_path, capsys, command, doc)
     assert code == 2
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
     assert "Traceback" not in captured.out + captured.err
+
+
+def assert_one_error_document(capsys, code):
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+    assert "Traceback" not in captured.out + captured.err
+
+
+AB_SEGMENT = {"vertices": ["a", "b"], "edges": [[], ["a"], ["b"], ["a", "b"]]}
+
+
+@pytest.mark.parametrize("term_vertices", [[True], "b", [None], [1.5], [["a"]]],
+                         ids=["bool", "bare-string", "null", "float", "nested-list"])
+def test_malformed_operator_vertices_are_rejected(tmp_path, capsys, term_vertices):
+    h = write(tmp_path, "h.json", AB_SEGMENT)
+    op = write(tmp_path, "op.json", {"kind": "partial",
+                                     "terms": [{"coeff": 1, "vertices": term_vertices}]})
+    code = main(["homology", "--operator", op, "--ring", "Q", h])
+    assert_one_error_document(capsys, code)
+
+
+@pytest.mark.parametrize("coeffs", ["1/0,1", "x,1"])
+def test_duality_rejects_bad_weights(capsys, coeffs):
+    code = main(["duality", "--vertices", "a,b", "--coeffs", coeffs, "--max-degree", "2"])
+    assert_one_error_document(capsys, code)
+
+
+def test_duality_rejects_oversized_carrier(capsys):
+    # the size is estimated before any word is enumerated
+    code = main(["duality", "--vertices", "a,b", "--max-degree", "1000000000"])
+    assert_one_error_document(capsys, code)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from hyperhom.errors import ClassMismatch, NotIncluded, SchemaViolation
+from hyperhom.errors import CarrierTooLarge, ClassMismatch, NotIncluded, SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
+    _word_count,
     build_complex,
     delta_pairing,
     duality_check,
@@ -20,7 +21,7 @@ from hyperhom.homology import (
     simplicial_word_carrier,
     word_carrier,
 )
-from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
+from hyperhom.hypergraphs import WORDS_CAP, ClosureOp, Hypergraph, closure, power_set
 from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
@@ -456,6 +457,25 @@ def test_mayer_vietoris_rejects_empty_edge_mismatch():
 def test_mayer_vietoris_cohomology():
     les = mayer_vietoris(L1, L2, omega(1, 1, 1), 0, QQ)
     assert les.all_exact
+
+
+def test_word_carrier_size_is_checked_before_enumeration():
+    # the estimate is the basis size, one per degree at least
+    for nv in range(4):
+        vs = VertexSet.of(*"abc"[:nv])
+        for d in range(-1, 4):
+            carrier = word_carrier(vs, d)
+            sizes = [max(1, len(carrier.basis(n))) for n in range(-1, d + 1)]
+            assert _word_count(nv, d) == sum(sizes)
+    # carriers are lazy: at the cap nothing is enumerated, one past it raises
+    two = VertexSet.of("a", "b")
+    assert _word_count(2, 14) == 2**16 - 1 <= WORDS_CAP
+    assert word_carrier(two, 14).max_degree == 14
+    assert word_carrier(VertexSet.of("a"), WORDS_CAP - 2).max_degree == WORDS_CAP - 2
+    for vs, d in ((two, 15), (two, 10**9), (VertexSet.of("a"), WORDS_CAP - 1),
+                  (VertexSet(()), 10**9), (VertexSet.of(*"abcdefgh"), 10**6)):
+        with pytest.raises(CarrierTooLarge):
+            word_carrier(vs, d)
 
 
 def test_duality_single_vertex():

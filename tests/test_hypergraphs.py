@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -112,6 +113,56 @@ def test_classify():
     # hypergraph containing the empty edge is upward closed only if full
     aug = Hypergraph.of(S3, [[], [0]])
     assert aug.classify() is HypergraphClass.SIMPLICIAL_COMPLEX
+
+
+def subface_classify(h):
+    """Oracle: every nonempty proper subface and every superset, checked
+    one by one."""
+    n = len(h.vertices)
+    down = all(
+        tau in h.edges for e in h.edges for k in range(1, len(e))
+        for tau in combinations(e, k)
+    )
+    up = all(
+        tuple(sorted(e + extra)) in h.edges
+        for e in h.edges
+        for k in range(1, n - len(e) + 1)
+        for extra in combinations([v for v in range(n) if v not in e], k)
+    )
+    return {
+        (True, True): HypergraphClass.BOTH,
+        (True, False): HypergraphClass.SIMPLICIAL_COMPLEX,
+        (False, True): HypergraphClass.INDEPENDENCE_HYPERGRAPH,
+        (False, False): HypergraphClass.NEITHER,
+    }[(down, up)]
+
+
+def test_classify_matches_subface_oracle():
+    rng = random.Random(23)
+    empty_vs = VertexSet(())
+    families = [Hypergraph(empty_vs, frozenset()), Hypergraph(empty_vs, edges(()))]
+    families += [Hypergraph(S3, edges(())), Hypergraph(S3, frozenset())]
+    for _ in range(600):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(1, 5))])
+        h = random_hypergraph(rng, vs, p=rng.choice([0.2, 0.5, 0.8]))
+        op = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
+        if op is not None:
+            h = closure(h, op)
+        if h.edges and rng.random() < 0.5:
+            # drop one edge: often just breaks a closure property
+            h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
+        families.append(h)
+    seen = set()
+    for h in families:
+        want = subface_classify(h)
+        assert h.classify() is want, h
+        assert h.classify() is want  # the cached class
+        assert h.is_simplicial_complex == (
+            want in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH))
+        assert h.is_independence_hypergraph == (
+            want in (HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH))
+        seen.add(want)
+    assert seen == set(HypergraphClass)
 
 
 def test_morphism_image():

@@ -1,9 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from hyperhom.errors import IndexOutOfRange, NotSimplicial
+from hyperhom.errors import IndexOutOfRange, NotSimplicial, SchemaViolation
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import (
     FULL,
@@ -142,6 +143,69 @@ def test_odd_operator_squares_to_zero():
         sw = tuple(sorted(rng.sample(range(5), rng.randint(arity, 4))))
         sc = FreeChain.single(ZZ, sw)
         assert wedge_apply(dop, wedge_apply(dop, sc, SIMPLICIAL), SIMPLICIAL).is_zero()
+
+
+def composed_wedge_apply(op, chain, ambient=FULL):
+    """Oracle: each monomial composes `partial` or `differential` on the
+    whole chain through `FreeChain` arithmetic, then scales and adds."""
+    shift = -op.arity if op.kind == "partial" else op.arity
+    out = FreeChain.zero(chain.ring, chain.degree + shift)
+    for coeff, gens in op.terms:
+        cur = chain
+        for g in reversed(gens):
+            if op.kind == "partial":
+                cur = partial(g, cur)
+            else:
+                cur = differential(g, cur, ambient)
+        out = out + cur.scaled(coeff)
+    return out
+
+
+def _outcome(fn, *args):
+    """Typed terms of the result, or the exception type it raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # compared by type against the oracle
+        return type(exc)
+    return got.degree, sorted((w, type(c), c) for w, c in got.terms.items())
+
+
+def test_wedge_apply_matches_composition_oracle():
+    rng = random.Random(20240606)
+    rings = [ZZ, QQ, GF(3), GF(5)]
+    coeffs = [0, 1, -1, 2, 3, -4, 7, Fraction(1, 2), Fraction(-3, 5)]
+    raised, nonzero = set(), 0
+    for _ in range(2000):
+        ring = rng.choice(rings)
+        kind = rng.choice(["partial", "d"])
+        ambient = rng.choice([FULL, SIMPLICIAL])
+        arity = rng.randint(0, 4)
+        nl = rng.randint(max(arity, 1), 5)
+        terms = tuple(
+            (rng.choice(coeffs), tuple(sorted(rng.sample(range(nl), arity))))
+            for _ in range(rng.choice([0, 1, 2, 3, 4, 4]))
+        )
+        op = WedgeOperator(kind, arity, terms)
+        degree = rng.randint(arity - 1, 3) if kind == "partial" else rng.randint(-1, 3)
+        words = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 4])):
+            if ambient == SIMPLICIAL and rng.random() < 0.85 and degree < nl:
+                w = tuple(sorted(rng.sample(range(nl), degree + 1)))
+            else:
+                w = tuple(rng.randrange(nl) for _ in range(degree + 1))
+            words[w] = rng.choice([c for c in coeffs if not isinstance(c, Fraction)])
+        if ring is not ZZ:
+            words = {w: ring.coerce(c) * ring.coerce(Fraction(1, 2)) for w, c in words.items()}
+        c = FreeChain(ring, degree, words)
+        want = _outcome(composed_wedge_apply, op, c, ambient)
+        assert _outcome(wedge_apply, op, c, ambient) == want, (op, c, ambient)
+        if isinstance(want, type):
+            raised.add(want)
+        elif want[1]:
+            nonzero += 1
+    # both error paths were exercised: 1/2 over Z and non-increasing words
+    assert raised == {SchemaViolation, NotSimplicial}
+    assert nonzero > 400
 
 
 def exhaustive_words(nletters, maxlen):
