@@ -417,6 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_option_values(args) -> None:
+    """argparse in Python 3.11 reads an option value of exactly '--' (as in
+    `--vertices=--`) as an empty list instead of a string; reject it."""
+    for name, value in vars(args).items():
+        if isinstance(value, list) and (not value or any(isinstance(v, list) for v in value)):
+            raise SchemaViolation(f"option --{name.replace('_', '-')} needs one value")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -424,6 +432,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_option_values(args)
         return args.fn(args)
     except InputError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

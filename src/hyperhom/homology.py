@@ -22,6 +22,7 @@ Mayer-Vietoris long exact sequence with its zig-zag connecting map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
 from .errors import (
@@ -38,8 +39,8 @@ from .hypergraphs import WORDS_CAP, CombineOp, Hypergraph, combine
 from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
-    _field_rref,
     boundary_invariants,
+    field_reduce,
     homology_presentation,
     kernel_basis,
     rank,
@@ -274,11 +275,16 @@ class DegreeSolver:
     """Cycle representatives and homology coordinates at one degree,
     field coefficients only.
 
-    One row reduction of [in-columns | cycle basis | I] does all the work.
-    Its pivot columns are the columns independent of those before them:
-    first a basis of the boundaries, then the representatives. The
-    identity block records the row operations, which carry a cycle onto
-    its coordinates along the pivot columns."""
+    One sparse Gauss-Jordan reduction of the rows of [in-columns | cycle
+    basis | I] does all the work, pivoting in column order on the first
+    two blocks only. Its pivot columns are the columns independent of
+    those before them: first a basis of the boundaries, then the
+    representatives, so `reps` is the greedy pick. The identity block
+    records the row operations. On the representative pivot rows it
+    carries a cycle onto its coordinates; on the rows that cancel it
+    spans the vectors annihilating every cycle. The reduced echelon form
+    and the cycle space are unique, so `reps` and the coordinates of
+    every cycle do not depend on how the reduction orders its rows."""
 
     def __init__(self, ring: Ring, dim: int, out_mat: SparseMatrix, in_mat: SparseMatrix):
         if not ring.is_field:
@@ -288,19 +294,24 @@ class DegreeSolver:
         self.out_mat = out_mat
         cycles = kernel_basis(out_mat)
         ncols = in_mat.cols + len(cycles)
-        aug = in_mat.dense_rows()
-        for i, row in enumerate(aug):
-            row.extend(z[i] for z in cycles)
-            row.extend(ring.one if i == k else ring.zero for k in range(dim))
-        pivots = _field_rref(aug, ncols, ring)
+        aug = [{ncols + i: ring.one} for i in range(dim)]
+        for (i, j), v in in_mat.entries:
+            aug[i][j] = v
+        for k, z in enumerate(cycles, in_mat.cols):
+            for i, v in enumerate(z):
+                if v:
+                    aug[i][k] = v
+        pivots, pivot_rows, zero_rows = field_reduce(aug, ncols, ring)
         self.boundary_rank = sum(c < in_mat.cols for c in pivots)
         self.reps = [cycles[c - in_mat.cols] for c in pivots[self.boundary_rank:]]
         self.betti = len(self.reps)
         # transform rows of the representative pivots, then of the rows a
         # cycle must leave at zero
-        self._transform = SparseMatrix.from_rows(
-            [row[ncols:] for row in aug[self.boundary_rank:]], dim, ring
-        )
+        rows = pivot_rows[self.boundary_rank:] + zero_rows
+        self._transform = SparseMatrix(len(rows), dim, ring, tuple(sorted(
+            ((i, j - ncols), v) for i, row in enumerate(rows)
+            for j, v in row.items() if j >= ncols
+        )))
 
     def is_cycle(self, vec) -> bool:
         return all(self.ring.is_zero(v) for v in self.out_mat.apply(vec))
@@ -312,13 +323,6 @@ class DegreeSolver:
         if any(not self.ring.is_zero(v) for v in w[self.betti:]):
             return None
         return tuple(w[: self.betti])
-
-
-def sum_ring(ring, items):
-    acc = ring.zero
-    for v in items:
-        acc = ring.add(acc, v)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -620,6 +624,5 @@ def delta_pairing(x: FreeChain, y: FreeChain):
     """Bilinear pairing with orthonormal words."""
     if x.ring != y.ring:
         raise SchemaViolation("pairing needs one ring")
-    return sum_ring(
-        x.ring, (x.ring.mul(c, y.terms[w]) for w, c in x.terms.items() if w in y.terms)
-    )
+    return reduce(x.ring.add, (x.ring.mul(c, y.terms[w])
+                               for w, c in x.terms.items() if w in y.terms), x.ring.zero)

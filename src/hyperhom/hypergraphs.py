@@ -4,7 +4,8 @@ Edges are sorted index tuples; the empty tuple is the permitted empty
 hyperedge. The closure operators produce the smallest/largest simplicial
 complex or independence hypergraph around a family, `gamma`/`Gamma` are
 the global and local complements, and `trace` restricts onto a vertex
-subset. Full power-set enumeration is capped at 20 vertices, and all-words
+subset. Full power-set enumeration is capped at 20 vertices, the upward
+closures `Delta`/`barDelta` at 2**20 enumerated subsets, and all-words
 carriers at 2**16 words.
 """
 
@@ -18,6 +19,8 @@ from itertools import chain as _ichain, combinations
 from .errors import NotASubset, PowerSetTooLarge, SchemaViolation, VertexSetMismatch
 from .words import VertexMap, VertexSet
 
+# Most vertices a power set may have, and log2 of the most subsets the
+# upward closures may enumerate (`closure_size`); checked before enumerating.
 POWERSET_CAP = 20
 # Most basis words, summed over degrees -1..max_degree, that an all-words
 # carrier (`homology.word_carrier`) may hold; checked before enumerating.
@@ -153,8 +156,26 @@ def power_set(vertices: VertexSet) -> frozenset:
     )
 
 
+def closure_size(h: Hypergraph, op: ClosureOp) -> int:
+    """Subsets the upward closure `op` enumerates: the sum of 2^|e| over
+    the edges for `Delta`, of 2^(n - |e|) for `barDelta`, 0 for the other
+    operators. Exact up to 2^POWERSET_CAP; above it, only known to exceed
+    it (each exponent is clipped, so no huge power is formed)."""
+    if op is ClosureOp.DELTA_UP:
+        exponents = (len(e) for e in h.edges)
+    elif op is ClosureOp.BAR_DELTA_UP:
+        exponents = (len(h.vertices) - len(e) for e in h.edges)
+    else:
+        return 0
+    return sum(2 ** min(k, POWERSET_CAP + 1) for k in exponents)
+
+
 def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
     edges = h.edges
+    if closure_size(h, op) > 2**POWERSET_CAP:
+        raise PowerSetTooLarge(
+            f"{op.value} closure would enumerate more than 2**{POWERSET_CAP} subsets"
+        )
     if op is ClosureOp.DELTA_UP:
         out = set()
         for e in edges:

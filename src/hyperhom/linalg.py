@@ -1,10 +1,18 @@
 """Exact sparse linear algebra over Z, Q, and F_p.
 
-Everything here is desk scale: matrices are stored as coordinate dicts,
-elimination is dense-ish Python over exact scalars. Integer work uses
-fraction-free row combinations with gcd normalization; rational ranks are
-taken after clearing denominators row by row (row scaling preserves rank
-and kernels are computed separately with Fraction arithmetic).
+Everything here is desk scale: matrices are stored as coordinate dicts
+and eliminated as {col: value} row dicts over exact scalars. Integer work
+uses fraction-free row combinations with gcd normalization; rational ranks
+are taken after clearing denominators row by row (row scaling preserves
+rank).
+
+Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
+reduction over Q (Fractions) or F_p that pivots in column order on the
+columns below a bound and carries the columns past it along. F_p `rank`,
+the field `kernel_basis` and the homology solver's representatives and
+coordinates all come from it. Its pivots are the columns independent of
+those before them and its pivot rows are the reduced row echelon form,
+both unique, so the results do not depend on the order rows are reduced.
 
 Homology over Z of a free complex needs no kernel lattice: H_n is free of
 rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
@@ -78,13 +86,6 @@ class SparseMatrix:
         for (i, j), v in self.entries:
             out[i][j] = v
         return out
-
-    def column(self, j) -> list:
-        col = [self.ring.zero] * self.rows
-        for (i, jj), v in self.entries:
-            if jj == j:
-                col[i] = v
-        return col
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -192,11 +193,16 @@ def _int_row_rank(rows: list) -> int:
     return rank
 
 
-def _int_rows_of(m: SparseMatrix) -> list:
-    """Rows of m as integer dicts; rational rows are scaled by their lcm of denominators."""
-    rows = [dict() for _ in range(m.rows)]
+def _rows_of(m: SparseMatrix) -> list:
+    rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries:
         rows[i][j] = v
+    return rows
+
+
+def _int_rows_of(m: SparseMatrix) -> list:
+    """Rows of m as integer dicts; rational rows are scaled by their lcm of denominators."""
+    rows = _rows_of(m)
     if m.ring.name == "Q":
         int_rows = []
         for row in rows:
@@ -209,84 +215,62 @@ def _int_rows_of(m: SparseMatrix) -> list:
     return rows
 
 
-def _modp_row_rank(rows: list, p: int) -> int:
-    live = [r for r in rows if r]
-    rank = 0
-    while live:
-        row = live.pop()
-        if not row:
-            continue
-        pj = min(row)
-        inv = pow(row[pj], -1, p)
-        pivot_row = {j: (v * inv) % p for j, v in row.items()}
-        rank += 1
-        nxt = []
-        for r in live:
-            v = r.get(pj)
-            if v:
-                for j, w in pivot_row.items():
-                    nv = (r.get(j, 0) - v * w) % p
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        live = nxt
-    return rank
-
-
 def rank(m: SparseMatrix) -> int:
     """Rank over the ring's fraction field."""
     if m.ring.name == "Fp":
-        rows = [dict() for _ in range(m.rows)]
-        for (i, j), v in m.entries:
-            rows[i][j] = v
-        return _modp_row_rank(rows, m.ring.p)
+        return len(field_reduce(_rows_of(m), m.cols, m.ring)[0])
     return _int_row_rank(_int_rows_of(m))
 
 
-def _field_rref(dense: list, ncols: int, ring: Ring):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(dense)):
-            if not ring.is_zero(dense[i][c]):
-                pr = i
-                break
-        if pr is None:
+def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
+    """Gauss-Jordan reduction of field rows given as {col: value} dicts
+    with no stored zeros.
+
+    Only columns below `bound` are pivot candidates; entries at or past it
+    ride along under the same row operations. Each row in turn, last to
+    first, is cleared at the pivot columns found so far, then its first
+    remaining column below `bound` becomes a new pivot, scaled to 1 and
+    cleared from the earlier pivot rows. Returns (pivots, pivot_rows,
+    zero_rows): the pivot columns in increasing order, their rows in the
+    same order (1 at their own pivot, 0 at every other), and the rows that
+    cancelled below `bound`. The pivots are the columns independent of
+    the columns before them, and the pivot rows restricted below `bound`
+    are the unique reduced row echelon form, whatever the row order. The
+    order changes only the cost: on boundary and solver matrices in basis
+    order, last to first did the least clearing of the orders tried
+    (first to last, by length, by leading column). The rows are consumed.
+    """
+    p = ring.p
+    by_col = {}
+    zero_rows = []
+    for row in reversed(rows):
+        for c in [c for c in row if c in by_col]:
+            _axpy(row, row[c], by_col[c], p)
+        lead = min((c for c in row if c < bound), default=None)
+        if lead is None:
+            zero_rows.append(row)
             continue
-        dense[r], dense[pr] = dense[pr], dense[r]
-        inv = ring.inv(dense[r][c])
-        dense[r] = [ring.mul(inv, v) for v in dense[r]]
-        for i in range(len(dense)):
-            if i != r and not ring.is_zero(dense[i][c]):
-                f = dense[i][c]
-                dense[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(dense[i], dense[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(dense):
-            break
-    return pivots
+        inv = ring.inv(row[lead])
+        for c in row:
+            row[c] = row[c] * inv % p if p else row[c] * inv
+        for prow in by_col.values():
+            if lead in prow:
+                _axpy(prow, prow[lead], row, p)
+        by_col[lead] = row
+    pivots = sorted(by_col)
+    return pivots, [by_col[c] for c in pivots], zero_rows
 
 
-def _field_kernel(m: SparseMatrix) -> list:
-    ring = m.ring
-    dense = m.dense_rows()
-    pivots = _field_rref(dense, m.cols, ring)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [ring.zero] * m.cols
-        vec[f] = ring.one
-        for r, c in enumerate(pivots):
-            vec[c] = ring.neg(dense[r][f])
-        basis.append(vec)
-    return basis
+def _axpy(row: dict, f, prow: dict, p) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for j, w in prow.items():
+        v = row.get(j, 0) - f * w
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def _integer_kernel(m: SparseMatrix) -> list:
@@ -333,10 +317,22 @@ def _integer_kernel(m: SparseMatrix) -> list:
 
 
 def kernel_basis(m: SparseMatrix) -> list:
-    """Kernel basis vectors (length = cols). Over Z, spans the full kernel lattice."""
+    """Kernel basis vectors (length = cols). Over Z, spans the full kernel
+    lattice; over a field, one vector per non-pivot column f of the
+    reduced row echelon form, with 1 at f."""
     if m.ring.name == "Z":
         return _integer_kernel(m)
-    return _field_kernel(m)
+    ring = m.ring
+    pivots, pivot_rows, _ = field_reduce(_rows_of(m), m.cols, ring)
+    free = sorted(set(range(m.cols)).difference(pivots))
+    basis = {f: [ring.zero] * m.cols for f in free}
+    for f, vec in basis.items():
+        vec[f] = ring.one
+    for c, row in zip(pivots, pivot_rows):
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = ring.neg(v)
+    return list(basis.values())
 
 
 def smith_normal_form(m: SparseMatrix) -> list:

@@ -359,6 +359,27 @@ def test_duality_rejects_bad_weights(capsys, coeffs):
     assert_one_error_document(capsys, code)
 
 
+@pytest.mark.parametrize("op,edge", [("Delta", 21), ("barDelta", 0)])
+def test_closure_rejects_oversized_enumeration(tmp_path, capsys, op, edge):
+    # one edge of 21 vertices (Delta) or the empty edge on 21 vertices
+    # (barDelta) would enumerate 2**21 subsets
+    labels = [f"v{i}" for i in range(21)]
+    f = write(tmp_path, "h.json", {"vertices": labels, "edges": [labels[:edge]]})
+    code = main(["closure", "--op", op, f])
+    assert_one_error_document(capsys, code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["duality", "--vertices=--", "--max-degree", "1"],
+    ["duality", "--vertices=a", "--max-degree=--"],
+    ["combine", "--op=--", "--left", "a.json", "--right", "b.json"],
+    ["selftest", "--suite=--"],
+])
+def test_double_dash_option_values_are_rejected(capsys, argv):
+    # argparse reads a value of exactly '--' as an empty list
+    assert_one_error_document(capsys, main(argv))
+
+
 def test_duality_rejects_oversized_carrier(capsys):
     # the size is estimated before any word is enumerated
     code = main(["duality", "--vertices", "a,b", "--max-degree", "1000000000"])

@@ -26,6 +26,8 @@ from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
+from field_oracle import DenseSolver, column
+
 S3 = VertexSet.of("s0", "s1", "s2")
 SEGMENT = Hypergraph.of(S3, [[0], [1], [0, 1]])
 CIRCLE = Hypergraph.of(S3, [[], [0], [1], [2], [0, 1], [1, 2], [0, 2]])
@@ -310,7 +312,8 @@ def random_operator(rng, kind, nverts, arity):
 
 def test_degree_solver_against_greedy_rank_oracle():
     rng = random.Random(101)
-    seen = {"reps": 0, "non_cycles": 0, "partial": 0, "d": 0}
+    seen = {"reps": 0, "non_cycles": 0, "mixed": 0, "partial": 0, "d": 0}
+    drawn = {"arity3": 0, "empty": 0}
     for trial in range(40):
         kind = ("partial", "d")[trial % 2]
         ring = (QQ, GF(5))[trial // 2 % 2]
@@ -326,23 +329,37 @@ def test_degree_solver_against_greedy_rank_oracle():
             continue
         built = build_complex(spec(h, op, ring, rng.randint(0, op.arity - 1)))
         zero, one = ring.zero, ring.one
+        mix = random.Random(trial)
+        drawn["arity3"] += op.arity == 3
+        drawn["empty"] += h.has_empty_edge
         for n in built.spec.degrees():
             solver = built.solver(n)
             dim = built.dim(n)
             in_mat = built.incoming_matrix(n)
-            in_cols = [in_mat.column(j) for j in range(in_mat.cols)]
+            in_cols = [column(in_mat, j) for j in range(in_mat.cols)]
             cycles = kernel_basis(built.matrix(n))
             assert solver.reps == greedy_representatives(in_cols, cycles, ring, dim)
+            dense = DenseSolver(ring, dim, built.matrix(n), in_mat)
+            assert solver.reps == dense.reps
+            for _ in range(3):
+                z = [zero] * dim
+                for c in cycles + in_cols:
+                    f = ring.coerce(mix.randint(-2, 2))
+                    z = [ring.add(a, ring.mul(f, b)) for a, b in zip(z, c)]
+                assert solver.coords(z) == dense.coords(z)
+                seen["mixed"] += 1
             assert solver.betti == built.homology(n).presentation.free_rank
             for k, z in enumerate(solver.reps):
                 assert solver.coords(z) == tuple(one if i == k else zero
                                                  for i in range(solver.betti))
             for col in in_cols:
-                assert solver.coords(col) == (zero,) * solver.betti
+                assert solver.coords(col) == (zero,) * solver.betti == dense.coords(col)
+            for z in cycles:
+                assert solver.coords(z) == dense.coords(z)
             for i in range(dim):
                 e = [one if j == i else zero for j in range(dim)]
                 if not solver.is_cycle(e):
-                    assert solver.coords(e) is None
+                    assert solver.coords(e) is None and dense.coords(e) is None
                     seen["non_cycles"] += 1
             seen["reps"] += solver.betti
         off_grid = [h.top_degree + op.arity, -1 - op.arity]
@@ -351,7 +368,8 @@ def test_degree_solver_against_greedy_rank_oracle():
         for m in off_grid:
             assert built.solver(m).betti == 0 and built.solver(m).dim == 0
         seen[kind] += 1
-    assert min(seen.values()) >= 10
+    assert min(seen.values()) >= 10, seen
+    assert min(drawn.values()) >= 5, drawn
 
 
 def test_inclusion_zero_map_into_vanishing_group():

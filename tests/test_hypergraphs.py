@@ -3,13 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from hyperhom.errors import NotASubset, VertexSetMismatch
+import hyperhom.hypergraphs
+from hyperhom.errors import NotASubset, PowerSetTooLarge, VertexSetMismatch
 from hyperhom.hypergraphs import (
+    POWERSET_CAP,
     ClosureOp,
     CombineOp,
     Hypergraph,
     HypergraphClass,
     closure,
+    closure_size,
     combine,
     join_hg,
     morphism_graph,
@@ -330,3 +333,40 @@ def test_morphism_restriction_commutes_with_upper_closure():
             lhs = morphism_graph(ft, closure(trace(h, tl), ClosureOp.BAR_DELTA_UP))
             rhs = morphism_graph(ft, trace(closure(h, ClosureOp.BAR_DELTA_UP), tl))
             assert lhs == rhs
+
+
+class Enumerated(Exception):
+    pass
+
+
+def test_upward_closure_size_is_checked_before_enumeration(monkeypatch):
+    rng = random.Random(17)
+    for _ in range(100):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(0, 5))])
+        h = Hypergraph(vs, frozenset(e for e in power_set(vs) if rng.random() < 0.3))
+        for op in (ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP):
+            assert closure_size(h, op) >= len(closure(h, op).edges)
+    assert closure_size(Hypergraph.of(S3, [[0, 1]]), ClosureOp.DELTA_UP) == 4
+    assert closure_size(Hypergraph.of(S3, [[0], []]), ClosureOp.BAR_DELTA_UP) == 12
+    assert closure_size(H, ClosureOp.GAMMA_GLOBAL) == 0
+
+    # from here on, starting to enumerate subsets raises Enumerated
+    def enumerate_nothing(*args):
+        raise Enumerated
+
+    monkeypatch.setattr(hyperhom.hypergraphs, "combinations", enumerate_nothing)
+    vs = VertexSet.of(*[f"v{i}" for i in range(POWERSET_CAP)])
+    full = tuple(range(POWERSET_CAP))
+    for op, at_cap, extra in ((ClosureOp.DELTA_UP, full, ()),
+                              (ClosureOp.BAR_DELTA_UP, (), full)):
+        h = Hypergraph(vs, frozenset({at_cap}))
+        assert closure_size(h, op) == 2**POWERSET_CAP
+        with pytest.raises(Enumerated):
+            closure(h, op)
+        one_past = h.with_edges({at_cap, extra})
+        assert closure_size(one_past, op) == 2**POWERSET_CAP + 1
+        with pytest.raises(PowerSetTooLarge):
+            closure(one_past, op)
+    huge = VertexSet(tuple(f"v{i}" for i in range(10**5)))
+    assert closure_size(Hypergraph(huge, frozenset({()})),
+                        ClosureOp.BAR_DELTA_UP) == 2 ** (POWERSET_CAP + 1)

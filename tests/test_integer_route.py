@@ -20,9 +20,11 @@ from hyperhom.homology import (
     simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
-from hyperhom.linalg import SubquotientPresentation, _field_rref, kernel_basis
+from hyperhom.linalg import SubquotientPresentation, kernel_basis
 from hyperhom.rings import QQ, ZZ
 from hyperhom.words import VertexSet, WedgeOperator
+
+from field_oracle import column, field_rref
 
 
 def lattice_snf(a: list, nrows: int, ncols: int) -> list:
@@ -95,7 +97,7 @@ def solve_in_lattice(basis: list, targets: list, dim: int) -> list:
     for j, vec in enumerate(basis + targets):
         for i, v in enumerate(vec):
             dense[i][j] = Fraction(v)
-    pivots = _field_rref(dense, k, QQ)
+    pivots = field_rref(dense, k, QQ)
     assert len(pivots) == k, "kernel basis is not independent"
     sols = []
     for j in range(len(targets)):
@@ -112,7 +114,7 @@ def lattice_presentation(out, inn) -> SubquotientPresentation:
     kernel = kernel_basis(out)
     if not kernel:
         return SubquotientPresentation(0)
-    targets = [inn.column(j) for j in range(inn.cols)]
+    targets = [column(inn, j) for j in range(inn.cols)]
     coords = solve_in_lattice(kernel, targets, out.cols)
     rel = [[coords[j][i] for j in range(len(coords))] for i in range(len(kernel))]
     factors = [d for d in lattice_snf(rel, len(kernel), len(coords)) if d]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,12 +7,15 @@ from hyperhom.errors import CompositionNotZero, SchemaViolation
 from hyperhom.linalg import (
     SparseMatrix,
     SubquotientPresentation,
+    field_reduce,
     homology_presentation,
     kernel_basis,
     rank,
     smith_normal_form,
 )
 from hyperhom.rings import GF, QQ, ZZ
+
+from field_oracle import dense_kernel, field_rref, modp_row_rank
 
 
 def mat(rows, cols, ring, dense):
@@ -105,6 +109,68 @@ def test_rank_plus_nullity():
             assert rank(m) + len(kernel_basis(m)) == cols
             for v in kernel_basis(m):
                 assert all(ring.is_zero(x) for x in m.apply(v))
+
+
+def random_field_matrices(rng, ring):
+    """Random small matrices, with the edge shapes spelled out: 0 x n,
+    n x 0, zero, full rank (unit diagonal, zeros below it), repeated rows,
+    and over Q non-integer entries."""
+    yield mat(0, 4, ring, [])
+    yield mat(3, 0, ring, [[], [], []])
+    yield SparseMatrix.zero(3, 5, ring)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        dense = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(cols)]
+                 for _ in range(rows)]
+        shape = rng.randrange(4)
+        if shape == 1:
+            for i in range(min(rows, cols)):
+                dense[i][i] = 1
+                for j in range(i):
+                    dense[i][j] = 0
+        elif shape == 2:
+            dense += [list(dense[rng.randrange(rows)]) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(dense)
+        elif shape == 3 and ring == QQ:
+            dense = [[Fraction(v, rng.choice([1, 2, 3])) for v in row] for row in dense]
+        yield mat(len(dense), cols, ring, dense)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(5), GF(7)], ids=str)
+def test_sparse_field_reduction_matches_dense_oracle(ring):
+    rng = random.Random(31 + (ring.p or 0))
+    full_rank = 0
+    for m in random_field_matrices(rng, ring):
+        assert kernel_basis(m) == dense_kernel(m)
+        r = rank(m)
+        full_rank += 0 < r == min(m.rows, m.cols)
+        if ring.p:
+            rows = [dict() for _ in range(m.rows)]
+            for (i, j), v in m.entries:
+                rows[i][j] = v
+            assert r == modp_row_rank(rows, ring.p)
+        # reduce [m | I] on the m block: the pivot rows there are the
+        # dense RREF, the other rows cancel on it, and the identity block
+        # records an invertible transform onto those rows
+        aug = [{m.cols + i: ring.one} for i in range(m.rows)]
+        for (i, j), v in m.entries:
+            aug[i][j] = v
+        pivots, pivot_rows, zero_rows = field_reduce(aug, m.cols, ring)
+        dense = m.dense_rows()
+        assert pivots == field_rref(dense, m.cols, ring)
+        assert len(pivots) == r and len(zero_rows) == m.rows - r
+        for row, want in zip(pivot_rows, dense):
+            assert [row.get(j, ring.zero) for j in range(m.cols)] == want
+        assert all(j >= m.cols for row in zero_rows for j in row)
+        out = pivot_rows + zero_rows
+        transform = SparseMatrix.from_entries(m.rows, m.rows, ring, [
+            ((i, j - m.cols), v) for i, row in enumerate(out) for j, v in row.items()
+            if j >= m.cols
+        ])
+        assert rank(transform) == m.rows
+        reduced = transform.mul(m).dense_rows()
+        assert reduced == dense[:r] + [[ring.zero] * m.cols] * (m.rows - r)
+    assert full_rank >= 10
 
 
 def test_presentation_zero_maps():
