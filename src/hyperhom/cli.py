@@ -8,6 +8,7 @@ assertion fires.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -303,8 +304,18 @@ def _ring_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=0, help="degree offset")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad argv (an unknown flag, a
+    missing option, a bad int or choice) as a SchemaViolation, so that it
+    gets one error document and exit 2 like any other bad input.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise SchemaViolation(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperhom",
         description="Exact (co)homology of simplicial complexes and "
         "independence hypergraphs, hypergraph closure algebra, and "
@@ -425,15 +436,20 @@ def _check_option_values(args) -> None:
             raise SchemaViolation(f"option --{name.replace('_', '-')} needs one value")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _parser().parse_args(argv)
         _check_option_values(args)
         return args.fn(args)
+    except SystemExit as exc:
+        # only --help exits the parser, with code 0 after printing its text
+        return exc.code or 0
     except InputError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import SchemaViolation
 from .hypergraphs import Hypergraph, _as_edge, _vertex_indices
 from .persistence import Filtration
-from .rings import Ring
+from .rings import Ring, canonical
 from .words import VertexSet, WedgeOperator
 
 
@@ -56,7 +56,7 @@ def coefficient_from_json(value):
             f = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(f"bad coefficient {value!r}") from exc
-        return f.numerator if f.denominator == 1 else f
+        return canonical(f)
     raise SchemaViolation(f"bad coefficient {value!r}")
 
 

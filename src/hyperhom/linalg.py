@@ -4,10 +4,11 @@ Everything here is desk scale: matrices are stored as coordinate dicts
 and eliminated as {col: value} row dicts over exact scalars. Integer work
 uses fraction-free row combinations with gcd normalization; rational ranks
 are taken after clearing denominators row by row (row scaling preserves
-rank).
+rank). Rationals are canonical (see `rings`): an `int` when integral, a
+`Fraction` only when not, in every matrix, kernel vector and solver row.
 
 Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
-reduction over Q (Fractions) or F_p that pivots in column order on the
+reduction over Q or F_p that pivots in column order on the
 columns below a bound and carries the columns past it along. F_p `rank`,
 the field `kernel_basis` and the homology solver's representatives and
 coordinates all come from it. Its pivots are the columns independent of
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CompositionNotZero, SchemaViolation
-from .rings import Ring, ZZ
+from .rings import Ring, ZZ, canonical
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,14 @@ def _rows_of(m: SparseMatrix) -> list:
 
 
 def _int_rows_of(m: SparseMatrix) -> list:
-    """Rows of m as integer dicts; rational rows are scaled by their lcm of denominators."""
+    """Rows of m as integer dicts; a row holding fractions is scaled by the
+    lcm of their denominators, and an all-integer row is passed through."""
     rows = _rows_of(m)
     if m.ring.name == "Q":
-        int_rows = []
-        for row in rows:
-            mult = 1
-            for v in row.values():
-                f = Fraction(v)
-                mult = mult * f.denominator // gcd(mult, f.denominator)
-            int_rows.append({j: int(Fraction(v) * mult) for j, v in row.items()})
-        return int_rows
+        for k, row in enumerate(rows):
+            mult = lcm(*(v.denominator for v in row.values() if type(v) is not int))
+            if mult > 1:
+                rows[k] = {j: int(v * mult) for j, v in row.items()}
     return rows
 
 
@@ -252,7 +249,7 @@ def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
             continue
         inv = ring.inv(row[lead])
         for c in row:
-            row[c] = row[c] * inv % p if p else row[c] * inv
+            row[c] = row[c] * inv % p if p else canonical(row[c] * inv)
         for prow in by_col.values():
             if lead in prow:
                 _axpy(prow, prow[lead], row, p)
@@ -267,6 +264,8 @@ def _axpy(row: dict, f, prow: dict, p) -> None:
         v = row.get(j, 0) - f * w
         if p:
             v %= p
+        elif type(v) is not int:
+            v = canonical(v)
         if v:
             row[j] = v
         else:

@@ -1,8 +1,11 @@
 """Exact coefficient rings: the integers, the rationals, and odd prime fields.
 
 Elements are plain Python values: `int` for Z and F_p (reduced to the range
-[0, p)), `fractions.Fraction` for Q. A `Ring` bundles the arithmetic so that
-matrix and chain code can stay ring-generic.
+[0, p)). A rational is canonical: an `int` when it is integral and a
+`fractions.Fraction` only when it is not, so the integer matrices that
+make up almost every complex never pay for `Fraction` arithmetic. Every Q
+operation returns a canonical value. A `Ring` bundles the arithmetic so
+that matrix and chain code can stay ring-generic.
 """
 
 from __future__ import annotations
@@ -11,6 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaViolation
+
+
+def canonical(x):
+    """A rational in canonical form: the numerator of a Fraction whose
+    denominator is 1, anything else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def _is_prime(n: int) -> bool:
@@ -36,6 +47,8 @@ class Ring:
 
     name: str
     p: int | None = None
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.name not in ("Z", "Q", "Fp"):
@@ -54,26 +67,20 @@ class Ring:
     def is_field(self) -> bool:
         return self.name != "Z"
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.name == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.name == "Q" else 1
-
     def coerce(self, x):
         """Coerce an int, Fraction, or 'a/b' string into this ring."""
+        if type(x) is int and self.name != "Fp":
+            return x
         if isinstance(x, str):
             x = Fraction(x)
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = x.numerator
+        x = canonical(x)
         if self.name == "Z":
             if not isinstance(x, int):
                 raise SchemaViolation(f"{x!r} is not an integer")
             return x
         if self.name == "Q":
-            return Fraction(x)
+            # floats and bools become Fractions first
+            return x if type(x) is int or type(x) is Fraction else canonical(Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise SchemaViolation(f"denominator of {x} is not invertible mod {self.p}")
@@ -83,20 +90,29 @@ class Ring:
         return x % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.name == "Fp" else a + b
+        if self.name == "Fp":
+            return (a + b) % self.p
+        c = a + b
+        return c if type(c) is int else canonical(c)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.name == "Fp" else a - b
+        if self.name == "Fp":
+            return (a - b) % self.p
+        c = a - b
+        return c if type(c) is int else canonical(c)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.name == "Fp" else a * b
+        if self.name == "Fp":
+            return (a * b) % self.p
+        c = a * b
+        return c if type(c) is int else canonical(c)
 
     def neg(self, a):
-        return (-a) % self.p if self.name == "Fp" else -a
+        return (-a) % self.p if self.name == "Fp" else canonical(-a)
 
     def inv(self, a):
         if self.name == "Q":
-            return Fraction(1) / a
+            return canonical(Fraction(1) / a)
         if self.name == "Fp":
             return pow(a, -1, self.p)
         raise SchemaViolation("Z is not a field")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotOrderPreserving, NotSimplicial, SchemaViolation
-from .rings import Ring, ZZ
+from .rings import Ring, ZZ, canonical
 
 Word = tuple  # tuple of vertex indices
 
@@ -430,7 +430,8 @@ def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
     surviving position, found by bisection, so the monomial's image is a
     single signed word, or zero when a generator is already a letter.
     Coefficients are coerced once, all of them, before any term is
-    skipped, and one `FreeChain` is built at the end.
+    skipped, and one `FreeChain` is built at the end, its coefficients
+    reduced mod p or put in canonical rational form there.
     """
     ring = chain.ring
     lowering = op.kind == "partial"
@@ -465,11 +466,10 @@ def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
             k = c * cw
             for v, m in image.items():
                 acc[v] = acc.get(v, 0) + k * m
-    if ring.p is not None:
-        acc = {v: x % ring.p for v, x in acc.items()}
+    normal = (lambda x: x % ring.p) if ring.p is not None else canonical
     shift = -op.arity if lowering else op.arity
     out = FreeChain(ring, chain.degree + shift)
-    out.terms = {v: x for v, x in acc.items() if x != 0}
+    out.terms = {v: y for v, x in acc.items() if (y := normal(x)) != 0}
     return out
 
 

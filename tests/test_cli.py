@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from hyperhom import cli
 from hyperhom.cli import main
 from hyperhom.jsonio import (
     filtration_from_json,
@@ -384,3 +386,45 @@ def test_duality_rejects_oversized_carrier(capsys):
     # the size is estimated before any word is enumerated
     code = main(["duality", "--vertices", "a,b", "--max-degree", "1000000000"])
     assert_one_error_document(capsys, code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--operator", "op.json", "--ring", "Q", "--q", "x", "h.json"],
+    ["classify", "--bogus", "h.json"],
+    ["homology", "--ring", "Q", "h.json"],
+    ["homology", "--operator", "op.json", "--ring", "R", "h.json"],
+])
+def test_argv_errors_emit_one_error_document(capsys, argv):
+    # a bad int, an unknown flag, a missing option and a bad choice
+    assert_one_error_document(capsys, main(argv))
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    assert main(["homology", "--help"]) == 0
+    assert "--operator" in capsys.readouterr().out
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    details = []
+    for suite in ("no-such-suite", "other-suite"):
+        assert main(["selftest", "--suite", suite]) == 2
+        details.append(json.loads(capsys.readouterr().out)["detail"])
+    assert "'no-such-suite'" in details[0] and "other-suite" not in details[0]
+    assert "'other-suite'" in details[1] and "no-such-suite" not in details[1]
+
+
+def test_parser_is_built_at_most_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "hyperhom":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()  # start from no parser, whatever ran before
+    for _ in range(20):
+        assert main(["classify", "--bogus"]) == 2
+    capsys.readouterr()
+    assert len(built) == 1

@@ -1,5 +1,6 @@
 """Fuzzing of the CLI contract: every command, run in-process on mutated
-copies of small valid documents, exits 0 or 2, prints exactly one JSON
+copies of small valid documents and mutated string and int options,
+sometimes with a stray flag, exits 0 or 2, prints exactly one JSON
 document on stdout, and never a traceback."""
 
 import contextlib
@@ -33,8 +34,8 @@ UP_FILTRATION = {"vertices": S3, "class": "independence", "edges": [
     {"edge": ["s1", "s2"], "birth": 2}]}
 
 # Each command's argv: a "{name}" item is a document written to a file,
-# an "--opt=<text>" item is a string option that may be mutated, and
-# anything else is kept as it is.
+# "{ring}" and "{deg}" are drawn below, an "--opt=<text>" item is an option
+# that may be mutated, and anything else is kept as it is.
 COMMANDS = [
     ["closure", "--op=Delta", "{h}"],
     ["combine", "--op=union", "--left", "{a}", "--right", "{b}"],
@@ -47,11 +48,11 @@ COMMANDS = [
     ["cohomology", "--operator", "{op}", "{ring}", "{h}"],
     ["act", "--operator", "{op}", "--even", "{even}", "{ring}", "{h}"],
     ["include", "--left", "{a}", "--right", "{b}", "--operator", "{op}", "{ring}"],
-    ["duality", "--vertices=a,b", "--coeffs=1,1/2", "--max-degree", "{deg}"],
+    ["duality", "--vertices=a,b", "--coeffs=1,1/2", "--q=0", "--max-degree={deg}"],
     ["mv", "--left", "{a}", "--right", "{b}", "--operator", "{op}", "{ring}"],
-    ["persist", "--filtration", "{f}", "--operator", "{op}", "{ring}", "--n", "0"],
-    ["barcode", "--filtration", "{f}", "--operator", "{op}", "{ring}", "--n", "{deg}"],
-    ["selftest", "--suite=linalg-properties"],
+    ["persist", "--filtration", "{f}", "--operator", "{op}", "{ring}", "--n=0"],
+    ["barcode", "--filtration", "{f}", "--operator", "{op}", "{ring}", "--n={deg}"],
+    ["selftest", "--suite=linalg-properties", "--seed=0"],
 ]
 DOCUMENTS = {
     "closure": {"h": COMPLEX},
@@ -84,14 +85,23 @@ JSON_VALUES = st.recursive(
                                                               max_size=3),
     max_leaves=5,
 )
-RINGS = st.sampled_from([["--ring", "Q"], ["--ring", "Z"], ["--ring", "Fp", "--p", "5"],
-                         ["--ring", "Fp"], ["--ring", "Fp", "--p", "4"],
-                         ["--ring", "Fp", "--p", "2"], ["--ring", "Q", "--p", "3"],
-                         ["--ring", "Q", "--q", "-1"], ["--ring", "Z", "--q", "2"]])
+RINGS = st.sampled_from([["--ring", "Q"], ["--ring", "Z"], ["--ring", "Fp", "--p=5"],
+                         ["--ring", "Fp"], ["--ring", "Fp", "--p=4"],
+                         ["--ring", "Fp", "--p=2"], ["--ring", "Q", "--p=3"],
+                         ["--ring", "Q", "--q=-1"], ["--ring", "Z", "--q=2"],
+                         ["--ring", "R"], ["--ring"]])
+INT_OPTIONS = ("--q", "--p", "--n", "--max-degree", "--seed")
 # duality stays small: up to 6 letters through degree 2, or a huge degree
 # that the carrier cap rejects before enumerating
 DEGREES = st.sampled_from(["-2", "-1", "0", "1", "2", str(10**9)])
+# int options take whole values: a text edit of a degree could give the
+# 3-letter or 2-letter duality carriers a degree from 5 to 12, which the
+# cap admits but which take seconds to a minute to reduce
+INT_EDITS = DEGREES | st.sampled_from(["", "-", "x", "1.5", "1/2", "0x1", "1e3", " 1", "--",
+                                       "-" + "9" * 30, "9" * 30])
 TEXT_EDITS = st.text(alphabet=",-/01abs", max_size=6)
+# an unknown flag, or a known one with an empty or a missing value
+STRAY_FLAGS = st.sampled_from(["--bogus", "--bogus=1", "-x", "--ring=", "--n"])
 
 
 def positions(doc, path=()):
@@ -139,13 +149,20 @@ def mutate_text(data, text):
     return data.draw(TEXT_EDITS)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_cli_contract_on_mutated_documents(data):
-    template = data.draw(st.sampled_from(COMMANDS))
-    docs = {name: json.loads(json.dumps(doc)) for name, doc in DOCUMENTS[template[0]].items()}
+    command = data.draw(st.sampled_from(COMMANDS))
+    docs = {name: json.loads(json.dumps(doc)) for name, doc in DOCUMENTS[command[0]].items()}
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    template = []
+    for item in command:
+        if item == "{ring}":
+            template += data.draw(RINGS)
+        elif "{deg}" in item:
+            template.append(item.replace("{deg}", data.draw(DEGREES)))
+        else:
+            template.append(item)
     options = [i for i, item in enumerate(template) if item.startswith("--") and "=" in item]
     targets = list(docs) + options
     for _ in range(data.draw(st.integers(1, 3))):
@@ -157,16 +174,14 @@ def test_cli_contract_on_mutated_documents(data):
             texts[target] = mutate_text(data, texts[target])
         elif target is not None:
             flag, value = template[target].split("=", 1)
-            template = list(template)
-            template[target] = f"{flag}={mutate_text(data, value)}"
+            value = data.draw(INT_EDITS) if flag in INT_OPTIONS else mutate_text(data, value)
+            template[target] = f"{flag}={value}"
+    if data.draw(st.integers(0, 4)) == 0:
+        template.insert(data.draw(st.integers(1, len(template))), data.draw(STRAY_FLAGS))
     with tempfile.TemporaryDirectory() as tmp:
         argv = []
         for item in template:
-            if item == "{ring}":
-                argv += data.draw(RINGS)
-            elif item == "{deg}":
-                argv.append(data.draw(DEGREES))
-            elif item.startswith("{"):
+            if item.startswith("{"):
                 path = os.path.join(tmp, item.strip("{}") + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(texts[item.strip("{}")])

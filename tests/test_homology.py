@@ -302,18 +302,23 @@ def greedy_representatives(in_cols, cycles, ring, dim):
     return reps
 
 
-def random_operator(rng, kind, nverts, arity):
+def random_operator(rng, kind, nverts, arity, weights=(1, 2, 3)):
     if arity == 1:
-        return WedgeOperator.weighted_sum(kind, [rng.randint(1, 3) for _ in range(nverts)])
-    terms = [(rng.randint(1, 3), tuple(sorted(rng.sample(range(nverts), 3))))
+        return WedgeOperator.weighted_sum(kind, [rng.choice(weights) for _ in range(nverts)])
+    terms = [(rng.choice(weights), tuple(sorted(rng.sample(range(nverts), 3))))
              for _ in range(rng.randint(1, 2))]
     return WedgeOperator.build(kind, 3, terms)
+
+
+def is_canonical(x):
+    """A rational is stored as an int exactly when it is integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def test_degree_solver_against_greedy_rank_oracle():
     rng = random.Random(101)
     seen = {"reps": 0, "non_cycles": 0, "mixed": 0, "partial": 0, "d": 0}
-    drawn = {"arity3": 0, "empty": 0}
+    drawn = {"arity3": 0, "empty": 0, "fraction_pivots": 0}
     for trial in range(40):
         kind = ("partial", "d")[trial % 2]
         ring = (QQ, GF(5))[trial // 2 % 2]
@@ -324,7 +329,9 @@ def test_degree_solver_against_greedy_rank_oracle():
         h = closure(Hypergraph(vs, frozenset(seed)), up)
         if kind == "partial" and rng.random() < 0.5:
             h = h.with_edges(h.edges | {()})
-        op = random_operator(rng, kind, nverts, rng.choice([1, 1, 3]))
+        # over Q, weights like 1/2 and -2/3 give Fraction pivots
+        weights = (1, 2, 3, Fraction(1, 2), Fraction(-2, 3)) if ring == QQ else (1, 2, 3)
+        op = random_operator(rng, kind, nverts, rng.choice([1, 1, 3]), weights)
         if op.is_zero or not h.edges:
             continue
         built = build_complex(spec(h, op, ring, rng.randint(0, op.arity - 1)))
@@ -332,12 +339,14 @@ def test_degree_solver_against_greedy_rank_oracle():
         mix = random.Random(trial)
         drawn["arity3"] += op.arity == 3
         drawn["empty"] += h.has_empty_edge
+        drawn["fraction_pivots"] += any(type(c) is Fraction for c, _ in op.terms)
         for n in built.spec.degrees():
             solver = built.solver(n)
             dim = built.dim(n)
             in_mat = built.incoming_matrix(n)
             in_cols = [column(in_mat, j) for j in range(in_mat.cols)]
             cycles = kernel_basis(built.matrix(n))
+            assert all(is_canonical(v) for z in cycles + solver.reps for v in z)
             assert solver.reps == greedy_representatives(in_cols, cycles, ring, dim)
             dense = DenseSolver(ring, dim, built.matrix(n), in_mat)
             assert solver.reps == dense.reps
@@ -347,6 +356,7 @@ def test_degree_solver_against_greedy_rank_oracle():
                     f = ring.coerce(mix.randint(-2, 2))
                     z = [ring.add(a, ring.mul(f, b)) for a, b in zip(z, c)]
                 assert solver.coords(z) == dense.coords(z)
+                assert all(is_canonical(v) for v in solver.coords(z))
                 seen["mixed"] += 1
             assert solver.betti == built.homology(n).presentation.free_rank
             for k, z in enumerate(solver.reps):
