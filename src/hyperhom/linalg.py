@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over Z, Q, and F_p.
 
 Everything here is desk scale: matrices are stored as coordinate dicts
-and eliminated as {col: value} row dicts over exact scalars. Integer work
-uses fraction-free row combinations with gcd normalization; rational ranks
-are taken after clearing denominators row by row (row scaling preserves
-rank). Rationals are canonical (see `rings`): an `int` when integral, a
-`Fraction` only when not, in every matrix, kernel vector and solver row.
+and eliminated as {col: value} row dicts over exact scalars. Rationals
+are canonical (see `rings`): an `int` when integral, a `Fraction` only
+when not, in every matrix, kernel vector and solver row.
 
 Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
-reduction over Q or F_p that pivots in column order on the
-columns below a bound and carries the columns past it along. F_p `rank`,
-the field `kernel_basis` and the homology solver's representatives and
-coordinates all come from it. Its pivots are the columns independent of
-those before them and its pivot rows are the reduced row echelon form,
-both unique, so the results do not depend on the order rows are reduced.
+reduction over Q or F_p that pivots in column order on the columns below
+a bound and carries the columns past it along. Every field rank (an
+integer matrix is ranked over Q, its entries being canonical rationals
+already), the field `kernel_basis`, the homology solver's representatives
+and coordinates, and the pairing of barcodes all come from it. Its pivots
+are the columns independent of those before them and its pivot rows are
+the reduced row echelon form, both unique, so the results do not depend
+on the order rows are reduced.
 
 Homology over Z of a free complex needs no kernel lattice: H_n is free of
 rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CompositionNotZero, SchemaViolation
-from .rings import Ring, ZZ, canonical
+from .rings import QQ, Ring, ZZ, canonical
 
 
 @dataclass(frozen=True)
@@ -137,62 +137,6 @@ class SubquotientPresentation:
         return self.free_rank == 0 and not self.torsion_factors
 
 
-def _normalize_int_row(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for j in list(row):
-            row[j] //= g
-
-
-def _int_row_rank(rows: list) -> int:
-    """Rank of integer rows (list of {col: int}), destructive, fraction free."""
-    live = [r for r in rows if r]
-    rank = 0
-    while live:
-        # pivot: smallest |value|, preferring shorter rows on ties
-        best = None
-        for ri, row in enumerate(live):
-            for j, v in row.items():
-                key = (abs(v), len(row), j)
-                if best is None or key < best[0]:
-                    best = (key, ri, j)
-        _, pi, pj = best
-        pivot_row = live.pop(pi)
-        pv = pivot_row[pj]
-        rank += 1
-        nxt = []
-        for row in live:
-            v = row.get(pj)
-            if v is not None:
-                if v % pv == 0:
-                    q = v // pv
-                    for j, w in pivot_row.items():
-                        nv = row.get(j, 0) - q * w
-                        if nv:
-                            row[j] = nv
-                        else:
-                            row.pop(j, None)
-                else:
-                    scaled = {j: pv * w for j, w in row.items()}
-                    for j, w in pivot_row.items():
-                        nv = scaled.get(j, 0) - v * w
-                        if nv:
-                            scaled[j] = nv
-                        else:
-                            scaled.pop(j, None)
-                    row.clear()
-                    row.update(scaled)
-                    _normalize_int_row(row)
-            if row:
-                nxt.append(row)
-        live = nxt
-    return rank
-
-
 def _rows_of(m: SparseMatrix) -> list:
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries:
@@ -200,23 +144,10 @@ def _rows_of(m: SparseMatrix) -> list:
     return rows
 
 
-def _int_rows_of(m: SparseMatrix) -> list:
-    """Rows of m as integer dicts; a row holding fractions is scaled by the
-    lcm of their denominators, and an all-integer row is passed through."""
-    rows = _rows_of(m)
-    if m.ring.name == "Q":
-        for k, row in enumerate(rows):
-            mult = lcm(*(v.denominator for v in row.values() if type(v) is not int))
-            if mult > 1:
-                rows[k] = {j: int(v * mult) for j, v in row.items()}
-    return rows
-
-
 def rank(m: SparseMatrix) -> int:
-    """Rank over the ring's fraction field."""
-    if m.ring.name == "Fp":
-        return len(field_reduce(_rows_of(m), m.cols, m.ring)[0])
-    return _int_row_rank(_int_rows_of(m))
+    """Rank over the ring's fraction field (Q for Z, whose ints are canonical)."""
+    ring = m.ring if m.ring.is_field else QQ
+    return len(field_reduce(_rows_of(m), m.cols, ring)[0])
 
 
 def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
@@ -235,7 +166,9 @@ def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
     are the unique reduced row echelon form, whatever the row order. The
     order changes only the cost: on boundary and solver matrices in basis
     order, last to first did the least clearing of the orders tried
-    (first to last, by length, by leading column). The rows are consumed.
+    (first to last, by length, by leading column). The rows are reduced
+    in place and returned as the caller's own dicts, so a returned row
+    identifies the input row it came from.
     """
     p = ring.p
     by_col = {}

@@ -7,18 +7,18 @@ when the empty edge participates it must be born with the first edges
 (later arrival would change the bottom truncation midway and the
 inclusion maps would stop being chain maps).
 
-The grading here steps by the full operator arity, so persistence is
-computed from the ranks of inclusion-induced maps over the critical grid
-rather than by a single filtered matrix reduction. Each threshold's
-complex is built once, with its solvers, and every grid pair descends
-the inclusion between two built complexes; barcodes then fall out by
-inclusion-exclusion over grid pairs. Persistent Mayer-Vietoris builds the
-four complexes of each threshold once and reads the vertical maps of its
-naturality squares from the inclusions between consecutive thresholds.
+Every sublevel of a valid filtration is a subcomplex of the final one,
+so barcodes are read off the final complex alone, by the standard pairing
+of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
+`field_reduce` calls, and the rank grid counts the bars alive over each
+pair of thresholds. Persistent Mayer-Vietoris builds the four complexes
+of each threshold once and reads the vertical maps of its naturality
+squares from the inclusions between consecutive thresholds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +33,7 @@ from .homology import (
     simplicial_carrier,
 )
 from .hypergraphs import Hypergraph
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, field_reduce
 from .rings import Ring
 from .words import VertexSet, WedgeOperator
 
@@ -135,28 +135,19 @@ def _check_operator(f: Filtration, operator: WedgeOperator) -> None:
 
 def persistent_ranks(f: Filtration, operator: WedgeOperator, q: int,
                      ring: Ring, n: int) -> PersistentRanks:
-    """Ranks of every inclusion-induced map on the critical grid."""
-    _check_operator(f, operator)
-    if not ring.is_field:
-        raise SchemaViolation("persistence needs field coefficients")
-    if n < -1 or (n - q) % operator.arity != 0:
-        raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
+    """Ranks of every inclusion-induced map on the critical grid: the
+    number of bars alive over each grid interval."""
+    bc = barcode(f, operator, q, ring, n)
     grid = f.critical_values()
-    make = _carrier_for(f)
-    built = [build_complex(ComplexSpec(make(f.complex_at(x)), operator, q, ring))
-             for x in grid]
-    ranks = {}
-    for i in range(len(grid)):
-        ranks[(i, i)] = built[i].solver(n).betti
-        for j in range(i + 1, len(grid)):
-            ranks[(i, j)] = inclusion_map(built[i], built[j], n).rank(ring)
+    ranks = {(i, j): bc.rank_between(grid[i], grid[j])
+             for i in range(len(grid)) for j in range(i, len(grid))}
     return PersistentRanks(n, tuple(grid), ranks)
 
 
 @dataclass(frozen=True)
 class Barcode:
     degree: int
-    bars: tuple  # (birth, death or None, multiplicity)
+    bars: tuple  # (birth, death or None, multiplicity) by birth, then death
 
     def rank_between(self, x, y) -> int:
         """Number of bars alive on the whole closed interval [x, y]."""
@@ -169,24 +160,38 @@ class Barcode:
 
 
 def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> Barcode:
-    """Interval decomposition via inclusion-exclusion of the rank grid."""
-    pr = persistent_ranks(f, operator, q, ring, n)
-    grid = pr.grid
-    m = len(grid)
-    bars = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            mult = pr.rank(i, j - 1) - pr.rank(i, j)
-            if i > 0:
-                mult -= pr.rank(i - 1, j - 1) - pr.rank(i - 1, j)
-            if mult > 0:
-                bars.append((grid[i], grid[j], mult))
-        mult = pr.rank(i, m - 1)
-        if i > 0:
-            mult -= pr.rank(i - 1, m - 1)
-        if mult > 0:
-            bars.append((grid[i], None, mult))
-    return Barcode(n, tuple(bars))
+    """Interval decomposition in degree n by the standard pairing on the
+    final complex, its edges in birth order. An n-edge opens a bar unless
+    its outgoing column is independent of the columns of earlier edges.
+    The incoming edges, reduced earliest first as rows keyed latest n-edge
+    first, each close the bar of the n-edge at their pivot. Bars of
+    length zero are dropped."""
+    _check_operator(f, operator)
+    if not ring.is_field:
+        raise SchemaViolation("persistence needs field coefficients")
+    if n < -1 or (n - q) % operator.arity != 0:
+        raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
+    built = build_complex(ComplexSpec(_carrier_for(f)(f.final_complex), operator, q, ring))
+    pos = {edge: k for k, (edge, _) in enumerate(f.births)}
+    births = [birth for _, birth in f.births]
+    last = len(births) - 1
+    edges = built.basis(n)
+    src = n + operator.arity if built.spec.lowering else n - operator.arity
+    out_rows, in_rows = {}, {}
+    for (i, j), v in built.matrix(n).entries:
+        out_rows.setdefault(i, {})[pos[edges[j]]] = v
+    for (i, j), v in built.matrix(src).entries:
+        in_rows.setdefault(pos[built.basis(src)[j]], {})[last - pos[edges[i]]] = v
+    negative = field_reduce(list(out_rows.values()), len(births), ring)[0]
+    closer = {id(row): births[k] for k, row in in_rows.items()}
+    pivots, pivot_rows, _ = field_reduce(
+        [in_rows[k] for k in sorted(in_rows, reverse=True)], len(births), ring)
+    paired = set(negative).union(last - c for c in pivots)
+    bars = Counter((births[last - c], closer[id(row)]) for c, row in zip(pivots, pivot_rows))
+    bars.update((births[pos[e]], None) for e in edges if pos[e] not in paired)
+    order = sorted((bar for bar in bars if bar[0] != bar[1]),
+                   key=lambda bar: (bar[0], bar[1] is None, bar[1] or 0))
+    return Barcode(n, tuple((birth, death, bars[birth, death]) for birth, death in order))
 
 
 @dataclass(frozen=True)

@@ -24,22 +24,34 @@ def canonical(x):
     return x
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the primes up to 37, which has no strong
+    pseudoprime below 3.3 * 10^24 (Sorenson & Webster, Math. Comp. 2017),
+    so it is exact for every modulus below 2^64."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
 @dataclass(frozen=True)
 class Ring:
-    """One of Z, Q, or F_p with p an odd prime.
+    """One of Z, Q, or F_p with p an odd prime below 2^64.
 
     F_2 is rejected: the calculus requires 2 to be invertible in the
     coefficient ring (odd-arity operators square to zero only then).
@@ -54,6 +66,8 @@ class Ring:
         if self.name not in ("Z", "Q", "Fp"):
             raise SchemaViolation(f"unknown ring {self.name!r}")
         if self.name == "Fp":
+            if self.p is not None and self.p >= 2**64:
+                raise SchemaViolation(f"Fp modulus {self.p} is not below 2^64")
             if self.p is None or not _is_prime(self.p):
                 raise SchemaViolation(f"Fp requires a prime modulus, got {self.p!r}")
             if self.p == 2:

@@ -678,8 +678,9 @@ def _random_filtration(rng, nverts, with_empty=None):
 
 
 def suite_persistence(rng) -> _Tally:
-    """Rank monotonicity, barcode against ranks, composition of the
-    structure maps, and the action squares along a filtration."""
+    """Rank monotonicity, barcode against ranks, ranks against the maps
+    induced by inclusion, composition of the structure maps, and the
+    action squares along a filtration."""
     t = _Tally()
     for _ in range(110):
         nv = rng.randint(2, 4)
@@ -708,6 +709,9 @@ def suite_persistence(rng) -> _Tally:
             m_xy = inclusion_induced(f.complex_at(x), f.complex_at(y), op, 0, QQ)
             m_yz = inclusion_induced(f.complex_at(y), f.complex_at(z), op, 0, QQ)
             m_xz = inclusion_induced(f.complex_at(x), f.complex_at(z), op, 0, QQ)
+            for (i, j), maps in (((0, m // 2), m_xy), ((m // 2, m - 1), m_yz)):
+                rank_ij = maps[degree].rank(QQ) if degree in maps else 0
+                t.check(pr.rank(i, j) == rank_ij, "bars count the inclusion rank")
             for n in m_xz:
                 if n in m_xy and n in m_yz:
                     t.check(
@@ -723,6 +727,8 @@ def suite_persistence(rng) -> _Tally:
             act_x = operator_action(ComplexSpec(simplicial_carrier(kx), op, 0, QQ), beta)
             act_y = operator_action(ComplexSpec(simplicial_carrier(ky), op, 0, QQ), beta)
             incl = inclusion_induced(kx, ky, op, 0, QQ)
+            rank_xy = incl[degree].rank(QQ) if degree in incl else 0
+            t.check(pr.rank(0, m - 1) == rank_xy, "bars count the inclusion rank")
             for n, mm in act_x.items():
                 tgt = mm.target_degree
                 if tgt < -1 or n not in incl or tgt not in incl:

@@ -2,10 +2,14 @@
 
 `field_rref` is the full-row Gauss-Jordan reduction that `kernel_basis`
 and `DegreeSolver` were built on before the sparse route; `modp_row_rank`
-is the forward elimination that F_p `rank` used. `dense_kernel` and
-`DenseSolver` rebuild the old kernel basis and solver on top of them.
-`column` reads one column of a sparse matrix as a dense list.
+is the forward elimination that F_p `rank` used, and `int_row_rank` the
+fraction-free elimination that Q and Z `rank` used (`q_rank` clears
+denominators row by row first). `dense_kernel` and `DenseSolver` rebuild
+the old kernel basis and solver on top of them. `column` reads one column
+of a sparse matrix as a dense list.
 """
+
+from math import gcd, lcm
 
 from hyperhom.linalg import SparseMatrix
 
@@ -70,6 +74,75 @@ def modp_row_rank(rows: list, p: int) -> int:
                 nxt.append(r)
         live = nxt
     return rank
+
+
+def _normalize_int_row(row: dict) -> None:
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for j in list(row):
+            row[j] //= g
+
+
+def int_row_rank(rows: list) -> int:
+    """Rank of integer rows (list of {col: int}), destructive, fraction free."""
+    live = [r for r in rows if r]
+    rank = 0
+    while live:
+        # pivot: smallest |value|, preferring shorter rows on ties
+        best = None
+        for ri, row in enumerate(live):
+            for j, v in row.items():
+                key = (abs(v), len(row), j)
+                if best is None or key < best[0]:
+                    best = (key, ri, j)
+        _, pi, pj = best
+        pivot_row = live.pop(pi)
+        pv = pivot_row[pj]
+        rank += 1
+        nxt = []
+        for row in live:
+            v = row.get(pj)
+            if v is not None:
+                if v % pv == 0:
+                    q = v // pv
+                    for j, w in pivot_row.items():
+                        nv = row.get(j, 0) - q * w
+                        if nv:
+                            row[j] = nv
+                        else:
+                            row.pop(j, None)
+                else:
+                    scaled = {j: pv * w for j, w in row.items()}
+                    for j, w in pivot_row.items():
+                        nv = scaled.get(j, 0) - v * w
+                        if nv:
+                            scaled[j] = nv
+                        else:
+                            scaled.pop(j, None)
+                    row.clear()
+                    row.update(scaled)
+                    _normalize_int_row(row)
+            if row:
+                nxt.append(row)
+        live = nxt
+    return rank
+
+
+def q_rank(m: SparseMatrix) -> int:
+    """Rank of a Z or Q matrix: each row holding fractions is scaled by the
+    lcm of their denominators, then the integer rows are ranked."""
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries:
+        rows[i][j] = v
+    for k, row in enumerate(rows):
+        mult = lcm(*(v.denominator for v in row.values() if type(v) is not int))
+        if mult > 1:
+            rows[k] = {j: int(v * mult) for j, v in row.items()}
+    return int_row_rank(rows)
 
 
 def dense_kernel(m: SparseMatrix) -> list:

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hyperhom.errors import CompositionNotZero, SchemaViolation
+from hyperhom.homology import (
+    ComplexSpec,
+    build_complex,
+    independence_carrier,
+    simplicial_carrier,
+)
+from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import (
     SparseMatrix,
     SubquotientPresentation,
@@ -14,8 +22,9 @@ from hyperhom.linalg import (
     smith_normal_form,
 )
 from hyperhom.rings import GF, QQ, ZZ
+from hyperhom.words import VertexSet, WedgeOperator
 
-from field_oracle import dense_kernel, field_rref, modp_row_rank
+from field_oracle import dense_kernel, field_rref, modp_row_rank, q_rank
 
 
 def mat(rows, cols, ring, dense):
@@ -155,7 +164,10 @@ def test_sparse_field_reduction_matches_dense_oracle(ring):
         aug = [{m.cols + i: ring.one} for i in range(m.rows)]
         for (i, j), v in m.entries:
             aug[i][j] = v
+        given = list(aug)
         pivots, pivot_rows, zero_rows = field_reduce(aug, m.cols, ring)
+        # the rows come back as the caller's own dicts, each exactly once
+        assert sorted(map(id, pivot_rows + zero_rows)) == sorted(map(id, given))
         dense = m.dense_rows()
         assert pivots == field_rref(dense, m.cols, ring)
         assert len(pivots) == r and len(zero_rows) == m.rows - r
@@ -171,6 +183,70 @@ def test_sparse_field_reduction_matches_dense_oracle(ring):
         reduced = transform.mul(m).dense_rows()
         assert reduced == dense[:r] + [[ring.zero] * m.cols] * (m.rows - r)
     assert full_rank >= 10
+
+
+def fraction_combinations(rng):
+    """Q matrices whose rows are random Fraction combinations of a few
+    random Fraction rows, so that their rank is mostly deficient."""
+    for _ in range(40):
+        k, cols = rng.randint(1, 4), rng.randint(2, 7)
+        basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(cols)]
+                 for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(k, k + 3)):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols)])
+        yield mat(len(rows), cols, QQ, rows)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
+def test_rank_matches_fraction_free_oracle(ring):
+    rng = random.Random(37)
+    matrices = list(random_field_matrices(rng, ring))
+    if ring == QQ:
+        matrices += fraction_combinations(rng)
+    deficient = 0
+    for m in matrices:
+        r = rank(m)
+        assert r == q_rank(m)
+        if any(type(v) is Fraction for _, v in m.entries):
+            deficient += r < min(m.rows, m.cols)
+    assert (deficient >= 10) == (ring == QQ)
+
+
+def skeleton(n, k):
+    """The augmented k-skeleton of the (n-1)-simplex."""
+    vs = VertexSet.of(*[f"v{i}" for i in range(n)])
+    return Hypergraph(vs, frozenset(c for r in range(k + 2) for c in combinations(range(n), r)))
+
+
+def cofaces(n, k):
+    """The power set of n vertices minus its k-skeleton."""
+    vs = VertexSet.of(*[f"v{i}" for i in range(n)])
+    return Hypergraph(vs, frozenset(
+        c for r in range(k + 2, n + 1) for c in combinations(range(n), r)))
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
+def test_rank_matches_fraction_free_oracle_on_boundaries(ring):
+    """Every boundary of the 3-skeleton on 9 vertices, the 4-skeleton on 8
+    and the cofaces of the 2-skeleton on 8, with weights 1..n."""
+    specs = [
+        ComplexSpec(simplicial_carrier(skeleton(9, 3)),
+                    WedgeOperator.weighted_sum("partial", range(1, 10)), 0, ring),
+        ComplexSpec(simplicial_carrier(skeleton(8, 4)),
+                    WedgeOperator.weighted_sum("partial", range(1, 9)), 0, ring),
+        ComplexSpec(independence_carrier(cofaces(8, 2)),
+                    WedgeOperator.weighted_sum("d", range(1, 9)), 0, ring),
+    ]
+    nonzero = 0
+    for spec in specs:
+        built = build_complex(spec)
+        for n in spec.degrees():
+            r = rank(built.matrix(n))
+            assert r == q_rank(built.matrix(n)), (spec.carrier, n)
+            nonzero += r > 0
+    assert nonzero >= 12
 
 
 def test_presentation_zero_maps():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
+    build_complex,
     homology_table,
     inclusion_induced,
+    inclusion_map,
     independence_carrier,
     mayer_vietoris,
     mv_complexes,
@@ -18,6 +21,7 @@ from hyperhom.homology import (
     simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
+from hyperhom.linalg import SparseMatrix
 from hyperhom.persistence import (
     Filtration,
     _mv_square_check,
@@ -28,6 +32,8 @@ from hyperhom.persistence import (
 )
 from hyperhom.rings import GF, QQ
 from hyperhom.words import VertexSet, WedgeOperator
+
+from field_oracle import modp_row_rank, q_rank
 
 S3 = VertexSet.of("s0", "s1", "s2")
 
@@ -143,13 +149,16 @@ def random_operator(rng, kind, nverts, arity):
     return WedgeOperator.build(kind, 3, terms)
 
 
+def grid_degrees(f, op, q):
+    return [n for n in range(-1, f.final_complex.top_degree + 1) if (n - q) % op.arity == 0]
+
+
 def ranks_by_pairs(f, op, q, ring):
     """The per-pair route: one inclusion_induced call per grid pair and the
     Betti number of each threshold on the diagonal, for every degree."""
     grid = f.critical_values()
     make = simplicial_carrier if f.monotonicity_class == "simplicial" else independence_carrier
-    degrees = [n for n in range(-1, f.final_complex.top_degree + 1)
-               if (n - q) % op.arity == 0]
+    degrees = grid_degrees(f, op, q)
     out = {n: {} for n in degrees}
     for i, x in enumerate(grid):
         betti = {g.degree: g.presentation.free_rank
@@ -161,6 +170,26 @@ def ranks_by_pairs(f, op, q, ring):
             for n in degrees:
                 out[n][(i, j)] = maps[n].rank(ring) if n in maps else 0
     return out
+
+
+def bars_from_ranks(grid, ranks):
+    """Interval decomposition by inclusion-exclusion over a rank grid
+    {(i, j): rank}, in order of birth, then death, open bars last."""
+    m = len(grid)
+    bars = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            mult = ranks[(i, j - 1)] - ranks[(i, j)]
+            if i > 0:
+                mult -= ranks[(i - 1, j - 1)] - ranks[(i - 1, j)]
+            if mult > 0:
+                bars.append((grid[i], grid[j], mult))
+        mult = ranks[(i, m - 1)]
+        if i > 0:
+            mult -= ranks[(i - 1, m - 1)]
+        if mult > 0:
+            bars.append((grid[i], None, mult))
+    return tuple(bars)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
@@ -179,15 +208,84 @@ def test_persistent_ranks_match_per_pair_route(cls, arity, ring):
         op = random_operator(rng, kind, nverts, arity)
         if op.is_zero:
             continue
+        grid = f.critical_values()
         for q in range(arity):
             for n, expected in ranks_by_pairs(f, op, q, ring).items():
                 got = persistent_ranks(f, op, q, ring, n).ranks
                 assert got == expected
+                assert barcode(f, op, q, ring, n).bars == bars_from_ranks(grid, expected)
                 for (i, j), r in got.items():
                     if i < j:
                         persisting += r > 0
                         dying += r < got[(i, i)]
     assert persisting > 0 and dying > 0
+
+
+def rips_filtration(rng, npts, top, cls):
+    """Clique filtration of npts integer points jittered around a circle,
+    with cliques of up to `top` points, each born at its longest squared
+    side, and the empty edge and the points at 0. In the independence
+    class every edge is replaced by its complement."""
+    vs = VertexSet.of(*[f"p{i}" for i in range(npts)])
+    pts = [(round(1000 * math.cos(2 * math.pi * i / npts)) + rng.randint(-150, 150),
+            round(1000 * math.sin(2 * math.pi * i / npts)) + rng.randint(-150, 150))
+           for i in range(npts)]
+    births = {}
+    for k in range(top + 1):
+        for e in itertools.combinations(range(npts), k):
+            births[e] = max((sum((s - t) ** 2 for s, t in zip(pts[a], pts[b]))
+                             for a, b in itertools.combinations(e, 2)), default=0)
+    if cls == "independence":
+        births = {tuple(v for v in range(npts) if v not in e): b for e, b in births.items()}
+    return Filtration.of(vs, list(births.items()), cls)
+
+
+def map_rank(induced, ring):
+    """Rank of an induced map by the eliminations that F_p and Q `rank`
+    used before `field_reduce`."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in induced.matrix]
+    if ring.p:
+        return modp_row_rank(rows, ring.p)
+    entries = tuple(((i, j), v) for i, row in enumerate(rows) for j, v in row.items())
+    return q_rank(SparseMatrix(len(rows), induced.source_rank, ring, entries))
+
+
+def ranks_by_built_pairs(f, op, q, ring):
+    """The rank-grid route: each threshold's complex built once, the
+    Betti numbers on the diagonal and one inclusion descended per grid
+    pair, for every degree."""
+    make = simplicial_carrier if f.monotonicity_class == "simplicial" else independence_carrier
+    built = [build_complex(ComplexSpec(make(f.complex_at(x)), op, q, ring))
+             for x in f.critical_values()]
+    out = {}
+    for n in grid_degrees(f, op, q):
+        out[n] = {}
+        for i, small in enumerate(built):
+            out[n][(i, i)] = small.solver(n).betti
+            for j in range(i + 1, len(built)):
+                out[n][(i, j)] = map_rank(inclusion_map(small, built[j], n), ring)
+    return out
+
+
+# one offset per arity-3 case, the one whose complex has a nonzero map
+# between two of its degrees
+@pytest.mark.parametrize("cls, arity, q, ring", [
+    ("simplicial", 1, 0, GF(5)), ("simplicial", 3, 0, QQ),
+    ("independence", 1, 0, GF(5)), ("independence", 3, 2, GF(5)),
+], ids=["simplicial-1-F5", "simplicial-3-Q", "independence-1-F5", "independence-3-F5"])
+def test_long_rips_filtrations_match_rank_grid_route(cls, arity, q, ring):
+    rng = random.Random(f"rips:{cls}:{arity}")
+    f = rips_filtration(rng, 10, 4 if arity == 3 else 3, cls)
+    grid = f.critical_values()
+    assert len(grid) >= 40
+    op = random_operator(rng, "partial" if cls == "simplicial" else "d", 10, arity)
+    finite = set()
+    for n, expected in ranks_by_built_pairs(f, op, q, ring).items():
+        assert persistent_ranks(f, op, q, ring, n).ranks == expected
+        bars = barcode(f, op, q, ring, n).bars
+        assert bars == bars_from_ranks(grid, expected)
+        finite.update(n for _, death, _ in bars if death is not None)
+    assert len(finite) >= (2 if arity == 1 else 1)
 
 
 def test_rank_monotonicity_and_functoriality_random():

@@ -1,14 +1,20 @@
 """Canonical rationals: every Q value is an int exactly when it is
 integral, from the ring operations through assembly and the word
-calculus."""
+calculus. And the primality test behind F_p, against trial division."""
 
+import contextlib
+import io
+import json
 import operator
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from hyperhom.cli import main
+from hyperhom.errors import SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
     build_complex,
@@ -18,7 +24,7 @@ from hyperhom.homology import (
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure
 from hyperhom.linalg import SparseMatrix, field_reduce, kernel_basis
-from hyperhom.rings import QQ
+from hyperhom.rings import GF, QQ, _is_prime
 from hyperhom.words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
 
@@ -119,3 +125,71 @@ def test_wedge_apply_is_canonical(weights, kind, ambient):
                 continue
             out = wedge_apply(op, chain, ambient)
             assert all(is_canonical(v) for v in out.terms.values()), (op, chain)
+
+
+def trial_division(n):
+    """Primality by trial division, the test F_p used before Miller-Rabin."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # strong pseudoprime to bases 2 through 23
+    (2**61 - 1, True), (2**64 - 59, True), (2**64 - 1, False), (10000000000000061, True),
+])
+def test_primality_of_large_moduli(n, prime):
+    assert _is_prime(n) == prime
+    if prime:
+        assert GF(n).p == n
+    else:
+        with pytest.raises(SchemaViolation):
+            GF(n)
+
+
+@pytest.mark.parametrize("p", [2**64, 2**64 + 13, 2**89 - 1, 10**30 + 57])
+def test_moduli_from_two_to_the_64_are_rejected(p):
+    with pytest.raises(SchemaViolation, match="2\\^64"):
+        GF(p)
+
+
+def run_homology(tmp_path, p):
+    vs = ["s0", "s1", "s2"]
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"vertices": vs, "edges": [
+        [], ["s0"], ["s1"], ["s2"], ["s0", "s1"], ["s1", "s2"], ["s0", "s2"]]}))
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"kind": "partial",
+                                 "terms": [{"coeff": 1, "vertices": [v]} for v in vs]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["homology", "--operator", str(alpha), "--ring", "Fp", "--p", str(p),
+                     str(circle)])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+def test_cli_answers_a_mersenne_modulus_at_once(tmp_path):
+    start = time.perf_counter()
+    code, doc = run_homology(tmp_path, 2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and [g["free_rank"] for g in doc["groups"]] == [0, 0, 1]
+
+
+def test_cli_rejects_a_modulus_past_two_to_the_64(tmp_path):
+    code, doc = run_homology(tmp_path, 2**89 - 1)
+    assert code == 2 and doc["error"] == "SchemaViolation" and "2^64" in doc["detail"]
