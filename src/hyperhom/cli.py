@@ -18,11 +18,10 @@ from .homology import (
     ComplexSpec,
     build_complex,
     duality_check,
+    edge_carrier,
     inclusion_induced,
-    independence_carrier,
     mayer_vietoris,
     operator_action,
-    simplicial_carrier,
 )
 from .hypergraphs import ClosureOp, CombineOp, closure, combine, join_hg, trace
 from .invariance import invariant_trace, invariant_vertices
@@ -128,8 +127,7 @@ def _homology_command(args, kind: str) -> int:
             f"this command needs a {kind!r} operator, got {op.kind!r}"
         )
     ring = _ring(args)
-    make = simplicial_carrier if kind == "partial" else independence_carrier
-    built = build_complex(ComplexSpec(make(h), op, args.q, ring))
+    built = build_complex(ComplexSpec(edge_carrier(kind, h), op, args.q, ring))
     if args.n is not None:
         group = built.homology(args.n)
         _emit(jsonio.group_to_json(group.degree, group.presentation))
@@ -150,13 +148,13 @@ def cmd_cohomology(args) -> int:
     return _homology_command(args, "d")
 
 
-def _induced_map_json(m, ring) -> dict:
+def _induced_map_json(m) -> dict:
     return {
         "source_n": m.source_degree,
         "target_n": m.target_degree,
         "source_rank": m.source_rank,
         "target_rank": m.target_rank,
-        "matrix": jsonio.matrix_to_json(m.matrix, ring),
+        "matrix": jsonio.matrix_to_json(m.matrix),
     }
 
 
@@ -165,10 +163,8 @@ def cmd_act(args) -> int:
     op = jsonio.operator_from_json(_load_json(args.operator), h.vertices)
     even = jsonio.operator_from_json(_load_json(args.even), h.vertices)
     ring = _ring(args)
-    make = simplicial_carrier if op.kind == "partial" else independence_carrier
-    spec = ComplexSpec(make(h), op, args.q, ring)
-    maps = operator_action(spec, even)
-    _emit({"maps": [_induced_map_json(maps[n], ring) for n in sorted(maps)]})
+    maps = operator_action(ComplexSpec(edge_carrier(op.kind, h), op, args.q, ring), even)
+    _emit({"maps": [_induced_map_json(maps[n]) for n in sorted(maps)]})
     return 0
 
 
@@ -181,9 +177,9 @@ def cmd_include(args) -> int:
     if args.n is not None:
         if args.n not in maps:
             raise SchemaViolation(f"degree {args.n} is not on the grid")
-        _emit(_induced_map_json(maps[args.n], ring))
+        _emit(_induced_map_json(maps[args.n]))
         return 0
-    _emit({"maps": [_induced_map_json(maps[n], ring) for n in sorted(maps)]})
+    _emit({"maps": [_induced_map_json(maps[n]) for n in sorted(maps)]})
     return 0
 
 
@@ -222,7 +218,7 @@ def cmd_mv(args) -> int:
                 {"part": n.label, "n": n.degree, "rank": n.free_rank}
                 for n in les.nodes
             ],
-            "maps": [jsonio.matrix_to_json(m, ring) for m in les.maps],
+            "maps": [jsonio.matrix_to_json(m) for m in les.maps],
             "junctions": [
                 {"rank_in": rin, "nullity_out": nout, "exact": ok}
                 for rin, nout, ok in les.junctions

@@ -104,6 +104,13 @@ def independence_carrier(h: Hypergraph) -> Carrier:
     return Carrier(INDEPENDENCE_EDGES, h.vertices, hypergraph=h)
 
 
+def edge_carrier(kind: str, h: Hypergraph) -> Carrier:
+    """The edge span an operator family acts on: a simplicial complex for
+    degree-lowering ("partial") operators, an independence hypergraph for
+    degree-raising ("d") ones."""
+    return simplicial_carrier(h) if kind == "partial" else independence_carrier(h)
+
+
 def _word_count(nv: int, max_degree: int) -> int:
     """Basis words of the all-words carrier on nv letters, counting each
     degree at least once. Exact up to WORDS_CAP; above it, only known to
@@ -291,7 +298,6 @@ class DegreeSolver:
             raise SchemaViolation("homology solvers need field coefficients")
         self.ring = ring
         self.dim = dim
-        self.out_mat = out_mat
         cycles = kernel_basis(out_mat)
         ncols = in_mat.cols + len(cycles)
         aug = [{ncols + i: ring.one} for i in range(dim)]
@@ -313,12 +319,10 @@ class DegreeSolver:
             for j, v in row.items() if j >= ncols
         )))
 
-    def is_cycle(self, vec) -> bool:
-        return all(self.ring.is_zero(v) for v in self.out_mat.apply(vec))
-
     def coords(self, vec) -> tuple:
-        """Homology coordinates of a cycle; None when vec is outside the
-        cycle space."""
+        """Homology coordinates of a cycle; None exactly when vec is not a
+        cycle, since the cancelled transform rows span the annihilator of
+        the cycle space."""
         w = self._transform.apply(vec)
         if any(not self.ring.is_zero(v) for v in w[self.betti:]):
             return None
@@ -327,49 +331,54 @@ class DegreeSolver:
 
 @dataclass(frozen=True)
 class InducedMap:
-    """A homology-level map, stored on the solvers' representative bases."""
+    """A homology-level map on the solvers' representative bases: one row
+    per target class, one column per source class."""
 
     source_degree: int
     target_degree: int
-    source_rank: int
-    target_rank: int
-    matrix: tuple  # target_rank rows, source_rank columns
+    matrix: SparseMatrix
 
-    def as_matrix(self, ring: Ring) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.matrix, self.source_rank, ring)
+    @property
+    def source_rank(self) -> int:
+        return self.matrix.cols
 
-    def compose(self, inner: "InducedMap", ring: Ring) -> "InducedMap":
+    @property
+    def target_rank(self) -> int:
+        return self.matrix.rows
+
+    def compose(self, inner: "InducedMap") -> "InducedMap":
         """self after inner."""
-        if inner.target_degree != self.source_degree or inner.target_rank != self.source_rank:
-            raise SchemaViolation("shape mismatch in composition")
-        product = self.as_matrix(ring).mul(inner.as_matrix(ring))
-        return InducedMap(
-            inner.source_degree, self.target_degree, inner.source_rank, self.target_rank,
-            tuple(map(tuple, product.dense_rows())),
-        )
+        if inner.target_degree != self.source_degree:
+            raise SchemaViolation("degree mismatch in composition")
+        return InducedMap(inner.source_degree, self.target_degree,
+                          self.matrix.mul(inner.matrix))
 
-    def rank(self, ring: Ring) -> int:
-        return rank(self.as_matrix(ring))
+    def rank(self) -> int:
+        return rank(self.matrix)
+
+
+def _coordinates(tgt: DegreeSolver, images: list, error: str) -> SparseMatrix:
+    """Homology coordinates in tgt of each image vector, one column per
+    image; NotAChainMap(error) when an image is not a cycle. A vanishing
+    target group has no coordinates to read, and its images go unchecked."""
+    if tgt.betti == 0:
+        return SparseMatrix.zero(0, len(images), tgt.ring)
+    items = []
+    for j, vec in enumerate(images):
+        c = tgt.coords(vec)
+        if c is None:
+            raise NotAChainMap(error)
+        items.extend(((i, j), v) for i, v in enumerate(c) if v)
+    return SparseMatrix(tgt.betti, len(images), tgt.ring, tuple(sorted(items)))
 
 
 def _descend(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
              src_n: int, tgt_n: int, what: str) -> InducedMap:
     """Homology map of a chain map, on the representative bases of src and
     tgt; the images of the representatives are checked to be cycles."""
-    cols = []
-    for z in src.reps:
-        v = chain_mat.apply(z)
-        if tgt.betti == 0:
-            cols.append(())
-            continue
-        if not tgt.is_cycle(v):
-            raise NotAChainMap(f"{what} sends a cycle to a non-cycle")
-        c = tgt.coords(v)
-        if c is None:
-            raise NotAChainMap(f"{what} leaves the cycle space")
-        cols.append(c)
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(tgt.betti))
-    return InducedMap(src_n, tgt_n, src.betti, tgt.betti, matrix)
+    images = [chain_mat.apply(z) for z in src.reps]
+    return InducedMap(src_n, tgt_n, _coordinates(
+        tgt, images, f"{what} sends a cycle to a non-cycle"))
 
 
 def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
@@ -443,9 +452,8 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
         raise NotIncluded("left hypergraph is not contained in the right one")
     if not ring.is_field:
         raise SchemaViolation("induced maps are computed over fields")
-    make = simplicial_carrier if operator.kind == "partial" else independence_carrier
-    src = build_complex(ComplexSpec(make(small), operator, q, ring))
-    tgt = build_complex(ComplexSpec(make(large), operator, q, ring))
+    src = build_complex(ComplexSpec(edge_carrier(operator.kind, small), operator, q, ring))
+    tgt = build_complex(ComplexSpec(edge_carrier(operator.kind, large), operator, q, ring))
     return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
 
 
@@ -459,7 +467,7 @@ class SequenceNode:
 @dataclass(frozen=True)
 class LongExactSequence:
     nodes: tuple
-    maps: tuple  # matrices between consecutive nodes
+    maps: tuple  # SparseMatrix between consecutive nodes
     junctions: tuple  # (rank_in, nullity_out, exact) per node
 
     @property
@@ -480,16 +488,14 @@ def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
         raise VertexSetMismatch("Mayer-Vietoris needs a common vertex set")
     if not ring.is_field:
         raise SchemaViolation("exactness reports are computed over fields")
-    lowering = operator.kind == "partial"
-    make = simplicial_carrier if lowering else independence_carrier
-    if lowering and a.has_empty_edge != b.has_empty_edge:
+    if operator.kind == "partial" and a.has_empty_edge != b.has_empty_edge:
         raise ClassMismatch(
             "empty edge membership differs between the two sides"
         )
     cap = combine(a, b, CombineOp.INTERSECT)
     cup = combine(a, b, CombineOp.UNION)
     return {
-        name: build_complex(ComplexSpec(make(h), operator, q, ring))
+        name: build_complex(ComplexSpec(edge_carrier(operator.kind, h), operator, q, ring))
         for name, h in (("cap", cap), ("a", a), ("b", b), ("cup", cup))
     }
 
@@ -498,7 +504,6 @@ def mv_sequence(complexes: dict) -> LongExactSequence:
     """The long exact sequence linking intersection, direct sum, and union
     of the complexes built by `mv_complexes`."""
     spec = complexes["cup"].spec
-    ring = spec.ring
     grid = spec.degrees()
     if spec.lowering:
         grid = list(reversed(grid))
@@ -511,22 +516,19 @@ def mv_sequence(complexes: dict) -> LongExactSequence:
         nodes.append(SequenceNode("intersection", n, betti["cap"]))
         maps.append(_mv_first_map(complexes, n))
         nodes.append(SequenceNode("sum", n, betti["a"] + betti["b"]))
-        maps.append(_mv_second_map(complexes, n, ring))
+        maps.append(_mv_second_map(complexes, n))
         nodes.append(SequenceNode("union", n, betti["cup"]))
-        maps.append(_mv_connecting(complexes, n, sgn * spec.step, ring))
-    # final connecting map targets a vanishing group
-
-    def map_rank(i):
-        return rank(SparseMatrix.from_rows(maps[i], nodes[i].free_rank, ring))
+        maps.append(_mv_connecting(complexes, n, sgn * spec.step))
+    ranks = [rank(m) for m in maps]
 
     junctions = []
     for i, node in enumerate(nodes):
-        rank_in = map_rank(i - 1) if i else 0
-        nullity = node.free_rank - map_rank(i)
+        rank_in = ranks[i - 1] if i else 0
+        nullity = node.free_rank - ranks[i]
         junctions.append((rank_in, nullity, rank_in == nullity))
     # the last map leaves the listed window; exactness there needs the
     # kernel of nothing, so fold it into a trailing zero-node junction
-    tail_rank = map_rank(len(maps) - 1) if maps else 0
+    tail_rank = ranks[-1] if ranks else 0
     junctions.append((tail_rank, 0, tail_rank == 0))
     return LongExactSequence(tuple(nodes), tuple(maps), tuple(junctions))
 
@@ -538,53 +540,51 @@ def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
     return mv_sequence(mv_complexes(a, b, operator, q, ring))
 
 
-def _mv_first_map(complexes, n):
-    return (inclusion_map(complexes["cap"], complexes["a"], n).matrix
-            + inclusion_map(complexes["cap"], complexes["b"], n).matrix)
+def _mv_first_map(complexes, n) -> SparseMatrix:
+    """Both inclusions of the intersection, stacked: a's rows over b's."""
+    ma = inclusion_map(complexes["cap"], complexes["a"], n).matrix
+    mb = inclusion_map(complexes["cap"], complexes["b"], n).matrix
+    return SparseMatrix.blocks(ma.rows + mb.rows, ma.cols, ma.ring,
+                               [((0, 0), ma), ((ma.rows, 0), mb)])
 
 
-def _mv_second_map(complexes, n, ring):
+def _mv_second_map(complexes, n) -> SparseMatrix:
+    """The inclusion of a beside the negated inclusion of b."""
     ma = inclusion_map(complexes["a"], complexes["cup"], n).matrix
     mb = inclusion_map(complexes["b"], complexes["cup"], n).matrix
-    return tuple(ra + tuple(ring.neg(v) for v in rb) for ra, rb in zip(ma, mb))
+    ring = ma.ring
+    neg_b = SparseMatrix(mb.rows, mb.cols, ring,
+                         tuple((k, ring.neg(v)) for k, v in mb.entries))
+    return SparseMatrix.blocks(ma.rows, ma.cols + mb.cols, ring,
+                               [((0, 0), ma), ((0, ma.cols), neg_b)])
 
 
-def _mv_connecting(complexes, n, signed_step, ring):
+def _mv_connecting(complexes, n, signed_step) -> SparseMatrix:
     """Zig-zag: lift a union cycle to the two sides, push one side through
     the boundary, read the class in the intersection."""
     m = n + signed_step
-    s_cup = complexes["cup"].solver(n)
-    cap_cx = complexes["cap"]
-    s_cap_next = cap_cx.solver(m)
+    ring = complexes["cup"].spec.ring
     a_basis = {w: i for i, w in enumerate(complexes["a"].basis(n))}
-    cap_index = {w: i for i, w in enumerate(cap_cx.basis(m))}
+    cap_index = {w: i for i, w in enumerate(complexes["cap"].basis(m))}
     bnd_a = complexes["a"].matrix(n)
     a_target_basis = complexes["a"].basis(m)
-    cols = []
-    for z in s_cup.reps:
+    images = []
+    for z in complexes["cup"].solver(n).reps:
         u = [ring.zero] * len(a_basis)
         for idx, w in enumerate(complexes["cup"].basis(n)):
             if not ring.is_zero(z[idx]) and w in a_basis:
                 u[a_basis[w]] = z[idx]
-        w_vec = bnd_a.apply(u)
         target = [ring.zero] * len(cap_index)
-        for i, val in enumerate(w_vec):
+        for i, val in enumerate(bnd_a.apply(u)):
             if ring.is_zero(val):
                 continue
             word = a_target_basis[i]
             if word not in cap_index:
                 raise NotAChainMap("connecting image leaves the intersection")
             target[cap_index[word]] = val
-        if s_cap_next.betti == 0:
-            cols.append(())
-            continue
-        c = s_cap_next.coords(target)
-        if c is None:
-            raise NotAChainMap("connecting image is not a cycle")
-        cols.append(c)
-    return tuple(
-        tuple(col[i] for col in cols) for i in range(s_cap_next.betti)
-    )
+        images.append(target)
+    return _coordinates(complexes["cap"].solver(m), images,
+                        "connecting image is not a cycle")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import SchemaViolation
 from .hypergraphs import Hypergraph, _as_edge, _vertex_indices
 from .persistence import Filtration
-from .rings import Ring, canonical
+from .rings import canonical
 from .words import VertexSet, WedgeOperator
 
 
@@ -144,5 +144,5 @@ def group_to_json(degree: int, presentation) -> dict:
     }
 
 
-def matrix_to_json(matrix, ring: Ring) -> list:
-    return [[ring.format(v) for v in row] for row in matrix]
+def matrix_to_json(matrix) -> list:
+    return [[matrix.ring.format(v) for v in row] for row in matrix.dense_rows()]

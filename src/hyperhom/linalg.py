@@ -22,13 +22,6 @@ Unit pivots are eliminated on row dicts in least Markowitz cost order.
 What is left is a small block, finished modulo D, the absolute value of
 a nonzero r x r minor found by Bareiss elimination (r is the rank). Every
 nonzero invariant factor divides D, so no entry ever grows past D.
-
-The integer kernel is still available as a basis of the *saturated*
-kernel lattice, i.e. all integer vectors annihilated by the matrix. It is
-found by recorded unimodular column reduction: drive the matrix to column
-echelon form while applying the same column operations to an identity
-matrix; the transform columns matching the zeroed-out matrix columns are
-exactly the kernel lattice basis.
 """
 
 from __future__ import annotations
@@ -64,11 +57,11 @@ class SparseMatrix:
         return SparseMatrix(rows, cols, ring, tuple(sorted(seen.items())))
 
     @staticmethod
-    def from_rows(data, cols, ring) -> "SparseMatrix":
-        """Matrix of a dense row list; `cols` fixes the width when there
-        are no rows."""
-        items = [((i, j), v) for i, row in enumerate(data) for j, v in enumerate(row)]
-        return SparseMatrix.from_entries(len(data), cols, ring, items)
+    def blocks(rows, cols, ring, placed) -> "SparseMatrix":
+        """rows x cols matrix holding each ((i0, j0), block) of `placed`
+        with its top left corner at (i0, j0); the blocks must not overlap."""
+        items = [((i0 + i, j0 + j), v) for (i0, j0), m in placed for (i, j), v in m.entries]
+        return SparseMatrix(rows, cols, ring, tuple(sorted(items)))
 
     @staticmethod
     def zero(rows, cols, ring) -> "SparseMatrix":
@@ -205,56 +198,12 @@ def _axpy(row: dict, f, prow: dict, p) -> None:
             del row[j]
 
 
-def _integer_kernel(m: SparseMatrix) -> list:
-    """Basis of the saturated integer kernel lattice via unimodular column ops."""
-    ncols = m.cols
-    cols = [[0] * m.rows for _ in range(ncols)]
-    for (i, j), v in m.entries:
-        cols[j][i] = v
-    transform = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    lead = 0
-    for r in range(m.rows):
-        while True:
-            nz = [j for j in range(lead, ncols) if cols[j][r] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                j = nz[0]
-                cols[lead], cols[j] = cols[j], cols[lead]
-                transform[lead], transform[j] = transform[j], transform[lead]
-                lead += 1
-                break
-            jstar = min(nz, key=lambda j: abs(cols[j][r]))
-            pv = cols[jstar][r]
-            for j in nz:
-                if j == jstar:
-                    continue
-                q = cols[j][r] // pv
-                if q:
-                    cj, cs = cols[j], cols[jstar]
-                    for i in range(m.rows):
-                        cj[i] -= q * cs[i]
-                    tj, ts = transform[j], transform[jstar]
-                    for i in range(ncols):
-                        tj[i] -= q * ts[i]
-    basis = []
-    for j in range(lead, ncols):
-        vec = transform[j]
-        # unimodularity already makes the vector primitive; keep a sign convention
-        first = next((v for v in vec if v != 0), 1)
-        if first < 0:
-            vec = [-v for v in vec]
-        basis.append(vec)
-    return basis
-
-
 def kernel_basis(m: SparseMatrix) -> list:
-    """Kernel basis vectors (length = cols). Over Z, spans the full kernel
-    lattice; over a field, one vector per non-pivot column f of the
-    reduced row echelon form, with 1 at f."""
-    if m.ring.name == "Z":
-        return _integer_kernel(m)
+    """Kernel basis vectors (length = cols) of a field matrix: one vector
+    per non-pivot column f of the reduced row echelon form, with 1 at f."""
     ring = m.ring
+    if not ring.is_field:
+        raise SchemaViolation("kernel bases are computed over fields")
     pivots, pivot_rows, _ = field_reduce(_rows_of(m), m.cols, ring)
     free = sorted(set(range(m.cols)).difference(pivots))
     basis = {f: [ring.zero] * m.cols for f in free}

@@ -26,11 +26,10 @@ from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
     ComplexSpec,
     build_complex,
+    edge_carrier,
     inclusion_map,
-    independence_carrier,
     mv_complexes,
     mv_sequence,
-    simplicial_carrier,
 )
 from .hypergraphs import Hypergraph
 from .linalg import SparseMatrix, field_reduce
@@ -117,14 +116,6 @@ class PersistentRanks:
         return [self.ranks[(i, i)] for i in range(len(self.grid))]
 
 
-def _carrier_for(f: Filtration):
-    return (
-        simplicial_carrier
-        if f.monotonicity_class == SIMPLICIAL_CLASS
-        else independence_carrier
-    )
-
-
 def _check_operator(f: Filtration, operator: WedgeOperator) -> None:
     wanted = "partial" if f.monotonicity_class == SIMPLICIAL_CLASS else "d"
     if operator.kind != wanted:
@@ -171,7 +162,8 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
         raise SchemaViolation("persistence needs field coefficients")
     if n < -1 or (n - q) % operator.arity != 0:
         raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
-    built = build_complex(ComplexSpec(_carrier_for(f)(f.final_complex), operator, q, ring))
+    built = build_complex(
+        ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring))
     pos = {edge: k for k, (edge, _) in enumerate(f.births)}
     births = [birth for _, birth in f.births]
     last = len(births) - 1
@@ -235,12 +227,12 @@ def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
 
     def vertical(label, n):
         # block diagonal over the node's parts
-        rows, cols = [], 0
+        placed, rows, cols = [], 0, 0
         for part in _NODE_PARTS[label]:
-            m = inclusion_map(cx_x[part], cx_y[part], n)
-            rows += [(0,) * cols + row for row in m.matrix]
-            cols += m.source_rank
-        return SparseMatrix.from_rows(rows, cols, ring)
+            m = inclusion_map(cx_x[part], cx_y[part], n).matrix
+            placed.append(((rows, cols), m))
+            rows, cols = rows + m.rows, cols + m.cols
+        return SparseMatrix.blocks(rows, cols, ring, placed)
 
     vert = {(node.label, node.degree): vertical(node.label, node.degree)
             for node in seq_x.nodes}
@@ -254,10 +246,8 @@ def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
         ytgt = seq_y.nodes[ydx + 1]
         if (ytgt.label, ytgt.degree) != (tgt.label, tgt.degree):
             return False
-        h_x = SparseMatrix.from_rows(seq_x.maps[idx], src.free_rank, ring)
-        h_y = SparseMatrix.from_rows(seq_y.maps[ydx], seq_y.nodes[ydx].free_rank, ring)
-        lhs = vert[(tgt.label, tgt.degree)].mul(h_x)
-        rhs = h_y.mul(vert[(src.label, src.degree)])
+        lhs = vert[(tgt.label, tgt.degree)].mul(seq_x.maps[idx])
+        rhs = seq_y.maps[ydx].mul(vert[(src.label, src.degree)])
         if lhs != rhs:
             return False
     return True

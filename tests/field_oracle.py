@@ -1,17 +1,27 @@
-"""Dense field elimination, the oracle for the sparse `linalg.field_reduce`.
+"""Dense field elimination, the oracle for the sparse `linalg.field_reduce`,
+and the integer kernel lattice.
 
 `field_rref` is the full-row Gauss-Jordan reduction that `kernel_basis`
 and `DegreeSolver` were built on before the sparse route; `modp_row_rank`
 is the forward elimination that F_p `rank` used, and `int_row_rank` the
 fraction-free elimination that Q and Z `rank` used (`q_rank` clears
 denominators row by row first). `dense_kernel` and `DenseSolver` rebuild
-the old kernel basis and solver on top of them. `column` reads one column
-of a sparse matrix as a dense list.
+the old kernel basis and solver on top of them. `integer_kernel` is the
+saturated kernel lattice of an integer matrix, which integer homology no
+longer needs. `column` reads one column of a sparse matrix as a dense
+list, and `matrix_of_rows` builds a sparse matrix from dense rows.
 """
 
 from math import gcd, lcm
 
 from hyperhom.linalg import SparseMatrix
+
+
+def matrix_of_rows(data: list, cols: int, ring) -> SparseMatrix:
+    """Matrix of a dense row list; `cols` fixes the width when there are
+    no rows."""
+    items = [((i, j), v) for i, row in enumerate(data) for j, v in enumerate(row)]
+    return SparseMatrix.from_entries(len(data), cols, ring, items)
 
 
 def column(m: SparseMatrix, j: int) -> list:
@@ -177,7 +187,7 @@ class DenseSolver:
         boundary_rank = sum(c < in_mat.cols for c in pivots)
         self.reps = [cycles[c - in_mat.cols] for c in pivots[boundary_rank:]]
         self.betti = len(self.reps)
-        self._transform = SparseMatrix.from_rows(
+        self._transform = matrix_of_rows(
             [row[ncols:] for row in aug[boundary_rank:]], dim, ring
         )
 
@@ -186,3 +196,50 @@ class DenseSolver:
         if any(not self.ring.is_zero(v) for v in w[self.betti:]):
             return None
         return tuple(w[: self.betti])
+
+
+def integer_kernel(m: SparseMatrix) -> list:
+    """Basis of the saturated integer kernel lattice, i.e. all integer
+    vectors the matrix annihilates. Recorded unimodular column reduction
+    drives the matrix to column echelon form while applying the same
+    column operations to an identity matrix; the transform columns that
+    match the zeroed-out matrix columns are exactly the lattice basis."""
+    ncols = m.cols
+    cols = [[0] * m.rows for _ in range(ncols)]
+    for (i, j), v in m.entries:
+        cols[j][i] = v
+    transform = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    lead = 0
+    for r in range(m.rows):
+        while True:
+            nz = [j for j in range(lead, ncols) if cols[j][r] != 0]
+            if not nz:
+                break
+            if len(nz) == 1:
+                j = nz[0]
+                cols[lead], cols[j] = cols[j], cols[lead]
+                transform[lead], transform[j] = transform[j], transform[lead]
+                lead += 1
+                break
+            jstar = min(nz, key=lambda j: abs(cols[j][r]))
+            pv = cols[jstar][r]
+            for j in nz:
+                if j == jstar:
+                    continue
+                q = cols[j][r] // pv
+                if q:
+                    cj, cs = cols[j], cols[jstar]
+                    for i in range(m.rows):
+                        cj[i] -= q * cs[i]
+                    tj, ts = transform[j], transform[jstar]
+                    for i in range(ncols):
+                        tj[i] -= q * ts[i]
+    basis = []
+    for j in range(lead, ncols):
+        vec = transform[j]
+        # unimodularity already makes the vector primitive; keep a sign convention
+        first = next((v for v in vec if v != 0), 1)
+        if first < 0:
+            vec = [-v for v in vec]
+        basis.append(vec)
+    return basis

@@ -1,12 +1,20 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hyperhom.errors import CarrierTooLarge, ClassMismatch, NotIncluded, SchemaViolation
+from hyperhom.errors import (
+    CarrierTooLarge,
+    ClassMismatch,
+    NotAChainMap,
+    NotIncluded,
+    SchemaViolation,
+)
 from hyperhom.homology import (
     ComplexSpec,
+    _descend,
     _word_count,
     build_complex,
     delta_pairing,
@@ -16,6 +24,8 @@ from hyperhom.homology import (
     inclusion_induced,
     independence_carrier,
     mayer_vietoris,
+    mv_complexes,
+    mv_sequence,
     operator_action,
     simplicial_carrier,
     simplicial_word_carrier,
@@ -26,13 +36,16 @@ from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
-from field_oracle import DenseSolver, column
+from field_oracle import DenseSolver, column, matrix_of_rows
 
 S3 = VertexSet.of("s0", "s1", "s2")
 SEGMENT = Hypergraph.of(S3, [[0], [1], [0, 1]])
 CIRCLE = Hypergraph.of(S3, [[], [0], [1], [2], [0, 1], [1, 2], [0, 2]])
 L1 = Hypergraph.of(S3, [[0, 1], [0, 1, 2]])
 L2 = Hypergraph.of(S3, [[0, 1], [0, 2], [0, 1, 2]])
+# a circle split into two arcs that meet in s0 and s2
+ARC_A = Hypergraph.of(S3, [[0], [1], [2], [0, 1], [1, 2]])
+ARC_B = Hypergraph.of(S3, [[0], [2], [0, 2]])
 
 
 def alpha(*r):
@@ -235,15 +248,15 @@ def test_raising_action_beyond_top_degree():
     # the degree-one class maps into degree three, where the module is zero
     assert act[1].source_rank == 1 and act[1].target_rank == 0
     ident = operator_action(s, WedgeOperator.scalar("d", 1))
-    assert ident[1].matrix == ((1,),)
+    assert ident[1].matrix.dense_rows() == [[1]]
 
 
 def test_operator_action_scalars():
     s = spec(SEGMENT, alpha(1, 1, 1), QQ)
     ident = operator_action(s, WedgeOperator.scalar("partial", 1))
-    assert ident[0].matrix == ((1,),)
+    assert ident[0].matrix.dense_rows() == [[1]]
     tripled = operator_action(s, WedgeOperator.scalar("partial", 3))
-    assert tripled[0].matrix == ((3,),)
+    assert tripled[0].matrix.dense_rows() == [[3]]
 
 
 def test_operator_action_two_step_composition():
@@ -287,7 +300,7 @@ def test_operator_action_functoriality_random():
             if outer is None:
                 assert m12.target_rank == 0
                 continue
-            assert outer.compose(inner, QQ).matrix == m12.matrix
+            assert outer.compose(inner).matrix == m12.matrix
 
 
 def greedy_representatives(in_cols, cycles, ring, dim):
@@ -295,7 +308,7 @@ def greedy_representatives(in_cols, cycles, ring, dim):
     vectors kept before it; the kept cycles are the representatives."""
     kept, reps = [], []
     for k, v in enumerate(in_cols + cycles):
-        if rank(SparseMatrix.from_rows(kept + [v], dim, ring)) > len(kept):
+        if rank(matrix_of_rows(kept + [v], dim, ring)) > len(kept):
             kept.append(v)
             if k >= len(in_cols):
                 reps.append(v)
@@ -366,10 +379,13 @@ def test_degree_solver_against_greedy_rank_oracle():
                 assert solver.coords(col) == (zero,) * solver.betti == dense.coords(col)
             for z in cycles:
                 assert solver.coords(z) == dense.coords(z)
+            # coords doubles as the cycle test: None exactly off the cycles
             for i in range(dim):
                 e = [one if j == i else zero for j in range(dim)]
-                if not solver.is_cycle(e):
-                    assert solver.coords(e) is None and dense.coords(e) is None
+                is_cycle = all(ring.is_zero(v) for v in built.matrix(n).apply(e))
+                assert (solver.coords(e) is None) == (not is_cycle)
+                if not is_cycle:
+                    assert dense.coords(e) is None
                     seen["non_cycles"] += 1
             seen["reps"] += solver.betti
         off_grid = [h.top_degree + op.arity, -1 - op.arity]
@@ -391,7 +407,7 @@ def test_inclusion_zero_map_into_vanishing_group():
 
 def test_inclusion_identity():
     maps = inclusion_induced(CIRCLE, CIRCLE, alpha(1, 1, 1), 0, QQ)
-    assert maps[1].matrix == ((1,),)
+    assert maps[1].matrix.dense_rows() == [[1]]
 
 
 def test_inclusion_requires_containment():
@@ -434,12 +450,52 @@ def test_inclusion_commutes_with_action():
             tgt = m.target_degree
             if tgt < -1:
                 continue
-            lhs = act_large[deg].compose(incl[deg], QQ)
+            lhs = act_large[deg].compose(incl[deg])
             rhs = incl.get(tgt)
             if rhs is None:
-                assert all(not row or set(row) == {QQ.zero} for row in lhs.matrix)
+                assert lhs.matrix.is_zero()
                 continue
-            assert lhs.matrix == rhs.compose(m, QQ).matrix
+            assert lhs.matrix == rhs.compose(m).matrix
+
+
+def test_descend_rejects_a_map_off_the_cycles():
+    built = build_complex(spec(CIRCLE, alpha(1, 1, 1), QQ))
+    solver = built.solver(1)
+    assert solver.betti == 1
+    identity = SparseMatrix.identity(3, QQ)
+    assert _descend(identity, solver, solver, 1, 1, "identity").matrix.dense_rows() == [[1]]
+    # keep only the first edge: the circle's cycle goes to a multiple of
+    # that edge, whose boundary is nonzero
+    first_edge = SparseMatrix.from_entries(3, 3, QQ, [((0, 0), 1)])
+    assert any(built.matrix(1).apply(first_edge.apply(solver.reps[0])))
+    with pytest.raises(NotAChainMap, match="sends a cycle to a non-cycle"):
+        _descend(first_edge, solver, solver, 1, 1, "first edge")
+
+
+def test_connecting_map_rejects_an_image_outside_the_intersection():
+    # the zig-zag lands on both meeting points of the arcs, so an
+    # intersection holding only s0 is too small
+    op = alpha(1, 1, 1)
+    complexes = mv_complexes(ARC_A, ARC_B, op, 0, QQ)
+    les = mv_sequence(complexes)
+    assert les.all_exact and any(not m.is_zero() for m in les.maps)
+    complexes["cap"] = build_complex(spec(Hypergraph.of(S3, [[0]]), op, QQ))
+    with pytest.raises(NotAChainMap, match="leaves the intersection"):
+        mv_sequence(complexes)
+
+
+def test_mv_sequence_ranks_each_map_once(monkeypatch):
+    calls = []
+
+    def counting_rank(m):
+        calls.append(m)
+        return rank(m)
+
+    # the package re-exports a function named homology over the module
+    monkeypatch.setattr(importlib.import_module("hyperhom.homology"), "rank", counting_rank)
+    les = mayer_vietoris(ARC_A, ARC_B, alpha(1, 1, 1), 0, QQ)
+    assert len(calls) == len(les.maps)
+    assert [id(m) for m in calls] == [id(m) for m in les.maps]
 
 
 def test_mayer_vietoris_two_segments():

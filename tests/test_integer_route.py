@@ -20,11 +20,11 @@ from hyperhom.homology import (
     simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
-from hyperhom.linalg import SubquotientPresentation, kernel_basis
+from hyperhom.linalg import SubquotientPresentation
 from hyperhom.rings import QQ, ZZ
 from hyperhom.words import VertexSet, WedgeOperator
 
-from field_oracle import column, field_rref
+from field_oracle import column, field_rref, integer_kernel
 
 
 def lattice_snf(a: list, nrows: int, ncols: int) -> list:
@@ -111,7 +111,7 @@ def solve_in_lattice(basis: list, targets: list, dim: int) -> list:
 
 
 def lattice_presentation(out, inn) -> SubquotientPresentation:
-    kernel = kernel_basis(out)
+    kernel = integer_kernel(out)
     if not kernel:
         return SubquotientPresentation(0)
     targets = [column(inn, j) for j in range(inn.cols)]

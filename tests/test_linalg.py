@@ -24,7 +24,7 @@ from hyperhom.linalg import (
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import VertexSet, WedgeOperator
 
-from field_oracle import dense_kernel, field_rref, modp_row_rank, q_rank
+from field_oracle import dense_kernel, field_rref, integer_kernel, modp_row_rank, q_rank
 
 
 def mat(rows, cols, ring, dense):
@@ -57,11 +57,19 @@ def test_kernel_zero_matrix_and_identity():
     assert kernel_basis(SparseMatrix.identity(3, QQ)) == []
 
 
+def test_kernel_basis_is_field_only():
+    with pytest.raises(SchemaViolation):
+        kernel_basis(mat(1, 2, ZZ, [[2, 4]]))
+    with pytest.raises(SchemaViolation):
+        kernel_basis(SparseMatrix.zero(0, 3, ZZ))
+
+
 def test_kernel_weighted_boundary_over_z():
-    # degree-one boundary of the three-edge cycle with weights (1, 1, 1);
-    # columns ordered (01), (02), (12), rows (0), (1), (2)
+    # the lattice oracle on the degree-one boundary of the three-edge cycle
+    # with weights (1, 1, 1); columns ordered (01), (02), (12), rows (0),
+    # (1), (2)
     m = mat(3, 3, ZZ, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
-    basis = kernel_basis(m)
+    basis = integer_kernel(m)
     assert len(basis) == 1
     v = basis[0]
     assert v in ([1, -1, 1], [-1, 1, -1])
@@ -72,7 +80,7 @@ def test_integer_kernel_is_saturated():
     # rows (2, 4): rational kernel is spanned by (2, -1); the saturated
     # integer kernel is exactly that, not some index-2 sublattice
     m = mat(1, 2, ZZ, [[2, 4]])
-    basis = kernel_basis(m)
+    basis = integer_kernel(m)
     assert basis == [[2, -1]]
 
 

@@ -168,7 +168,7 @@ def ranks_by_pairs(f, op, q, ring):
         for j in range(i + 1, len(grid)):
             maps = inclusion_induced(f.complex_at(x), f.complex_at(grid[j]), op, q, ring)
             for n in degrees:
-                out[n][(i, j)] = maps[n].rank(ring) if n in maps else 0
+                out[n][(i, j)] = maps[n].rank() if n in maps else 0
     return out
 
 
@@ -243,11 +243,13 @@ def rips_filtration(rng, npts, top, cls):
 def map_rank(induced, ring):
     """Rank of an induced map by the eliminations that F_p and Q `rank`
     used before `field_reduce`."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in induced.matrix]
+    m = induced.matrix
     if ring.p:
+        rows = [{} for _ in range(m.rows)]
+        for (i, j), v in m.entries:
+            rows[i][j] = v
         return modp_row_rank(rows, ring.p)
-    entries = tuple(((i, j), v) for i, row in enumerate(rows) for j, v in row.items())
-    return q_rank(SparseMatrix(len(rows), induced.source_rank, ring, entries))
+    return q_rank(m)
 
 
 def ranks_by_built_pairs(f, op, q, ring):
@@ -322,7 +324,7 @@ def test_inclusion_composition_functoriality():
             m_yz = inclusion_induced(f.complex_at(y), f.complex_at(z), op, 0, QQ)
             m_xz = inclusion_induced(f.complex_at(x), f.complex_at(z), op, 0, QQ)
             if n in m_xz and n in m_yz and n in m_xy:
-                assert m_yz[n].compose(m_xy[n], QQ).matrix == m_xz[n].matrix
+                assert m_yz[n].compose(m_xy[n]).matrix == m_xz[n].matrix
 
 
 def test_action_commutes_with_persistence_maps():
@@ -343,9 +345,9 @@ def test_action_commutes_with_persistence_maps():
             tgt = m.target_degree
             if tgt < -1 or n not in incl:
                 continue
-            lhs = act_y[n].compose(incl[n], QQ)
+            lhs = act_y[n].compose(incl[n])
             if tgt in incl:
-                rhs = incl[tgt].compose(m, QQ)
+                rhs = incl[tgt].compose(m)
                 assert lhs.matrix == rhs.matrix
 
 
@@ -395,9 +397,11 @@ def test_mv_square_check_sees_a_changed_entry():
     # class of s1, maps isomorphically between the thresholds, so the
     # square through it must fail
     k = [(node.label, node.degree) for node in seq_y.nodes].index(("intersection", 0))
-    rows = seq_y.maps[k]
-    assert len(rows) == 3 and len(rows[0]) == 1
-    changed = ((rows[0][0] + 1,),) + rows[1:]
+    first = seq_y.maps[k]
+    assert (first.rows, first.cols) == (3, 1)
+    entries = first.entry_dict()
+    entries[(0, 0)] = entries.get((0, 0), 0) + 1
+    changed = SparseMatrix.from_entries(3, 1, QQ, entries.items())
     maps = seq_y.maps[:k] + (changed,) + seq_y.maps[k + 1:]
     assert not _mv_square_check(cx_x, cx_y, seq_x, dataclasses.replace(seq_y, maps=maps))
 
