@@ -177,14 +177,25 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient) -> SparseM
     """Matrix of `op` from the span of src_basis into the carrier's degree
     n_target module. Word-carrier images above the truncation are cut;
     the empty-word component is cut when the carrier has no empty edge;
-    any other image outside the carrier is an error."""
+    any other image outside the carrier is an error.
+
+    Each basis word goes through `wedge_apply` as a one-term chain, with
+    the operator's coefficients coerced into the ring once, before the
+    first word. The images are distinct words with nonzero, reduced
+    coefficients, so the entries need no further checks.
+    """
     target = carrier.basis(n_target)
+    if not src_basis:
+        return SparseMatrix.zero(len(target), 0, ring)
+    op = op.over(ring)
     index = {w: i for i, w in enumerate(target)}
     items = []
     truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
+    degree = len(src_basis[0]) - 1
     for j, w in enumerate(src_basis):
-        image = wedge_apply(op, FreeChain.single(ring, w), ambient)
-        for word, c in image.terms.items():
+        chain = FreeChain(ring, degree)
+        chain.terms = {w: 1}
+        for word, c in wedge_apply(op, chain, ambient).terms.items():
             i = index.get(word)
             if i is None:
                 if word == () or truncate_top:
@@ -193,7 +204,8 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient) -> SparseM
                     f"image word {word} of basis element {w} is outside the carrier"
                 )
             items.append(((i, j), c))
-    return SparseMatrix.from_entries(len(target), len(src_basis), ring, items)
+    items.sort()
+    return SparseMatrix(len(target), len(src_basis), ring, tuple(items))
 
 
 class BuiltComplex:
@@ -443,15 +455,25 @@ def inclusion_map(small: BuiltComplex, large: BuiltComplex, n: int) -> InducedMa
     return _descend(mat, small.solver(n), large.solver(n), n, n, "inclusion")
 
 
+def _check_empty_edges(operator: WedgeOperator, a: Hypergraph, b: Hypergraph) -> None:
+    """Degree-lowering operators need matching empty-edge membership: the
+    degree -1 truncation of the two families otherwise disagrees, and the
+    inclusion maps between them stop being chain maps."""
+    if operator.kind == "partial" and a.has_empty_edge != b.has_empty_edge:
+        raise ClassMismatch("empty edge membership differs between the two sides")
+
+
 def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOperator,
                       q: int, ring: Ring) -> dict:
-    """Per-degree homology maps induced by an edge-family inclusion."""
+    """Per-degree homology maps induced by an edge-family inclusion; see
+    `_check_empty_edges` for the condition on the two families."""
     if small.vertices != large.vertices:
         raise VertexSetMismatch("inclusion needs a common vertex set")
     if not small.edges <= large.edges:
         raise NotIncluded("left hypergraph is not contained in the right one")
     if not ring.is_field:
         raise SchemaViolation("induced maps are computed over fields")
+    _check_empty_edges(operator, small, large)
     src = build_complex(ComplexSpec(edge_carrier(operator.kind, small), operator, q, ring))
     tgt = build_complex(ComplexSpec(edge_carrier(operator.kind, large), operator, q, ring))
     return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
@@ -478,20 +500,13 @@ class LongExactSequence:
 def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
                  q: int, ring: Ring) -> dict:
     """The four built complexes of a Mayer-Vietoris square, keyed "cap",
-    "a", "b" and "cup".
-
-    Degree-lowering operators need matching empty-edge membership: the
-    degree -1 truncation of the two sides otherwise disagrees and the
-    inclusion maps stop being chain maps.
-    """
+    "a", "b" and "cup"; see `_check_empty_edges` for the condition on the
+    two sides."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("Mayer-Vietoris needs a common vertex set")
     if not ring.is_field:
         raise SchemaViolation("exactness reports are computed over fields")
-    if operator.kind == "partial" and a.has_empty_edge != b.has_empty_edge:
-        raise ClassMismatch(
-            "empty edge membership differs between the two sides"
-        )
+    _check_empty_edges(operator, a, b)
     cap = combine(a, b, CombineOp.INTERSECT)
     cup = combine(a, b, CombineOp.UNION)
     return {

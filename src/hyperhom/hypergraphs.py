@@ -50,13 +50,14 @@ class CombineOp(Enum):
 
 def _vertex_indices(vertices, raw) -> list:
     """Indices of vertices given by labels or indices, in the given order."""
+    n, index = len(vertices), vertices.index
     idx = []
     for v in raw:
         if isinstance(v, str):
-            v = vertices.index(v)
+            v = index(v)
         elif isinstance(v, bool) or not isinstance(v, int):
             raise SchemaViolation(f"vertex {v!r} is neither a label nor an index")
-        if not 0 <= v < len(vertices):
+        elif not 0 <= v < n:
             raise SchemaViolation(f"vertex index {v} out of range")
         idx.append(v)
     return idx
@@ -87,12 +88,22 @@ class Hypergraph:
     def has_empty_edge(self) -> bool:
         return () in self.edges
 
+    @cached_property
+    def _by_degree(self) -> dict:
+        """The sorted edges of each degree, bucketed once."""
+        out = {}
+        for e in self.edges:
+            out.setdefault(len(e) - 1, []).append(e)
+        for bucket in out.values():
+            bucket.sort()
+        return out
+
     def degree_edges(self, n: int) -> list:
-        return sorted(e for e in self.edges if len(e) == n + 1)
+        return list(self._by_degree.get(n, ()))
 
     @property
     def top_degree(self) -> int:
-        return max((len(e) - 1 for e in self.edges), default=-2)
+        return max(self._by_degree, default=-2)
 
     def with_edges(self, edges) -> "Hypergraph":
         return Hypergraph(self.vertices, frozenset(edges))
@@ -107,25 +118,20 @@ class Hypergraph:
         by induction every nonempty subface is present. Up: likewise, if
         every edge keeps all its one-vertex insertions, every superset is
         present.
+
+        Edges are checked as bitmasks, bit v standing for vertex v, so a
+        one-vertex deletion or insertion is a single bit flip looked up in
+        a set of ints. Vertex by vertex: clearing bit b of every edge but
+        {b} itself, and setting it in every edge, must stay in the family.
         """
         return self._class
 
     @cached_property
     def _class(self) -> HypergraphClass:
-        edges = self.edges
-        down = all(
-            e[:i] + e[i + 1 :] in edges
-            for e in edges
-            if len(e) >= 2
-            for i in range(len(e))
-        )
-        everything = range(len(self.vertices))
-        up = all(
-            tuple(sorted(e + (v,))) in edges
-            for e in edges
-            for v in everything
-            if v not in e
-        )
+        bits = [1 << v for v in range(len(self.vertices))]
+        masks = {sum(map(bits.__getitem__, e)) for e in self.edges}
+        down = all({m & ~b for m in masks if m != b} <= masks for b in bits)
+        up = all({m | b for m in masks} <= masks for b in bits)
         if down and up:
             return HypergraphClass.BOTH
         if down:

@@ -3,7 +3,9 @@
 Everything here is desk scale: matrices are stored as coordinate dicts
 and eliminated as {col: value} row dicts over exact scalars. Rationals
 are canonical (see `rings`): an `int` when integral, a `Fraction` only
-when not, in every matrix, kernel vector and solver row.
+when not, in every matrix, kernel vector and solver row. `mul` and
+`apply` sum their products in plain arithmetic and reduce each sum once
+(`Ring.normal`), instead of going through the ring for every term.
 
 Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
 reduction over Q or F_p that pivots in column order on the columns below
@@ -85,23 +87,29 @@ class SparseMatrix:
             raise SchemaViolation("dimension mismatch in matrix product")
         if self.ring != other.ring:
             raise SchemaViolation("ring mismatch in matrix product")
-        ring = self.ring
-        by_row = {}
+        by_col = {}
         for (i, k), v in self.entries:
-            by_row.setdefault(k, []).append((i, v))
-        acc = {}
+            by_col.setdefault(k, []).append((i, v))
+        acc = {}  # {j: {i: plain sum}}
         for (k, j), w in other.entries:
-            for i, v in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(v, w))
-        items = [(key, v) for key, v in acc.items() if not ring.is_zero(v)]
-        return SparseMatrix(self.rows, other.cols, ring, tuple(sorted(items)))
+            terms = by_col.get(k)
+            if terms:
+                col = acc.setdefault(j, {})
+                for i, v in terms:
+                    col[i] = col.get(i, 0) + v * w
+        normal = self.ring.normal
+        items = [((i, j), y) for j, col in acc.items() for i, x in col.items()
+                 if x and (y := normal(x))]
+        items.sort()
+        return SparseMatrix(self.rows, other.cols, self.ring, tuple(items))
 
     def apply(self, vec: list) -> list:
-        out = [self.ring.zero] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries:
-            out[i] = self.ring.add(out[i], self.ring.mul(v, vec[j]))
-        return out
+            x = vec[j]
+            if x:
+                out[i] += v * x
+        return list(map(self.ring.normal, out))
 
     def is_zero(self) -> bool:
         return not self.entries

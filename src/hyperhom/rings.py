@@ -103,6 +103,11 @@ class Ring:
             raise SchemaViolation(f"{x!r} is not a ring element")
         return x % self.p
 
+    def normal(self, x):
+        """The element that x, a sum of products of elements taken in plain
+        arithmetic, stands for: reduced mod p over F_p, else canonical."""
+        return x % self.p if self.p else canonical(x)
+
     def add(self, a, b):
         if self.name == "Fp":
             return (a + b) % self.p

@@ -21,9 +21,17 @@ it preserves anticommutation (exercised by the test suite).
 primitives on `FreeChain`. `wedge_apply`, which every boundary matrix and
 operator action goes through, uses their closed forms on plain
 {word: multiplicity} dicts instead: a deletion or insertion at position i
-has sign (-1)^i, a deletion of a letter absent from the word is zero, and
-on strictly increasing words a simplicial insertion survives at exactly
-one position (found by bisection) or not at all.
+has sign (-1)^i, a deletion of a letter absent from the word is zero, a
+deletion from a word without repeated letters has one position, and on
+strictly increasing words a simplicial insertion survives at exactly one
+position (found by bisection) or not at all.
+
+A matrix is assembled one column per basis word, each word going through
+`wedge_apply` as a one-term chain. The operator's coefficients are
+coerced into the ring once per matrix (`WedgeOperator.over`), so
+`wedge_apply` sees ints over Z and F_p and coerces nothing per word; the
+multiplicities it accumulates in plain arithmetic are reduced once per
+image word.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotOrderPreserving, NotSimplicial, SchemaViolation
-from .rings import Ring, ZZ, canonical
+from .rings import Ring, ZZ
 
 Word = tuple  # tuple of vertex indices
 
@@ -48,8 +56,10 @@ class VertexSet:
     labels: tuple
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        position = {label: i for i, label in enumerate(self.labels)}
+        if len(position) != len(self.labels):
             raise SchemaViolation("vertex labels must be distinct")
+        object.__setattr__(self, "_position", position)
 
     @staticmethod
     def of(*labels) -> "VertexSet":
@@ -60,12 +70,9 @@ class VertexSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._position[label]
+        except KeyError:
             raise SchemaViolation(f"unknown vertex {label!r}") from None
-
-    def word_labels(self, w: Word) -> tuple:
-        return tuple(self.labels[i] for i in w)
 
 
 @dataclass(frozen=True)
@@ -387,6 +394,12 @@ class WedgeOperator:
                 out.append((c, tuple(sorted(g1 + g2))))
         return WedgeOperator.build(self.kind, self.arity + other.arity, out)
 
+    def over(self, ring: Ring) -> "WedgeOperator":
+        """This operator with its coefficients coerced into `ring`; the
+        terms that vanish there are dropped."""
+        terms = ((ring.coerce(c), gens) for c, gens in self.terms)
+        return WedgeOperator(self.kind, self.arity, tuple((c, g) for c, g in terms if c != 0))
+
     def relabel(self, f: VertexMap) -> "WedgeOperator":
         if not f.strictly_increasing:
             raise NotOrderPreserving("relabeling needs a strictly increasing map")
@@ -426,12 +439,15 @@ def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
     time, with integer multiplicities, through the closed forms of `face`
     and `insert`: deleting or inserting at position i has sign (-1)^i. A
     deletion monomial whose generators are not all letters of the word
-    gives zero. In the simplicial ambient each insertion has at most one
-    surviving position, found by bisection, so the monomial's image is a
-    single signed word, or zero when a generator is already a letter.
-    Coefficients are coerced once, all of them, before any term is
-    skipped, and one `FreeChain` is built at the end, its coefficients
-    reduced mod p or put in canonical rational form there.
+    gives zero; on a word without repeated letters each deletion has one
+    position, so the monomial's image is a single signed word. In the
+    simplicial ambient each insertion has at most one surviving position,
+    found by bisection, so the image is again a single signed word, or
+    zero when a generator is already a letter. Every nonzero coefficient
+    that is not an int is coerced before any word is read; an int needs
+    no coercion in any ring, since one `FreeChain` is built at the end,
+    its coefficients reduced mod p or put in canonical rational form
+    there.
     """
     ring = chain.ring
     lowering = op.kind == "partial"
@@ -441,32 +457,38 @@ def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
         for w in chain.terms:
             if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
                 raise NotSimplicial(f"word {w} is not strictly increasing")
-    monomials = [(ring.coerce(c), gens[::-1]) for c, gens in op.terms]
-    monomials = [(c, gens) for c, gens in monomials if c != 0]
+    monomials = [(c if type(c) is int else ring.coerce(c), gens)
+                 for c, gens in op.terms if c != 0]
     acc = {}
     for w, cw in chain.terms.items():
         letters = set(w)
+        single = simplicial or (lowering and len(letters) == len(w))
         for c, gens in monomials:
-            if lowering and not letters.issuperset(gens):
+            if lowering:
+                if not letters.issuperset(gens):
+                    continue
+            elif simplicial and not letters.isdisjoint(gens):
                 continue
-            if simplicial and not letters.isdisjoint(gens):
+            k = c * cw
+            if not single:
+                image = {w: 1}
+                for g in reversed(gens):
+                    image = step(g, image)
+                for v, m in image.items():
+                    acc[v] = acc.get(v, 0) + k * m
                 continue
-            if simplicial:
-                u, m = w, 1
-                for g in gens:
+            u = w
+            for g in reversed(gens):
+                if lowering:
+                    i = u.index(g)
+                    u = u[:i] + u[i + 1 :]
+                else:
                     i = bisect_left(u, g)
                     u = u[:i] + (g,) + u[i:]
-                    if i & 1:
-                        m = -m
-                image = {u: m}
-            else:
-                image = {w: 1}
-                for g in gens:
-                    image = step(g, image)
-            k = c * cw
-            for v, m in image.items():
-                acc[v] = acc.get(v, 0) + k * m
-    normal = (lambda x: x % ring.p) if ring.p is not None else canonical
+                if i & 1:
+                    k = -k
+            acc[u] = acc.get(u, 0) + k
+    normal = ring.normal
     shift = -op.arity if lowering else op.arity
     out = FreeChain(ring, chain.degree + shift)
     out.terms = {v: y for v, x in acc.items() if (y := normal(x)) != 0}

@@ -120,9 +120,10 @@ def test_cohomology_command_torsion(tmp_path, capsys):
 
 
 def test_include_and_act(tmp_path, capsys):
+    # a segment and a point: two components, joined up by the circle
     seg = write(tmp_path, "seg.json", {
         "vertices": ["s0", "s1", "s2"],
-        "edges": [["s0"], ["s1"], ["s0", "s1"]],
+        "edges": [[], ["s0"], ["s1"], ["s2"], ["s0", "s1"]],
     })
     circ = write(tmp_path, "circ.json", CIRCLE_DOC)
     op = write(tmp_path, "op.json", ALPHA_DOC)
@@ -140,6 +141,23 @@ def test_include_and_act(tmp_path, capsys):
     assert code == 0
     by_src = {m["source_n"]: m for m in doc["maps"]}
     assert by_src[1]["target_n"] == -1
+
+
+@pytest.mark.parametrize("right", [[[], ["s0"], ["s1"]], [[], ["s0"]]])
+def test_include_rejects_differing_empty_edge_membership(tmp_path, capsys, right):
+    """A degree-lowering inclusion with the empty edge on one side only is
+    not a chain map; it is bad input whatever the right side's H_0."""
+    vs = ["s0", "s1"]
+    left = write(tmp_path, "left.json", {"vertices": vs, "edges": [["s0"]]})
+    right = write(tmp_path, "right.json", {"vertices": vs, "edges": right})
+    op = write(tmp_path, "op.json", {"kind": "partial", "terms": [
+        {"coeff": 1, "vertices": ["s0"]}, {"coeff": 1, "vertices": ["s1"]}]})
+    for ring in (["--ring", "Q"], ["--ring", "Fp", "--p", "5"]):
+        code, doc = run(capsys, "include", "--left", left, "--right", right,
+                        "--operator", op, *ring)
+        assert code == 2 and doc == {
+            "error": "ClassMismatch",
+            "detail": "empty edge membership differs between the two sides"}
 
 
 def test_mv_command(tmp_path, capsys):

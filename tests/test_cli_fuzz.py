@@ -20,6 +20,10 @@ COMPLEX = {"vertices": S3, "edges": [[], ["s0"], ["s1"], ["s2"], ["s0", "s1"], [
 CIRCLE = {"vertices": S3,
           "edges": [[], ["s0"], ["s1"], ["s2"], ["s0", "s1"], ["s1", "s2"], ["s0", "s2"]]}
 SEGMENT = {"vertices": S3, "edges": [[], ["s0"], ["s1"], ["s0", "s1"]]}
+# a point without the empty edge inside two points with it: bad input for
+# a degree-lowering inclusion, and the right side's H_0 is not zero
+BARE_POINT = {"vertices": S3, "edges": [["s0"]]}
+TWO_POINTS = {"vertices": S3, "edges": [[], ["s0"], ["s1"]]}
 INDEPENDENT = {"vertices": S3, "edges": [["s0", "s1"], ["s0", "s2"], ["s0", "s1", "s2"]]}
 OTHER = {"vertices": ["t0", "t1"], "edges": [[], ["t0"], ["t0", "t1"]]}
 ALPHA = {"kind": "partial", "terms": [{"coeff": 1, "vertices": [v]} for v in S3]}
@@ -48,6 +52,7 @@ COMMANDS = [
     ["cohomology", "--operator", "{op}", "{ring}", "{h}"],
     ["act", "--operator", "{op}", "--even", "{even}", "{ring}", "{h}"],
     ["include", "--left", "{a}", "--right", "{b}", "--operator", "{op}", "{ring}"],
+    ["include", "--left", "{point}", "--right", "{points}", "--operator", "{op}", "{ring}"],
     ["duality", "--vertices=a,b", "--coeffs=1,1/2", "--q=0", "--max-degree={deg}"],
     ["mv", "--left", "{a}", "--right", "{b}", "--operator", "{op}", "{ring}"],
     ["persist", "--filtration", "{f}", "--operator", "{op}", "{ring}", "--n=0"],
@@ -65,7 +70,8 @@ DOCUMENTS = {
     "homology": {"op": ALPHA, "h": CIRCLE},
     "cohomology": {"op": OMEGA, "h": INDEPENDENT},
     "act": {"op": ALPHA, "even": EVEN, "h": CIRCLE},
-    "include": {"a": SEGMENT, "b": CIRCLE, "op": ALPHA},
+    "include": {"a": SEGMENT, "b": CIRCLE, "point": BARE_POINT, "points": TWO_POINTS,
+                "op": ALPHA},
     "duality": {},
     "mv": {"a": SEGMENT, "b": COMPLEX, "op": ALPHA},
     "persist": {"f": FILTRATION, "op": ALPHA},

@@ -1,0 +1,374 @@
+"""Differential tests of the integer-speed paths against the routes they
+replaced.
+
+* Matrix assembly against the per-word route: one validated
+  `FreeChain.single` per basis word, applied through the composition
+  oracle of `test_words`, and `SparseMatrix.from_entries` over the
+  collected entries, which range-checks, duplicate-checks and coerces.
+* `SparseMatrix.mul` and `apply` against dense products reduced term by
+  term with `ring.add` and `ring.mul`.
+* `Hypergraph.classify` against the subface oracle of `test_hypergraphs`
+  on ten and more vertices.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from hyperhom.cli import main
+from hyperhom.errors import CompositionNotZero, OperatorLeavesCarrier, SchemaViolation
+from hyperhom.homology import (
+    ALL_WORDS,
+    INCREASING_WORDS,
+    INDEPENDENCE_EDGES,
+    SIMPLICIAL_EDGES,
+    Carrier,
+    ComplexSpec,
+    _assemble_matrix,
+    build_complex,
+    edge_carrier,
+    simplicial_word_carrier,
+    word_carrier,
+)
+from hyperhom.hypergraphs import (
+    ClosureOp,
+    Hypergraph,
+    HypergraphClass,
+    _vertex_indices,
+    closure,
+    power_set,
+)
+from hyperhom.linalg import SparseMatrix, homology_presentation
+from hyperhom.rings import GF, QQ, ZZ
+from hyperhom.words import FreeChain, VertexSet, WedgeOperator
+
+from test_hypergraphs import random_hypergraph, subface_classify
+from test_words import composed_wedge_apply
+
+RINGS = [ZZ, QQ, GF(5), GF(7)]
+WEIGHTS = [0, 1, -1, 2, 3, 5, -7, Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3)]
+
+
+def per_word_assembly(op, carrier, ring, src_basis, n_target, ambient):
+    """The replaced route: a validated one-word chain per basis word and a
+    checked `from_entries` over everything collected."""
+    target = carrier.basis(n_target)
+    index = {w: i for i, w in enumerate(target)}
+    items = []
+    truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
+    for j, w in enumerate(src_basis):
+        image = composed_wedge_apply(op, FreeChain.single(ring, w), ambient)
+        for word, c in image.terms.items():
+            i = index.get(word)
+            if i is None:
+                if word == () or truncate_top:
+                    continue
+                raise OperatorLeavesCarrier(
+                    f"image word {word} of basis element {w} is outside the carrier"
+                )
+            items.append(((i, j), c))
+    return SparseMatrix.from_entries(len(target), len(src_basis), ring, items)
+
+
+def outcome(fn, *args):
+    """Shape, ring and typed entries of a matrix, or the error raised."""
+    try:
+        m = fn(*args)
+    except (SchemaViolation, OperatorLeavesCarrier) as exc:
+        return type(exc), str(exc)
+    return m.rows, m.cols, m.ring, [(pos, type(v), v) for pos, v in m.entries]
+
+
+def random_operator(rng, kind, nv, arity):
+    terms = [(rng.choice(WEIGHTS), tuple(sorted(rng.sample(range(nv), arity))))
+             for _ in range(rng.randint(1, 4))]
+    return WedgeOperator.build(kind, arity, terms)
+
+
+def random_carrier(rng, kind, vs):
+    """An edge carrier of the operator family, with or without the empty
+    edge; sometimes an all-words or increasing-words carrier instead, and
+    sometimes an edge family that is not closed, so images leave it."""
+    pick = rng.random()
+    if pick < 0.15:
+        return word_carrier(vs, rng.randint(-1, 2))
+    if pick < 0.25:
+        return simplicial_word_carrier(vs)
+    h = random_hypergraph(rng, vs, p=rng.choice([0.2, 0.4]))
+    if pick < 0.35:
+        return Carrier(SIMPLICIAL_EDGES if kind == "partial" else INDEPENDENCE_EDGES, vs,
+                       hypergraph=h)
+    h = closure(h, ClosureOp.DELTA_UP if kind == "partial" else ClosureOp.BAR_DELTA_UP)
+    if kind == "partial" and rng.random() < 0.5:
+        h = h.with_edges(h.edges ^ {()})
+    return edge_carrier(kind, h)
+
+
+def test_assembly_matches_per_word_route():
+    rng = random.Random(1107)
+    shapes, errors, features = set(), set(), set()
+    for _ in range(400):
+        kind = rng.choice(["partial", "d"])
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(3, 5))])
+        arity = rng.choice([1, 3])
+        op = random_operator(rng, kind, len(vs), arity)
+        carrier = random_carrier(rng, kind, vs)
+        ring = rng.choice(RINGS)
+        shift = -arity if kind == "partial" else arity
+        for n in range(-1, carrier.top_degree + 1):
+            src, target = carrier.basis(n), n + shift
+            args = (op, carrier, ring, src, target, carrier.ambient)
+            want = outcome(per_word_assembly, *args)
+            assert outcome(_assemble_matrix, *args) == want, (op, carrier, ring, n)
+            shapes.add((kind, carrier.kind, arity))
+            if isinstance(want[0], type):
+                errors.add(want[0])
+                continue
+            entries = want[3]
+            features.add("entries" if entries else "zero")
+            if any(t is Fraction for _, t, _ in entries):
+                features.add(f"fractions over {ring}")
+            if target == -1 and src:
+                features.add("empty word kept" if carrier.has_empty else "empty word cut")
+            if carrier.kind == ALL_WORDS and target > carrier.top_degree and src:
+                features.add("truncated")
+    assert shapes >= {(k, c, a) for k, c in (("partial", SIMPLICIAL_EDGES),
+                                            ("d", INDEPENDENCE_EDGES),
+                                            ("partial", ALL_WORDS), ("d", ALL_WORDS),
+                                            ("d", INCREASING_WORDS))
+                      for a in (1, 3)}
+    assert errors == {SchemaViolation, OperatorLeavesCarrier}
+    assert features == {"entries", "zero", "fractions over Q", "empty word kept",
+                        "empty word cut", "truncated"}, features
+
+
+def test_assembly_coerces_only_when_a_column_is_assembled():
+    # over Z a coefficient 1/2 is an error, but only once a word meets it
+    op = WedgeOperator.weighted_sum("partial", [Fraction(1, 2), 1])
+    vs = VertexSet.of("a", "b")
+    empty = edge_carrier("partial", Hypergraph(vs, frozenset()))
+    assert _assemble_matrix(op, empty, ZZ, [], -1, empty.ambient) == SparseMatrix.zero(0, 0, ZZ)
+    points = edge_carrier("partial", Hypergraph.of(vs, [[], ["a"]]))
+    with pytest.raises(SchemaViolation, match="is not an integer"):
+        _assemble_matrix(op, points, ZZ, points.basis(0), -1, points.ambient)
+
+
+def dense(m):
+    return [list(row) for row in m.dense_rows()]
+
+
+def sparse(rows, ring):
+    return SparseMatrix.from_entries(
+        len(rows), len(rows[0]), ring,
+        [((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row)])
+
+
+def random_matrix(rng, ring, rows, cols, density=0.4, pool=WEIGHTS):
+    """Entries drawn from `pool`, the ones that are not elements of the ring
+    left out; small pools make sums cancel."""
+    pool = [v for v in pool if type(v) is int
+            or ring.is_field and (not ring.p or v.denominator % ring.p)]
+    items = [((i, j), rng.choice(pool)) for i in range(rows) for j in range(cols)
+             if rng.random() < density]
+    return SparseMatrix.from_entries(rows, cols, ring, items)
+
+
+def dense_product(a, b, cols, ring):
+    """Each entry summed term by term with `ring.add` and `ring.mul`."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            acc = ring.zero
+            for k, v in enumerate(row):
+                acc = ring.add(acc, ring.mul(v, b[k][j]))
+            out[-1].append(acc)
+    return out
+
+
+def typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_mul_and_apply_match_dense_products(ring):
+    rng = random.Random(f"mul:{ring}")
+    fractions = cancelled = 0
+    for _ in range(150):
+        r, k, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        pool = rng.choice([WEIGHTS, [1, -1, Fraction(1, 2), Fraction(-1, 2)]])
+        a = random_matrix(rng, ring, r, k, pool=pool)
+        b = random_matrix(rng, ring, k, c, density=rng.choice([0.2, 0.6]), pool=pool)
+        want = dense_product(dense(a), dense(b), c, ring)
+        got = a.mul(b)
+        assert (got.rows, got.cols, got.ring) == (r, c, ring)
+        assert typed(dense(got)) == typed(want), (a, b)
+        vec = random_matrix(rng, ring, 1, k, density=0.7).dense_rows()[0]
+        want_vec = [row[0] for row in dense_product(dense(a), [[v] for v in vec], 1, ring)]
+        assert typed([a.apply(vec)]) == typed([want_vec])
+        fractions += any(type(v) is Fraction for _, v in got.entries)
+        products = {(i, j) for (i, m), _ in a.entries for (m2, j), _ in b.entries if m == m2}
+        cancelled += len(products) > len(got.entries)
+    assert cancelled > 5
+    assert (fractions > 0) == (ring == QQ)
+
+
+def test_mul_reduces_each_sum_once():
+    # 2 + 3 = 0 over F_5, and 1/2 + 1/2 is the int 1 over Q
+    f5 = GF(5)
+    a = SparseMatrix.from_entries(1, 2, f5, [((0, 0), 1), ((0, 1), 1)])
+    b = SparseMatrix.from_entries(2, 1, f5, [((0, 0), 2), ((1, 0), 3)])
+    assert a.mul(b).is_zero()
+    assert a.apply([2, 3]) == [0]
+    h = SparseMatrix.from_entries(1, 2, QQ, [((0, 0), Fraction(1, 2)), ((0, 1), 1)])
+    col = SparseMatrix.from_entries(2, 1, QQ, [((0, 0), 1), ((1, 0), Fraction(1, 2))])
+    assert h.mul(col).entries == (((0, 0), 1),)
+    assert type(h.mul(col).entries[0][1]) is int
+    assert h.apply([1, Fraction(1, 2)]) == [1] and type(h.apply([1, Fraction(1, 2)])[0]) is int
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_nonzero_square_is_caught_on_every_pair(ring):
+    """[X | X] after [Y ; -Y] is zero; one changed entry of the inner map
+    makes it nonzero exactly when the matching column of X is nonzero,
+    and then the check raises."""
+    rng = random.Random(f"square:{ring}")
+    raised = 0
+    for _ in range(80):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        x, y = dense(random_matrix(rng, ring, r, k)), dense(random_matrix(rng, ring, k, c))
+        out = [row + row for row in x]
+        inner = [list(row) for row in y] + [[ring.neg(v) for v in row] for row in y]
+        assert homology_presentation(sparse(out, ring), sparse(inner, ring))
+        i, j = rng.randrange(2 * k), rng.randrange(c)
+        inner[i][j] = ring.add(inner[i][j], 1)
+        if any(row[i % k] for row in x):
+            raised += 1
+            with pytest.raises(CompositionNotZero):
+                homology_presentation(sparse(out, ring), sparse(inner, ring))
+        else:
+            assert homology_presentation(sparse(out, ring), sparse(inner, ring))
+    assert raised > 40
+
+
+def test_classify_matches_subface_oracle_on_ten_and_more_vertices():
+    rng = random.Random(1210)
+    seen = {}
+    for _ in range(80):
+        nv = rng.randint(10, 11)
+        vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+        op = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
+        # seeds small enough below (or large enough above) that the closure
+        # and the oracle stay in the thousands of edges
+        low, high = {None: (0, nv), ClosureOp.DELTA_UP: (0, 7),
+                     ClosureOp.BAR_DELTA_UP: (nv - 7, nv)}[op]
+        seeds = [tuple(sorted(rng.sample(range(nv), rng.randint(low, high))))
+                 for _ in range(rng.randint(1, 5))]
+        h = Hypergraph(vs, frozenset(seeds))
+        if op is not None:
+            h = closure(h, op)
+        if rng.random() < 0.5:
+            h = h.with_edges(h.edges ^ {()})
+        if h.edges and rng.random() < 0.4:
+            # drop one edge: often just breaks a closure property
+            h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
+        want = subface_classify(h)
+        assert h.classify() is want, sorted(h.edges)
+        seen.setdefault(want, set()).add(h.has_empty_edge)
+    vs = VertexSet.of(*[f"v{i}" for i in range(10)])
+    full = Hypergraph(vs, power_set(vs))
+    for h in (full, full.with_edges(full.edges - {()})):
+        assert h.classify() is subface_classify(h) is HypergraphClass.BOTH
+    assert set(seen) == set(HypergraphClass)
+    assert seen[HypergraphClass.NEITHER] == {True, False}
+    assert seen[HypergraphClass.SIMPLICIAL_COMPLEX] == {True, False}
+
+
+def test_vertex_parse_errors_are_unchanged():
+    vs = VertexSet.of("a", "b", "c")
+    assert _vertex_indices(vs, ["c", 0, "a", 2]) == [2, 0, 0, 2]
+    cases = [(["x"], "unknown vertex 'x'"),
+             ([True], "vertex True is neither a label nor an index"),
+             ([1.0], "vertex 1.0 is neither a label nor an index"),
+             ([None], "vertex None is neither a label nor an index"),
+             ([3], "vertex index 3 out of range"),
+             ([-1], "vertex index -1 out of range")]
+    for raw, text in cases:
+        with pytest.raises(SchemaViolation) as info:
+            _vertex_indices(vs, ["a"] + raw)
+        assert str(info.value) == text
+    with pytest.raises(SchemaViolation, match="vertex labels must be distinct"):
+        VertexSet.of("a", "b", "a")
+
+
+def test_edges_are_bucketed_by_degree():
+    vs = VertexSet.of(*[f"v{i}" for i in range(6)])
+    rng = random.Random(6)
+    for _ in range(50):
+        h = random_hypergraph(rng, vs, p=rng.random())
+        assert h.top_degree == max((len(e) - 1 for e in h.edges), default=-2)
+        for n in range(-2, 7):
+            got = h.degree_edges(n)
+            assert got == sorted(e for e in h.edges if len(e) == n + 1)
+            got.append(("changed",))
+            assert ("changed",) not in h.degree_edges(n)
+
+
+def wrap_bindings(monkeypatch, module, name):
+    """Wrap every binding of one engine object in the hyperhom modules, the
+    way an outside tracer does, and return the list its calls land in."""
+    owner = sys.modules[f"hyperhom.{module}"]
+    *parents, attr = name.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    original = getattr(owner, attr)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, attr, wrapped)
+        return calls
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hyperhom" or mod_name.startswith("hyperhom."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapped)
+    return calls
+
+
+def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
+    """The layer boundaries that a per-layer trace wraps are still the
+    routes the work takes: every assembled column calls the module
+    binding of `wedge_apply`, `BuiltComplex.homology` calls
+    `homology_presentation`, and `include` builds `DegreeSolver`s."""
+    wedge = wrap_bindings(monkeypatch, "words", "wedge_apply")
+    presentation = wrap_bindings(monkeypatch, "linalg", "homology_presentation")
+    solver = wrap_bindings(monkeypatch, "homology", "DegreeSolver.__init__")
+    vs = VertexSet.of("s0", "s1", "s2")
+    circle = Hypergraph.of(vs, [[], [0], [1], [2], [0, 1], [1, 2], [0, 2]])
+    spec = ComplexSpec(edge_carrier("partial", circle),
+                       WedgeOperator.weighted_sum("partial", [1, 1, 1]), 0, QQ)
+    built = build_complex(spec)
+    assert len(wedge) == sum(len(circle.degree_edges(n)) for n in spec.degrees())
+    built.homology(1)
+    assert len(presentation) == 1
+
+    docs = {"left": {"vertices": ["s0", "s1", "s2"], "edges": [[], ["s0"], ["s1"]]},
+            "right": {"vertices": ["s0", "s1", "s2"],
+                      "edges": [[], ["s0"], ["s1"], ["s0", "s1"]]},
+            "op": {"kind": "partial", "terms": [{"coeff": 1, "vertices": ["s0"]},
+                                                 {"coeff": 1, "vertices": ["s1"]}]}}
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    assert main(["include", "--left", str(paths["left"]), "--right", str(paths["right"]),
+                 "--operator", str(paths["op"]), "--ring", "Q"]) == 0
+    capsys.readouterr()
+    assert solver

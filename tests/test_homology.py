@@ -399,7 +399,9 @@ def test_degree_solver_against_greedy_rank_oracle():
 
 
 def test_inclusion_zero_map_into_vanishing_group():
-    maps = inclusion_induced(SEGMENT, CIRCLE, alpha(1, 1, 1), 0, QQ)
+    # a segment and a point: two components, joined up by the circle
+    two_pieces = Hypergraph.of(S3, [[], [0], [1], [2], [0, 1]])
+    maps = inclusion_induced(two_pieces, CIRCLE, alpha(1, 1, 1), 0, QQ)
     assert maps[0].source_rank == 1
     assert maps[0].target_rank == 0
     assert maps[1].source_rank == 0 and maps[1].target_rank == 1
@@ -413,6 +415,16 @@ def test_inclusion_identity():
 def test_inclusion_requires_containment():
     with pytest.raises(NotIncluded):
         inclusion_induced(CIRCLE, SEGMENT, alpha(1, 1, 1), 0, QQ)
+
+
+def test_inclusion_requires_matching_empty_edges_for_lowering_operators():
+    with pytest.raises(ClassMismatch):
+        inclusion_induced(SEGMENT, CIRCLE, alpha(1, 1, 1), 0, QQ)
+    # a degree-raising operator never has the empty word as an image
+    full = Hypergraph(S3, power_set(S3))
+    nonaug = full.with_edges(full.edges - {()})
+    maps = inclusion_induced(nonaug, full, omega(1, 1, 2), 0, QQ)
+    assert maps[-1].source_rank == 0
 
 
 def test_inclusion_cohomology_over_f3():
