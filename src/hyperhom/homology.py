@@ -21,7 +21,6 @@ Mayer-Vietoris long exact sequence with its zig-zag connecting map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 
@@ -45,6 +44,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
+from .records import record
 from .rings import QQ, Ring
 from .words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
@@ -54,7 +54,7 @@ ALL_WORDS = "words"
 INCREASING_WORDS = "simplicial-words"
 
 
-@dataclass(frozen=True)
+@record
 class Carrier:
     kind: str
     vertices: VertexSet
@@ -136,7 +136,7 @@ def simplicial_word_carrier(vertices: VertexSet) -> Carrier:
     return Carrier(INCREASING_WORDS, vertices)
 
 
-@dataclass(frozen=True)
+@record
 class ComplexSpec:
     carrier: Carrier
     operator: WedgeOperator
@@ -167,7 +167,7 @@ class ComplexSpec:
         return list(range(bottom, top + 1, step))
 
 
-@dataclass(frozen=True)
+@record
 class HomologyGroup:
     degree: int
     presentation: SubquotientPresentation
@@ -341,7 +341,7 @@ class DegreeSolver:
         return tuple(w[: self.betti])
 
 
-@dataclass(frozen=True)
+@record
 class InducedMap:
     """A homology-level map on the solvers' representative bases: one row
     per target class, one column per source class."""
@@ -479,14 +479,14 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
 
 
-@dataclass(frozen=True)
+@record
 class SequenceNode:
     label: str  # "intersection" | "sum" | "union"
     degree: int
     free_rank: int
 
 
-@dataclass(frozen=True)
+@record
 class LongExactSequence:
     nodes: tuple
     maps: tuple  # SparseMatrix between consecutive nodes
@@ -602,7 +602,7 @@ def _mv_connecting(complexes, n, signed_step) -> SparseMatrix:
                         "connecting image is not a cycle")
 
 
-@dataclass(frozen=True)
+@record
 class DualityReport:
     degrees: tuple  # (n, lowering_betti, raising_betti)
 
@@ -628,10 +628,8 @@ def duality_check(vertices: VertexSet, coeffs, q: int, max_degree: int) -> Duali
     for n in low.spec.degrees():
         if n > max_degree - step:
             continue
-        dim = low.dim(n)
-        beta_low = dim - rank(low.matrix(n)) - rank(low.incoming_matrix(n))
-        beta_high = dim - rank(high.matrix(n)) - rank(high.incoming_matrix(n))
-        rows.append((n, beta_low, beta_high))
+        rows.append((n, low.homology(n).presentation.free_rank,
+                     high.homology(n).presentation.free_rank))
     return DualityReport(tuple(rows))
 
 

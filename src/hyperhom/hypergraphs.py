@@ -11,13 +11,15 @@ carriers at 2**16 words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain as _ichain, combinations
 
 from .errors import NotASubset, PowerSetTooLarge, SchemaViolation, VertexSetMismatch
+from .records import record
 from .words import VertexMap, VertexSet
+
+_set = object.__setattr__
 
 # Most vertices a power set may have, and log2 of the most subsets the
 # upward closures may enumerate (`closure_size`); checked before enumerating.
@@ -72,10 +74,15 @@ def _as_edge(vertices, raw) -> tuple:
     return edge
 
 
-@dataclass(frozen=True)
+@record
 class Hypergraph:
     vertices: VertexSet
     edges: frozenset  # of sorted index tuples; () is the empty hyperedge
+
+    def __init__(self, vertices, edges):
+        # straight-line: built for every document and sublevel (see `records`)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     @staticmethod
     def of(vertices: VertexSet, edges) -> "Hypergraph":

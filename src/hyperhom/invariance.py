@@ -13,10 +13,9 @@ modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyEdgePresent, SchemaViolation
 from .hypergraphs import Hypergraph, HypergraphClass, trace
+from .records import record
 
 PARTIAL = "partial"
 DIFFERENTIAL = "d"
@@ -44,7 +43,7 @@ def invariant_vertices(h: Hypergraph, mode: str) -> tuple:
     return tuple(s for s in range(len(h.vertices)) if is_invariant(h, s, mode))
 
 
-@dataclass(frozen=True)
+@record
 class InvariantReport:
     mode: str
     invariant_vertices: tuple  # sorted vertex indices of h

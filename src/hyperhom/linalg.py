@@ -29,14 +29,16 @@ nonzero invariant factor divides D, so no entry ever grows past D.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import CompositionNotZero, SchemaViolation
+from .records import record
 from .rings import QQ, Ring, ZZ, canonical
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@record
 class SparseMatrix:
     """Immutable sparse matrix; no stored zeros, no duplicate positions."""
 
@@ -44,6 +46,13 @@ class SparseMatrix:
     cols: int
     ring: Ring
     entries: tuple  # sorted tuple of ((row, col), value)
+
+    def __init__(self, rows, cols, ring, entries):
+        # straight-line: built thousands of times per request (see `records`)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "ring", ring)
+        _set(self, "entries", entries)
 
     @staticmethod
     def from_entries(rows, cols, ring, items) -> "SparseMatrix":
@@ -119,7 +128,7 @@ class SparseMatrix:
         return SparseMatrix(self.rows, self.cols, self.ring, tuple(sorted(items)))
 
 
-@dataclass(frozen=True)
+@record
 class SubquotientPresentation:
     """Isomorphism type of a subquotient: free rank plus torsion chain d1 | d2 | ..."""
 
@@ -411,7 +420,10 @@ def homology_presentation(
     zero. For a free complex the group is free of rank
     dim - rank(out) - rank(in), plus the nonunit invariant factors of `in`.
     Callers that already hold `boundary_invariants` of either matrix pass
-    them in.
+    them in. A caller that passes both holds the pair from a complex that
+    has checked its composite already (`BuiltComplex` squares each pair
+    once, when it is built), so the product is not formed again; on raw
+    matrices it is checked here.
     """
     if boundary_out.ring != boundary_in.ring:
         raise SchemaViolation("boundary maps live over different rings")
@@ -420,7 +432,8 @@ def homology_presentation(
             f"middle module mismatch: out has {boundary_out.cols} columns, "
             f"in has {boundary_in.rows} rows"
         )
-    if not boundary_out.mul(boundary_in).is_zero():
+    checked = out_invariants is not None and in_invariants is not None
+    if not checked and not boundary_out.mul(boundary_in).is_zero():
         raise CompositionNotZero("boundary composed with boundary is nonzero")
     rank_out, _ = out_invariants or boundary_invariants(boundary_out)
     rank_in, torsion = in_invariants or boundary_invariants(boundary_in)

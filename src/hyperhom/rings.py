@@ -10,10 +10,10 @@ that matrix and chain code can stay ring-generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaViolation
+from .records import record
 
 
 def canonical(x):
@@ -49,7 +49,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Ring:
     """One of Z, Q, or F_p with p an odd prime below 2^64.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .homology import (
@@ -38,6 +37,7 @@ from .hypergraphs import (
 from .invariance import DIFFERENTIAL, PARTIAL, invariant_trace, invariant_vertices, is_invariant
 from .linalg import SparseMatrix, homology_presentation, kernel_basis, rank, smith_normal_form
 from .persistence import Filtration, barcode, persistent_mv, persistent_ranks
+from .records import record
 from .rings import GF, QQ, ZZ
 from .words import (
     FULL,
@@ -57,7 +57,7 @@ from .words import (
 )
 
 
-@dataclass
+@record(frozen=False)
 class SuiteResult:
     name: str
     cases: int

@@ -37,11 +37,13 @@ image word.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotOrderPreserving, NotSimplicial, SchemaViolation
+from .records import record
 from .rings import Ring, ZZ
+
+_set = object.__setattr__
 
 Word = tuple  # tuple of vertex indices
 
@@ -49,7 +51,7 @@ FULL = "full"
 SIMPLICIAL = "simplicial"
 
 
-@dataclass(frozen=True)
+@record
 class VertexSet:
     """Ordered vertex labels; list position is the total order."""
 
@@ -75,7 +77,7 @@ class VertexSet:
             raise SchemaViolation(f"unknown vertex {label!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class VertexMap:
     """A vertex assignment between two ordered vertex sets."""
 
@@ -325,7 +327,7 @@ def concat_product(a: FreeChain, b: FreeChain) -> FreeChain:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class WedgeOperator:
     """Homogeneous element of the exterior algebra on one derivation family.
 
@@ -339,6 +341,13 @@ class WedgeOperator:
     kind: str  # "partial" | "d"
     arity: int
     terms: tuple  # ((coeff, gens), ...)
+
+    def __init__(self, kind, arity, terms):
+        # straight-line: built for every matrix (see `records`)
+        _set(self, "kind", kind)
+        _set(self, "arity", arity)
+        _set(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("partial", "d"):

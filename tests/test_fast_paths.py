@@ -9,6 +9,9 @@ replaced.
   term with `ring.add` and `ring.mul`.
 * `Hypergraph.classify` against the subface oracle of `test_hypergraphs`
   on ten and more vertices.
+
+It also guards the routes the work takes: the layer boundaries a trace
+wraps, and one product per boundary pair in a `homology` command.
 """
 
 import json
@@ -342,6 +345,14 @@ def wrap_bindings(monkeypatch, module, name):
     return calls
 
 
+def write_docs(tmp_path, docs):
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    return paths
+
+
 def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
     """The layer boundaries that a per-layer trace wraps are still the
     routes the work takes: every assembled column calls the module
@@ -364,11 +375,56 @@ def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
                       "edges": [[], ["s0"], ["s1"], ["s0", "s1"]]},
             "op": {"kind": "partial", "terms": [{"coeff": 1, "vertices": ["s0"]},
                                                  {"coeff": 1, "vertices": ["s1"]}]}}
-    paths = {}
-    for key, doc in docs.items():
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(doc))
+    paths = write_docs(tmp_path, docs)
     assert main(["include", "--left", str(paths["left"]), "--right", str(paths["right"]),
                  "--operator", str(paths["op"]), "--ring", "Q"]) == 0
     capsys.readouterr()
     assert solver
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@pytest.mark.parametrize("arity", [1, 3])
+def test_homology_squares_each_boundary_pair_once(monkeypatch, tmp_path, capsys, ring, arity):
+    """A `homology` command multiplies each consecutive pair of boundary
+    matrices once: `BuiltComplex` checks the pair, and the presentation it
+    asks for does not form the product again."""
+    labels = [f"s{i}" for i in range(7)]
+    edges = [[labels[i] for i in e] for e in power_set(VertexSet.of(*labels))]
+    if arity == 1:
+        terms = [{"coeff": c, "vertices": [v]} for c, v in zip([1, 2, 3, 2, 1, 2, 3], labels)]
+    else:
+        terms = [{"coeff": 2, "vertices": ["s0", "s1", "s3"]},
+                 {"coeff": 1, "vertices": ["s1", "s2", "s4"]},
+                 {"coeff": 1, "vertices": ["s2", "s5", "s6"]}]
+    paths = write_docs(tmp_path, {"cx": {"vertices": labels, "edges": edges},
+                                  "op": {"kind": "partial", "terms": terms}})
+    mul = wrap_bindings(monkeypatch, "linalg", "SparseMatrix.mul")
+    assert main(["homology", "--operator", str(paths["op"]), "--ring", ring,
+                 str(paths["cx"])]) == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert len(groups) >= 3
+    assert len(mul) == len(groups) - 1
+
+
+def test_nonzero_square_in_a_homology_command_exits_one(monkeypatch, tmp_path, capsys):
+    """A boundary pair whose product is nonzero still stops the command
+    with exit 1 and the error document of the complex's own check."""
+    def perturbed(op, carrier, ring, src_basis, n_target, ambient):
+        m = _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient)
+        if n_target != 0 or not src_basis:
+            return m
+        entries = m.entry_dict()
+        entries[(0, 0)] = entries.get((0, 0), 0) + 1
+        return SparseMatrix.from_entries(m.rows, m.cols, ring, entries.items())
+
+    monkeypatch.setattr(sys.modules["hyperhom.homology"], "_assemble_matrix", perturbed)
+    labels = ["s0", "s1", "s2"]
+    paths = write_docs(tmp_path, {
+        "cx": {"vertices": labels, "edges": [[], ["s0"], ["s1"], ["s2"], ["s0", "s1"],
+                                             ["s1", "s2"], ["s0", "s2"]]},
+        "op": {"kind": "partial", "terms": [{"coeff": 1, "vertices": [v]} for v in labels]}})
+    for ring in ("Z", "Q"):
+        assert main(["homology", "--operator", str(paths["op"]), "--ring", ring,
+                     str(paths["cx"])]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "CompositionNotZero", "detail": "operator squared is nonzero from degree 1"}

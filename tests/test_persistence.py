@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -9,6 +8,7 @@ import pytest
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
+    LongExactSequence,
     build_complex,
     homology_table,
     inclusion_induced,
@@ -139,6 +139,78 @@ def random_independence_filtration(rng, nverts):
     full = tuple(range(nverts))
     births = [(tuple(v for v in full if v not in e), b) for e, b in f.births if e != full]
     return Filtration.of(f.vertices, births, "independence")
+
+
+def validate_by_thresholds(f):
+    """The per-threshold route that `Filtration.validate` replaced, kept as
+    its oracle: build and classify the sublevel family at every critical
+    value, in order."""
+    births = dict(f.births)
+    if () in births and f.births and births[()] > min(b for _, b in f.births):
+        raise MonotonicityViolation("the empty edge must be born with the first edges")
+    for x in f.critical_values():
+        h = f.complex_at(x)
+        ok = (h.is_simplicial_complex if f.monotonicity_class == "simplicial"
+              else h.is_independence_hypergraph)
+        if not ok:
+            offender = sorted(h.edges, key=lambda e: (len(e), e))
+            raise MonotonicityViolation(f"sublevel family at {x} is not closed; edges {offender}")
+
+
+def validation_outcome(check, f):
+    try:
+        check(f)
+    except MonotonicityViolation as exc:
+        return str(exc)
+    return None
+
+
+def mutated_births(rng, f):
+    """The births of f, unchanged or with one edge moved, dropped or added,
+    or the empty edge added or removed."""
+    births = dict(f.births)
+    edges = sorted(births, key=lambda e: (len(e), e))
+    pool = sorted(power_set(f.vertices), key=lambda e: (len(e), e))
+    later = [0, Fraction(1, 2), 1, 2, 3]
+    move = rng.choice(["keep", "keep", "delay", "drop", "add", "empty"])
+    if move == "delay" and edges:
+        e = rng.choice(edges)
+        births[e] += rng.choice(later[1:])
+    elif move == "drop" and edges:
+        del births[rng.choice(edges)]
+    elif move == "add":
+        births.setdefault(rng.choice(pool), rng.choice(later))
+    elif move == "empty":
+        if () in births:
+            del births[()]
+        else:
+            births[()] = rng.choice(later)
+    return births
+
+
+@pytest.mark.parametrize("cls", ["simplicial", "independence"])
+def test_one_pass_validation_matches_per_threshold_route(cls):
+    rng = random.Random(f"validate:{cls}")
+    seen = set()
+    for _ in range(600):
+        nverts = rng.randint(1, 5)
+        if cls == "simplicial":
+            base = random_simplicial_filtration(rng, nverts)
+        elif rng.random() < 0.2:
+            # with the empty edge, an independence family holds every
+            # subset from the first threshold on
+            vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
+            base = Filtration.of(vs, [(e, 1) for e in power_set(vs)], cls)
+        else:
+            base = random_independence_filtration(rng, nverts)
+        births = mutated_births(rng, base)
+        f = Filtration(base.vertices, tuple(sorted(births.items(), key=lambda kv: (kv[1], kv[0]))),
+                       cls)
+        want = validation_outcome(validate_by_thresholds, f)
+        assert validation_outcome(Filtration.validate, f) == want, f
+        seen.add((() in births, "valid" if want is None else want.split()[1]))
+    assert seen == {(empty, result) for empty in (False, True)
+                    for result in ("valid", "family")} | {(True, "empty")}
 
 
 def random_operator(rng, kind, nverts, arity):
@@ -403,7 +475,8 @@ def test_mv_square_check_sees_a_changed_entry():
     entries[(0, 0)] = entries.get((0, 0), 0) + 1
     changed = SparseMatrix.from_entries(3, 1, QQ, entries.items())
     maps = seq_y.maps[:k] + (changed,) + seq_y.maps[k + 1:]
-    assert not _mv_square_check(cx_x, cx_y, seq_x, dataclasses.replace(seq_y, maps=maps))
+    changed_seq = LongExactSequence(seq_y.nodes, maps, seq_y.junctions)
+    assert not _mv_square_check(cx_x, cx_y, seq_x, changed_seq)
 
 
 def test_operator_kind_must_match_class():
