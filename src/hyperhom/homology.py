@@ -17,6 +17,9 @@ and `in` steps into it. Over a field the module also carries a solver
 that fixes cycle representatives and homology coordinates, which powers
 induced maps: even-wedge operator actions, inclusion maps, and the
 Mayer-Vietoris long exact sequence with its zig-zag connecting map.
+Vectors are the columns of a `SparseMatrix`: a chain map applied to the
+representatives is one product, and so is reading the coordinates of
+all the images, which checks that every image is a cycle.
 """
 
 from __future__ import annotations
@@ -298,12 +301,13 @@ class DegreeSolver:
     basis | I] does all the work, pivoting in column order on the first
     two blocks only. Its pivot columns are the columns independent of
     those before them: first a basis of the boundaries, then the
-    representatives, so `reps` is the greedy pick. The identity block
-    records the row operations. On the representative pivot rows it
-    carries a cycle onto its coordinates; on the rows that cancel it
-    spans the vectors annihilating every cycle. The reduced echelon form
-    and the cycle space are unique, so `reps` and the coordinates of
-    every cycle do not depend on how the reduction orders its rows."""
+    representatives, so `reps` (the columns of a dim x betti matrix) is
+    the greedy pick. The identity block records the row operations. On
+    the representative pivot rows it carries a cycle onto its
+    coordinates; on the rows that cancel it spans the vectors
+    annihilating every cycle. The reduced echelon form and the cycle
+    space are unique, so `reps` and the coordinates of every cycle do not
+    depend on how the reduction orders its rows."""
 
     def __init__(self, ring: Ring, dim: int, out_mat: SparseMatrix, in_mat: SparseMatrix):
         if not ring.is_field:
@@ -311,18 +315,20 @@ class DegreeSolver:
         self.ring = ring
         self.dim = dim
         cycles = kernel_basis(out_mat)
-        ncols = in_mat.cols + len(cycles)
+        ncols = in_mat.cols + cycles.cols
         aug = [{ncols + i: ring.one} for i in range(dim)]
         for (i, j), v in in_mat.entries:
             aug[i][j] = v
-        for k, z in enumerate(cycles, in_mat.cols):
-            for i, v in enumerate(z):
-                if v:
-                    aug[i][k] = v
+        for (i, k), v in cycles.entries:
+            aug[i][in_mat.cols + k] = v
         pivots, pivot_rows, zero_rows = field_reduce(aug, ncols, ring)
         self.boundary_rank = sum(c < in_mat.cols for c in pivots)
-        self.reps = [cycles[c - in_mat.cols] for c in pivots[self.boundary_rank:]]
-        self.betti = len(self.reps)
+        chosen = {c - in_mat.cols: k for k, c in enumerate(pivots[self.boundary_rank:])}
+        self.betti = len(chosen)
+        # `chosen` keeps the cycle order, so the entries stay sorted
+        self.reps = SparseMatrix(dim, self.betti, ring, tuple(
+            ((i, chosen[k]), v) for (i, k), v in cycles.entries if k in chosen
+        ))
         # transform rows of the representative pivots, then of the rows a
         # cycle must leave at zero
         rows = pivot_rows[self.boundary_rank:] + zero_rows
@@ -331,14 +337,14 @@ class DegreeSolver:
             for j, v in row.items() if j >= ncols
         )))
 
-    def coords(self, vec) -> tuple:
-        """Homology coordinates of a cycle; None exactly when vec is not a
-        cycle, since the cancelled transform rows span the annihilator of
-        the cycle space."""
-        w = self._transform.apply(vec)
-        if any(not self.ring.is_zero(v) for v in w[self.betti:]):
+    def coords(self, vecs: SparseMatrix) -> SparseMatrix | None:
+        """Homology coordinates of the columns of vecs, one column each;
+        None exactly when some column is not a cycle, since the cancelled
+        transform rows span the annihilator of the cycle space."""
+        w = self._transform.mul(vecs)
+        if w.entries and w.entries[-1][0][0] >= self.betti:
             return None
-        return tuple(w[: self.betti])
+        return SparseMatrix(self.betti, vecs.cols, self.ring, w.entries)
 
 
 @record
@@ -369,28 +375,24 @@ class InducedMap:
         return rank(self.matrix)
 
 
-def _coordinates(tgt: DegreeSolver, images: list, error: str) -> SparseMatrix:
-    """Homology coordinates in tgt of each image vector, one column per
-    image; NotAChainMap(error) when an image is not a cycle. A vanishing
-    target group has no coordinates to read, and its images go unchecked."""
+def _coordinates(tgt: DegreeSolver, images: SparseMatrix, error: str) -> SparseMatrix:
+    """Homology coordinates in tgt of each column of images;
+    NotAChainMap(error) when a column is not a cycle. A vanishing target
+    group has no coordinates to read, and its images go unchecked."""
     if tgt.betti == 0:
-        return SparseMatrix.zero(0, len(images), tgt.ring)
-    items = []
-    for j, vec in enumerate(images):
-        c = tgt.coords(vec)
-        if c is None:
-            raise NotAChainMap(error)
-        items.extend(((i, j), v) for i, v in enumerate(c) if v)
-    return SparseMatrix(tgt.betti, len(images), tgt.ring, tuple(sorted(items)))
+        return SparseMatrix.zero(0, images.cols, tgt.ring)
+    coords = tgt.coords(images)
+    if coords is None:
+        raise NotAChainMap(error)
+    return coords
 
 
 def _descend(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
              src_n: int, tgt_n: int, what: str) -> InducedMap:
     """Homology map of a chain map, on the representative bases of src and
     tgt; the images of the representatives are checked to be cycles."""
-    images = [chain_mat.apply(z) for z in src.reps]
     return InducedMap(src_n, tgt_n, _coordinates(
-        tgt, images, f"{what} sends a cycle to a non-cycle"))
+        tgt, chain_mat.mul(src.reps), f"{what} sends a cycle to a non-cycle"))
 
 
 def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
@@ -575,29 +577,22 @@ def _mv_second_map(complexes, n) -> SparseMatrix:
 
 
 def _mv_connecting(complexes, n, signed_step) -> SparseMatrix:
-    """Zig-zag: lift a union cycle to the two sides, push one side through
-    the boundary, read the class in the intersection."""
+    """Zig-zag: lift the union cycles to the a side, push them through its
+    boundary, read their classes in the intersection."""
     m = n + signed_step
-    ring = complexes["cup"].spec.ring
-    a_basis = {w: i for i, w in enumerate(complexes["a"].basis(n))}
+    cup, a = complexes["cup"], complexes["a"]
+    reps = cup.solver(n).reps
+    a_index = {w: i for i, w in enumerate(a.basis(n))}
+    cup_basis = cup.basis(n)
+    lifted = tuple(sorted(((a_index[cup_basis[i]], j), v) for (i, j), v in reps.entries
+                          if cup_basis[i] in a_index))
+    pushed = a.matrix(n).mul(SparseMatrix(len(a_index), reps.cols, reps.ring, lifted))
     cap_index = {w: i for i, w in enumerate(complexes["cap"].basis(m))}
-    bnd_a = complexes["a"].matrix(n)
-    a_target_basis = complexes["a"].basis(m)
-    images = []
-    for z in complexes["cup"].solver(n).reps:
-        u = [ring.zero] * len(a_basis)
-        for idx, w in enumerate(complexes["cup"].basis(n)):
-            if not ring.is_zero(z[idx]) and w in a_basis:
-                u[a_basis[w]] = z[idx]
-        target = [ring.zero] * len(cap_index)
-        for i, val in enumerate(bnd_a.apply(u)):
-            if ring.is_zero(val):
-                continue
-            word = a_target_basis[i]
-            if word not in cap_index:
-                raise NotAChainMap("connecting image leaves the intersection")
-            target[cap_index[word]] = val
-        images.append(target)
+    a_target = a.basis(m)
+    if any(a_target[i] not in cap_index for (i, _), _ in pushed.entries):
+        raise NotAChainMap("connecting image leaves the intersection")
+    images = SparseMatrix(len(cap_index), pushed.cols, pushed.ring, tuple(sorted(
+        ((cap_index[a_target[i]], j), v) for (i, j), v in pushed.entries)))
     return _coordinates(complexes["cap"].solver(m), images,
                         "connecting image is not a cycle")
 

@@ -259,13 +259,16 @@ def join_hg(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 def subset_vertices(h: Hypergraph, t) -> tuple:
-    """Normalize a vertex subset given as labels or indices; sorted indices."""
+    """Normalize a vertex subset given as labels or indices; sorted indices.
+    Indices are ints that are not bools, as in `_vertex_indices`."""
     idx = []
     for v in t:
         if isinstance(v, str):
             if v not in h.vertices.labels:
                 raise NotASubset(f"vertex {v!r} is not in the vertex set")
             v = h.vertices.index(v)
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise NotASubset(f"vertex {v!r} is neither a label nor an index")
         if not 0 <= v < len(h.vertices):
             raise NotASubset(f"vertex {v} is not in the vertex set")
         idx.append(v)

@@ -7,6 +7,7 @@ integers ride as JSON numbers unless they leave the 53-bit safe range.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import SchemaViolation
@@ -14,6 +15,9 @@ from .hypergraphs import Hypergraph, _as_edge, _vertex_indices
 from .persistence import Filtration
 from .rings import canonical
 from .words import VertexSet, WedgeOperator
+
+
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _require(cond, msg):
@@ -47,16 +51,18 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def coefficient_from_json(value):
+    """An integer, or a string of an optional '-', digits, and optionally
+    '/' and more digits; nothing else (no exponent, point or space)."""
     if isinstance(value, bool):
         raise SchemaViolation("coefficients must be numbers or 'a/b' strings")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            f = Fraction(value)
+    if isinstance(value, str) and _COEFFICIENT.fullmatch(value):
+        num, _, den = value.partition("/")
+        try:  # int() refuses more than 4,300 digits
+            return canonical(Fraction(int(num), int(den or 1)))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(f"bad coefficient {value!r}") from exc
-        return canonical(f)
     raise SchemaViolation(f"bad coefficient {value!r}")
 
 

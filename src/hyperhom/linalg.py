@@ -3,9 +3,11 @@
 Everything here is desk scale: matrices are stored as coordinate dicts
 and eliminated as {col: value} row dicts over exact scalars. Rationals
 are canonical (see `rings`): an `int` when integral, a `Fraction` only
-when not, in every matrix, kernel vector and solver row. `mul` and
-`apply` sum their products in plain arithmetic and reduce each sum once
-(`Ring.normal`), instead of going through the ring for every term.
+when not, in every matrix and solver row. A set of vectors is always the
+columns of one matrix: a kernel basis, the solver's representatives and
+the images they are read from. `mul` sums its products in plain
+arithmetic and reduces each sum once (`Ring.normal`), instead of going
+through the ring for every term.
 
 Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
 reduction over Q or F_p that pivots in column order on the columns below
@@ -112,14 +114,6 @@ class SparseMatrix:
         items.sort()
         return SparseMatrix(self.rows, other.cols, self.ring, tuple(items))
 
-    def apply(self, vec: list) -> list:
-        out = [0] * self.rows
-        for (i, j), v in self.entries:
-            x = vec[j]
-            if x:
-                out[i] += v * x
-        return list(map(self.ring.normal, out))
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -215,22 +209,21 @@ def _axpy(row: dict, f, prow: dict, p) -> None:
             del row[j]
 
 
-def kernel_basis(m: SparseMatrix) -> list:
-    """Kernel basis vectors (length = cols) of a field matrix: one vector
-    per non-pivot column f of the reduced row echelon form, with 1 at f."""
+def kernel_basis(m: SparseMatrix) -> SparseMatrix:
+    """Kernel basis of a field matrix, as the columns of a cols x nullity
+    matrix: column k belongs to the k-th non-pivot column f of the reduced
+    row echelon form, with 1 at row f and minus that form's column f at
+    the pivot rows."""
     ring = m.ring
     if not ring.is_field:
         raise SchemaViolation("kernel bases are computed over fields")
     pivots, pivot_rows, _ = field_reduce(_rows_of(m), m.cols, ring)
-    free = sorted(set(range(m.cols)).difference(pivots))
-    basis = {f: [ring.zero] * m.cols for f in free}
-    for f, vec in basis.items():
-        vec[f] = ring.one
-    for c, row in zip(pivots, pivot_rows):
-        for f, v in row.items():
-            if f != c:
-                basis[f][c] = ring.neg(v)
-    return list(basis.values())
+    free = {f: k for k, f in enumerate(sorted(set(range(m.cols)).difference(pivots)))}
+    items = [((f, k), ring.one) for f, k in free.items()]
+    items += [((c, free[f]), ring.neg(v)) for c, row in zip(pivots, pivot_rows)
+              for f, v in row.items() if f != c]
+    items.sort()
+    return SparseMatrix(m.cols, len(free), ring, tuple(items))
 
 
 def smith_normal_form(m: SparseMatrix) -> list:

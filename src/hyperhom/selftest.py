@@ -243,11 +243,8 @@ def suite_linalg(rng) -> _Tally:
             [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v],
         )
         kb = kernel_basis(m)
-        t.check(rank(m) + len(kb) == cols, "rank-nullity")
-        t.check(
-            all(all(ring.is_zero(x) for x in m.apply(v)) for v in kb),
-            "kernel vectors annihilate",
-        )
+        t.check(rank(m) + kb.cols == cols, "rank-nullity")
+        t.check(m.mul(kb).is_zero(), "kernel vectors annihilate")
     for _ in range(400):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]

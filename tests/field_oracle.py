@@ -1,19 +1,28 @@
 """Dense field elimination, the oracle for the sparse `linalg.field_reduce`,
-and the integer kernel lattice.
+the per-vector route to homology-level maps, and the integer kernel lattice.
 
 `field_rref` is the full-row Gauss-Jordan reduction that `kernel_basis`
 and `DegreeSolver` were built on before the sparse route; `modp_row_rank`
 is the forward elimination that F_p `rank` used, and `int_row_rank` the
 fraction-free elimination that Q and Z `rank` used (`q_rank` clears
 denominators row by row first). `dense_kernel` and `DenseSolver` rebuild
-the old kernel basis and solver on top of them. `integer_kernel` is the
+the old kernel basis and solver on top of them, with vectors as dense
+lists. `descend`, `coordinates` and `mv_connecting` are the homology-level
+maps read one dense vector at a time over `DenseSolver`, as
+`homology._descend`, `_coordinates` and `_mv_connecting` did before they
+read every vector of a map in one matrix product. `integer_kernel` is the
 saturated kernel lattice of an integer matrix, which integer homology no
-longer needs. `column` reads one column of a sparse matrix as a dense
-list, and `matrix_of_rows` builds a sparse matrix from dense rows.
+longer needs. `column` and `columns` read the columns of a sparse matrix
+as dense lists, `apply` multiplies a sparse matrix into a dense vector,
+and `matrix_of_rows` and `matrix_of_columns` build a sparse matrix from
+dense rows or columns. `well_formed` is the invariant of a
+`SparseMatrix`, for the ones the engine builds without `from_entries`.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 
+from hyperhom.errors import NotAChainMap
 from hyperhom.linalg import SparseMatrix
 
 
@@ -24,12 +33,51 @@ def matrix_of_rows(data: list, cols: int, ring) -> SparseMatrix:
     return SparseMatrix.from_entries(len(data), cols, ring, items)
 
 
+def matrix_of_columns(vecs: list, rows: int, ring) -> SparseMatrix:
+    """Matrix whose columns are the dense vectors `vecs`, each `rows` long."""
+    items = [((i, j), v) for j, vec in enumerate(vecs) for i, v in enumerate(vec)]
+    return SparseMatrix.from_entries(rows, len(vecs), ring, items)
+
+
 def column(m: SparseMatrix, j: int) -> list:
     col = [m.ring.zero] * m.rows
     for (i, jj), v in m.entries:
         if jj == j:
             col[i] = v
     return col
+
+
+def columns(m: SparseMatrix) -> list:
+    return [column(m, j) for j in range(m.cols)]
+
+
+def well_formed(m: SparseMatrix) -> bool:
+    """What `SparseMatrix.from_entries` guarantees: positions sorted, inside
+    the shape and never repeated; no stored zeros; every value canonical
+    (a plain int, reduced mod p over F_p, and over Q a Fraction only when
+    not integral)."""
+    ring = m.ring
+    positions = [k for k, _ in m.entries]
+
+    def canonical(v):
+        if ring.p:
+            return type(v) is int and 0 < v < ring.p
+        return type(v) is int and v != 0 or (
+            ring.is_field and type(v) is Fraction and v.denominator != 1)
+
+    return (type(m.entries) is tuple
+            and all(a < b for a, b in zip(positions, positions[1:]))
+            and all(0 <= i < m.rows and 0 <= j < m.cols for i, j in positions)
+            and all(canonical(v) for _, v in m.entries))
+
+
+def apply(m: SparseMatrix, vec: list) -> list:
+    """m times a dense vector, each entry summed term by term in the ring."""
+    ring = m.ring
+    out = [ring.zero] * m.rows
+    for (i, j), v in m.entries:
+        out[i] = ring.add(out[i], ring.mul(v, vec[j]))
+    return out
 
 
 def field_rref(dense: list, ncols: int, ring):
@@ -192,10 +240,66 @@ class DenseSolver:
         )
 
     def coords(self, vec):
-        w = self._transform.apply(vec)
+        w = apply(self._transform, vec)
         if any(not self.ring.is_zero(v) for v in w[self.betti:]):
             return None
         return tuple(w[: self.betti])
+
+
+def dense_solver(built, n: int) -> DenseSolver:
+    """The `DenseSolver` of a built complex at degree n."""
+    return DenseSolver(built.spec.ring, built.dim(n), built.matrix(n), built.incoming_matrix(n))
+
+
+def coordinates(tgt: DenseSolver, images: list, error: str) -> SparseMatrix:
+    """Homology coordinates in tgt of each dense image vector, one column
+    per image; NotAChainMap(error) when an image is not a cycle. A
+    vanishing target group has no coordinates to read, and its images go
+    unchecked."""
+    if tgt.betti == 0:
+        return SparseMatrix.zero(0, len(images), tgt.ring)
+    items = []
+    for j, vec in enumerate(images):
+        c = tgt.coords(vec)
+        if c is None:
+            raise NotAChainMap(error)
+        items.extend(((i, j), v) for i, v in enumerate(c))
+    return SparseMatrix.from_entries(tgt.betti, len(images), tgt.ring, items)
+
+
+def descend(chain_mat: SparseMatrix, src: DenseSolver, tgt: DenseSolver, what: str):
+    """Homology map of a chain map, one representative at a time."""
+    return coordinates(tgt, [apply(chain_mat, z) for z in src.reps],
+                       f"{what} sends a cycle to a non-cycle")
+
+
+def mv_connecting(complexes: dict, n: int, signed_step: int) -> SparseMatrix:
+    """Zig-zag, one union cycle at a time: lift it to a dense vector on
+    the a side, push it through a's boundary, move the image onto the
+    intersection's basis and read its class there."""
+    m = n + signed_step
+    ring = complexes["cup"].spec.ring
+    a_basis = {w: i for i, w in enumerate(complexes["a"].basis(n))}
+    cap_index = {w: i for i, w in enumerate(complexes["cap"].basis(m))}
+    bnd_a = complexes["a"].matrix(n)
+    a_target_basis = complexes["a"].basis(m)
+    images = []
+    for z in dense_solver(complexes["cup"], n).reps:
+        u = [ring.zero] * len(a_basis)
+        for idx, w in enumerate(complexes["cup"].basis(n)):
+            if not ring.is_zero(z[idx]) and w in a_basis:
+                u[a_basis[w]] = z[idx]
+        target = [ring.zero] * len(cap_index)
+        for i, val in enumerate(apply(bnd_a, u)):
+            if ring.is_zero(val):
+                continue
+            word = a_target_basis[i]
+            if word not in cap_index:
+                raise NotAChainMap("connecting image leaves the intersection")
+            target[cap_index[word]] = val
+        images.append(target)
+    return coordinates(dense_solver(complexes["cap"], m), images,
+                       "connecting image is not a cycle")
 
 
 def integer_kernel(m: SparseMatrix) -> list:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -377,6 +379,39 @@ def test_malformed_operator_vertices_are_rejected(tmp_path, capsys, term_vertice
 def test_duality_rejects_bad_weights(capsys, coeffs):
     code = main(["duality", "--vertices", "a,b", "--coeffs", coeffs, "--max-degree", "2"])
     assert_one_error_document(capsys, code)
+
+
+# an exponent once took Fraction 14 s to expand; 4,301 digits pass the
+# grammar but not int()
+BAD_COEFFICIENTS = ["1e10000000", "0.5", "1 ", "1_000", "+1", "1/-2", "1/0", "9" * 4301]
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS, ids=lambda v: v[:12])
+@pytest.mark.parametrize("entry", ["operator", "birth", "duality"])
+def test_coefficients_outside_the_grammar_are_rejected_at_once(tmp_path, capsys, entry, bad):
+    if entry == "operator":
+        h = write(tmp_path, "h.json", AB_SEGMENT)
+        op = write(tmp_path, "op.json", {"kind": "partial",
+                                         "terms": [{"coeff": bad, "vertices": ["a"]}]})
+        argv = ["homology", "--operator", op, "--ring", "Q", h]
+    elif entry == "birth":
+        path = write(tmp_path, "f.json", seg_filtration(["s1"], bad))
+        op = write(tmp_path, "op.json", SEG_OP_DOC)
+        argv = ["persist", "--filtration", path, "--operator", op, "--ring", "Q", "--n", "0"]
+    else:
+        argv = ["duality", "--vertices", "a,b", "--coeffs", f"{bad},1", "--max-degree", "2"]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert_one_error_document(capsys, code)
+
+
+def test_coefficient_grammar_accepts_signed_integers_and_fractions():
+    from hyperhom.jsonio import coefficient_from_json
+
+    assert coefficient_from_json("-10/4") == Fraction(-5, 2)
+    assert coefficient_from_json("-0") == 0 and type(coefficient_from_json("6/3")) is int
+    assert coefficient_from_json("9" * 4300) == int("9" * 4300)
 
 
 @pytest.mark.parametrize("op,edge", [("Delta", 21), ("barDelta", 0)])

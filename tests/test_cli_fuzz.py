@@ -83,8 +83,8 @@ LABELS = S3 + ["t0", "a", ""]
 KEYS = ["vertices", "edges", "kind", "terms", "coeff", "edge", "birth", "class", "x"]
 LEAVES = (st.none() | st.booleans() | st.integers(-3, 5)
           | st.sampled_from([2**64, 1.5, -0.0, 1e308])
-          | st.sampled_from(LABELS + ["1/2", "1/0", "-2", "x", "partial", "d", "simplicial",
-                                      "independence"]))
+          | st.sampled_from(LABELS + ["1/2", "1/0", "-2", "x", "1e10000000", "0.5", "partial",
+                                      "d", "simplicial", "independence"]))
 JSON_VALUES = st.recursive(
     LEAVES,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(KEYS), kids,

@@ -36,7 +36,14 @@ from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
-from field_oracle import DenseSolver, column, matrix_of_rows
+from field_oracle import (
+    DenseSolver,
+    apply,
+    columns,
+    matrix_of_columns,
+    matrix_of_rows,
+    well_formed,
+)
 
 S3 = VertexSet.of("s0", "s1", "s2")
 SEGMENT = Hypergraph.of(S3, [[0], [1], [0, 1]])
@@ -323,11 +330,6 @@ def random_operator(rng, kind, nverts, arity, weights=(1, 2, 3)):
     return WedgeOperator.build(kind, 3, terms)
 
 
-def is_canonical(x):
-    """A rational is stored as an int exactly when it is integral."""
-    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
-
-
 def test_degree_solver_against_greedy_rank_oracle():
     rng = random.Random(101)
     seen = {"reps": 0, "non_cycles": 0, "mixed": 0, "partial": 0, "d": 0}
@@ -357,36 +359,44 @@ def test_degree_solver_against_greedy_rank_oracle():
             solver = built.solver(n)
             dim = built.dim(n)
             in_mat = built.incoming_matrix(n)
-            in_cols = [column(in_mat, j) for j in range(in_mat.cols)]
+            in_cols = columns(in_mat)
             cycles = kernel_basis(built.matrix(n))
-            assert all(is_canonical(v) for z in cycles + solver.reps for v in z)
-            assert solver.reps == greedy_representatives(in_cols, cycles, ring, dim)
+            assert well_formed(cycles) and well_formed(solver.reps)
+            assert (solver.reps.rows, solver.reps.cols) == (dim, solver.betti)
+            reps = columns(solver.reps)
+            assert reps == greedy_representatives(in_cols, columns(cycles), ring, dim)
             dense = DenseSolver(ring, dim, built.matrix(n), in_mat)
-            assert solver.reps == dense.reps
+            assert reps == dense.reps
+            mixed = []
             for _ in range(3):
                 z = [zero] * dim
-                for c in cycles + in_cols:
+                for c in columns(cycles) + in_cols:
                     f = ring.coerce(mix.randint(-2, 2))
                     z = [ring.add(a, ring.mul(f, b)) for a, b in zip(z, c)]
-                assert solver.coords(z) == dense.coords(z)
-                assert all(is_canonical(v) for v in solver.coords(z))
+                mixed.append(z)
                 seen["mixed"] += 1
+            got = solver.coords(matrix_of_columns(mixed, dim, ring))
+            assert well_formed(got) and (got.rows, got.cols) == (solver.betti, 3)
+            assert [tuple(c) for c in columns(got)] == [dense.coords(z) for z in mixed]
             assert solver.betti == built.homology(n).presentation.free_rank
-            for k, z in enumerate(solver.reps):
-                assert solver.coords(z) == tuple(one if i == k else zero
-                                                 for i in range(solver.betti))
-            for col in in_cols:
-                assert solver.coords(col) == (zero,) * solver.betti == dense.coords(col)
-            for z in cycles:
-                assert solver.coords(z) == dense.coords(z)
-            # coords doubles as the cycle test: None exactly off the cycles
+            assert solver.coords(solver.reps) == SparseMatrix.identity(solver.betti, ring)
+            assert solver.coords(in_mat) == SparseMatrix.zero(solver.betti, in_mat.cols, ring)
+            assert all(dense.coords(col) == (zero,) * solver.betti for col in in_cols)
+            got = solver.coords(cycles)
+            assert well_formed(got)
+            assert [tuple(c) for c in columns(got)] == [dense.coords(z) for z in columns(cycles)]
+            # coords doubles as the cycle test: None exactly off the cycles,
+            # also when betti == 0
+            units = []
             for i in range(dim):
                 e = [one if j == i else zero for j in range(dim)]
-                is_cycle = all(ring.is_zero(v) for v in built.matrix(n).apply(e))
-                assert (solver.coords(e) is None) == (not is_cycle)
+                is_cycle = all(ring.is_zero(v) for v in apply(built.matrix(n), e))
+                assert (solver.coords(matrix_of_columns([e], dim, ring)) is None) == (not is_cycle)
                 if not is_cycle:
                     assert dense.coords(e) is None
                     seen["non_cycles"] += 1
+                units.append(is_cycle)
+            assert (solver.coords(SparseMatrix.identity(dim, ring)) is None) == (not all(units))
             seen["reps"] += solver.betti
         off_grid = [h.top_degree + op.arity, -1 - op.arity]
         if op.arity > 1:
@@ -479,7 +489,7 @@ def test_descend_rejects_a_map_off_the_cycles():
     # keep only the first edge: the circle's cycle goes to a multiple of
     # that edge, whose boundary is nonzero
     first_edge = SparseMatrix.from_entries(3, 3, QQ, [((0, 0), 1)])
-    assert any(built.matrix(1).apply(first_edge.apply(solver.reps[0])))
+    assert not built.matrix(1).mul(first_edge).mul(solver.reps).is_zero()
     with pytest.raises(NotAChainMap, match="sends a cycle to a non-cycle"):
         _descend(first_edge, solver, solver, 1, 1, "first edge")
 

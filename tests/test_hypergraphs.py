@@ -66,6 +66,19 @@ def test_trace_examples():
         trace(H, ["s0", "bad"])
 
 
+@pytest.mark.parametrize("subset", [[True], [False], ["s0", True], [None], [1.0], [[0]], [3],
+                                    [-1], [0, "s0"]],
+                         ids=["true", "false", "label-and-true", "none", "float", "list",
+                              "index-past-end", "negative", "repeat"])
+def test_trace_rejects_bad_vertex_subsets(subset):
+    with pytest.raises(NotASubset):
+        trace(H, subset)
+
+
+def test_trace_takes_indices_and_labels_alike():
+    assert trace(H, [1, 0]) == trace(H, ["s0", "s1"]) == trace(H, ["s1", 0])
+
+
 def test_trace_of_closures_match_displayed_sets():
     T = ["s0", "s1"]
     assert trace(closure(H, ClosureOp.DELTA_UP), T).edges == edges((), (0,), (1,), (0, 1))
