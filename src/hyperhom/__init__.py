@@ -56,6 +56,7 @@ from .words import (
     partial,
     project_simplicial,
     wedge_apply,
+    wedge_chain,
 )
 
 __version__ = "0.1.0"

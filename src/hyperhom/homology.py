@@ -125,12 +125,22 @@ def _word_count(nv: int, max_degree: int) -> int:
 
 
 def word_carrier(vertices: VertexSet, max_degree: int) -> Carrier:
+    """All words through max_degree, at most WORDS_CAP of them holding at
+    most 16 * WORDS_CAP letters in all. Only one letter can reach the
+    letter bound: more letters reach the word cap by length 16."""
     if max_degree < -1:
         raise SchemaViolation("truncation degree must be at least -1")
-    if _word_count(len(vertices), max_degree) > WORDS_CAP:
+    nv = len(vertices)
+    if _word_count(nv, max_degree) > WORDS_CAP:
         raise CarrierTooLarge(
-            f"all words through degree {max_degree} on {len(vertices)} letters "
+            f"all words through degree {max_degree} on {nv} letters "
             f"exceed the cap of {WORDS_CAP}"
+        )
+    # the word cap passed, so max_degree < WORDS_CAP and the sum is short
+    if sum(n * nv**n for n in range(max_degree + 2)) > 16 * WORDS_CAP:
+        raise CarrierTooLarge(
+            f"all words through degree {max_degree} on {nv} letters "
+            f"hold more than {16 * WORDS_CAP} letters"
         )
     return Carrier(ALL_WORDS, vertices, max_degree=max_degree)
 
@@ -182,33 +192,33 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient) -> SparseM
     the empty-word component is cut when the carrier has no empty edge;
     any other image outside the carrier is an error.
 
-    Each basis word goes through `wedge_apply` as a one-term chain, with
-    the operator's coefficients coerced into the ring once, before the
-    first word. The images are distinct words with nonzero, reduced
-    coefficients, so the entries need no further checks.
+    All the columns come from one `wedge_apply` call, whose entries are
+    already distinct, nonzero and reduced; each entry is rewritten in
+    place against the target index, so no second entry list is held. An
+    image is cut only when the target module is empty, so a cut leaves
+    the zero matrix.
     """
     target = carrier.basis(n_target)
     if not src_basis:
         return SparseMatrix.zero(len(target), 0, ring)
-    op = op.over(ring)
-    index = {w: i for i, w in enumerate(target)}
-    items = []
     truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
-    degree = len(src_basis[0]) - 1
-    for j, w in enumerate(src_basis):
-        chain = FreeChain(ring, degree)
-        chain.terms = {w: 1}
-        for word, c in wedge_apply(op, chain, ambient).terms.items():
-            i = index.get(word)
-            if i is None:
-                if word == () or truncate_top:
-                    continue
-                raise OperatorLeavesCarrier(
-                    f"image word {word} of basis element {w} is outside the carrier"
-                )
-            items.append(((i, j), c))
-    items.sort()
-    return SparseMatrix(len(target), len(src_basis), ring, tuple(items))
+    # above the truncation every image is cut, so no column is formed; the
+    # call still checks the operator's coefficients against the ring
+    entries = wedge_apply(op, [] if truncate_top else src_basis, ring, ambient)
+    index = {w: i for i, w in enumerate(target)}
+    for t, (word, j, c) in enumerate(entries):
+        i = index.get(word)
+        if i is None:
+            if word == ():
+                continue
+            raise OperatorLeavesCarrier(
+                f"image word {word} of basis element {src_basis[j]} is outside the carrier"
+            )
+        entries[t] = ((i, j), c)
+    if not target:
+        return SparseMatrix.zero(0, len(src_basis), ring)
+    entries.sort()
+    return SparseMatrix(len(target), len(src_basis), ring, tuple(entries))
 
 
 class BuiltComplex:

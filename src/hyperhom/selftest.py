@@ -53,7 +53,7 @@ from .words import (
     insert,
     partial,
     project_simplicial,
-    wedge_apply,
+    wedge_chain,
 )
 
 
@@ -218,13 +218,13 @@ def suite_boundary_squared(rng) -> _Tally:
         w = tuple(rng.randrange(nv) for _ in range(rng.randint(0, 5)))
         c = FreeChain.single(ZZ, w)
         t.check(
-            wedge_apply(op, wedge_apply(op, c, FULL), FULL).is_zero(),
+            wedge_chain(op, wedge_chain(op, c, FULL), FULL).is_zero(),
             f"square of {op.kind} wedge on {w}",
         )
         sw = tuple(sorted(rng.sample(range(nv), rng.randint(0, nv))))
         sc = FreeChain.single(ZZ, sw)
         t.check(
-            wedge_apply(op, wedge_apply(op, sc, SIMPLICIAL), SIMPLICIAL).is_zero(),
+            wedge_chain(op, wedge_chain(op, sc, SIMPLICIAL), SIMPLICIAL).is_zero(),
             f"square of {op.kind} wedge on increasing {sw}",
         )
     return t
@@ -616,8 +616,8 @@ def suite_duality(rng) -> _Tally:
             cx = FreeChain.single(QQ, xi)
             ce = FreeChain.single(QQ, eta)
             t.check(
-                delta_pairing(wedge_apply(a, cx, FULL), ce)
-                == delta_pairing(cx, wedge_apply(w, ce, FULL)),
+                delta_pairing(wedge_chain(a, cx, FULL), ce)
+                == delta_pairing(cx, wedge_chain(w, ce, FULL)),
                 f"adjointness at {xi} {eta}",
             )
     return t

@@ -18,26 +18,33 @@ This is the unique extension of the insertion formula to length zero and
 it preserves anticommutation (exercised by the test suite).
 
 `face`, `insert`, `partial` and `differential` are the reference
-primitives on `FreeChain`. `wedge_apply`, which every boundary matrix and
-operator action goes through, uses their closed forms on plain
-{word: multiplicity} dicts instead: a deletion or insertion at position i
-has sign (-1)^i, a deletion of a letter absent from the word is zero, a
-deletion from a word without repeated letters has one position, and on
-strictly increasing words a simplicial insertion survives at exactly one
-position (found by bisection) or not at all.
+primitives on `FreeChain`. `wedge_apply` is the one implementation of the
+calculus that the engine runs: it takes an operator and a list of words,
+and returns the image of every word in one call, so a matrix is one call.
+It builds the operator's term table once, coercing the coefficients into
+the ring, and uses closed forms instead of composing sums:
 
-A matrix is assembled one column per basis word, each word going through
-`wedge_apply` as a one-term chain. The operator's coefficients are
-coerced into the ring once per matrix (`WedgeOperator.over`), so
-`wedge_apply` sees ints over Z and F_p and coerces nothing per word; the
-multiplicities it accumulates in plain arithmetic are reduced once per
-image word.
+* a deletion monomial on a word without repeated letters: each subset P
+  of positions whose letters are the generators leaves the word without
+  P, with sign (-1)^(sum P + inversions of the word restricted to P);
+* a simplicial insertion monomial on a strictly increasing word: the
+  sorted merge, with sign (-1)^(sum of the bisection positions), or zero
+  when a generator is already a letter;
+* on any other word, one derivation at a time by the run rules: deleting
+  g from a run of k letters g that starts at i gives one word with sign
+  (-1)^i when k is odd and nothing when k is even, and inserting g at a
+  slot i followed by k letters g (and not preceded by g) gives one word
+  with sign (-1)^i when k is even and nothing when k is odd.
+
+`wedge_chain` applies an operator to a `FreeChain`, as the weighted sum of
+the images of its words.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from itertools import combinations, repeat
 
 from .errors import IndexOutOfRange, NotOrderPreserving, NotSimplicial, SchemaViolation
 from .records import record
@@ -403,12 +410,6 @@ class WedgeOperator:
                 out.append((c, tuple(sorted(g1 + g2))))
         return WedgeOperator.build(self.kind, self.arity + other.arity, out)
 
-    def over(self, ring: Ring) -> "WedgeOperator":
-        """This operator with its coefficients coerced into `ring`; the
-        terms that vanish there are dropped."""
-        terms = ((ring.coerce(c), gens) for c, gens in self.terms)
-        return WedgeOperator(self.kind, self.arity, tuple((c, g) for c, g in terms if c != 0))
-
     def relabel(self, f: VertexMap) -> "WedgeOperator":
         if not f.strictly_increasing:
             raise NotOrderPreserving("relabeling needs a strictly increasing map")
@@ -419,88 +420,132 @@ class WedgeOperator:
         )
 
 
-def _delete_all(g: int, cur: dict) -> dict:
-    """`partial(g, ·)` on a {word: multiplicity} dict."""
-    out = {}
-    for u, m in cur.items():
-        for i, x in enumerate(u):
-            if x == g:
-                v = u[:i] + u[i + 1 :]
-                out[v] = out.get(v, 0) + (-m if i & 1 else m)
-    return out
+def _term_table(op: WedgeOperator, ring: Ring) -> dict:
+    """{gens: (c, -c)} of `op` over `ring`: repeated generator tuples are
+    summed, each coefficient and its negation is reduced by `Ring.normal`,
+    and the terms that vanish are dropped. A nonzero coefficient that is
+    not an int is coerced first, so one outside the ring raises here."""
+    acc = {}
+    for c, gens in op.terms:
+        if c != 0:
+            acc[gens] = acc.get(gens, 0) + (c if type(c) is int else ring.coerce(c))
+    normal = ring.normal
+    return {gens: (y, normal(-y)) for gens, x in acc.items() if (y := normal(x)) != 0}
 
 
-def _insert_all(g: int, cur: dict) -> dict:
-    """`differential(g, ·, FULL)` on a {word: multiplicity} dict."""
-    out = {}
-    for u, m in cur.items():
-        for i in range(len(u) + 1):
-            v = u[:i] + (g,) + u[i:]
-            out[v] = out.get(v, 0) + (-m if i & 1 else m)
-    return out
+def _deletions(g: int, u: Word):
+    """`partial(g, u)` by the run rule, as (word, i) for sign (-1)^i: the
+    k deletions from a run of k letters g give one word, and cancel in
+    pairs down to one or none."""
+    n, i = len(u), 0
+    while i < n:
+        if u[i] != g:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and u[j] == g:
+            j += 1
+        if (j - i) & 1:
+            yield u[:i] + u[i + 1 :], i
+        i = j
 
 
-def wedge_apply(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> FreeChain:
-    """Apply a wedge operator; lowers degree by its arity for kind
-    "partial", raises it for kind "d".
+def _insertions(g: int, u: Word):
+    """`differential(g, u, FULL)` by the run rule, as (word, i) for sign
+    (-1)^i: the k + 1 slots from slot i through a run of k letters g give
+    one word, and cancel in pairs down to one or none."""
+    n, i = len(u), 0
+    while i <= n:
+        j = i
+        while j < n and u[j] == g:
+            j += 1
+        if not (j - i) & 1:
+            yield u[:i] + (g,) + u[i:], i
+        i = j + 1
 
-    Each monomial composes its generators right to left on one word at a
-    time, with integer multiplicities, through the closed forms of `face`
-    and `insert`: deleting or inserting at position i has sign (-1)^i. A
-    deletion monomial whose generators are not all letters of the word
-    gives zero; on a word without repeated letters each deletion has one
-    position, so the monomial's image is a single signed word. In the
-    simplicial ambient each insertion has at most one surviving position,
-    found by bisection, so the image is again a single signed word, or
-    zero when a generator is already a letter. Every nonzero coefficient
-    that is not an int is coerced before any word is read; an int needs
-    no coercion in any ring, since one `FreeChain` is built at the end,
-    its coefficients reduced mod p or put in canonical rational form
-    there.
+
+def _compose(gens: tuple, w: Word, step) -> dict:
+    """One monomial on one word, right to left: {word: multiplicity}."""
+    cur = {w: 1}
+    for g in reversed(gens):
+        nxt = {}
+        for u, m in cur.items():
+            for v, i in step(g, u):
+                nxt[v] = nxt.get(v, 0) + (-m if i & 1 else m)
+        cur = nxt
+    return cur
+
+
+def wedge_apply(op: WedgeOperator, words, ring: Ring, ambient: str = FULL) -> list:
+    """The matrix kernel of the calculus: the image of every word of
+    `words` under `op`, as a list of (image word, column, coefficient),
+    column by column, by the closed forms and run rules of the module
+    docstring. Within a column the image words are distinct and the
+    coefficients nonzero and reduced by `Ring.normal`.
+
+    A simplicial insertion of nonzero arity raises `NotSimplicial` on a
+    word that is not strictly increasing. The term table is built next,
+    before any word is read, so a coefficient outside the ring raises
+    even when `words` is empty.
     """
-    ring = chain.ring
     lowering = op.kind == "partial"
     simplicial = not lowering and ambient == SIMPLICIAL
-    step = _delete_all if lowering else _insert_all
     if simplicial and op.arity and op.terms:
-        for w in chain.terms:
+        for w in words:
             if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
                 raise NotSimplicial(f"word {w} is not strictly increasing")
-    monomials = [(c if type(c) is int else ring.coerce(c), gens)
-                 for c, gens in op.terms if c != 0]
-    acc = {}
-    for w, cw in chain.terms.items():
-        letters = set(w)
-        single = simplicial or (lowering and len(letters) == len(w))
-        for c, gens in monomials:
-            if lowering:
-                if not letters.issuperset(gens):
-                    continue
-            elif simplicial and not letters.isdisjoint(gens):
-                continue
-            k = c * cw
-            if not single:
-                image = {w: 1}
-                for g in reversed(gens):
-                    image = step(g, image)
-                for v, m in image.items():
-                    acc[v] = acc.get(v, 0) + k * m
-                continue
-            u = w
-            for g in reversed(gens):
-                if lowering:
-                    i = u.index(g)
-                    u = u[:i] + u[i + 1 :]
-                else:
-                    i = bisect_left(u, g)
-                    u = u[:i] + (g,) + u[i:]
-                if i & 1:
-                    k = -k
-            acc[u] = acc.get(u, 0) + k
+    terms = _term_table(op, ring)
+    k = op.arity
+    if not terms or not k:
+        return [(w, j, c) for c, _ in terms.values() for j, w in enumerate(words)]
+    out = []
+    step = _deletions if lowering else _insertions
     normal = ring.normal
-    shift = -op.arity if lowering else op.arity
-    out = FreeChain(ring, chain.degree + shift)
-    out.terms = {v: y for v, x in acc.items() if (y := normal(x)) != 0}
+    for j, w in enumerate(words):
+        if simplicial:
+            letters = set(w)
+            for gens, t in terms.items():
+                if letters.isdisjoint(gens):
+                    parity = sum(map(bisect_left, repeat(w), gens))
+                    out.append((tuple(sorted(w + gens)), j, t[parity & 1]))
+        elif lowering and len(w) < k:
+            continue
+        elif lowering and len(set(w)) == len(w):
+            increasing = list(w) == sorted(w)
+            # complements reverse the lexicographic order of subsets
+            rest = combinations(w, len(w) - k)
+            for P, key, image in zip(combinations(range(len(w)), k), combinations(w, k),
+                                     reversed(list(rest))):
+                parity = sum(P)
+                if not increasing:
+                    parity += sum(a > b for a, b in combinations(key, 2))
+                    key = tuple(sorted(key))
+                t = terms.get(key)
+                if t is not None:
+                    out.append((image, j, t[parity & 1]))
+        elif k == 1:  # one step: the images are distinct
+            for (g,), t in terms.items():
+                out.extend((v, j, t[i & 1]) for v, i in step(g, w))
+        else:
+            acc = {}
+            for gens, (c, _) in terms.items():
+                for v, m in _compose(gens, w, step).items():
+                    acc[v] = acc.get(v, 0) + m * c
+            out.extend((v, j, y) for v, x in acc.items() if (y := normal(x)) != 0)
+    return out
+
+
+def wedge_chain(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> FreeChain:
+    """Apply a wedge operator to a chain: the sum of its words' images
+    under `wedge_apply`, weighted by their coefficients. Lowers the degree
+    by the arity for kind "partial" and raises it for kind "d"."""
+    ring = chain.ring
+    coeffs = list(chain.terms.values())
+    acc = {}
+    for v, j, c in wedge_apply(op, list(chain.terms), ring, ambient):
+        acc[v] = acc.get(v, 0) + coeffs[j] * c
+    out = FreeChain(ring, chain.degree + (-op.arity if op.kind == "partial" else op.arity))
+    out.terms = {v: y for v, x in acc.items() if (y := ring.normal(x)) != 0}
     return out
 
 

@@ -436,9 +436,15 @@ def test_double_dash_option_values_are_rejected(capsys, argv):
 
 
 def test_duality_rejects_oversized_carrier(capsys):
-    # the size is estimated before any word is enumerated
-    code = main(["duality", "--vertices", "a,b", "--max-degree", "1000000000"])
-    assert_one_error_document(capsys, code)
+    # the size is estimated before any word is enumerated: two letters by
+    # their word count, one letter by its letter count
+    for vertices, degree in (("a,b", "1000000000"), ("a", "65534")):
+        start = time.perf_counter()
+        code = main(["duality", "--vertices", vertices, "--max-degree", degree])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2 and "Traceback" not in captured.out + captured.err
+        assert json.loads(captured.out)["error"] == "CarrierTooLarge"
 
 
 @pytest.mark.parametrize("argv", [

@@ -49,7 +49,7 @@ from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FreeChain, VertexSet, WedgeOperator
 
 from test_hypergraphs import random_hypergraph, subface_classify
-from test_words import composed_wedge_apply
+from test_words import composed_wedge_apply, longest_run
 
 RINGS = [ZZ, QQ, GF(5), GF(7)]
 WEIGHTS = [0, 1, -1, 2, 3, 5, -7, Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3)]
@@ -86,8 +86,16 @@ def outcome(fn, *args):
 
 
 def random_operator(rng, kind, nv, arity):
+    """A built operator, or one built directly with repeated generator
+    tuples and zero coefficients. Direct terms stay in generator order,
+    the order of every operator the engine builds: an error names the
+    first image outside the carrier, and the oracle takes the images of a
+    word in term order."""
     terms = [(rng.choice(WEIGHTS), tuple(sorted(rng.sample(range(nv), arity))))
              for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        terms += [(rng.choice([0, *WEIGHTS]), g) for _, g in rng.choices(terms, k=2)]
+        return WedgeOperator(kind, arity, tuple(sorted(terms, key=lambda t: t[1])))
     return WedgeOperator.build(kind, arity, terms)
 
 
@@ -111,14 +119,23 @@ def random_carrier(rng, kind, vs):
 
 
 def test_assembly_matches_per_word_route():
+    """Odd arities, and the even arities 0 and 2 as `operator_action`
+    assembles them, on every carrier kind. All-words carriers of two or
+    three letters reach degree 3 or 4, so columns have runs of 2 to 4
+    equal letters and unsorted words without repeats."""
     rng = random.Random(1107)
-    shapes, errors, features = set(), set(), set()
-    for _ in range(400):
+    shapes, errors, features, runs = set(), set(), set(), {}
+    for _ in range(500):
         kind = rng.choice(["partial", "d"])
-        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(3, 5))])
-        arity = rng.choice([1, 3])
+        arity = rng.choice([0, 1, 1, 2, 3, 3])
+        if rng.random() < 0.2:
+            nv = rng.randint(max(arity, 2), 3)
+            vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+            carrier = word_carrier(vs, rng.randint(3, 7 - nv))
+        else:
+            vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(3, 5))])
+            carrier = random_carrier(rng, kind, vs)
         op = random_operator(rng, kind, len(vs), arity)
-        carrier = random_carrier(rng, kind, vs)
         ring = rng.choice(RINGS)
         shift = -arity if kind == "partial" else arity
         for n in range(-1, carrier.top_degree + 1):
@@ -138,14 +155,27 @@ def test_assembly_matches_per_word_route():
                 features.add("empty word kept" if carrier.has_empty else "empty word cut")
             if carrier.kind == ALL_WORDS and target > carrier.top_degree and src:
                 features.add("truncated")
+            for (_, j), _, _ in entries:
+                w = src[j]
+                if 2 <= longest_run(w):
+                    key = (kind, arity, min(longest_run(w), 4))
+                    runs[key] = runs.get(key, 0) + 1
+                elif list(w) != sorted(w):
+                    features.add("unsorted without repeats")
     assert shapes >= {(k, c, a) for k, c in (("partial", SIMPLICIAL_EDGES),
                                             ("d", INDEPENDENCE_EDGES),
                                             ("partial", ALL_WORDS), ("d", ALL_WORDS),
                                             ("d", INCREASING_WORDS))
-                      for a in (1, 3)}
+                      for a in (0, 1, 2, 3)}
     assert errors == {SchemaViolation, OperatorLeavesCarrier}
     assert features == {"entries", "zero", "fractions over Q", "empty word kept",
-                        "empty word cut", "truncated"}, features
+                        "empty word cut", "truncated", "unsorted without repeats"}, features
+    # entries from columns with runs of 2, 3 and 4 letters for both kinds
+    # at arity 1; at arity 3 an insertion column below the truncation has
+    # at most two letters, so its runs have length 2
+    floors = {(k, 1, r): 20 for k in ("partial", "d") for r in (2, 3, 4)}
+    floors.update({("partial", 3, 2): 20, ("partial", 3, 3): 20, ("d", 3, 2): 20})
+    assert all(runs.get(key, 0) >= n for key, n in floors.items()), runs
 
 
 def test_assembly_coerces_only_when_a_column_is_assembled():
@@ -350,9 +380,10 @@ def write_docs(tmp_path, docs):
 
 def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
     """The layer boundaries that a per-layer trace wraps are still the
-    routes the work takes: every assembled column calls the module
-    binding of `wedge_apply`, `BuiltComplex.homology` calls
-    `homology_presentation`, and `include` builds `DegreeSolver`s."""
+    routes the work takes: every assembled matrix calls the module
+    binding of `wedge_apply` once, on its whole source basis, and so does
+    `duality`; `BuiltComplex.homology` calls `homology_presentation`, and
+    `include` builds `DegreeSolver`s."""
     wedge = wrap_bindings(monkeypatch, "words", "wedge_apply")
     presentation = wrap_bindings(monkeypatch, "linalg", "homology_presentation")
     solver = wrap_bindings(monkeypatch, "homology", "DegreeSolver.__init__")
@@ -361,9 +392,15 @@ def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
     spec = ComplexSpec(edge_carrier("partial", circle),
                        WedgeOperator.weighted_sum("partial", [1, 1, 1]), 0, QQ)
     built = build_complex(spec)
-    assert len(wedge) == sum(len(circle.degree_edges(n)) for n in spec.degrees())
+    assert [call[1] for call in wedge] == [built.basis(n) for n in spec.degrees()]
     built.homology(1)
     assert len(presentation) == 1
+
+    # two complexes on all words of two letters, four degrees each
+    wedge.clear()
+    assert main(["duality", "--vertices", "a,b", "--max-degree", "2"]) == 0
+    capsys.readouterr()
+    assert len(wedge) == 8
 
     docs = {"left": {"vertices": ["s0", "s1", "s2"], "edges": [[], ["s0"], ["s1"]]},
             "right": {"vertices": ["s0", "s1", "s2"],

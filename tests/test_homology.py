@@ -34,7 +34,7 @@ from hyperhom.homology import (
 from hyperhom.hypergraphs import WORDS_CAP, ClosureOp, Hypergraph, closure, power_set
 from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
-from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_apply
+from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_chain
 
 from field_oracle import (
     DenseSolver,
@@ -276,7 +276,7 @@ def test_operator_action_two_step_composition():
         - FreeChain.single(QQ, (0, 2))
         + FreeChain.single(QQ, (0, 1))
     )
-    val = wedge_apply(beta, z, FULL)
+    val = wedge_chain(beta, z, FULL)
     assert val == FreeChain(QQ, -1, {(): -1})
     # its class in degree -1 dies (the group vanishes over a field)
     assert act[1].source_rank == 1 and act[1].target_rank == 0
@@ -577,11 +577,25 @@ def test_word_carrier_size_is_checked_before_enumeration():
     two = VertexSet.of("a", "b")
     assert _word_count(2, 14) == 2**16 - 1 <= WORDS_CAP
     assert word_carrier(two, 14).max_degree == 14
-    assert word_carrier(VertexSet.of("a"), WORDS_CAP - 2).max_degree == WORDS_CAP - 2
     for vs, d in ((two, 15), (two, 10**9), (VertexSet.of("a"), WORDS_CAP - 1),
                   (VertexSet(()), 10**9), (VertexSet.of(*"abcdefgh"), 10**6)):
-        with pytest.raises(CarrierTooLarge):
+        with pytest.raises(CarrierTooLarge, match="exceed the cap"):
             word_carrier(vs, d)
+
+
+def test_one_letter_word_carrier_is_bounded_by_its_letters():
+    # one letter: d + 2 words but (d + 1)(d + 2)/2 letters, capped at 16 * WORDS_CAP
+    a = VertexSet.of("a")
+    assert word_carrier(a, 1446).max_degree == 1446
+    for d in (1447, WORDS_CAP - 2):
+        with pytest.raises(CarrierTooLarge, match=f"more than {16 * WORDS_CAP} letters"):
+            word_carrier(a, d)
+    # every word has at most 15 letters on two or more, so the word cap binds first
+    for nv, top in ((2, 14), (3, 8), (4, 6), (5, 5), (6, 5), (7, 4), (8, 4)):
+        vs = VertexSet.of(*"abcdefgh"[:nv])
+        assert word_carrier(vs, top).max_degree == top
+        with pytest.raises(CarrierTooLarge, match="exceed the cap"):
+            word_carrier(vs, top + 1)
 
 
 def test_duality_single_vertex():
@@ -673,8 +687,8 @@ def test_adjointness_of_weighted_operators():
                 continue
             cx = FreeChain.single(QQ, xi)
             ce = FreeChain.single(QQ, eta)
-            lhs = delta_pairing(wedge_apply(a, cx, FULL), ce)
-            rhs = delta_pairing(cx, wedge_apply(w, ce, FULL))
+            lhs = delta_pairing(wedge_chain(a, cx, FULL), ce)
+            rhs = delta_pairing(cx, wedge_chain(w, ce, FULL))
             assert lhs == rhs
 
 
@@ -686,8 +700,8 @@ def test_adjointness_arity_three_sign():
     for xi in [(0, 1, 2), (2, 1, 0), (0, 2, 1)]:
         cx = FreeChain.single(QQ, xi)
         ce = FreeChain(QQ, -1, {(): 1})
-        lhs = delta_pairing(wedge_apply(a, cx, FULL), ce)
-        rhs = delta_pairing(cx, wedge_apply(w, ce, FULL))
+        lhs = delta_pairing(wedge_chain(a, cx, FULL), ce)
+        rhs = delta_pairing(cx, wedge_chain(w, ce, FULL))
         assert lhs == rhs
 
 

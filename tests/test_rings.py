@@ -25,7 +25,7 @@ from hyperhom.homology import (
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure
 from hyperhom.linalg import field_reduce, kernel_basis
 from hyperhom.rings import GF, QQ, _is_prime
-from hyperhom.words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
+from hyperhom.words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_chain
 
 from field_oracle import matrix_of_rows
 
@@ -125,7 +125,7 @@ def test_wedge_apply_is_canonical(weights, kind, ambient):
         for chain in chains:
             if kind == "partial" and op.arity > chain.degree + 1:
                 continue
-            out = wedge_apply(op, chain, ambient)
+            out = wedge_chain(op, chain, ambient)
             assert all(is_canonical(v) for v in out.terms.values()), (op, chain)
 
 

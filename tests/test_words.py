@@ -24,6 +24,7 @@ from hyperhom.words import (
     partial,
     project_simplicial,
     wedge_apply,
+    wedge_chain,
 )
 
 S3 = VertexSet.of("s0", "s1", "s2")
@@ -102,20 +103,20 @@ def test_join():
 
 def test_wedge_apply_examples():
     op = WedgeOperator.build("partial", 2, [(1, (0, 1))])
-    got = wedge_apply(op, chain(((0, 1), 1)), FULL)
+    got = wedge_chain(op, chain(((0, 1), 1)), FULL)
     assert got == FreeChain(ZZ, -1, {(): -1})
 
     alpha = WedgeOperator.weighted_sum("partial", [1, 1, 1])
-    got = wedge_apply(alpha, chain(((0, 1), 1)), SIMPLICIAL)
+    got = wedge_chain(alpha, chain(((0, 1), 1)), SIMPLICIAL)
     assert got == chain(((1,), 1), ((0,), -1))
 
 
 def test_wedge_scalar_and_zero():
     scal = WedgeOperator.scalar("d", 7)
     c = chain(((0, 2), 3))
-    assert wedge_apply(scal, c, SIMPLICIAL) == c.scaled(7)
+    assert wedge_chain(scal, c, SIMPLICIAL) == c.scaled(7)
     zero_op = WedgeOperator.build("partial", 1, [])
-    assert wedge_apply(zero_op, c, FULL).is_zero()
+    assert wedge_chain(zero_op, c, FULL).is_zero()
 
 
 def test_wedge_product_normalizes_signs():
@@ -138,11 +139,11 @@ def test_odd_operator_squares_to_zero():
         dop = WedgeOperator.build("d", arity, terms)
         w = tuple(rng.randrange(4) for _ in range(rng.randint(arity, 5)))
         c = FreeChain.single(ZZ, w)
-        assert wedge_apply(op, wedge_apply(op, c, FULL), FULL).is_zero()
-        assert wedge_apply(dop, wedge_apply(dop, c, FULL), FULL).is_zero()
+        assert wedge_chain(op, wedge_chain(op, c, FULL), FULL).is_zero()
+        assert wedge_chain(dop, wedge_chain(dop, c, FULL), FULL).is_zero()
         sw = tuple(sorted(rng.sample(range(5), rng.randint(arity, 4))))
         sc = FreeChain.single(ZZ, sw)
-        assert wedge_apply(dop, wedge_apply(dop, sc, SIMPLICIAL), SIMPLICIAL).is_zero()
+        assert wedge_chain(dop, wedge_chain(dop, sc, SIMPLICIAL), SIMPLICIAL).is_zero()
 
 
 def composed_wedge_apply(op, chain, ambient=FULL):
@@ -170,12 +171,29 @@ def _outcome(fn, *args):
     return got.degree, sorted((w, type(c), c) for w, c in got.terms.items())
 
 
+def longest_run(w):
+    """Length of the longest run of one letter in w."""
+    return max((len(list(run)) for _, run in itertools.groupby(w)), default=0)
+
+
+def run_word(rng, alphabet, length):
+    """A word made of runs of 1 to 4 equal letters of the alphabet."""
+    w = ()
+    while len(w) < length:
+        w += (rng.choice(alphabet),) * rng.randint(1, 4)
+    return w[:length]
+
+
 def test_wedge_apply_matches_composition_oracle():
+    """The kernel, through `wedge_chain`, against the composition of the
+    reference primitives: direct operators with repeated generator tuples
+    and zero coefficients, words with runs of equal letters, unsorted
+    words without repeats, and odd signs over F_p."""
     rng = random.Random(20240606)
     rings = [ZZ, QQ, GF(3), GF(5)]
     coeffs = [0, 1, -1, 2, 3, -4, 7, Fraction(1, 2), Fraction(-3, 5)]
-    raised, nonzero = set(), 0
-    for _ in range(2000):
+    raised, nonzero, features = set(), 0, {}
+    for _ in range(2500):
         ring = rng.choice(rings)
         kind = rng.choice(["partial", "d"])
         ambient = rng.choice([FULL, SIMPLICIAL])
@@ -186,11 +204,21 @@ def test_wedge_apply_matches_composition_oracle():
             for _ in range(rng.choice([0, 1, 2, 3, 4, 4]))
         )
         op = WedgeOperator(kind, arity, terms)
-        degree = rng.randint(arity - 1, 3) if kind == "partial" else rng.randint(-1, 3)
+        pick = rng.random()
+        top = 4 if pick < 0.3 else 3
+        degree = rng.randint(arity - 1, top) if kind == "partial" else rng.randint(-1, top)
+        # deletions need the generators among the letters
+        alphabet = list(range(nl))
+        if kind == "partial" and terms:
+            alphabet = sorted(set(rng.choice(terms)[1]) | {rng.randrange(nl)})
         words = {}
         for _ in range(rng.choice([0, 1, 2, 3, 4, 4])):
-            if ambient == SIMPLICIAL and rng.random() < 0.85 and degree < nl:
+            if pick < 0.3 and (kind == "partial" or ambient == FULL):
+                w = run_word(rng, alphabet, degree + 1)
+            elif ambient == SIMPLICIAL and rng.random() < 0.85 and degree < nl:
                 w = tuple(sorted(rng.sample(range(nl), degree + 1)))
+            elif pick < 0.45 and degree < nl:
+                w = tuple(rng.sample(range(nl), degree + 1))
             else:
                 w = tuple(rng.randrange(nl) for _ in range(degree + 1))
             words[w] = rng.choice([c for c in coeffs if not isinstance(c, Fraction)])
@@ -198,14 +226,30 @@ def test_wedge_apply_matches_composition_oracle():
             words = {w: ring.coerce(c) * ring.coerce(Fraction(1, 2)) for w, c in words.items()}
         c = FreeChain(ring, degree, words)
         want = _outcome(composed_wedge_apply, op, c, ambient)
-        assert _outcome(wedge_apply, op, c, ambient) == want, (op, c, ambient)
+        assert _outcome(wedge_chain, op, c, ambient) == want, (op, c, ambient)
         if isinstance(want, type):
             raised.add(want)
-        elif want[1]:
-            nonzero += 1
+            continue
+        if not want[1]:
+            continue
+        nonzero += 1
+        found = set()
+        if max(map(longest_run, words)) >= 2:
+            found.add(("runs", kind, arity))
+        if any(len(set(w)) == len(w) and list(w) != sorted(w) for w in words):
+            found.add("unsorted without repeats")
+        if len({g for _, g in terms}) < len(terms):
+            found.add("repeated generators")
+        if ring.p:
+            found.add("F_p")
+        for f in found:
+            features[f] = features.get(f, 0) + 1
     # both error paths were exercised: 1/2 over Z and non-increasing words
     assert raised == {SchemaViolation, NotSimplicial}
     assert nonzero > 400
+    floors = {("runs", k, a): 10 for k in ("partial", "d") for a in (1, 3)}
+    floors.update({"unsorted without repeats": 50, "repeated generators": 50, "F_p": 100})
+    assert all(features.get(f, 0) >= n for f, n in floors.items()), features
 
 
 def exhaustive_words(nletters, maxlen):
