@@ -523,9 +523,6 @@ def wedge_apply(op: WedgeOperator, words, ring: Ring, ambient: str = FULL) -> li
                 t = terms.get(key)
                 if t is not None:
                     out.append((image, j, t[parity & 1]))
-        elif k == 1:  # one step: the images are distinct
-            for (g,), t in terms.items():
-                out.extend((v, j, t[i & 1]) for v, i in step(g, w))
         else:
             acc = {}
             for gens, (c, _) in terms.items():

@@ -443,8 +443,11 @@ def test_duality_rejects_oversized_carrier(capsys):
         code = main(["duality", "--vertices", vertices, "--max-degree", degree])
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
-        assert code == 2 and "Traceback" not in captured.out + captured.err
-        assert json.loads(captured.out)["error"] == "CarrierTooLarge"
+        lines = captured.out.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+        assert "Traceback" not in captured.out + captured.err
+        assert json.loads(lines[0])["error"] == "CarrierTooLarge"
 
 
 @pytest.mark.parametrize("argv", [
