@@ -165,19 +165,12 @@ class ComplexSpec:
             raise ClassMismatch("independence carriers take degree-raising operators")
         object.__setattr__(self, "q", self.q % self.operator.arity)
 
-    @property
-    def step(self) -> int:
-        return self.operator.arity
-
-    @property
-    def lowering(self) -> bool:
-        return self.operator.kind == "partial"
+    def on_grid(self, n: int) -> bool:
+        return n >= -1 and (n - self.q) % self.operator.arity == 0
 
     def degrees(self) -> list:
-        step = self.step
-        bottom = -1 if (-1 - self.q) % step == 0 else self.q
-        top = self.carrier.top_degree
-        return list(range(bottom, top + 1, step))
+        bottom = -1 if self.on_grid(-1) else self.q
+        return list(range(bottom, self.carrier.top_degree + 1, self.operator.arity))
 
 
 @record
@@ -186,11 +179,12 @@ class HomologyGroup:
     presentation: SubquotientPresentation
 
 
-def _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient) -> SparseMatrix:
+def _assemble_matrix(op, carrier, ring, src_basis, n_target) -> SparseMatrix:
     """Matrix of `op` from the span of src_basis into the carrier's degree
-    n_target module. Word-carrier images above the truncation are cut;
-    the empty-word component is cut when the carrier has no empty edge;
-    any other image outside the carrier is an error.
+    n_target module, in the carrier's ambient word calculus. Word-carrier
+    images above the truncation are cut; the empty-word component is cut
+    when the carrier has no empty edge; any other image outside the
+    carrier is an error.
 
     All the columns come from one `wedge_apply` call, whose entries are
     already distinct, nonzero and reduced; each entry is rewritten in
@@ -204,7 +198,7 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient) -> SparseM
     truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
     # above the truncation every image is cut, so no column is formed; the
     # call still checks the operator's coefficients against the ring
-    entries = wedge_apply(op, [] if truncate_top else src_basis, ring, ambient)
+    entries = wedge_apply(op, [] if truncate_top else src_basis, ring, carrier.ambient)
     index = {w: i for i, w in enumerate(target)}
     for t, (word, j, c) in enumerate(entries):
         i = index.get(word)
@@ -230,16 +224,13 @@ class BuiltComplex:
         self.mats = {}
         self._solvers = {}
         self._invariants = {}
-        carrier, ring = spec.carrier, spec.ring
-        sgn = -1 if spec.lowering else 1
+        carrier, shift = spec.carrier, spec.operator.shift
         for n in spec.degrees():
             self.bases[n] = carrier.basis(n)
             self.mats[n] = _assemble_matrix(
-                spec.operator, carrier, ring, self.bases[n], n + sgn * spec.step,
-                carrier.ambient,
-            )
+                spec.operator, carrier, spec.ring, self.bases[n], n + shift)
         for n in spec.degrees():
-            m = n + sgn * spec.step
+            m = n + shift
             if m in self.mats and not self.mats[m].mul(self.mats[n]).is_zero():
                 raise CompositionNotZero(
                     f"operator squared is nonzero from degree {n}"
@@ -255,22 +246,18 @@ class BuiltComplex:
         """Operator matrix leaving degree n (zero-shaped off the grid)."""
         if n in self.mats:
             return self.mats[n]
-        sgn = -1 if self.spec.lowering else 1
         return SparseMatrix.zero(
-            self.dim(n + sgn * self.spec.step), self.dim(n), self.spec.ring
-        )
+            self.dim(n + self.spec.operator.shift), self.dim(n), self.spec.ring)
 
     def incoming_matrix(self, n: int) -> SparseMatrix:
-        sgn = -1 if self.spec.lowering else 1
-        return self.matrix(n - sgn * self.spec.step)
+        return self.matrix(n - self.spec.operator.shift)
 
     def homology(self, n: int) -> HomologyGroup:
-        if (n - self.spec.q) % self.spec.step != 0 or n < -1:
+        if not self.spec.on_grid(n):
             raise SchemaViolation(f"degree {n} is not on the offset-{self.spec.q} grid")
-        sgn = -1 if self.spec.lowering else 1
         return HomologyGroup(n, homology_presentation(
             self.matrix(n), self.incoming_matrix(n),
-            self.invariants(n), self.invariants(n - sgn * self.spec.step),
+            self.invariants(n), self.invariants(n - self.spec.operator.shift),
         ))
 
     def invariants(self, n: int) -> tuple:
@@ -408,7 +395,9 @@ def _descend(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
 def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
     """Homology action of an even wedge operator, one InducedMap per
     degree of the source grid. The chain-level commutation with the
-    boundary is checked before descending."""
+    boundary is checked before descending. The target complex is the
+    source itself when the shift keeps the offset, as it does for every
+    arity-1 boundary."""
     if not spec.ring.is_field:
         raise SchemaViolation("operator actions are computed over fields")
     if evenop.arity % 2 != 0:
@@ -416,28 +405,17 @@ def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
     if evenop.kind != spec.operator.kind:
         raise SchemaViolation("operator family mismatch")
     source = build_complex(spec)
-    shift = -evenop.arity if spec.lowering else evenop.arity
-    target_spec = ComplexSpec(spec.carrier, spec.operator, spec.q + shift, spec.ring)
-    target = build_complex(target_spec)
-    carrier, ring = spec.carrier, spec.ring
-    sgn = -1 if spec.lowering else 1
-
-    even_mats = {}
-    for n in spec.degrees():
-        even_mats[n] = _assemble_matrix(
-            evenop, carrier, ring, source.basis(n), n + shift, carrier.ambient
-        )
-    for n in spec.degrees():
-        m = n + shift
-        lhs = target.matrix(m).mul(even_mats[n])
-        nxt = n + sgn * spec.step
-        rhs_inner = even_mats.get(nxt)
-        if rhs_inner is None:
-            rhs_inner = _assemble_matrix(
-                evenop, carrier, ring, source.basis(nxt), nxt + shift, carrier.ambient
-            )
-        rhs = rhs_inner.mul(source.matrix(n))
-        if lhs.entries != rhs.entries:
+    shift = evenop.shift
+    target = source if shift % spec.operator.arity == 0 else build_complex(
+        ComplexSpec(spec.carrier, spec.operator, spec.q + shift, spec.ring))
+    even_mats = {n: _assemble_matrix(evenop, spec.carrier, spec.ring, source.basis(n), n + shift)
+                 for n in spec.degrees()}
+    for n, even in even_mats.items():
+        lhs = target.matrix(n + shift).mul(even)
+        # off the grid the source module is zero, and so is the other side
+        inner = even_mats.get(n + spec.operator.shift)
+        rhs = inner.mul(source.matrix(n)).entries if inner is not None else ()
+        if lhs.entries != rhs:
             raise NotAChainMap("even operator does not commute with the boundary")
 
     return {
@@ -531,10 +509,8 @@ def mv_sequence(complexes: dict) -> LongExactSequence:
     """The long exact sequence linking intersection, direct sum, and union
     of the complexes built by `mv_complexes`."""
     spec = complexes["cup"].spec
-    grid = spec.degrees()
-    if spec.lowering:
-        grid = list(reversed(grid))
-    sgn = -1 if spec.lowering else 1
+    # the connecting maps step with the boundary, so the grid runs that way
+    grid = sorted(spec.degrees(), reverse=spec.operator.shift < 0)
 
     nodes = []
     maps = []
@@ -545,7 +521,7 @@ def mv_sequence(complexes: dict) -> LongExactSequence:
         nodes.append(SequenceNode("sum", n, betti["a"] + betti["b"]))
         maps.append(_mv_second_map(complexes, n))
         nodes.append(SequenceNode("union", n, betti["cup"]))
-        maps.append(_mv_connecting(complexes, n, sgn * spec.step))
+        maps.append(_mv_connecting(complexes, n))
     ranks = [rank(m) for m in maps]
 
     junctions = []
@@ -586,11 +562,11 @@ def _mv_second_map(complexes, n) -> SparseMatrix:
                                [((0, 0), ma), ((0, ma.cols), neg_b)])
 
 
-def _mv_connecting(complexes, n, signed_step) -> SparseMatrix:
+def _mv_connecting(complexes, n) -> SparseMatrix:
     """Zig-zag: lift the union cycles to the a side, push them through its
     boundary, read their classes in the intersection."""
-    m = n + signed_step
     cup, a = complexes["cup"], complexes["a"]
+    m = n + cup.spec.operator.shift
     reps = cup.solver(n).reps
     a_index = {w: i for i, w in enumerate(a.basis(n))}
     cup_basis = cup.basis(n)

@@ -174,20 +174,20 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
-    if n < -1 or (n - q) % operator.arity != 0:
+    spec = ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring)
+    if not spec.on_grid(n):
         raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
-    built = build_complex(
-        ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring))
+    built = build_complex(spec)
     pos = {edge: k for k, (edge, _) in enumerate(f.births)}
     births = [birth for _, birth in f.births]
     last = len(births) - 1
     edges = built.basis(n)
-    src = n + operator.arity if built.spec.lowering else n - operator.arity
+    src_edges = built.basis(n - operator.shift)
     out_rows, in_rows = {}, {}
     for (i, j), v in built.matrix(n).entries:
         out_rows.setdefault(i, {})[pos[edges[j]]] = v
-    for (i, j), v in built.matrix(src).entries:
-        in_rows.setdefault(pos[built.basis(src)[j]], {})[last - pos[edges[i]]] = v
+    for (i, j), v in built.incoming_matrix(n).entries:
+        in_rows.setdefault(pos[src_edges[j]], {})[last - pos[edges[i]]] = v
     negative = field_reduce(list(out_rows.values()), len(births), ring)[0]
     closer = {id(row): births[k] for k, row in in_rows.items()}
     pivots, pivot_rows, _ = field_reduce(

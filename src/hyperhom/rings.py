@@ -136,9 +136,6 @@ class Ring:
             return pow(a, -1, self.p)
         raise SchemaViolation("Z is not a field")
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 

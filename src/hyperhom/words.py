@@ -107,10 +107,6 @@ class VertexMap:
     def order_preserving(self) -> bool:
         return all(a <= b for a, b in zip(self.images, self.images[1:]))
 
-    @property
-    def strictly_increasing(self) -> bool:
-        return all(a < b for a, b in zip(self.images, self.images[1:]))
-
     def __call__(self, i: int) -> int:
         return self.images[i]
 
@@ -397,6 +393,12 @@ class WedgeOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def shift(self) -> int:
+        """The signed degree step: deletions lower the degree by the
+        arity, insertions raise it."""
+        return -self.arity if self.kind == "partial" else self.arity
+
     def wedge(self, other: "WedgeOperator") -> "WedgeOperator":
         if self.kind != other.kind:
             raise SchemaViolation("cannot wedge different derivation families")
@@ -409,15 +411,6 @@ class WedgeOperator:
                 c = c1 * c2 * (-1) ** inv
                 out.append((c, tuple(sorted(g1 + g2))))
         return WedgeOperator.build(self.kind, self.arity + other.arity, out)
-
-    def relabel(self, f: VertexMap) -> "WedgeOperator":
-        if not f.strictly_increasing:
-            raise NotOrderPreserving("relabeling needs a strictly increasing map")
-        return WedgeOperator.build(
-            self.kind,
-            self.arity,
-            [(c, tuple(f(g) for g in gens)) for c, gens in self.terms],
-        )
 
 
 def _term_table(op: WedgeOperator, ring: Ring) -> dict:
@@ -541,7 +534,7 @@ def wedge_chain(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
     acc = {}
     for v, j, c in wedge_apply(op, list(chain.terms), ring, ambient):
         acc[v] = acc.get(v, 0) + coeffs[j] * c
-    out = FreeChain(ring, chain.degree + (-op.arity if op.kind == "partial" else op.arity))
+    out = FreeChain(ring, chain.degree + op.shift)
     out.terms = {v: y for v, x in acc.items() if (y := ring.normal(x)) != 0}
     return out
 

@@ -11,13 +11,15 @@ replaced.
   on ten and more vertices.
 
 It also guards the routes the work takes: the layer boundaries a trace
-wraps, and one product per boundary pair in a `homology` command.
+wraps, one product per boundary pair in a `homology` command, and one
+complex per `act` whose even operator keeps the offset.
 """
 
 import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,7 @@ RINGS = [ZZ, QQ, GF(5), GF(7)]
 WEIGHTS = [0, 1, -1, 2, 3, 5, -7, Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3)]
 
 
-def per_word_assembly(op, carrier, ring, src_basis, n_target, ambient):
+def per_word_assembly(op, carrier, ring, src_basis, n_target):
     """The replaced route: a validated one-word chain per basis word and a
     checked `from_entries` over everything collected."""
     target = carrier.basis(n_target)
@@ -63,7 +65,7 @@ def per_word_assembly(op, carrier, ring, src_basis, n_target, ambient):
     items = []
     truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
     for j, w in enumerate(src_basis):
-        image = composed_wedge_apply(op, FreeChain.single(ring, w), ambient)
+        image = composed_wedge_apply(op, FreeChain.single(ring, w), carrier.ambient)
         for word, c in image.terms.items():
             i = index.get(word)
             if i is None:
@@ -140,7 +142,7 @@ def test_assembly_matches_per_word_route():
         shift = -arity if kind == "partial" else arity
         for n in range(-1, carrier.top_degree + 1):
             src, target = carrier.basis(n), n + shift
-            args = (op, carrier, ring, src, target, carrier.ambient)
+            args = (op, carrier, ring, src, target)
             want = outcome(per_word_assembly, *args)
             assert outcome(_assemble_matrix, *args) == want, (op, carrier, ring, n)
             shapes.add((kind, carrier.kind, arity))
@@ -183,10 +185,10 @@ def test_assembly_coerces_only_when_a_column_is_assembled():
     op = WedgeOperator.weighted_sum("partial", [Fraction(1, 2), 1])
     vs = VertexSet.of("a", "b")
     empty = edge_carrier("partial", Hypergraph(vs, frozenset()))
-    assert _assemble_matrix(op, empty, ZZ, [], -1, empty.ambient) == SparseMatrix.zero(0, 0, ZZ)
+    assert _assemble_matrix(op, empty, ZZ, [], -1) == SparseMatrix.zero(0, 0, ZZ)
     points = edge_carrier("partial", Hypergraph.of(vs, [[], ["a"]]))
     with pytest.raises(SchemaViolation, match="is not an integer"):
-        _assemble_matrix(op, points, ZZ, points.basis(0), -1, points.ambient)
+        _assemble_matrix(op, points, ZZ, points.basis(0), -1)
 
 
 def dense(m):
@@ -441,8 +443,8 @@ def test_homology_squares_each_boundary_pair_once(monkeypatch, tmp_path, capsys,
 def test_nonzero_square_in_a_homology_command_exits_one(monkeypatch, tmp_path, capsys):
     """A boundary pair whose product is nonzero still stops the command
     with exit 1 and the error document of the complex's own check."""
-    def perturbed(op, carrier, ring, src_basis, n_target, ambient):
-        m = _assemble_matrix(op, carrier, ring, src_basis, n_target, ambient)
+    def perturbed(op, carrier, ring, src_basis, n_target):
+        m = _assemble_matrix(op, carrier, ring, src_basis, n_target)
         if n_target != 0 or not src_basis:
             return m
         entries = m.entry_dict()
@@ -460,3 +462,41 @@ def test_nonzero_square_in_a_homology_command_exits_one(monkeypatch, tmp_path, c
                      str(paths["cx"])]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "error": "CompositionNotZero", "detail": "operator squared is nonzero from degree 1"}
+
+
+def test_operator_action_builds_a_second_complex_only_off_the_offset(
+        monkeypatch, tmp_path, capsys):
+    """`act` builds the target complex only when the even operator moves
+    the offset. An arity-1 boundary reduces every offset to 0, so its
+    action builds one complex; an arity-3 boundary under an arity-2
+    operator builds two. The arity-3 maps stay the ones pinned in
+    printed_maps.json."""
+    builds = wrap_bindings(monkeypatch, "homology", "build_complex")
+    labels = ["a", "b", "c", "d"]
+    sphere = [[labels[i] for i in e] for e in power_set(VertexSet.of(*labels)) if len(e) < 4]
+    paths = write_docs(tmp_path, {
+        "file": {"vertices": labels, "edges": sphere},
+        "operator": {"kind": "partial", "terms": [{"coeff": c, "vertices": [v]}
+                                                  for c, v in zip([1, 2, 1, 3], labels)]},
+        "even": {"kind": "partial", "terms": [{"coeff": 1, "vertices": ["a", "c"]}]}})
+    for ring in ("Q", "F5"):
+        builds.clear()
+        flags = ["--ring", "Q"] if ring == "Q" else ["--ring", "Fp", "--p", "5"]
+        assert main(["act", "--operator", str(paths["operator"]), "--even",
+                     str(paths["even"]), *flags, str(paths["file"])]) == 0
+        assert len(json.loads(capsys.readouterr().out)["maps"]) == 4
+        assert len(builds) == 1
+
+    pinned = json.loads((Path(__file__).parent / "printed_maps.json").read_text())
+    acts = [case for case in pinned if case["command"] == "act"]
+    assert len(acts) == 4
+    for case in acts:
+        docs = case["docs"]
+        assert {len(t["vertices"]) for t in docs["operator"]["terms"]} == {3}
+        assert {len(t["vertices"]) for t in docs["even"]["terms"]} == {2}
+        paths = write_docs(tmp_path, docs)
+        builds.clear()
+        assert main(["act", "--operator", str(paths["operator"]), "--even",
+                     str(paths["even"]), *case["flags"], str(paths["file"])]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+        assert len(builds) == 2

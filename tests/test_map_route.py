@@ -88,10 +88,8 @@ def inclusion_oracle(small, large, n):
 def mv_oracle(complexes):
     """Every map of the Mayer-Vietoris sequence, in `mv_sequence` order."""
     spec = complexes["cup"].spec
-    grid = spec.degrees()
-    if spec.lowering:
-        grid = list(reversed(grid))
-    sgn = -1 if spec.lowering else 1
+    shift = spec.operator.shift
+    grid = sorted(spec.degrees(), reverse=shift < 0)
     maps = []
     for n in grid:
         ia = inclusion_oracle(complexes["cap"], complexes["a"], n)
@@ -104,7 +102,7 @@ def mv_oracle(complexes):
         maps.append(SparseMatrix.from_entries(
             ja.rows, ja.cols + jb.cols, ja.ring,
             list(ja.entries) + [((i, j + ja.cols), -v) for (i, j), v in jb.entries]))
-        maps.append(mv_connecting(complexes, n, sgn * spec.step))
+        maps.append(mv_connecting(complexes, n, shift))
     return maps
 
 
@@ -159,12 +157,11 @@ def test_operator_actions_match_per_vector_route():
             continue
         spec = ComplexSpec(edge_carrier(kind, h), op, rng.randrange(arity), ring)
         action = operator_action(spec, even)
-        shift = -even.arity if spec.lowering else even.arity
+        shift = even.shift
         source = build_complex(spec)
         target = build_complex(ComplexSpec(spec.carrier, op, spec.q + shift, ring))
         for n, m in action.items():
-            chain = _assemble_matrix(even, spec.carrier, ring, source.basis(n), n + shift,
-                                     spec.carrier.ambient)
+            chain = _assemble_matrix(even, spec.carrier, ring, source.basis(n), n + shift)
             want = descend(chain, dense_solver(source, n), dense_solver(target, n + shift),
                            "even operator action")
             assert well_formed(m.matrix) and m.matrix == want

@@ -49,10 +49,9 @@ def test_coerce_is_canonical(x):
 
 
 @pytest.mark.parametrize("name, fn", [("add", operator.add), ("sub", operator.sub),
-                                      ("mul", operator.mul), ("div", operator.truediv)])
+                                      ("mul", operator.mul)])
 @given(a=VALUES, b=VALUES)
 def test_binary_operations_are_canonical(name, fn, a, b):
-    assume(name != "div" or b != 0)
     got = getattr(QQ, name)(a, b)
     assert got == fn(Fraction(a), Fraction(b)) and is_canonical(got)
 
