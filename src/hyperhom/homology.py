@@ -168,6 +168,11 @@ class ComplexSpec:
     def on_grid(self, n: int) -> bool:
         return n >= -1 and (n - self.q) % self.operator.arity == 0
 
+    def require_on_grid(self, n: int) -> None:
+        """The one wording of the off-grid error, naming the reduced offset."""
+        if not self.on_grid(n):
+            raise SchemaViolation(f"degree {n} is not on the offset-{self.q} grid")
+
     def degrees(self) -> list:
         bottom = -1 if self.on_grid(-1) else self.q
         return list(range(bottom, self.carrier.top_degree + 1, self.operator.arity))
@@ -253,8 +258,7 @@ class BuiltComplex:
         return self.matrix(n - self.spec.operator.shift)
 
     def homology(self, n: int) -> HomologyGroup:
-        if not self.spec.on_grid(n):
-            raise SchemaViolation(f"degree {n} is not on the offset-{self.spec.q} grid")
+        self.spec.require_on_grid(n)
         return HomologyGroup(n, homology_presentation(
             self.matrix(n), self.incoming_matrix(n),
             self.invariants(n), self.invariants(n - self.spec.operator.shift),

@@ -7,6 +7,11 @@ the global and local complements, and `trace` restricts onto a vertex
 subset. Full power-set enumeration is capped at 20 vertices, the upward
 closures `Delta`/`barDelta` at 2**20 enumerated subsets, and all-words
 carriers at 2**16 words.
+
+Ingest is one pass per edge: a C-level `map` over the labels-only position
+dict (True and 1.0 hash as 1), then the sorted tuple and bitmask together,
+kept by `Hypergraph.of` for `classify`. Where that lookup fails, the
+checking loop `_vertex_indices` runs, so every error keeps its text.
 """
 
 from __future__ import annotations
@@ -65,13 +70,34 @@ def _vertex_indices(vertices, raw) -> list:
     return idx
 
 
-def _as_edge(vertices, raw) -> tuple:
-    """Sorted index tuple of an edge given by vertex labels or indices."""
-    idx = _vertex_indices(vertices, raw)
-    edge = tuple(sorted(set(idx)))
-    if len(edge) != len(idx):
-        raise SchemaViolation(f"edge {raw} repeats a vertex")
-    return edge
+def _indexer(vertices):
+    """One document's lookup: the indices of the vertices of a list, in order."""
+    get = vertices._position.__getitem__
+
+    def indices(raw) -> list:
+        try:
+            return list(map(get, raw))
+        except (KeyError, TypeError):
+            return _vertex_indices(vertices, raw)
+
+    return indices
+
+
+def _edge_parser(vertices):
+    """One document's edge parser: sorted index tuple and bitmask of an edge."""
+    indices = _indexer(vertices)
+    bit = [1 << v for v in range(len(vertices))].__getitem__
+
+    def parse(raw) -> tuple:
+        idx = indices(raw)  # a fresh list, sorted in place
+        idx.sort()
+        mask = sum(map(bit, idx))
+        # a repeated vertex carries, leaving fewer bits than letters
+        if mask.bit_count() != len(idx):
+            raise SchemaViolation(f"edge {raw} repeats a vertex")
+        return tuple(idx), mask
+
+    return parse
 
 
 @record
@@ -86,7 +112,11 @@ class Hypergraph:
 
     @staticmethod
     def of(vertices: VertexSet, edges) -> "Hypergraph":
-        return Hypergraph(vertices, frozenset(_as_edge(vertices, e) for e in edges))
+        """The edges given by vertex labels or indices; keeps their bitmasks."""
+        edge_masks = dict(map(_edge_parser(vertices), edges))
+        h = Hypergraph(vertices, frozenset(edge_masks))
+        _set(h, "_masks", frozenset(edge_masks.values()))
+        return h
 
     def sorted_edges(self) -> list:
         return sorted(self.edges, key=lambda e: (len(e), e))
@@ -126,19 +156,32 @@ class Hypergraph:
         every edge keeps all its one-vertex insertions, every superset is
         present.
 
-        Edges are checked as bitmasks, bit v standing for vertex v, so a
-        one-vertex deletion or insertion is a single bit flip looked up in
-        a set of ints. Vertex by vertex: clearing bit b of every edge but
-        {b} itself, and setting it in every edge, must stay in the family.
+        Edges are checked as bitmasks, bit v standing for vertex v. For
+        each vertex bit b, the flips m ^ b of the masks that are not masks,
+        0 aside ({b} need not keep its empty face), are what is missing:
+        one without bit b is a missing face (not closed down), one with
+        bit b a missing coface (not closed up). It stops once both fail.
         """
         return self._class
 
     @cached_property
+    def _masks(self) -> frozenset:
+        """The edges as bitmasks; `of` fills this in from its parser."""
+        bit = [1 << v for v in range(len(self.vertices))].__getitem__
+        return frozenset(sum(map(bit, e)) for e in self.edges)
+
+    @cached_property
     def _class(self) -> HypergraphClass:
-        bits = [1 << v for v in range(len(self.vertices))]
-        masks = {sum(map(bits.__getitem__, e)) for e in self.edges}
-        down = all({m & ~b for m in masks if m != b} <= masks for b in bits)
-        up = all({m | b for m in masks} <= masks for b in bits)
+        masks = self._masks
+        down = up = True
+        for v in range(len(self.vertices)):
+            b = 1 << v
+            missing = {m ^ b for m in masks} - masks
+            missing.discard(0)
+            down = down and all(m & b for m in missing)
+            up = up and not any(m & b for m in missing)
+            if not (down or up):
+                break
         if down and up:
             return HypergraphClass.BOTH
         if down:

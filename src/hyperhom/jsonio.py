@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import SchemaViolation
-from .hypergraphs import Hypergraph, _as_edge, _vertex_indices
+from .hypergraphs import Hypergraph, _edge_parser, _indexer
 from .persistence import Filtration
 from .rings import canonical
 from .words import VertexSet, WedgeOperator
@@ -82,12 +82,13 @@ def operator_from_json(data, vertices: VertexSet) -> WedgeOperator:
     _require(isinstance(terms, list) and terms, "operator needs a nonempty term list")
     parsed = []
     arity = None
+    indices = _indexer(vertices)
     for term in terms:
         _require(isinstance(term, dict) and "coeff" in term and "vertices" in term,
                  "each term needs 'coeff' and 'vertices'")
         coeff = coefficient_from_json(term["coeff"])
         _require(isinstance(term["vertices"], list), "term vertices must be a list")
-        gens = _vertex_indices(vertices, term["vertices"])
+        gens = indices(term["vertices"])
         _require(all(a < b for a, b in zip(gens, gens[1:])),
                  "term vertices must be strictly increasing in the vertex order")
         if arity is None:
@@ -120,11 +121,12 @@ def filtration_from_json(data) -> Filtration:
              "'class' must be 'simplicial' or 'independence'")
     births = []
     _require(isinstance(data["edges"], list), "'edges' must be a list")
+    parse = _edge_parser(vs)
     for row in data["edges"]:
         _require(isinstance(row, dict) and "edge" in row and "birth" in row,
                  "each filtration row needs 'edge' and 'birth'")
         _require(isinstance(row["edge"], list), "each edge must be a list")
-        births.append((_as_edge(vs, row["edge"]), coefficient_from_json(row["birth"])))
+        births.append((parse(row["edge"])[0], coefficient_from_json(row["birth"])))
     return Filtration.of(vs, births, cls)
 
 

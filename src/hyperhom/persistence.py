@@ -175,8 +175,7 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
     spec = ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring)
-    if not spec.on_grid(n):
-        raise SchemaViolation(f"degree {n} is not on the offset-{q} grid")
+    spec.require_on_grid(n)
     built = build_complex(spec)
     pos = {edge: k for k, (edge, _) in enumerate(f.births)}
     births = [birth for _, birth in f.births]

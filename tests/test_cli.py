@@ -210,21 +210,26 @@ def test_persist_and_barcode(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["homology", "barcode", "persist"])
 def test_off_grid_degrees_are_rejected(tmp_path, capsys, command):
-    """An arity-3 boundary at offset 0 has degrees -1, 2, 5, ...: asking
-    for degree 1 is an input error with the same text on every command."""
+    """An arity-3 boundary at offset 0 has degrees -1, 2, 5, ..., and so
+    has one at offset 5: asking for degree 1 is an input error with the
+    same text on every command, naming the offset reduced modulo the
+    arity."""
     op = write(tmp_path, "op.json", {
         "kind": "partial", "terms": [{"coeff": 1, "vertices": ["s0", "s1", "s2"]}]})
     triangle = CIRCLE_DOC["edges"] + [["s0", "s1", "s2"]]
-    if command == "homology":
-        argv = ["homology", "--operator", op, "--ring", "Q", "--n", "1",
-                write(tmp_path, "h.json", {"vertices": ["s0", "s1", "s2"], "edges": triangle})]
-    else:
-        filt = write(tmp_path, "f.json", {
-            "vertices": ["s0", "s1", "s2"], "class": "simplicial",
-            "edges": [{"edge": e, "birth": max(len(e), 1)} for e in triangle]})
-        argv = [command, "--filtration", filt, "--operator", op, "--ring", "Q", "--n", "1"]
-    assert assert_one_error_document(capsys, main(argv)) == {
-        "error": "SchemaViolation", "detail": "degree 1 is not on the offset-0 grid"}
+    h = write(tmp_path, "h.json", {"vertices": ["s0", "s1", "s2"], "edges": triangle})
+    filt = write(tmp_path, "f.json", {
+        "vertices": ["s0", "s1", "s2"], "class": "simplicial",
+        "edges": [{"edge": e, "birth": max(len(e), 1)} for e in triangle]})
+    for q, offset in (("0", 0), ("5", 2)):
+        if command == "homology":
+            argv = ["homology", "--operator", op, "--ring", "Q", "--q", q, "--n", "1", h]
+        else:
+            argv = [command, "--filtration", filt, "--operator", op, "--ring", "Q",
+                    "--q", q, "--n", "1"]
+        assert assert_one_error_document(capsys, main(argv)) == {
+            "error": "SchemaViolation",
+            "detail": f"degree 1 is not on the offset-{offset} grid"}
 
 
 def test_validation_exit_codes(tmp_path, capsys):

@@ -8,7 +8,11 @@ replaced.
 * `SparseMatrix.mul` and `apply` against dense products reduced term by
   term with `ring.add` and `ring.mul`.
 * `Hypergraph.classify` against the subface oracle of `test_hypergraphs`
-  on ten and more vertices.
+  on ten and more vertices, and its flip set against the two set
+  comprehensions it replaced.
+* The one-pass edge ingest against the route it replaced: each letter
+  checked alone and repeats found by a set, through all three `jsonio`
+  readers, errors included.
 
 It also guards the routes the work takes: the layer boundaries a trace
 wraps, one product per boundary pair in a `homology` command, and one
@@ -18,6 +22,7 @@ complex per `act` whose even operator keeps the offset.
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +51,16 @@ from hyperhom.hypergraphs import (
     closure,
     power_set,
 )
+from hyperhom.jsonio import (
+    _require,
+    coefficient_from_json,
+    filtration_from_json,
+    hypergraph_from_json,
+    operator_from_json,
+    vertexset_from_json,
+)
 from hyperhom.linalg import SparseMatrix, homology_presentation
+from hyperhom.persistence import Filtration
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FreeChain, VertexSet, WedgeOperator
 
@@ -332,6 +346,248 @@ def test_vertex_parse_errors_are_unchanged():
         assert str(info.value) == text
     with pytest.raises(SchemaViolation, match="vertex labels must be distinct"):
         VertexSet.of("a", "b", "a")
+
+
+# The ingest route the one-pass parser replaced, kept as its oracle: every
+# letter is checked and looked up on its own, a set finds repeats, and the
+# three readers are as they were before.
+
+def old_vertex_indices(vertices, raw) -> list:
+    n, index = len(vertices), vertices.index
+    idx = []
+    for v in raw:
+        if isinstance(v, str):
+            v = index(v)
+        elif isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaViolation(f"vertex {v!r} is neither a label nor an index")
+        elif not 0 <= v < n:
+            raise SchemaViolation(f"vertex index {v} out of range")
+        idx.append(v)
+    return idx
+
+
+def old_as_edge(vertices, raw) -> tuple:
+    idx = old_vertex_indices(vertices, raw)
+    edge = tuple(sorted(set(idx)))
+    if len(edge) != len(idx):
+        raise SchemaViolation(f"edge {raw} repeats a vertex")
+    return edge
+
+
+def old_hypergraph_from_json(data):
+    _require(isinstance(data, dict), "hypergraph document must be an object")
+    _require("vertices" in data and "edges" in data,
+             "hypergraph needs 'vertices' and 'edges'")
+    vs = vertexset_from_json(data["vertices"])
+    edges = data["edges"]
+    _require(isinstance(edges, list), "'edges' must be a list")
+    for e in edges:
+        _require(isinstance(e, list), "each edge must be a list")
+    return Hypergraph(vs, frozenset(old_as_edge(vs, e) for e in edges))
+
+
+def old_operator_from_json(data, vertices):
+    _require(isinstance(data, dict), "operator document must be an object")
+    kind = data.get("kind")
+    _require(kind in ("partial", "d"), "operator kind must be 'partial' or 'd'")
+    terms = data.get("terms")
+    _require(isinstance(terms, list) and terms, "operator needs a nonempty term list")
+    parsed = []
+    arity = None
+    for term in terms:
+        _require(isinstance(term, dict) and "coeff" in term and "vertices" in term,
+                 "each term needs 'coeff' and 'vertices'")
+        coeff = coefficient_from_json(term["coeff"])
+        _require(isinstance(term["vertices"], list), "term vertices must be a list")
+        gens = old_vertex_indices(vertices, term["vertices"])
+        _require(all(a < b for a, b in zip(gens, gens[1:])),
+                 "term vertices must be strictly increasing in the vertex order")
+        if arity is None:
+            arity = len(gens)
+        _require(len(gens) == arity, "all terms must share one arity")
+        parsed.append((coeff, tuple(gens)))
+    return WedgeOperator.build(kind, arity, parsed)
+
+
+def old_filtration_from_json(data):
+    _require(isinstance(data, dict), "filtration document must be an object")
+    for key in ("vertices", "class", "edges"):
+        _require(key in data, f"filtration needs '{key}'")
+    vs = vertexset_from_json(data["vertices"])
+    cls = data["class"]
+    _require(cls in ("simplicial", "independence"),
+             "'class' must be 'simplicial' or 'independence'")
+    births = []
+    _require(isinstance(data["edges"], list), "'edges' must be a list")
+    for row in data["edges"]:
+        _require(isinstance(row, dict) and "edge" in row and "birth" in row,
+                 "each filtration row needs 'edge' and 'birth'")
+        _require(isinstance(row["edge"], list), "each edge must be a list")
+        births.append((old_as_edge(vs, row["edge"]), coefficient_from_json(row["birth"])))
+    return Filtration.of(vs, births, cls)
+
+
+def read(reader, *args):
+    """What a reader returns, or the class and text of what it raises."""
+    try:
+        return reader(*args)
+    except Exception as exc:  # the class itself is compared
+        return type(exc), str(exc)
+
+
+def edge_masks(edges) -> frozenset:
+    return frozenset(sum(1 << v for v in e) for e in edges)
+
+
+# Letters the parser must reject; True and 1.0 hash equal to the index 1.
+JUNK = [True, False, 1.0, 2.5, None, "zz", ["a"], {"a": 1}, -1, 99]
+
+
+def mixed(rng, vs, edge):
+    """An edge of indices written as labels and indices, mixed."""
+    return [vs.labels[v] if rng.random() < 0.6 else v for v in edge]
+
+
+def letter_fault(rng, vs, raw):
+    """The edge with one fault: a junk letter, or one vertex twice, as a
+    label, as an index or as both."""
+    raw = list(raw)
+    v = rng.randrange(len(vs))
+    pick = rng.random()
+    for letter in ([rng.choice(JUNK)] if pick < 0.5 else
+                   [v, vs.labels[v]] if pick < 0.7 else rng.choice([[v, v], [vs.labels[v]] * 2])):
+        raw.insert(rng.randint(0, len(raw)), letter)
+    return raw
+
+
+def random_documents(rng, vs):
+    """A hypergraph, an operator and a filtration document over vs, each
+    with up to two faults at random places, so that the first one must
+    win."""
+    n = len(vs)
+    up = rng.random() < 0.5
+    family = sorted(closure(random_hypergraph(rng, vs, p=0.3),
+                            ClosureOp.BAR_DELTA_UP if up else ClosureOp.DELTA_UP).edges)
+    rng.shuffle(family)
+    raws = [mixed(rng, vs, e) for e in family]
+    births = [n - len(e) if up else len(e) for e in family]
+    rows = [{"edge": raw, "birth": b} for raw, b in zip(raws, births)]
+    arity = rng.randint(1, n)
+    terms = [{"coeff": rng.choice([1, -2, "1/2"]),
+              "vertices": mixed(rng, vs, sorted(rng.sample(range(n), arity)))}
+             for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.choice([0, 1, 2, 2])):
+        if raws:
+            k = rng.randrange(len(raws))
+            pick = rng.random()
+            if pick < 0.1 or pick >= 0.3:
+                raws[k] = "a" if pick < 0.1 else letter_fault(rng, vs, raws[k])
+            rows[k] = ({"edge": raws[k]} if 0.1 <= pick < 0.2 else
+                       {"edge": raws[k], "birth": "1/0" if 0.2 <= pick < 0.3 else births[k]})
+        term = rng.choice(terms)
+        pick = rng.random()
+        term["vertices"] = (term["vertices"][::-1] if pick < 0.2 else
+                            term["vertices"][:-1] if pick < 0.3 else
+                            letter_fault(rng, vs, term["vertices"]))
+    cls = "independence" if up else "simplicial"
+    return ({"vertices": list(vs.labels), "edges": raws},
+            {"kind": "d" if up else "partial", "terms": terms},
+            {"vertices": list(vs.labels), "class": cls, "edges": rows})
+
+
+def test_ingest_matches_old_route():
+    """The three readers give the old route's edges, masks, operators and
+    filtrations, or its exception class and text, on random label and
+    index mixes with up to two faults per document."""
+    rng = random.Random(1606)
+    errors, results = set(), Counter()
+    for _ in range(600):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(1, 5))])
+        hdoc, odoc, fdoc = random_documents(rng, vs)
+        for name, new, old, args in (
+                ("hypergraph", hypergraph_from_json, old_hypergraph_from_json, (hdoc,)),
+                ("operator", operator_from_json, old_operator_from_json, (odoc, vs)),
+                ("filtration", filtration_from_json, old_filtration_from_json, (fdoc,))):
+            got, want = read(new, *args), read(old, *args)
+            assert got == want, (name, args)
+            if isinstance(want, tuple):
+                errors.add(want)
+            else:
+                results[name] += 1
+            if name == "hypergraph" and not isinstance(want, tuple):
+                assert got._masks == edge_masks(want.edges)
+    for part in ("each edge must be a list", "repeats a vertex", "is neither a label",
+                 "unknown vertex", "out of range", "strictly increasing", "one arity",
+                 "needs 'edge' and 'birth'", "bad coefficient"):
+        assert any(part in text for _, text in errors), part
+    assert min(results.values()) > 100 and len(results) == 3
+
+
+@pytest.mark.parametrize("edges", [[["a"]], [[["a"]]], [["a", 0]], [[0, "a"]],
+                                   [["a", True]], [["b", 1.0]], [["zz"], "a"],
+                                   [["zz", "a", "a"]], [["a", "a", "zz"]]])
+def test_ingest_matches_old_route_on_fixed_edges(edges):
+    """An unhashable letter, the same vertex as a label and as an index,
+    letters that hash like an index, and two faults in one document: the
+    hypergraph reader checks that every edge is a list before it parses
+    one, the filtration reader goes row by row."""
+    vs = VertexSet.of("a", "b")
+    hdoc = {"vertices": ["a", "b"], "edges": edges}
+    fdoc = {"vertices": ["a", "b"], "class": "simplicial",
+            "edges": [{"edge": e, "birth": 1} for e in edges]}
+    odoc = {"kind": "partial", "terms": [{"coeff": 1, "vertices": e} for e in edges]}
+    assert read(hypergraph_from_json, hdoc) == read(old_hypergraph_from_json, hdoc)
+    assert read(filtration_from_json, fdoc) == read(old_filtration_from_json, fdoc)
+    assert read(operator_from_json, odoc, vs) == read(old_operator_from_json, odoc, vs)
+
+
+CLASSES = {(True, True): HypergraphClass.BOTH,
+           (True, False): HypergraphClass.SIMPLICIAL_COMPLEX,
+           (False, True): HypergraphClass.INDEPENDENCE_HYPERGRAPH,
+           (False, False): HypergraphClass.NEITHER}
+
+
+def two_comprehension_classify(h):
+    """The check the flip set replaced: for each vertex bit b, clearing b
+    in every edge but {b} and setting it in every edge stay in the family."""
+    bits = [1 << v for v in range(len(h.vertices))]
+    masks = {sum(map(bits.__getitem__, e)) for e in h.edges}
+    down = all({m & ~b for m in masks if m != b} <= masks for b in bits)
+    up = all({m | b for m in masks} <= masks for b in bits)
+    return CLASSES[down, up]
+
+
+def test_classify_matches_two_comprehension_check():
+    """Random closed families of both classes, with and without the
+    empty edge, some with one edge dropped, classified from the parser's
+    masks (`Hypergraph.of`) and from masks built on demand (a bare
+    `Hypergraph`). The fixed families miss exactly one face, or one
+    coface."""
+    rng = random.Random(1607)
+    s3, s2 = VertexSet.of("a", "b", "c"), VertexSet.of("a", "b")
+    families = [Hypergraph(s3, frozenset(power_set(s3) - {(0, 1)})),
+                Hypergraph(s2, frozenset({(0,)}))]
+    for _ in range(400):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(0, 7))])
+        h = random_hypergraph(rng, vs, p=rng.choice([0.05, 0.2, 0.5]))
+        op = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
+        if op is not None:
+            h = closure(h, op)
+        if rng.random() < 0.5:
+            h = h.with_edges(h.edges ^ {()})
+        if h.edges and rng.random() < 0.3:
+            h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
+        families.append(h)
+    seen = set()
+    for h in families:
+        want = two_comprehension_classify(h)
+        parsed = Hypergraph.of(h.vertices, [mixed(rng, h.vertices, e) for e in h.edges])
+        assert parsed == h and parsed._masks == edge_masks(h.edges)
+        assert parsed.classify() is want and h.classify() is want, sorted(h.edges)
+        seen.add((want, h.has_empty_edge))
+    # closed up with the empty edge is the power set, which is both
+    assert seen == {(c, empty) for c in HypergraphClass for empty in (True, False)} - {
+        (HypergraphClass.INDEPENDENCE_HYPERGRAPH, True)}
 
 
 def test_edges_are_bucketed_by_degree():
