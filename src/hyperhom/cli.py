@@ -1,8 +1,12 @@
 """Command line interface: JSON in, JSON out, deterministic byte-for-byte.
 
+Each command is one row of `COMMANDS`: its name, help text, handler and
+arguments. A handler takes the parsed arguments and returns the JSON
+document that `main` prints.
+
 Exit codes: 0 on success, 2 for invalid or inconsistent input (including
 unreadable files and schema violations), 1 when an internal consistency
-assertion fires.
+assertion fires or a selftest suite fails.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import functools
 import json
 import sys
 
-from . import jsonio, selftest
+from . import jsonio
 from .errors import InputError, InternalCheckError, SchemaViolation
 from .homology import (
     ComplexSpec,
@@ -44,12 +48,30 @@ def _load_hypergraph(path: str):
     return jsonio.hypergraph_from_json(_load_json(path))
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc) + "\n")
+def _load_filtration(path: str):
+    return jsonio.filtration_from_json(_load_json(path))
+
+
+def _load_operator(path: str, vertices):
+    return jsonio.operator_from_json(_load_json(path), vertices)
 
 
 def _ring(args):
     return ring_from_name(args.ring, args.p)
+
+
+def _inputs(args, *names, load=_load_hypergraph, kind=None) -> list:
+    """The documents in the files named by the options `names`, the
+    `--operator` on the first one's vertices (of family `kind`, when
+    given) and the ring, read in that order: the first bad input is the
+    one reported."""
+    docs = [load(getattr(args, name)) for name in names]
+    op = _load_operator(args.operator, docs[0].vertices)
+    if kind is not None and op.kind != kind:
+        raise SchemaViolation(
+            f"this command needs a {kind!r} operator, got {op.kind!r}"
+        )
+    return [*docs, op, _ring(args)]
 
 
 def _comma_list(text: str) -> list:
@@ -59,92 +81,74 @@ def _comma_list(text: str) -> list:
 CLOSURE_NAMES = {op.value: op for op in ClosureOp}
 
 
-def cmd_closure(args) -> int:
+def cmd_closure(args) -> dict:
     if args.op not in CLOSURE_NAMES:
         raise SchemaViolation(
             f"unknown closure operator {args.op!r}; expected one of "
             + ", ".join(sorted(CLOSURE_NAMES))
         )
     h = _load_hypergraph(args.file)
-    _emit(jsonio.hypergraph_to_json(closure(h, CLOSURE_NAMES[args.op])))
-    return 0
+    return jsonio.hypergraph_to_json(closure(h, CLOSURE_NAMES[args.op]))
 
 
-def cmd_combine(args) -> int:
+def cmd_combine(args) -> dict:
     ops = {"intersect": CombineOp.INTERSECT, "union": CombineOp.UNION}
     if args.op not in ops:
         raise SchemaViolation("combine --op must be 'intersect' or 'union'")
     a = _load_hypergraph(args.left)
     b = _load_hypergraph(args.right)
-    _emit(jsonio.hypergraph_to_json(combine(a, b, ops[args.op])))
-    return 0
+    return jsonio.hypergraph_to_json(combine(a, b, ops[args.op]))
 
 
-def cmd_join(args) -> int:
+def cmd_join(args) -> dict:
     a = _load_hypergraph(args.left)
     b = _load_hypergraph(args.right)
-    _emit(jsonio.hypergraph_to_json(join_hg(a, b)))
-    return 0
+    return jsonio.hypergraph_to_json(join_hg(a, b))
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> dict:
     h = _load_hypergraph(args.file)
-    _emit(jsonio.hypergraph_to_json(trace(h, _comma_list(args.vertices))))
-    return 0
+    return jsonio.hypergraph_to_json(trace(h, _comma_list(args.vertices)))
 
 
-def cmd_classify(args) -> int:
-    h = _load_hypergraph(args.file)
-    _emit({"class": h.classify().value})
-    return 0
+def cmd_classify(args) -> dict:
+    return {"class": _load_hypergraph(args.file).classify().value}
 
 
-def cmd_invariant_vertices(args) -> int:
+def cmd_invariant_vertices(args) -> dict:
     h = _load_hypergraph(args.file)
     verts = invariant_vertices(h, args.mode)
-    _emit({"mode": args.mode, "vertices": [h.vertices.labels[v] for v in verts]})
-    return 0
+    return {"mode": args.mode, "vertices": [h.vertices.labels[v] for v in verts]}
 
 
-def cmd_invariant_trace(args) -> int:
+def cmd_invariant_trace(args) -> dict:
     h = _load_hypergraph(args.file)
     rep = invariant_trace(h, args.mode)
-    _emit(
-        {
-            "mode": rep.mode,
-            "vertices": [h.vertices.labels[v] for v in rep.invariant_vertices],
-            "trace": jsonio.hypergraph_to_json(rep.trace),
-        }
-    )
-    return 0
+    return {
+        "mode": rep.mode,
+        "vertices": [h.vertices.labels[v] for v in rep.invariant_vertices],
+        "trace": jsonio.hypergraph_to_json(rep.trace),
+    }
 
 
-def _homology_command(args, kind: str) -> int:
-    h = _load_hypergraph(args.file)
-    op = jsonio.operator_from_json(_load_json(args.operator), h.vertices)
-    if op.kind != kind:
-        raise SchemaViolation(
-            f"this command needs a {kind!r} operator, got {op.kind!r}"
-        )
-    ring = _ring(args)
+def _homology_command(args, kind: str) -> dict:
+    h, op, ring = _inputs(args, "file", kind=kind)
     built = build_complex(ComplexSpec(edge_carrier(kind, h), op, args.q, ring))
     if args.n is not None:
         group = built.homology(args.n)
-        _emit(jsonio.group_to_json(group.degree, group.presentation))
-        return 0
+        return jsonio.group_to_json(group.degree, group.presentation)
     rows = [
         jsonio.group_to_json(g.degree, g.presentation)
         for g in (built.homology(n) for n in built.spec.degrees())
     ]
-    _emit({"ring": str(ring), "q": built.spec.q, "groups": rows})
-    return 0
+    return {"ring": str(ring), "q": built.spec.q, "groups": rows}
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> dict:
     return _homology_command(args, "partial")
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> dict:
     return _homology_command(args, "d")
 
 
@@ -158,32 +162,25 @@ def _induced_map_json(m) -> dict:
     }
 
 
-def cmd_act(args) -> int:
+def _maps_json(maps: dict) -> dict:
+    return {"maps": [_induced_map_json(maps[n]) for n in sorted(maps)]}
+
+
+def cmd_act(args) -> dict:
     h = _load_hypergraph(args.file)
-    op = jsonio.operator_from_json(_load_json(args.operator), h.vertices)
-    even = jsonio.operator_from_json(_load_json(args.even), h.vertices)
-    ring = _ring(args)
-    maps = operator_action(ComplexSpec(edge_carrier(op.kind, h), op, args.q, ring), even)
-    _emit({"maps": [_induced_map_json(maps[n]) for n in sorted(maps)]})
-    return 0
+    op = _load_operator(args.operator, h.vertices)
+    even = _load_operator(args.even, h.vertices)
+    spec = ComplexSpec(edge_carrier(op.kind, h), op, args.q, _ring(args))
+    return _maps_json(operator_action(spec, even))
 
 
-def cmd_include(args) -> int:
-    small = _load_hypergraph(args.left)
-    large = _load_hypergraph(args.right)
-    op = jsonio.operator_from_json(_load_json(args.operator), small.vertices)
-    ring = _ring(args)
-    maps = inclusion_induced(small, large, op, args.q, ring)
-    if args.n is not None:
-        if args.n not in maps:
-            raise SchemaViolation(f"degree {args.n} is not on the grid")
-        _emit(_induced_map_json(maps[args.n]))
-        return 0
-    _emit({"maps": [_induced_map_json(maps[n]) for n in sorted(maps)]})
-    return 0
+def cmd_include(args) -> dict:
+    small, large, op, ring = _inputs(args, "left", "right")
+    maps = inclusion_induced(small, large, op, args.q, ring, args.n)
+    return _maps_json(maps) if args.n is None else _induced_map_json(maps[args.n])
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args) -> dict:
     labels = _comma_list(args.vertices)
     vs = VertexSet(tuple(labels))
     if args.coeffs:
@@ -191,84 +188,67 @@ def cmd_duality(args) -> int:
     else:
         coeffs = [1] * len(vs)
     report = duality_check(vs, coeffs, args.q, args.max_degree)
-    _emit(
-        {
-            "q": args.q,
-            "max_degree": args.max_degree,
-            "degrees": [
-                {"n": n, "lowering": lo, "raising": hi, "equal": lo == hi}
-                for n, lo, hi in report.degrees
-            ],
-            "all_equal": report.all_equal,
-        }
-    )
-    return 0
+    return {
+        "q": args.q,
+        "max_degree": args.max_degree,
+        "degrees": [
+            {"n": n, "lowering": lo, "raising": hi, "equal": lo == hi}
+            for n, lo, hi in report.degrees
+        ],
+        "all_equal": report.all_equal,
+    }
 
 
-def cmd_mv(args) -> int:
-    a = _load_hypergraph(args.left)
-    b = _load_hypergraph(args.right)
-    op = jsonio.operator_from_json(_load_json(args.operator), a.vertices)
-    ring = _ring(args)
+def cmd_mv(args) -> dict:
+    a, b, op, ring = _inputs(args, "left", "right")
     les = mayer_vietoris(a, b, op, args.q, ring)
-    _emit(
-        {
-            "exact": les.all_exact,
-            "nodes": [
-                {"part": n.label, "n": n.degree, "rank": n.free_rank}
-                for n in les.nodes
-            ],
-            "maps": [jsonio.matrix_to_json(m) for m in les.maps],
-            "junctions": [
-                {"rank_in": rin, "nullity_out": nout, "exact": ok}
-                for rin, nout, ok in les.junctions
-            ],
-        }
-    )
-    return 0
+    return {
+        "exact": les.all_exact,
+        "nodes": [
+            {"part": n.label, "n": n.degree, "rank": n.free_rank}
+            for n in les.nodes
+        ],
+        "maps": [jsonio.matrix_to_json(m) for m in les.maps],
+        "junctions": [
+            {"rank_in": rin, "nullity_out": nout, "exact": ok}
+            for rin, nout, ok in les.junctions
+        ],
+    }
 
 
-def cmd_persist(args) -> int:
-    f = jsonio.filtration_from_json(_load_json(args.filtration))
-    op = jsonio.operator_from_json(_load_json(args.operator), f.vertices)
-    ring = _ring(args)
+def cmd_persist(args) -> dict:
+    f, op, ring = _inputs(args, "filtration", load=_load_filtration)
     pr = persistent_ranks(f, op, args.q, ring, args.n)
-    _emit(
-        {
-            "n": pr.degree,
-            "grid": [str(x) for x in pr.grid],
-            "ranks": [
-                {"from": str(pr.grid[i]), "to": str(pr.grid[j]), "rank": pr.rank(i, j)}
-                for i in range(len(pr.grid))
-                for j in range(i, len(pr.grid))
-            ],
-        }
-    )
-    return 0
+    return {
+        "n": pr.degree,
+        "grid": [str(x) for x in pr.grid],
+        "ranks": [
+            {"from": str(pr.grid[i]), "to": str(pr.grid[j]), "rank": pr.rank(i, j)}
+            for i in range(len(pr.grid))
+            for j in range(i, len(pr.grid))
+        ],
+    }
 
 
-def cmd_barcode(args) -> int:
-    f = jsonio.filtration_from_json(_load_json(args.filtration))
-    op = jsonio.operator_from_json(_load_json(args.operator), f.vertices)
-    ring = _ring(args)
+def cmd_barcode(args) -> dict:
+    f, op, ring = _inputs(args, "filtration", load=_load_filtration)
     bc = barcode(f, op, args.q, ring, args.n)
-    _emit(
-        {
-            "n": bc.degree,
-            "bars": [
-                {
-                    "birth": str(birth),
-                    "death": "inf" if death is None else str(death),
-                    "mult": mult,
-                }
-                for birth, death, mult in bc.bars
-            ],
-        }
-    )
-    return 0
+    return {
+        "n": bc.degree,
+        "bars": [
+            {
+                "birth": str(birth),
+                "death": "inf" if death is None else str(death),
+                "mult": mult,
+            }
+            for birth, death, mult in bc.bars
+        ],
+    }
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> dict:
+    from . import selftest  # only this command runs the suites
+
     names = args.suite if args.suite else None
     for name in names or ():
         if name not in selftest.SUITES:
@@ -279,25 +259,75 @@ def cmd_selftest(args) -> int:
     results = selftest.run_all(
         names, seed=args.seed, progress=lambda s: print(s, file=sys.stderr)
     )
-    _emit(
-        {
-            "suites": [
-                {"name": r.name, "cases": r.cases, "failures": r.failures,
-                 **({"detail": r.detail} if r.detail else {})}
-                for r in results
-            ],
-            "ok": all(r.ok for r in results),
-        }
-    )
-    return 0 if all(r.ok for r in results) else 1
+    return {
+        "suites": [
+            {"name": r.name, "cases": r.cases, "failures": r.failures,
+             **({"detail": r.detail} if r.detail else {})}
+            for r in results
+        ],
+        "ok": all(r.ok for r in results),
+    }
 
 
-def _ring_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", required=True, choices=["Z", "Q", "Fp"],
-                   help="coefficient ring")
-    p.add_argument("--p", type=int, default=None,
-                   help="odd prime modulus for --ring Fp")
-    p.add_argument("--q", type=int, default=0, help="degree offset")
+# One entry per argument, as (flag or name, add_argument options), in the
+# order that the usage line and the missing-argument error list them.
+FILE = ("file", {})
+LEFT = ("--left", {"required": True})
+RIGHT = ("--right", {"required": True})
+OPERATOR = ("--operator", {"required": True})
+FILTRATION = ("--filtration", {"required": True})
+MODE = ("--mode", {"required": True, "choices": ["partial", "d"]})
+DEGREE = ("--n", {"type": int})
+GRID_DEGREE = ("--n", {"type": int, "required": True})
+RING = [
+    ("--ring", {"required": True, "choices": ["Z", "Q", "Fp"], "help": "coefficient ring"}),
+    ("--p", {"type": int, "help": "odd prime modulus for --ring Fp"}),
+    ("--q", {"type": int, "default": 0, "help": "degree offset"}),
+]
+
+# name, help, handler, arguments
+COMMANDS = [
+    ("closure", "apply a closure or complement operator", cmd_closure, [
+        ("--op", {"required": True,
+                  "help": "Delta, delta, barDelta, bardelta, gamma, or Gamma"}),
+        ("file", {"help": "hypergraph JSON file"})]),
+    ("combine", "intersect or union two hypergraphs", cmd_combine, [
+        ("--op", {"required": True, "help": "intersect or union"}), LEFT, RIGHT]),
+    ("join", "join two hypergraphs on disjoint vertices", cmd_join, [LEFT, RIGHT]),
+    ("trace", "restrict a hypergraph onto a vertex subset", cmd_trace, [
+        ("--vertices", {"required": True, "help": "comma separated labels"}), FILE]),
+    ("classify", "closure class of a hypergraph", cmd_classify, [FILE]),
+    ("invariant-vertices", "derivation-invariant vertices", cmd_invariant_vertices,
+     [MODE, FILE]),
+    ("invariant-trace", "trace onto the invariant vertices", cmd_invariant_trace,
+     [MODE, FILE]),
+    ("homology", "constrained homology of a simplicial complex", cmd_homology, [
+        ("--operator", {"required": True, "help": "operator JSON file"}), *RING,
+        ("--n", {"type": int, "help": "single degree to report"}), FILE]),
+    ("cohomology", "constrained cohomology of an independence hypergraph", cmd_cohomology,
+     [OPERATOR, *RING, DEGREE, FILE]),
+    ("act", "even wedge operator action on (co)homology", cmd_act, [
+        ("--operator", {"required": True, "help": "odd operator JSON file"}),
+        ("--even", {"required": True, "help": "even operator JSON file"}), *RING, FILE]),
+    ("include", "inclusion-induced maps on (co)homology", cmd_include, [
+        ("--left", {"required": True, "help": "smaller hypergraph JSON"}),
+        ("--right", {"required": True, "help": "larger hypergraph JSON"}),
+        OPERATOR, *RING, DEGREE]),
+    ("duality", "Betti comparison of the two weighted word complexes", cmd_duality, [
+        ("--vertices", {"required": True, "help": "comma separated labels"}),
+        ("--coeffs", {"help": "comma separated rational weights, default all ones"}),
+        ("--q", {"type": int, "default": 0}),
+        ("--max-degree", {"type": int, "required": True})]),
+    ("mv", "Mayer-Vietoris long exact sequence", cmd_mv, [LEFT, RIGHT, OPERATOR, *RING]),
+    ("persist", "persistent rank grid of a filtration", cmd_persist,
+     [FILTRATION, OPERATOR, *RING, GRID_DEGREE]),
+    ("barcode", "barcode of a filtration", cmd_barcode,
+     [FILTRATION, OPERATOR, *RING, GRID_DEGREE]),
+    ("selftest", "run the property suites", cmd_selftest, [
+        ("--suite", {"action": "append",
+                     "help": "run only the named suite (repeatable)"}),
+        ("--seed", {"type": int, "default": 0})]),
+]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,109 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         "persistence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("closure", help="apply a closure or complement operator")
-    p.add_argument("--op", required=True,
-                   help="Delta, delta, barDelta, bardelta, gamma, or Gamma")
-    p.add_argument("file", help="hypergraph JSON file")
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("combine", help="intersect or union two hypergraphs")
-    p.add_argument("--op", required=True, help="intersect or union")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_combine)
-
-    p = sub.add_parser("join", help="join two hypergraphs on disjoint vertices")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_join)
-
-    p = sub.add_parser("trace", help="restrict a hypergraph onto a vertex subset")
-    p.add_argument("--vertices", required=True, help="comma separated labels")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("classify", help="closure class of a hypergraph")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("invariant-vertices", help="derivation-invariant vertices")
-    p.add_argument("--mode", required=True, choices=["partial", "d"])
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_invariant_vertices)
-
-    p = sub.add_parser("invariant-trace", help="trace onto the invariant vertices")
-    p.add_argument("--mode", required=True, choices=["partial", "d"])
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_invariant_trace)
-
-    p = sub.add_parser("homology", help="constrained homology of a simplicial complex")
-    p.add_argument("--operator", required=True, help="operator JSON file")
-    _ring_flags(p)
-    p.add_argument("--n", type=int, default=None, help="single degree to report")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_homology)
-
-    p = sub.add_parser("cohomology",
-                       help="constrained cohomology of an independence hypergraph")
-    p.add_argument("--operator", required=True)
-    _ring_flags(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("act", help="even wedge operator action on (co)homology")
-    p.add_argument("--operator", required=True, help="odd operator JSON file")
-    p.add_argument("--even", required=True, help="even operator JSON file")
-    _ring_flags(p)
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_act)
-
-    p = sub.add_parser("include", help="inclusion-induced maps on (co)homology")
-    p.add_argument("--left", required=True, help="smaller hypergraph JSON")
-    p.add_argument("--right", required=True, help="larger hypergraph JSON")
-    p.add_argument("--operator", required=True)
-    _ring_flags(p)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(fn=cmd_include)
-
-    p = sub.add_parser("duality",
-                       help="Betti comparison of the two weighted word complexes")
-    p.add_argument("--vertices", required=True, help="comma separated labels")
-    p.add_argument("--coeffs", default=None,
-                   help="comma separated rational weights, default all ones")
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
-    p.set_defaults(fn=cmd_duality)
-
-    p = sub.add_parser("mv", help="Mayer-Vietoris long exact sequence")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--operator", required=True)
-    _ring_flags(p)
-    p.set_defaults(fn=cmd_mv)
-
-    p = sub.add_parser("persist", help="persistent rank grid of a filtration")
-    p.add_argument("--filtration", required=True)
-    p.add_argument("--operator", required=True)
-    _ring_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_persist)
-
-    p = sub.add_parser("barcode", help="barcode of a filtration")
-    p.add_argument("--filtration", required=True)
-    p.add_argument("--operator", required=True)
-    _ring_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_barcode)
-
-    p = sub.add_parser("selftest", help="run the property suites")
-    p.add_argument("--suite", action="append", default=None,
-                   help="run only the named suite (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_selftest)
-
+    for name, help_text, handler, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=handler)
     return parser
 
 
@@ -442,16 +374,17 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         _check_option_values(args)
-        return args.fn(args)
+        doc = args.fn(args)
+        code = 1 if doc.get("ok") is False else 0  # a failed selftest suite
     except SystemExit as exc:
         # only --help exits the parser, with code 0 after printing its text
         return exc.code or 0
     except InputError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 2
+        doc, code = {"error": type(exc).__name__, "detail": str(exc)}, 2
     except InternalCheckError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 1
+        doc, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
+    sys.stdout.write(json.dumps(doc) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -458,9 +458,11 @@ def _check_empty_edges(operator: WedgeOperator, a: Hypergraph, b: Hypergraph) ->
 
 
 def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOperator,
-                      q: int, ring: Ring) -> dict:
-    """Per-degree homology maps induced by an edge-family inclusion; see
-    `_check_empty_edges` for the condition on the two families."""
+                      q: int, ring: Ring, n: int | None = None) -> dict:
+    """Per-degree homology maps induced by an edge-family inclusion, one
+    per degree of the grid, or only the one in degree n when given (the
+    zero map above the top); see `_check_empty_edges` for the condition
+    on the two families."""
     if small.vertices != large.vertices:
         raise VertexSetMismatch("inclusion needs a common vertex set")
     if not small.edges <= large.edges:
@@ -470,7 +472,11 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     _check_empty_edges(operator, small, large)
     src = build_complex(ComplexSpec(edge_carrier(operator.kind, small), operator, q, ring))
     tgt = build_complex(ComplexSpec(edge_carrier(operator.kind, large), operator, q, ring))
-    return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
+    degrees = tgt.spec.degrees()
+    if n is not None:
+        tgt.spec.require_on_grid(n)
+        degrees = [n]
+    return {m: inclusion_map(src, tgt, m) for m in degrees}
 
 
 @record

@@ -208,7 +208,7 @@ def test_persist_and_barcode(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ["homology", "barcode", "persist"])
+@pytest.mark.parametrize("command", ["homology", "barcode", "persist", "include"])
 def test_off_grid_degrees_are_rejected(tmp_path, capsys, command):
     """An arity-3 boundary at offset 0 has degrees -1, 2, 5, ..., and so
     has one at offset 5: asking for degree 1 is an input error with the
@@ -224,12 +224,28 @@ def test_off_grid_degrees_are_rejected(tmp_path, capsys, command):
     for q, offset in (("0", 0), ("5", 2)):
         if command == "homology":
             argv = ["homology", "--operator", op, "--ring", "Q", "--q", q, "--n", "1", h]
+        elif command == "include":
+            argv = ["include", "--left", h, "--right", h, "--operator", op, "--ring", "Q",
+                    "--q", q, "--n", "1"]
         else:
             argv = [command, "--filtration", filt, "--operator", op, "--ring", "Q",
                     "--q", q, "--n", "1"]
         assert assert_one_error_document(capsys, main(argv)) == {
             "error": "SchemaViolation",
             "detail": f"degree 1 is not on the offset-{offset} grid"}
+
+
+def test_include_above_the_top_prints_the_zero_map(tmp_path, capsys):
+    """An on-grid degree above the top of the complex has zero homology,
+    on `include` as on `homology`."""
+    circ = write(tmp_path, "circ.json", CIRCLE_DOC)
+    op = write(tmp_path, "op.json", ALPHA_DOC)
+    code, doc = run(capsys, "homology", "--operator", op, "--ring", "Q", "--n", "4", circ)
+    assert code == 0 and doc == {"n": 4, "free_rank": 0, "torsion": []}
+    code, doc = run(capsys, "include", "--left", circ, "--right", circ,
+                    "--operator", op, "--ring", "Q", "--n", "4")
+    assert code == 0 and doc == {"source_n": 4, "target_n": 4, "source_rank": 0,
+                                 "target_rank": 0, "matrix": []}
 
 
 def test_validation_exit_codes(tmp_path, capsys):

@@ -7,15 +7,52 @@ planted fault trips gives no assurance.
 * The edge ingest accepting a repeated vertex:
   `test_fast_paths.test_ingest_matches_old_route`.
 * `barcode` dropping one bar: the `persistence` selftest suite.
+* `wedge_apply`'s deletion closed form with one sign flipped, and the
+  deletion run rule skipped for even runs:
+  `test_words.test_wedge_apply_matches_composition_oracle`.
+* `smith_normal_form` dropping one invariant factor:
+  `test_linalg.test_presentation_torsion`.
+* Transposed `InducedMap` matrices: every map,
+  `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
+  maps only, the `persistence` selftest suite.
+* `DegreeSolver` with two representatives swapped:
+  `test_homology.test_degree_solver_against_greedy_rank_oracle`.
+
+A fault inside a function body is planted by rebuilding the function from
+its source with one line changed.
 """
+
+import importlib
+import inspect
+import sys
+import textwrap
 
 import pytest
 
-from hyperhom import hypergraphs, persistence, selftest
+from hyperhom import hypergraphs, linalg, persistence, selftest, words
+from hyperhom.homology import DegreeSolver, InducedMap
 from hyperhom.hypergraphs import Hypergraph
+from hyperhom.linalg import SparseMatrix
 
 import test_fast_paths
+import test_homology
+import test_linalg
+import test_map_route
+import test_words
 from test_fast_paths import CLASSES
+
+# the package exports a function of the same name as this module
+homology = importlib.import_module("hyperhom.homology")
+
+
+def planted(func, old, new):
+    """`func` rebuilt from its source, with its one occurrence of `old`
+    replaced by `new`, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, (func.__name__, old)
+    namespace = dict(vars(sys.modules[func.__module__]))
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
 
 
 def class_with_slack(faces_allowed, cofaces_allowed):
@@ -70,3 +107,73 @@ def test_barcode_dropping_one_bar_is_caught(monkeypatch):
     monkeypatch.setattr(persistence, "barcode", drop_one_bar)
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
+
+
+def test_wedge_apply_with_one_flipped_sign_is_caught(monkeypatch):
+    # deleting the second letter alone of a word without repeats
+    monkeypatch.setattr(words, "wedge_apply", planted(
+        words.wedge_apply, "parity = sum(P)\n", "parity = sum(P) + (P == (1,))\n"))
+    with pytest.raises(AssertionError):
+        test_words.test_wedge_apply_matches_composition_oracle()
+
+
+def test_run_rule_skipped_for_even_runs_is_caught(monkeypatch):
+    # an even run of deletions keeps one word instead of cancelling
+    monkeypatch.setattr(words, "_deletions", planted(
+        words._deletions, "if (j - i) & 1:", "if j - i:"))
+    with pytest.raises(AssertionError):
+        test_words.test_wedge_apply_matches_composition_oracle()
+
+
+def test_smith_form_dropping_one_invariant_factor_is_caught(monkeypatch):
+    smith_normal_form = linalg.smith_normal_form
+
+    def drop_one_factor(m):
+        diag = smith_normal_form(m)
+        nonzero = [d for d in diag if d]
+        return nonzero[:-1] + [0] * (len(diag) - len(nonzero) + bool(nonzero))
+
+    monkeypatch.setattr(linalg, "smith_normal_form", drop_one_factor)
+    with pytest.raises(AssertionError):
+        test_linalg.test_presentation_torsion()
+
+
+def transposed(descend, square_only):
+    """`_descend` whose maps come out transposed (with `square_only`, the
+    square ones alone, so that no shape gives the fault away)."""
+
+    def _descend(*args):
+        m = descend(*args)
+        if square_only and m.matrix.rows != m.matrix.cols:
+            return m
+        t = SparseMatrix.from_entries(m.matrix.cols, m.matrix.rows, m.matrix.ring,
+                                      [((j, i), v) for (i, j), v in m.matrix.entries])
+        return InducedMap(m.source_degree, m.target_degree, t)
+
+    return _descend
+
+
+def test_transposed_induced_maps_are_caught(monkeypatch):
+    monkeypatch.setattr(homology, "_descend", transposed(homology._descend, False))
+    with pytest.raises(AssertionError):
+        test_map_route.test_inclusion_maps_match_per_vector_route()
+
+
+def test_transposed_square_induced_maps_are_caught(monkeypatch):
+    monkeypatch.setattr(homology, "_descend", transposed(homology._descend, True))
+    result = selftest.run_suite("persistence")
+    assert result.failures > 0 and result.detail == "structure maps compose"
+
+
+def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
+    init = DegreeSolver.__init__
+
+    def swapped(self, *args):
+        init(self, *args)
+        if self.betti >= 2:
+            cols = [1, 0, *range(2, self.betti)]
+            self.reps = self.reps.permuted(list(range(self.reps.rows)), cols)
+
+    monkeypatch.setattr(DegreeSolver, "__init__", swapped)
+    with pytest.raises(AssertionError):
+        test_homology.test_degree_solver_against_greedy_rank_oracle()

@@ -199,7 +199,7 @@ def test_cached_properties_survive_freezing():
 def test_cli_answers_without_importing_dataclasses_or_inspect(tmp_path):
     """The cold start of one CLI request: a fresh isolated interpreter
     imports the CLI, answers a tiny `homology` request, and has loaded
-    neither module."""
+    none of `dataclasses`, `inspect` and the selftest suites."""
     cx = tmp_path / "cx.json"
     op = tmp_path / "op.json"
     cx.write_text(json.dumps({"vertices": ["a", "b", "c"],
@@ -208,7 +208,8 @@ def test_cli_answers_without_importing_dataclasses_or_inspect(tmp_path):
         {"coeff": c, "vertices": [v]} for c, v in zip([1, 2, 3], "abc")]}))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from hyperhom import cli; "
             "code = cli.main(sys.argv[2:]); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr); "
+            "print(sorted({'dataclasses', 'inspect', 'hyperhom.selftest'} & set(sys.modules)), "
+            "file=sys.stderr); "
             "sys.exit(code)")
     src = Path(hyperhom.__file__).resolve().parents[1]
     proc = subprocess.run(
