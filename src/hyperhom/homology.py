@@ -223,23 +223,32 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target) -> SparseMatrix:
 class BuiltComplex:
     """Bases and operator matrices of one (carrier, operator, q) complex."""
 
-    def __init__(self, spec: ComplexSpec):
-        self.spec = spec
-        self.bases = {}
-        self.mats = {}
-        self._solvers = {}
-        self._invariants = {}
-        carrier, shift = spec.carrier, spec.operator.shift
+    def __init__(self, spec: ComplexSpec, bases: dict, mats: dict):
+        self.spec, self.bases, self.mats = spec, bases, mats
+        self._solvers, self._invariants = {}, {}
+
+    def restrict(self, h: Hypergraph) -> "BuiltComplex":
+        """The subcomplex on h, a family of the operator's class made of this
+        complex's words: these bases and matrices cut to h, in their order,
+        so a missing empty edge drops the empty-word row (the -1 truncation)."""
+        carrier, op = self.spec.carrier, self.spec.operator
+        spec = ComplexSpec(edge_carrier(op.kind, h), op, self.spec.q, self.spec.ring)
+        family = h.edges if carrier.hypergraph is None else carrier.hypergraph.edges
+        if h.vertices != carrier.vertices or not h.edges <= family or (
+                h.top_degree > carrier.top_degree):
+            raise NotIncluded("the family is not a subfamily of the complex's words")
+        index, bases = {}, {}
         for n in spec.degrees():
-            self.bases[n] = carrier.basis(n)
-            self.mats[n] = _assemble_matrix(
-                spec.operator, carrier, spec.ring, self.bases[n], n + shift)
-        for n in spec.degrees():
-            m = n + shift
-            if m in self.mats and not self.mats[m].mul(self.mats[n]).is_zero():
-                raise CompositionNotZero(
-                    f"operator squared is nonzero from degree {n}"
-                )
+            kept = [j for j, w in enumerate(self.bases[n]) if w in h.edges]
+            index[n] = {j: k for k, j in enumerate(kept)}
+            bases[n] = [self.bases[n][j] for j in kept]
+        mats = {}
+        for n, cols in index.items():
+            rows = index.get(n + op.shift, {})
+            mats[n] = SparseMatrix(len(rows), len(cols), spec.ring, tuple(
+                ((rows[i], cols[j]), v) for (i, j), v in self.mats[n].entries
+                if i in rows and j in cols))
+        return BuiltComplex(spec, bases, mats)
 
     def dim(self, n: int) -> int:
         return len(self.bases.get(n, ()))
@@ -282,7 +291,15 @@ class BuiltComplex:
 
 
 def build_complex(spec: ComplexSpec) -> BuiltComplex:
-    return BuiltComplex(spec)
+    """Assemble the matrices, and check that consecutive ones square to zero."""
+    carrier, shift = spec.carrier, spec.operator.shift
+    bases = {n: carrier.basis(n) for n in spec.degrees()}
+    mats = {n: _assemble_matrix(spec.operator, carrier, spec.ring, basis, n + shift)
+            for n, basis in bases.items()}
+    for n in spec.degrees():
+        if n + shift in mats and not mats[n + shift].mul(mats[n]).is_zero():
+            raise CompositionNotZero(f"operator squared is nonzero from degree {n}")
+    return BuiltComplex(spec, bases, mats)
 
 
 def homology(spec: ComplexSpec, n: int) -> HomologyGroup:
@@ -461,8 +478,8 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
                       q: int, ring: Ring, n: int | None = None) -> dict:
     """Per-degree homology maps induced by an edge-family inclusion, one
     per degree of the grid, or only the one in degree n when given (the
-    zero map above the top); see `_check_empty_edges` for the condition
-    on the two families."""
+    zero map above the top), with the smaller family restricted from the
+    larger's build; see `_check_empty_edges` for the condition on both."""
     if small.vertices != large.vertices:
         raise VertexSetMismatch("inclusion needs a common vertex set")
     if not small.edges <= large.edges:
@@ -470,8 +487,8 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     if not ring.is_field:
         raise SchemaViolation("induced maps are computed over fields")
     _check_empty_edges(operator, small, large)
-    src = build_complex(ComplexSpec(edge_carrier(operator.kind, small), operator, q, ring))
     tgt = build_complex(ComplexSpec(edge_carrier(operator.kind, large), operator, q, ring))
+    src = tgt.restrict(small)
     degrees = tgt.spec.degrees()
     if n is not None:
         tgt.spec.require_on_grid(n)
@@ -499,20 +516,18 @@ class LongExactSequence:
 
 def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
                  q: int, ring: Ring) -> dict:
-    """The four built complexes of a Mayer-Vietoris square, keyed "cap",
-    "a", "b" and "cup"; see `_check_empty_edges` for the condition on the
-    two sides."""
+    """The four complexes of a Mayer-Vietoris square, keyed "cap", "a",
+    "b" and "cup": the union is built, the others are restricted from it;
+    see `_check_empty_edges` for the condition on the two sides."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("Mayer-Vietoris needs a common vertex set")
     if not ring.is_field:
         raise SchemaViolation("exactness reports are computed over fields")
     _check_empty_edges(operator, a, b)
     cap = combine(a, b, CombineOp.INTERSECT)
-    cup = combine(a, b, CombineOp.UNION)
-    return {
-        name: build_complex(ComplexSpec(edge_carrier(operator.kind, h), operator, q, ring))
-        for name, h in (("cap", cap), ("a", a), ("b", b), ("cup", cup))
-    }
+    union = combine(a, b, CombineOp.UNION)
+    cup = build_complex(ComplexSpec(edge_carrier(operator.kind, union), operator, q, ring))
+    return {"cap": cup.restrict(cap), "a": cup.restrict(a), "b": cup.restrict(b), "cup": cup}
 
 
 def mv_sequence(complexes: dict) -> LongExactSequence:

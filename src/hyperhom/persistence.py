@@ -11,9 +11,9 @@ Every sublevel of a valid filtration is a subcomplex of the final one,
 so barcodes are read off the final complex alone, by the standard pairing
 of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
 `field_reduce` calls, and the rank grid counts the bars alive over each
-pair of thresholds. Persistent Mayer-Vietoris builds the four complexes
-of each threshold once and reads the vertical maps of its naturality
-squares from the inclusions between consecutive thresholds.
+pair of thresholds. Persistent Mayer-Vietoris builds each threshold's
+union, restricts the rest of its square from it, and reads the vertical
+maps of its naturality squares from the inclusions between thresholds.
 """
 
 from __future__ import annotations

@@ -109,25 +109,16 @@ class Ring:
         return x % self.p if self.p else canonical(x)
 
     def add(self, a, b):
-        if self.name == "Fp":
-            return (a + b) % self.p
-        c = a + b
-        return c if type(c) is int else canonical(c)
+        return self.normal(a + b)
 
     def sub(self, a, b):
-        if self.name == "Fp":
-            return (a - b) % self.p
-        c = a - b
-        return c if type(c) is int else canonical(c)
+        return self.normal(a - b)
 
     def mul(self, a, b):
-        if self.name == "Fp":
-            return (a * b) % self.p
-        c = a * b
-        return c if type(c) is int else canonical(c)
+        return self.normal(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.name == "Fp" else canonical(-a)
+        return self.normal(-a)
 
     def inv(self, a):
         if self.name == "Q":

@@ -355,6 +355,38 @@ def test_selftest_single_suite(capsys):
     assert doc["suites"][0]["cases"] >= 1000
 
 
+def test_a_suite_that_raises_is_a_failed_suite(monkeypatch, capsys):
+    """A suite that raises reports one failed case naming the exception,
+    the suites after it still run, and `selftest` exits 1 with its one
+    document, whatever the exception's type."""
+    from hyperhom import selftest
+    from hyperhom.errors import SchemaViolation
+
+    def index_error(rng):
+        return [][1]
+
+    def schema_violation(rng):
+        raise SchemaViolation("dimension mismatch in matrix product")
+
+    monkeypatch.setattr(selftest, "SUITES", {
+        "index": index_error, "schema": schema_violation,
+        "linalg-properties": selftest.SUITES["linalg-properties"]})
+    code = main(["selftest"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(lines[0])
+    assert doc["ok"] is False
+    assert doc["suites"] == [
+        {"name": "index", "cases": 1, "failures": 1,
+         "detail": "IndexError: list index out of range"},
+        {"name": "schema", "cases": 1, "failures": 1,
+         "detail": "SchemaViolation: dimension mismatch in matrix product"},
+        {"name": "linalg-properties", "cases": 1900, "failures": 0},
+    ]
+
+
 def test_selftest_rejects_unknown_suite(capsys):
     code = main(["selftest", "--suite", "nope"])
     doc = json.loads(capsys.readouterr().out)

@@ -15,8 +15,9 @@ replaced.
   readers, errors included.
 
 It also guards the routes the work takes: the layer boundaries a trace
-wraps, one product per boundary pair in a `homology` command, and one
-complex per `act` whose even operator keeps the offset.
+wraps, one product per boundary pair in a `homology` command, one
+complex per `act` whose even operator keeps the offset, and one assembled
+complex per `mv` or `include`.
 """
 
 import json
@@ -670,6 +671,37 @@ def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
                  "--operator", str(paths["op"]), "--ring", "Q"]) == 0
     capsys.readouterr()
     assert solver
+
+
+@pytest.mark.parametrize("command", ["mv", "include"])
+def test_mv_and_include_assemble_one_complex(monkeypatch, tmp_path, capsys, command):
+    """`mv` assembles and squares the union of its two sides alone, and
+    `include` the larger side alone; the other complexes are restricted
+    from it. So `build_complex` runs once, and `wedge_apply` once per
+    matrix of that complex, on its source basis."""
+    labels = ["s0", "s1", "s2", "s3"]
+    path = [[], ["s0"], ["s1"], ["s2"], ["s0", "s1"], ["s1", "s2"]]
+    fan = [[], ["s0"], ["s2"], ["s3"], ["s0", "s2"], ["s2", "s3"], ["s0", "s3"],
+           ["s0", "s2", "s3"]]
+    union = path + fan[4:] + [["s3"]]
+    right = fan if command == "mv" else union
+    paths = write_docs(tmp_path, {
+        "left": {"vertices": labels, "edges": path},
+        "right": {"vertices": labels, "edges": right},
+        "op": {"kind": "partial", "terms": [{"coeff": c, "vertices": [v]}
+                                            for c, v in zip([1, 2, 1, 3], labels)]}})
+    h = Hypergraph.of(VertexSet.of(*labels), union)
+    op = WedgeOperator.weighted_sum("partial", [1, 2, 1, 3])
+    spec = ComplexSpec(edge_carrier("partial", h), op, 0, QQ)
+    want = [build_complex(spec).basis(n) for n in spec.degrees()]
+    assert len(want) == 4 and all(want)
+    wedge = wrap_bindings(monkeypatch, "words", "wedge_apply")
+    builds = wrap_bindings(monkeypatch, "homology", "build_complex")
+    assert main([command, "--left", str(paths["left"]), "--right", str(paths["right"]),
+                 "--operator", str(paths["op"]), "--ring", "Q"]) == 0
+    capsys.readouterr()
+    assert [call[0].carrier.hypergraph.edges for call in builds] == [h.edges]
+    assert [call[1] for call in wedge] == want
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q"])

@@ -19,6 +19,7 @@ from hyperhom.homology import (
     build_complex,
     delta_pairing,
     duality_check,
+    edge_carrier,
     homology,
     homology_table,
     inclusion_induced,
@@ -44,6 +45,7 @@ from field_oracle import (
     matrix_of_rows,
     well_formed,
 )
+from test_map_route import random_boundary, random_family
 
 S3 = VertexSet.of("s0", "s1", "s2")
 SEGMENT = Hypergraph.of(S3, [[0], [1], [0, 1]])
@@ -729,3 +731,76 @@ def test_word_module_complex_agrees_with_edge_complex():
             for (i, j), v in edge_cx.matrix(deg).entries:
                 key = (edge_cx.basis(deg - 1)[i], edge_cx.basis(deg)[j])
                 assert sub.get(key) == v
+
+
+def random_subfamily(rng, h, kind, empty):
+    """A family of h's class inside h, closed from some of its edges; with
+    `empty` it also holds the empty edge (h must hold it too), which for
+    an independence hypergraph makes it the whole power set."""
+    up = ClosureOp.DELTA_UP if kind == "partial" else ClosureOp.BAR_DELTA_UP
+    seed = frozenset(e for e in h.edges if e and rng.random() < 0.4)
+    sub = closure(Hypergraph(h.vertices, seed), up)
+    if not empty:
+        return sub
+    return sub.with_edges(sub.edges | {()}) if kind == "partial" else h
+
+
+def test_restrict_matches_build_complex():
+    """A subfamily's complex restricted from an ambient complex has the
+    bases and matrices that `build_complex` gives it: over Z, Q and F_p,
+    for both operator families, arity 1 and 3 and every offset, from edge,
+    increasing-word and all-words ambients, with the empty edge on both
+    sides, on neither, or on the ambient alone."""
+    rng = random.Random(83)
+    seen = {"entries": 0, "increasing words": 0, "all words": 0}
+    for trial in range(240):
+        ring = (ZZ, QQ, GF(5))[trial % 3]
+        kind = ("partial", "d")[trial // 3 % 2]
+        arity = (1, 3)[trial // 6 % 2]
+        empty = trial // 12 % 2 == 1
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(3, 5))])
+        ambient = random_family(rng, vs, kind, empty)
+        sub = random_subfamily(rng, ambient, kind, empty and rng.random() < 0.5)
+        op = random_boundary(rng, ring, kind, len(vs), arity)
+        # all words on five letters through degree 4 would be slow to build
+        words = rng.choice(["increasing words", "all words" if len(vs) < 5 else None,
+                            None, None, None, None])
+        carrier = {"increasing words": simplicial_word_carrier(vs),
+                   "all words": word_carrier(vs, max(ambient.top_degree, -1)),
+                   None: edge_carrier(kind, ambient)}[words]
+        for q in range(arity):
+            cut = build_complex(ComplexSpec(carrier, op, q, ring)).restrict(sub)
+            want = build_complex(ComplexSpec(edge_carrier(kind, sub), op, q, ring))
+            assert cut.spec == want.spec
+            assert cut.bases == want.bases and cut.mats == want.mats
+            seen["entries"] += sum(len(m.entries) for m in cut.mats.values())
+        seen[words] = seen.get(words, 0) + 1
+        key = (kind, arity, carrier.has_empty, sub.has_empty_edge)
+        seen[key] = seen.get(key, 0) + 1
+    assert seen["entries"] >= 2000, seen
+    assert seen["increasing words"] >= 30 and seen["all words"] >= 20, seen
+    for kind in ("partial", "d"):
+        for arity in (1, 3):
+            for has in ((False, False), (True, False), (True, True)):
+                assert seen.get((kind, arity, *has), 0) >= 5, seen
+
+
+def test_restrict_rejects_a_family_outside_the_complex():
+    built = build_complex(spec(ARC_B, alpha(1, 1, 1), QQ))
+    with pytest.raises(NotIncluded):
+        built.restrict(ARC_A)
+    with pytest.raises(NotIncluded):
+        built.restrict(Hypergraph.of(VertexSet.of("t0", "t1", "t2"), [[0], [2], [0, 2]]))
+    # the extra edge lies off the arity-3 grid, so no basis misses it
+    points = Hypergraph.of(S3, [[0], [1], [2]])
+    op = WedgeOperator.build("partial", 3, [(1, (0, 1, 2))])
+    with pytest.raises(NotIncluded):
+        build_complex(spec(points, op, QQ)).restrict(SEGMENT.with_edges(SEGMENT.edges | {(2,)}))
+    # an edge above the truncation of an all-words complex
+    words = build_complex(ComplexSpec(word_carrier(S3, 0), alpha(1, 1, 1), 0, QQ))
+    assert words.restrict(ARC_B.with_edges({(0,), (2,)})).dim(0) == 2
+    with pytest.raises(NotIncluded):
+        words.restrict(ARC_B)
+    # the class check and its text are those of the subfamily's own build
+    with pytest.raises(ClassMismatch, match="not an augmented simplicial complex"):
+        built.restrict(L1)

@@ -11,12 +11,17 @@ planted fault trips gives no assurance.
   deletion run rule skipped for even runs:
   `test_words.test_wedge_apply_matches_composition_oracle`.
 * `smith_normal_form` dropping one invariant factor:
-  `test_linalg.test_presentation_torsion`.
+  `test_linalg.test_presentation_torsion` and the `linalg-properties`
+  selftest suite.
 * Transposed `InducedMap` matrices: every map,
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
   maps only, the `persistence` selftest suite.
 * `DegreeSolver` with two representatives swapped:
   `test_homology.test_degree_solver_against_greedy_rank_oracle`.
+* `BuiltComplex.restrict` keeping the empty-word row of a family without
+  the empty edge, or dropping one entry:
+  `test_homology.test_restrict_matches_build_complex` and the block check
+  of the `homology-functoriality` selftest suite.
 
 A fault inside a function body is planted by rebuilding the function from
 its source with one line changed.
@@ -30,7 +35,15 @@ import textwrap
 import pytest
 
 from hyperhom import hypergraphs, linalg, persistence, selftest, words
-from hyperhom.homology import DegreeSolver, InducedMap
+from hyperhom.homology import (
+    BuiltComplex,
+    ComplexSpec,
+    DegreeSolver,
+    InducedMap,
+    build_complex,
+    edge_carrier,
+    inclusion_map,
+)
 from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import SparseMatrix
 
@@ -125,17 +138,28 @@ def test_run_rule_skipped_for_even_runs_is_caught(monkeypatch):
         test_words.test_wedge_apply_matches_composition_oracle()
 
 
+SMITH_NORMAL_FORM = linalg.smith_normal_form
+
+
+def drop_one_factor(m):
+    """`smith_normal_form` without its last nonzero invariant factor."""
+    diag = SMITH_NORMAL_FORM(m)
+    nonzero = [d for d in diag if d]
+    return nonzero[:-1] + [0] * (len(diag) - len(nonzero) + bool(nonzero))
+
+
 def test_smith_form_dropping_one_invariant_factor_is_caught(monkeypatch):
-    smith_normal_form = linalg.smith_normal_form
-
-    def drop_one_factor(m):
-        diag = smith_normal_form(m)
-        nonzero = [d for d in diag if d]
-        return nonzero[:-1] + [0] * (len(diag) - len(nonzero) + bool(nonzero))
-
     monkeypatch.setattr(linalg, "smith_normal_form", drop_one_factor)
     with pytest.raises(AssertionError):
         test_linalg.test_presentation_torsion()
+
+
+def test_smith_form_dropping_one_invariant_factor_fails_a_suite(monkeypatch):
+    # `rank` reduces over a field, apart from the Smith normal form code
+    assert selftest.run_suite("linalg-properties").failures == 0
+    monkeypatch.setattr(selftest, "smith_normal_form", drop_one_factor)
+    result = selftest.run_suite("linalg-properties")
+    assert result.failures > 0 and result.detail == "invariant factors count the rank"
 
 
 def transposed(descend, square_only):
@@ -177,3 +201,27 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
     monkeypatch.setattr(DegreeSolver, "__init__", swapped)
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
+
+
+def inclusion_by_rebuild(small, large, op, q, ring):
+    """`inclusion_induced` building both sides, so that no restriction
+    reaches a suite except through the check under test."""
+    src, tgt = (build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+                for h in (small, large))
+    return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
+
+
+@pytest.mark.parametrize("old, new", [
+    # the degree -1 truncation forgotten: the empty-word row stays
+    ("if w in h.edges]", "if w in h.edges or w == ()]"),
+    # one entry of each matrix dropped
+    ("if i in rows and j in cols))", "if i in rows and j in cols and (i, j) != (0, 0)))"),
+], ids=["empty-word-row-kept", "one-entry-dropped"])
+def test_restrict_faults_are_caught(monkeypatch, old, new):
+    monkeypatch.setattr(selftest, "inclusion_induced", inclusion_by_rebuild)
+    assert selftest.run_suite("homology-functoriality").failures == 0
+    monkeypatch.setattr(BuiltComplex, "restrict", planted(BuiltComplex.restrict, old, new))
+    with pytest.raises(AssertionError):
+        test_homology.test_restrict_matches_build_complex()
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == "edge complex is the word complex restricted"
