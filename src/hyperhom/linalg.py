@@ -25,12 +25,17 @@ the incoming boundary. The Smith normal form behind this is sparse first.
 Unit pivots are eliminated on row dicts in least Markowitz cost order.
 What is left is a small block, finished modulo D, the absolute value of
 a nonzero r x r minor found by Bareiss elimination (r is the rank). Every
-nonzero invariant factor divides D, so no entry ever grows past D.
+nonzero invariant factor divides D, so no entry ever grows past D. There
+each pivot is an entry of least gcd with D, and the entries it divides
+are cleared by exact steps: its column by one row step each, its row by
+zeroing in place. Euclidean steps are left for the entries it does not
+divide.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from math import gcd
 
 from .errors import CompositionNotZero, SchemaViolation
@@ -339,18 +344,30 @@ def _factors_mod(a: list, r: int, d: int) -> list:
     Z/d_1 + ... + Z/d_r + (Z/d)^(rows - r) because every d_i divides d.
     Putting the cyclic orders into a divisibility chain with gcd/lcm swaps
     recovers d_1 | ... | d_r as its first r terms.
+
+    Each pivot is an entry of least gcd g with d, so a unit whenever the
+    trailing block holds one. Once its column is clear, column operations
+    touch only its row, so a row that g divides is zeroed in place; only
+    a row entry that g does not divide needs Euclidean steps, taken as
+    row steps on the transpose.
     """
     nrows = len(a)
     a = [[v % d for v in row] for row in a]
+    # row and column steps keep every entry a multiple of this gcd
+    low = gcd(d, *(v for row in a for v in row))
     orders = []
     for t in range(min(nrows, len(a[0]))):
-        if not _pivot_to(a, t):
+        if not _pivot_to(a, t, d, low):
             break
         _clear_column(a, t, d)
         while any(a[t][t + 1:]):
-            # column operations are row operations on the transpose
-            a = [list(col) for col in zip(*a)]
-            _clear_column(a, t, d)
+            g = gcd(a[t][t], d)
+            if all(v % g == 0 for v in a[t][t + 1:]):
+                a[t][t + 1:] = [0] * (len(a[t]) - t - 1)
+            else:
+                # column operations are row operations on the transpose
+                a = [list(col) for col in zip(*a)]
+                _clear_column(a, t, d)
         orders.append(gcd(a[t][t], d))
     orders += [d] * (nrows - len(orders))
     for i in range(len(orders)):
@@ -360,32 +377,47 @@ def _factors_mod(a: list, r: int, d: int) -> list:
     return orders[:r]
 
 
-def _pivot_to(a: list, t: int) -> bool:
-    """Swap a nonzero entry of the trailing block into (t, t); False when
-    the block is zero."""
+def _pivot_to(a: list, t: int, d: int = 1, low: int = 1) -> bool:
+    """Swap into (t, t) the first entry of the trailing block, in row
+    order, of least gcd with d; False when the block is zero. With d = 1
+    that is the first nonzero entry. Modulo d > 1 a zero has gcd d, so it
+    is never least. No gcd is below `low`: the search stops at one equal."""
+    best = None
     for i in range(t, len(a)):
-        for j in range(t, len(a[i])):
-            if a[i][j]:
-                a[t], a[i] = a[i], a[t]
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-                return True
-    return False
+        tail = a[i][t:]
+        if any(tail):
+            g = min(map(gcd, tail, repeat(d)))
+            if best is None or g < best[0]:
+                best = g, i
+                if g == low:
+                    break
+    if best is None:
+        return False
+    g, i = best
+    j = next(j for j, v in enumerate(a[i][t:], t) if v and gcd(v, d) == g)
+    a[t], a[i] = a[i], a[t]
+    for row in a:
+        row[t], row[j] = row[j], row[t]
+    return True
 
 
 def _clear_column(a: list, t: int, d: int) -> None:
-    """Zero column t below the pivot by Euclidean row steps modulo d. Each
-    remainder is smaller than the pivot it replaces, so this ends; a unit
-    pivot is scaled to 1 first, which divides everything."""
-    if gcd(a[t][t], d) == 1:
-        inv = pow(a[t][t], -1, d)
-        a[t] = [v * inv % d for v in a[t]]
+    """Zero column t below the pivot modulo d. Write the pivot as g * u
+    with g = gcd(pivot, d); u is then a unit modulo d / g. An entry w that
+    g divides is cleared in one exact step, by (w / g) * u^-1 times the
+    pivot row. Any other entry takes a Euclidean step: its remainder is
+    nonzero and smaller than the pivot, so it becomes the pivot, and this
+    ends."""
     i = t + 1
     while i < len(a):
-        if a[i][t]:
-            q = a[i][t] // a[t][t]
-            a[i] = [(w - q * v) % d for v, w in zip(a[t], a[i])]
-            if a[i][t]:
+        w = a[i][t]
+        if w:
+            v = a[t][t]
+            g = gcd(v, d)
+            exact = w % g == 0
+            f = w // g * pow(v // g, -1, d // g) % (d // g) if exact else w // v
+            a[i] = [(x - f * y) % d for y, x in zip(a[t], a[i])]
+            if not exact:
                 a[t], a[i] = a[i], a[t]
                 continue
         i += 1

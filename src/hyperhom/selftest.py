@@ -263,6 +263,27 @@ def suite_linalg(rng) -> _Tally:
         )
         t.check(sum(map(bool, smith_normal_form(m))) == rank(m),
                 "invariant factors count the rank")
+    for _ in range(200):
+        # a divisibility chain d with a nonunit term, hidden as U diag(d) V
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        chain = [rng.choice((1, 2, 3))]
+        for _ in range(rng.randint(0, min(rows, cols) - 1)):
+            chain.append(chain[-1] * rng.choice((1, 2, 3, 5)))
+        chain[-1] *= rng.choice((2, 3, 5))
+        dense = [[chain[i] if i == j and i < len(chain) else 0 for j in range(cols)]
+                 for i in range(rows)]
+        for _ in range(2):  # row additions, then column additions on the transpose
+            for _ in range(rng.randint(2, 8) if len(dense) > 1 else 0):
+                i, k = rng.sample(range(len(dense)), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                dense[i] = [x + c * y for x, y in zip(dense[i], dense[k])]
+            dense = [list(col) for col in zip(*dense)]
+        m = SparseMatrix.from_entries(
+            rows, cols, ZZ,
+            [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v],
+        )
+        t.check(smith_normal_form(m) == chain + [0] * (min(rows, cols) - len(chain)),
+                "invariant factors of U diag(d) V are d")
     for _ in range(100):
         n = rng.randint(0, 6)
         pres = homology_presentation(

@@ -383,7 +383,7 @@ def test_a_suite_that_raises_is_a_failed_suite(monkeypatch, capsys):
          "detail": "IndexError: list index out of range"},
         {"name": "schema", "cases": 1, "failures": 1,
          "detail": "SchemaViolation: dimension mismatch in matrix product"},
-        {"name": "linalg-properties", "cases": 1900, "failures": 0},
+        {"name": "linalg-properties", "cases": 2100, "failures": 0},
     ]
 
 

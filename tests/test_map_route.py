@@ -119,8 +119,20 @@ def instances(seed, count):
         yield rng, ring, kind, arity, empty, VertexSet.of(*[f"v{i}" for i in range(nverts)])
 
 
-def test_inclusion_maps_match_per_vector_route():
-    nonzero = 0
+# a pair whose degree-0 inclusion map is square and not symmetric, so that
+# a transposed square map cannot pass the comparison
+FOUR = VertexSet.of("v0", "v1", "v2", "v3")
+SQUARE_PAIR = (
+    closure(Hypergraph.of(FOUR, [[1], [2, 3]]), ClosureOp.DELTA_UP),
+    closure(Hypergraph.of(FOUR, [[1], [0, 2, 3]]), ClosureOp.DELTA_UP),
+    WedgeOperator.weighted_sum("partial", [3, 1, 2, 3]), 0, QQ,
+)
+
+
+def inclusion_cases():
+    """(small, large, operator, q, ring) for the inclusion comparison: the
+    pinned `SQUARE_PAIR`, then random pairs over every combination."""
+    yield SQUARE_PAIR
     for rng, ring, kind, arity, empty, vs in instances(61, 48):
         small = random_family(rng, vs, kind, empty)
         extra = random_family(rng, vs, kind, False)
@@ -129,12 +141,19 @@ def test_inclusion_maps_match_per_vector_route():
         if kind == "d" and rng.random() < 0.3:
             large = Hypergraph(vs, power_set(vs))  # raising: empty edge above only
         op = random_boundary(rng, ring, kind, len(vs), arity)
-        if op.is_zero:
-            continue
-        q = rng.randrange(arity)
+        if not op.is_zero:
+            yield small, large, op, rng.randrange(arity), ring
+
+
+def test_inclusion_maps_match_per_vector_route():
+    square = inclusion_induced(*SQUARE_PAIR)[0].matrix
+    assert square.rows == square.cols == 2
+    assert dict(square.entries) != {(j, i): v for (i, j), v in square.entries}
+    nonzero = 0
+    for small, large, op, q, ring in inclusion_cases():
         maps = inclusion_induced(small, large, op, q, ring)
-        src = build_complex(ComplexSpec(edge_carrier(kind, small), op, q, ring))
-        tgt = build_complex(ComplexSpec(edge_carrier(kind, large), op, q, ring))
+        src = build_complex(ComplexSpec(edge_carrier(op.kind, small), op, q, ring))
+        tgt = build_complex(ComplexSpec(edge_carrier(op.kind, large), op, q, ring))
         for n, m in maps.items():
             assert well_formed(m.matrix)
             assert m.matrix == inclusion_oracle(src, tgt, n)

@@ -12,10 +12,17 @@ planted fault trips gives no assurance.
   `test_words.test_wedge_apply_matches_composition_oracle`.
 * `smith_normal_form` dropping one invariant factor:
   `test_linalg.test_presentation_torsion` and the `linalg-properties`
-  selftest suite.
+  selftest suite; squaring every invariant factor, a fault stable under
+  permutations that still counts the rank: that suite's known-answer
+  check, U diag(d) V.
+* The exact steps modulo D of `_factors_mod` without u^-1, or zeroing the
+  pivot row without testing that its gcd divides the row:
+  `test_snf_modulo.test_factors_mod_matches_euclidean_oracle_and_sympy`
+  and the `linalg-properties` selftest suite.
 * Transposed `InducedMap` matrices: every map,
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
-  maps only, the `persistence` selftest suite.
+  maps only, that test (on its pinned pair) and the `persistence`
+  selftest suite.
 * `DegreeSolver` with two representatives swapped:
   `test_homology.test_degree_solver_against_greedy_rank_oracle`.
 * `BuiltComplex.restrict` keeping the empty-word row of a family without
@@ -51,6 +58,7 @@ import test_fast_paths
 import test_homology
 import test_linalg
 import test_map_route
+import test_snf_modulo
 import test_words
 from test_fast_paths import CLASSES
 
@@ -162,6 +170,17 @@ def test_smith_form_dropping_one_invariant_factor_fails_a_suite(monkeypatch):
     assert result.failures > 0 and result.detail == "invariant factors count the rank"
 
 
+def square_every_factor(m):
+    """`smith_normal_form` with every invariant factor squared."""
+    return [d * d for d in SMITH_NORMAL_FORM(m)]
+
+
+def test_smith_form_squaring_every_factor_fails_the_known_answer_check(monkeypatch):
+    monkeypatch.setattr(selftest, "smith_normal_form", square_every_factor)
+    result = selftest.run_suite("linalg-properties")
+    assert result.failures > 0 and result.detail == "invariant factors of U diag(d) V are d"
+
+
 def transposed(descend, square_only):
     """`_descend` whose maps come out transposed (with `square_only`, the
     square ones alone, so that no shape gives the fault away)."""
@@ -185,6 +204,8 @@ def test_transposed_induced_maps_are_caught(monkeypatch):
 
 def test_transposed_square_induced_maps_are_caught(monkeypatch):
     monkeypatch.setattr(homology, "_descend", transposed(homology._descend, True))
+    with pytest.raises(AssertionError):
+        test_map_route.test_inclusion_maps_match_per_vector_route()
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "structure maps compose"
 
@@ -225,3 +246,17 @@ def test_restrict_faults_are_caught(monkeypatch, old, new):
         test_homology.test_restrict_matches_build_complex()
     result = selftest.run_suite("homology-functoriality")
     assert result.failures > 0 and result.detail == "edge complex is the word complex restricted"
+
+
+@pytest.mark.parametrize("func, old, new", [
+    # the exact clear without u^-1: (w / g) times the pivot row
+    ("_clear_column", " * pow(v // g, -1, d // g)", ""),
+    # the pivot row zeroed whether or not g divides it
+    ("_factors_mod", "if all(v % g == 0 for v in a[t][t + 1:]):", "if True:"),
+], ids=["inverse-dropped", "row-zeroed-unchecked"])
+def test_exact_modulo_steps_faults_are_caught(monkeypatch, func, old, new):
+    assert selftest.run_suite("linalg-properties").failures == 0
+    monkeypatch.setattr(linalg, func, planted(getattr(linalg, func), old, new))
+    with pytest.raises(AssertionError):
+        test_snf_modulo.test_factors_mod_matches_euclidean_oracle_and_sympy()
+    assert selftest.run_suite("linalg-properties").failures > 0
