@@ -37,7 +37,7 @@ from .errors import (
     SchemaViolation,
     VertexSetMismatch,
 )
-from .hypergraphs import WORDS_CAP, CombineOp, Hypergraph, combine
+from .hypergraphs import POWERSET_CAP, WORDS_CAP, CombineOp, Hypergraph, combine
 from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
@@ -146,6 +146,10 @@ def word_carrier(vertices: VertexSet, max_degree: int) -> Carrier:
 
 
 def simplicial_word_carrier(vertices: VertexSet) -> Carrier:
+    """One increasing word per vertex subset, so at most POWERSET_CAP
+    vertices, as for `power_set`; checked before any word is formed."""
+    if len(vertices) > POWERSET_CAP:
+        raise CarrierTooLarge(f"increasing words capped at {POWERSET_CAP} vertices")
     return Carrier(INCREASING_WORDS, vertices)
 
 
@@ -395,10 +399,8 @@ class InducedMap:
 
 def _coordinates(tgt: DegreeSolver, images: SparseMatrix, error: str) -> SparseMatrix:
     """Homology coordinates in tgt of each column of images;
-    NotAChainMap(error) when a column is not a cycle. A vanishing target
-    group has no coordinates to read, and its images go unchecked."""
-    if tgt.betti == 0:
-        return SparseMatrix.zero(0, images.cols, tgt.ring)
+    NotAChainMap(error) when a column is not a cycle, also when the target
+    group vanishes."""
     coords = tgt.coords(images)
     if coords is None:
         raise NotAChainMap(error)
@@ -514,58 +516,54 @@ class LongExactSequence:
         return all(j[2] for j in self.junctions)
 
 
-def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
-                 q: int, ring: Ring) -> dict:
+def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator, ring: Ring,
+                 cut) -> dict:
     """The four complexes of a Mayer-Vietoris square, keyed "cap", "a",
-    "b" and "cup": the union is built, the others are restricted from it;
-    see `_check_empty_edges` for the condition on the two sides."""
+    "b" and "cup": `cut` gives the union's complex after the side checks
+    (see `_check_empty_edges`), and the others are restricted from it."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("Mayer-Vietoris needs a common vertex set")
     if not ring.is_field:
         raise SchemaViolation("exactness reports are computed over fields")
     _check_empty_edges(operator, a, b)
     cap = combine(a, b, CombineOp.INTERSECT)
-    union = combine(a, b, CombineOp.UNION)
-    cup = build_complex(ComplexSpec(edge_carrier(operator.kind, union), operator, q, ring))
+    cup = cut(combine(a, b, CombineOp.UNION))
     return {"cap": cup.restrict(cap), "a": cup.restrict(a), "b": cup.restrict(b), "cup": cup}
+
+
+# the complexes behind each node label of a Mayer-Vietoris sequence, in order
+MV_NODE_PARTS = {"intersection": ("cap",), "sum": ("a", "b"), "union": ("cup",)}
 
 
 def mv_sequence(complexes: dict) -> LongExactSequence:
     """The long exact sequence linking intersection, direct sum, and union
-    of the complexes built by `mv_complexes`."""
+    of the complexes given by `mv_complexes`."""
     spec = complexes["cup"].spec
     # the connecting maps step with the boundary, so the grid runs that way
     grid = sorted(spec.degrees(), reverse=spec.operator.shift < 0)
+    leaving = (_mv_first_map, _mv_second_map, _mv_connecting)
 
     nodes = []
     maps = []
     for n in grid:
-        betti = {name: cx.solver(n).betti for name, cx in complexes.items()}
-        nodes.append(SequenceNode("intersection", n, betti["cap"]))
-        maps.append(_mv_first_map(complexes, n))
-        nodes.append(SequenceNode("sum", n, betti["a"] + betti["b"]))
-        maps.append(_mv_second_map(complexes, n))
-        nodes.append(SequenceNode("union", n, betti["cup"]))
-        maps.append(_mv_connecting(complexes, n))
+        for (label, parts), step in zip(MV_NODE_PARTS.items(), leaving):
+            nodes.append(SequenceNode(label, n, sum(complexes[p].solver(n).betti for p in parts)))
+            maps.append(step(complexes, n))
     ranks = [rank(m) for m in maps]
-
-    junctions = []
-    for i, node in enumerate(nodes):
-        rank_in = ranks[i - 1] if i else 0
-        nullity = node.free_rank - ranks[i]
-        junctions.append((rank_in, nullity, rank_in == nullity))
     # the last map leaves the listed window; exactness there needs the
     # kernel of nothing, so fold it into a trailing zero-node junction
-    tail_rank = ranks[-1] if ranks else 0
-    junctions.append((tail_rank, 0, tail_rank == 0))
-    return LongExactSequence(tuple(nodes), tuple(maps), tuple(junctions))
+    frees = [node.free_rank for node in nodes] + [0]
+    nullities = [free - r for free, r in zip(frees, ranks + [0])]
+    junctions = tuple((r, k, r == k) for r, k in zip([0] + ranks, nullities))
+    return LongExactSequence(tuple(nodes), tuple(maps), junctions)
 
 
 def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
                    q: int, ring: Ring) -> LongExactSequence:
-    """The long exact sequence linking intersection, direct sum, and union;
-    see `mv_complexes` for the conditions on the two sides."""
-    return mv_sequence(mv_complexes(a, b, operator, q, ring))
+    """The long exact sequence linking intersection, direct sum, and union,
+    cut from one build of the union; see `mv_complexes`."""
+    return mv_sequence(mv_complexes(a, b, operator, ring, lambda union: build_complex(
+        ComplexSpec(edge_carrier(operator.kind, union), operator, q, ring))))
 
 
 def _mv_first_map(complexes, n) -> SparseMatrix:

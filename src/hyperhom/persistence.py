@@ -11,18 +11,21 @@ Every sublevel of a valid filtration is a subcomplex of the final one,
 so barcodes are read off the final complex alone, by the standard pairing
 of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
 `field_reduce` calls, and the rank grid counts the bars alive over each
-pair of thresholds. Persistent Mayer-Vietoris builds each threshold's
-union, restricts the rest of its square from it, and reads the vertical
-maps of its naturality squares from the inclusions between thresholds.
+pair of thresholds. Persistent Mayer-Vietoris builds the union of the two
+final families once and cuts every threshold's square from it; the
+vertical maps of its naturality squares are the inclusions between two
+thresholds' squares.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
+    MV_NODE_PARTS,
     ComplexSpec,
     build_complex,
     edge_carrier,
@@ -30,7 +33,7 @@ from .homology import (
     mv_complexes,
     mv_sequence,
 )
-from .hypergraphs import Hypergraph
+from .hypergraphs import CombineOp, Hypergraph, combine
 from .linalg import SparseMatrix, field_reduce
 from .records import record
 from .rings import Ring
@@ -107,7 +110,7 @@ class Filtration:
             frozenset(edge for edge, birth in self.births if birth <= x),
         )
 
-    @property
+    @cached_property
     def final_complex(self) -> Hypergraph:
         return Hypergraph(self.vertices, frozenset(e for e, _ in self.births))
 
@@ -209,27 +212,29 @@ class PersistentMV:
 def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
                   q: int, ring: Ring) -> PersistentMV:
     """Mayer-Vietoris sequences along a pair of filtrations, with the
-    naturality squares of consecutive thresholds checked as matrices."""
+    naturality squares of consecutive thresholds checked as matrices. Every
+    square is cut from one build of the final union, made once the first
+    threshold has passed its side checks, so that their errors come first."""
     if fa.vertices != fb.vertices or fa.monotonicity_class != fb.monotonicity_class:
         raise SchemaViolation("the two filtrations must share vertices and class")
     _check_operator(fa, operator)
+    final = cache(lambda: build_complex(ComplexSpec(edge_carrier(
+        operator.kind, combine(fa.final_complex, fb.final_complex, CombineOp.UNION)),
+        operator, q, ring)))
     grid = sorted(set(fa.critical_values()) | set(fb.critical_values()))
     sequences = []
     commute = True
     previous = None
     for x in grid:
-        # only two thresholds' complexes are alive at a time
-        current = mv_complexes(fa.complex_at(x), fb.complex_at(x), operator, q, ring)
+        # beside the final build, only two thresholds' squares are alive at a time
+        current = mv_complexes(fa.complex_at(x), fb.complex_at(x), operator, ring,
+                               lambda union: final().restrict(union))
         sequences.append(mv_sequence(current))
         if previous is not None and not _mv_square_check(
                 previous, current, sequences[-2], sequences[-1]):
             commute = False
         previous = current
     return PersistentMV(tuple(grid), tuple(sequences), commute)
-
-
-# the complexes behind each node label of a Mayer-Vietoris sequence
-_NODE_PARTS = {"intersection": ("cap",), "sum": ("a", "b"), "union": ("cup",)}
 
 
 def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
@@ -241,26 +246,19 @@ def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
     def vertical(label, n):
         # block diagonal over the node's parts
         placed, rows, cols = [], 0, 0
-        for part in _NODE_PARTS[label]:
+        for part in MV_NODE_PARTS[label]:
             m = inclusion_map(cx_x[part], cx_y[part], n).matrix
             placed.append(((rows, cols), m))
             rows, cols = rows + m.rows, cols + m.cols
         return SparseMatrix.blocks(rows, cols, ring, placed)
 
-    vert = {(node.label, node.degree): vertical(node.label, node.degree)
-            for node in seq_x.nodes}
-    pos_y = {(n.label, n.degree): i for i, n in enumerate(seq_y.nodes)}
-    for idx in range(len(seq_x.nodes) - 1):
-        src = seq_x.nodes[idx]
-        tgt = seq_x.nodes[idx + 1]
-        if (src.label, src.degree) not in pos_y:
+    keys = [(node.label, node.degree) for node in seq_x.nodes]
+    keys_y = [(node.label, node.degree) for node in seq_y.nodes]
+    vert = {key: vertical(*key) for key in keys}
+    for idx, (src, tgt) in enumerate(zip(keys, keys[1:])):
+        if src not in keys_y or keys_y[keys_y.index(src) + 1] != tgt:
             return False
-        ydx = pos_y[(src.label, src.degree)]
-        ytgt = seq_y.nodes[ydx + 1]
-        if (ytgt.label, ytgt.degree) != (tgt.label, tgt.degree):
-            return False
-        lhs = vert[(tgt.label, tgt.degree)].mul(seq_x.maps[idx])
-        rhs = seq_y.maps[ydx].mul(vert[(src.label, src.degree)])
-        if lhs != rhs:
+        ydx = keys_y.index(src)
+        if vert[tgt].mul(seq_x.maps[idx]) != seq_y.maps[ydx].mul(vert[src]):
             return False
     return True

@@ -538,7 +538,8 @@ def _random_complex(rng, vs, p=0.4, with_empty=None):
 
 def suite_homology_functoriality(rng) -> _Tally:
     """Inclusion and even-operator actions commute; Euler characteristics
-    agree; edge complexes are restrictions of the word complex."""
+    agree; each solver reads its representatives as the unit vectors;
+    edge complexes are restrictions of the word complex."""
     t = _Tally()
     for _ in range(100):
         n = rng.randint(2, 4)
@@ -591,13 +592,13 @@ def suite_homology_functoriality(rng) -> _Tally:
             rhs = incl[tgt].compose(m)
             t.check(lhs.matrix == rhs.matrix, "inclusion commutes with action")
         built = build_complex(spec_large)
-        chi_dim = sum(
-            (-1) ** p * built.dim(nn) for p, nn in enumerate(spec_large.degrees())
-        )
-        chi_betti = sum(
-            (-1) ** p * built.solver(nn).betti
-            for p, nn in enumerate(spec_large.degrees())
-        )
+        chi_dim = chi_betti = 0
+        for p, nn in enumerate(spec_large.degrees()):
+            solver = built.solver(nn)
+            chi_dim += (-1) ** p * built.dim(nn)
+            chi_betti += (-1) ** p * solver.betti
+            t.check(solver.coords(solver.reps) == SparseMatrix.identity(solver.betti, QQ),
+                    "representatives have unit coordinates")
         t.check(chi_dim == chi_betti, "Euler characteristic")
         cut = build_complex(ComplexSpec(simplicial_word_carrier(vs), op, 0, QQ)).restrict(large)
         t.check((cut.bases, cut.mats) == (built.bases, built.mats),

@@ -61,7 +61,7 @@ from hyperhom.jsonio import (
     vertexset_from_json,
 )
 from hyperhom.linalg import SparseMatrix, homology_presentation
-from hyperhom.persistence import Filtration
+from hyperhom.persistence import Filtration, persistent_mv
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FreeChain, VertexSet, WedgeOperator
 
@@ -702,6 +702,55 @@ def test_mv_and_include_assemble_one_complex(monkeypatch, tmp_path, capsys, comm
     capsys.readouterr()
     assert [call[0].carrier.hypergraph.edges for call in builds] == [h.edges]
     assert [call[1] for call in wedge] == want
+
+
+def test_each_call_builds_one_complex(monkeypatch, tmp_path, capsys):
+    """Every command assembles one complex and restricts or reads the rest
+    from it, `persistent_mv` along all its thresholds included; `act` with
+    an arity-1 boundary acts within its one complex. `duality` compares
+    two word complexes, so it builds two."""
+    labels = ["s0", "s1", "s2"]
+    circle = [["s0"], ["s1"], ["s2"], ["s0", "s1"], ["s1", "s2"], ["s0", "s2"]]
+    rows = [{"edge": e, "birth": b} for e, b in zip(circle, [0, 0, 1, 1, 2, 3])]
+    weights = zip([1, 2, 1], labels)
+    paths = write_docs(tmp_path, {
+        "circle": {"vertices": labels, "edges": circle},
+        "path": {"vertices": labels, "edges": circle[:5]},
+        "arc": {"vertices": labels, "edges": [["s0"], ["s2"], ["s0", "s2"]]},
+        "upward": {"vertices": labels, "edges": [e for e in circle if len(e) == 2]
+                   + [["s0", "s1", "s2"]]},
+        "filtration": {"vertices": labels, "class": "simplicial", "edges": rows},
+        "partial": {"kind": "partial", "terms": [{"coeff": c, "vertices": [v]} for c, v in weights]},
+        "d": {"kind": "d", "terms": [{"coeff": 1, "vertices": [v]} for v in labels]},
+        "even": {"kind": "partial", "terms": [{"coeff": 1, "vertices": ["s0", "s2"]}]}})
+    p = {key: str(path) for key, path in paths.items()}
+    ring = ["--ring", "Q"]
+    graded = ["--operator", p["partial"], *ring, "--n", "0"]
+    argvs = {
+        "homology": ["homology", "--operator", p["partial"], *ring, p["circle"]],
+        "cohomology": ["cohomology", "--operator", p["d"], *ring, p["upward"]],
+        "include": ["include", "--left", p["path"], "--right", p["circle"],
+                    "--operator", p["partial"], *ring],
+        "mv": ["mv", "--left", p["path"], "--right", p["arc"], "--operator", p["partial"], *ring],
+        "barcode": ["barcode", "--filtration", p["filtration"], *graded],
+        "persist": ["persist", "--filtration", p["filtration"], *graded],
+        "act": ["act", "--operator", p["partial"], "--even", p["even"], *ring, p["circle"]],
+        "duality": ["duality", "--vertices", "a,b", "--max-degree", "3"],
+    }
+    builds = wrap_bindings(monkeypatch, "homology", "build_complex")
+    counts = {}
+    for name, argv in argvs.items():
+        builds.clear()
+        assert main(argv) == 0, capsys.readouterr().out
+        assert "error" not in json.loads(capsys.readouterr().out)
+        counts[name] = len(builds)
+    fa = filtration_from_json(json.loads(paths["filtration"].read_text()))
+    fb = Filtration.of(fa.vertices, [((0,), 1), ((2,), 0), ((0, 2), Fraction(5, 2))], "simplicial")
+    op = operator_from_json(json.loads(paths["partial"].read_text()), fa.vertices)
+    builds.clear()
+    assert len(persistent_mv(fa, fb, op, 0, QQ).grid) == 5
+    counts["persistent_mv"] = len(builds)
+    assert counts == {name: 2 if name == "duality" else 1 for name in counts}
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q"])

@@ -23,6 +23,7 @@ from hyperhom.homology import (
     homology,
     homology_table,
     inclusion_induced,
+    inclusion_map,
     independence_carrier,
     mayer_vietoris,
     mv_complexes,
@@ -32,7 +33,14 @@ from hyperhom.homology import (
     simplicial_word_carrier,
     word_carrier,
 )
-from hyperhom.hypergraphs import WORDS_CAP, ClosureOp, Hypergraph, closure, power_set
+from hyperhom.hypergraphs import (
+    POWERSET_CAP,
+    WORDS_CAP,
+    ClosureOp,
+    Hypergraph,
+    closure,
+    power_set,
+)
 from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_chain
@@ -496,11 +504,23 @@ def test_descend_rejects_a_map_off_the_cycles():
         _descend(first_edge, solver, solver, 1, 1, "first edge")
 
 
+def test_inclusion_into_a_vanishing_group_is_checked():
+    """The vertex classes of the segment are one class, and the segment
+    with the empty edge has no homology in degree 0; a vertex is no cycle
+    there, so the inclusion is not a chain map though its target vanishes."""
+    small = build_complex(spec(SEGMENT, alpha(1, 1, 1), QQ))
+    large = build_complex(spec(SEGMENT.with_edges(SEGMENT.edges | {()}), alpha(1, 1, 1), QQ))
+    assert (small.solver(0).betti, large.solver(0).betti) == (1, 0)
+    with pytest.raises(NotAChainMap, match="inclusion sends a cycle to a non-cycle"):
+        inclusion_map(small, large, 0)
+
+
 def test_connecting_map_rejects_an_image_outside_the_intersection():
     # the zig-zag lands on both meeting points of the arcs, so an
     # intersection holding only s0 is too small
     op = alpha(1, 1, 1)
-    complexes = mv_complexes(ARC_A, ARC_B, op, 0, QQ)
+    complexes = mv_complexes(ARC_A, ARC_B, op, QQ,
+                             lambda union: build_complex(spec(union, op, QQ)))
     les = mv_sequence(complexes)
     assert les.all_exact and any(not m.is_zero() for m in les.maps)
     complexes["cap"] = build_complex(spec(Hypergraph.of(S3, [[0]]), op, QQ))
@@ -583,6 +603,14 @@ def test_word_carrier_size_is_checked_before_enumeration():
                   (VertexSet(()), 10**9), (VertexSet.of(*"abcdefgh"), 10**6)):
         with pytest.raises(CarrierTooLarge, match="exceed the cap"):
             word_carrier(vs, d)
+
+
+def test_increasing_words_carrier_size_is_checked_before_enumeration():
+    at_cap = VertexSet.of(*[f"v{i}" for i in range(POWERSET_CAP)])
+    assert simplicial_word_carrier(at_cap).top_degree == POWERSET_CAP - 1
+    one_past = VertexSet.of(*[f"v{i}" for i in range(POWERSET_CAP + 1)])
+    with pytest.raises(CarrierTooLarge, match=f"capped at {POWERSET_CAP} vertices"):
+        simplicial_word_carrier(one_past)
 
 
 def test_one_letter_word_carrier_is_bounded_by_its_letters():

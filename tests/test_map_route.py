@@ -195,7 +195,9 @@ def test_mv_maps_match_per_vector_route():
         op = random_boundary(rng, ring, kind, len(vs), arity)
         if op.is_zero:
             continue
-        complexes = mv_complexes(a, b, op, rng.randrange(arity), ring)
+        q = rng.randrange(arity)
+        complexes = mv_complexes(a, b, op, ring, lambda union: build_complex(
+            ComplexSpec(edge_carrier(kind, union), op, q, ring)))
         les = mv_sequence(complexes)
         assert les.all_exact
         assert all(well_formed(m) for m in les.maps)

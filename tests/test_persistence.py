@@ -10,6 +10,7 @@ from hyperhom.homology import (
     ComplexSpec,
     LongExactSequence,
     build_complex,
+    edge_carrier,
     homology_table,
     inclusion_induced,
     inclusion_map,
@@ -20,10 +21,11 @@ from hyperhom.homology import (
     operator_action,
     simplicial_carrier,
 )
-from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
+from hyperhom.hypergraphs import ClosureOp, CombineOp, Hypergraph, closure, combine, power_set
 from hyperhom.linalg import SparseMatrix
 from hyperhom.persistence import (
     Filtration,
+    PersistentMV,
     _mv_square_check,
     barcode,
     complex_at,
@@ -34,6 +36,7 @@ from hyperhom.rings import GF, QQ
 from hyperhom.words import VertexSet, WedgeOperator
 
 from field_oracle import modp_row_rank, q_rank
+from test_map_route import random_boundary
 
 S3 = VertexSet.of("s0", "s1", "s2")
 
@@ -53,6 +56,12 @@ def test_complex_at():
     assert complex_at(SEG, -1).edges == frozenset()
     assert complex_at(SEG, 5).edges == {(0,), (1,), (0, 1)}
     assert complex_at(SEG, Fraction(1, 2)).edges == {(0,), (1,)}
+
+
+def test_final_complex_is_made_once():
+    f = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
+    assert f.final_complex is f.final_complex
+    assert f.final_complex.edges == {(0,), (1,), (0, 1)}
 
 
 def test_monotonicity_validation():
@@ -438,31 +447,69 @@ def test_persistent_mv_grown_pair():
     assert all(seq.all_exact for seq in rep.sequences)
 
 
+def edge_complex(h, op, q, ring):
+    return build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+
+
+def per_threshold_route(fa, fb, op, q, ring):
+    """`persistent_mv` computed threshold by threshold, kept as its oracle:
+    `mayer_vietoris` at each threshold, and the naturality squares checked
+    between squares whose four complexes are each built on their own."""
+    grid = sorted(set(fa.critical_values()) | set(fb.critical_values()))
+    sequences, squares = [], []
+    for x in grid:
+        a, b = fa.complex_at(x), fb.complex_at(x)
+        sequences.append(mayer_vietoris(a, b, op, q, ring))
+        parts = {"cap": combine(a, b, CombineOp.INTERSECT), "a": a, "b": b,
+                 "cup": combine(a, b, CombineOp.UNION)}
+        squares.append({part: edge_complex(h, op, q, ring) for part, h in parts.items()})
+    commute = all(_mv_square_check(squares[i], squares[i + 1], sequences[i], sequences[i + 1])
+                  for i in range(len(grid) - 1))
+    return PersistentMV(tuple(grid), tuple(sequences), commute)
+
+
 def test_persistent_mv_random():
+    """Both classes, arity 1 and 3 on every offset, Q and F_5, with and
+    without the empty edge (for the independence class, one side is then
+    the whole power set, born at once)."""
     rng = random.Random(79)
-    cases = [("simplicial", False)] * 4 + [("simplicial", True)] * 4 + [("independence", None)] * 4
-    for cls, with_empty in cases:
-        if cls == "simplicial":
-            fa = random_simplicial_filtration(rng, 3, with_empty=with_empty)
-            fb = random_simplicial_filtration(rng, 3, with_empty=with_empty)
-            op = alpha(1, 1, 1)
-        else:
-            fa = random_independence_filtration(rng, 3)
-            fb = random_independence_filtration(rng, 3)
-            op = omega(*[rng.randint(1, 3) for _ in range(3)])
-        rep = persistent_mv(fa, fb, op, 0, QQ)
-        assert rep.squares_commute
-        assert all(seq.all_exact for seq in rep.sequences)
-        for x, seq in zip(rep.grid, rep.sequences):
-            assert seq == mayer_vietoris(fa.complex_at(x), fb.complex_at(x), op, 0, QQ)
+    nontrivial = 0
+    for cls, arity, ring, with_empty in itertools.product(
+            ("simplicial", "independence"), (1, 3), (QQ, GF(5)), (False, True)):
+        for _ in range(3):
+            nverts = 3 if arity == 1 else 4
+            if cls == "simplicial":
+                fa = random_simplicial_filtration(rng, nverts, with_empty=with_empty)
+                fb = random_simplicial_filtration(rng, nverts, with_empty=with_empty)
+            else:
+                fa = random_independence_filtration(rng, nverts)
+                fb = random_independence_filtration(rng, nverts)
+                if with_empty:
+                    birth = rng.choice([0, Fraction(1, 2), 1])
+                    fa = Filtration.of(fa.vertices, [(e, birth) for e in power_set(fa.vertices)],
+                                       "independence")
+            kind = "partial" if cls == "simplicial" else "d"
+            op = random_boundary(rng, ring, kind, nverts, arity)
+            q = rng.randrange(arity)
+            rep = persistent_mv(fa, fb, op, q, ring)
+            assert rep == per_threshold_route(fa, fb, op, q, ring)
+            assert rep.squares_commute
+            assert all(seq.all_exact for seq in rep.sequences)
+            nontrivial += len(rep.grid) > 1 and any(
+                not m.is_zero() for seq in rep.sequences for m in seq.maps)
+    assert nontrivial >= 20, nontrivial
 
 
 def test_mv_square_check_sees_a_changed_entry():
     fa = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
     fb = Filtration.of(S3, [((1,), 0), ((2,), 0), ((1, 2), 2)], "simplicial")
     op = alpha(1, 1, 1)
-    cx_x = mv_complexes(fa.complex_at(0), fb.complex_at(0), op, 0, QQ)
-    cx_y = mv_complexes(fa.complex_at(1), fb.complex_at(1), op, 0, QQ)
+
+    def build(union):
+        return edge_complex(union, op, 0, QQ)
+
+    cx_x = mv_complexes(fa.complex_at(0), fb.complex_at(0), op, QQ, build)
+    cx_y = mv_complexes(fa.complex_at(1), fb.complex_at(1), op, QQ, build)
     seq_x, seq_y = mv_sequence(cx_x), mv_sequence(cx_y)
     assert _mv_square_check(cx_x, cx_y, seq_x, seq_y)
     # change the later intersection-to-sum map in degree 0: its source, the

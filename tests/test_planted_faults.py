@@ -24,7 +24,8 @@ planted fault trips gives no assurance.
   maps only, that test (on its pinned pair) and the `persistence`
   selftest suite.
 * `DegreeSolver` with two representatives swapped:
-  `test_homology.test_degree_solver_against_greedy_rank_oracle`.
+  `test_homology.test_degree_solver_against_greedy_rank_oracle` and the
+  unit-coordinates check of the `homology-functoriality` selftest suite.
 * `BuiltComplex.restrict` keeping the empty-word row of a family without
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
@@ -219,9 +220,12 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
             cols = [1, 0, *range(2, self.betti)]
             self.reps = self.reps.permuted(list(range(self.reps.rows)), cols)
 
+    assert selftest.run_suite("homology-functoriality").failures == 0
     monkeypatch.setattr(DegreeSolver, "__init__", swapped)
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == "representatives have unit coordinates"
 
 
 def inclusion_by_rebuild(small, large, op, q, ring):
