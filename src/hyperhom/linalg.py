@@ -9,15 +9,16 @@ the images they are read from. `mul` sums its products in plain
 arithmetic and reduces each sum once (`Ring.normal`), instead of going
 through the ring for every term.
 
-Field work has one eliminator, `field_reduce`: a sparse Gauss-Jordan
-reduction over Q or F_p that pivots in column order on the columns below
-a bound and carries the columns past it along. Every field rank (an
-integer matrix is ranked over Q, its entries being canonical rationals
-already), the field `kernel_basis`, the homology solver's representatives
-and coordinates, and the pairing of barcodes all come from it. Its pivots
-are the columns independent of those before them and its pivot rows are
-the reduced row echelon form, both unique, so the results do not depend
-on the order rows are reduced.
+A rank needs only the number of pivots, so `rank` is a forward
+elimination that keeps no reduced rows: mod p over F_p, and fraction-free
+over Q and Z, where the rows stay integers. Everything that reads reduced
+rows comes from `field_reduce`, a sparse Gauss-Jordan reduction over Q or
+F_p that pivots in column order on the columns below a bound and carries
+the columns past it along: the field `kernel_basis`, the homology
+solver's representatives and coordinates, and the pairing of barcodes.
+Its pivots are the columns independent of those before them and its
+pivot rows are the reduced row echelon form, both unique, so the results
+do not depend on the order rows are reduced.
 
 Homology over Z of a free complex needs no kernel lattice: H_n is free of
 rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 import heapq
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CompositionNotZero, SchemaViolation
 from .records import record
-from .rings import QQ, Ring, ZZ, canonical
+from .rings import Ring, ZZ, canonical
 
 _set = object.__setattr__
 
@@ -154,9 +155,49 @@ def _rows_of(m: SparseMatrix) -> list:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over the ring's fraction field (Q for Z, whose ints are canonical)."""
-    ring = m.ring if m.ring.is_field else QQ
-    return len(field_reduce(_rows_of(m), m.cols, ring)[0])
+    """Rank over the ring's fraction field (Q for Z), counted as pivots of
+    a forward elimination.
+
+    Each row in turn, last to first as in `field_reduce`, cancels its
+    leading entry b against the pivot row stored at that column, whose
+    lead is a, until its lead is a new pivot or the row is empty. Nothing
+    is back-substituted and no row is scaled to 1. Over F_p the step is
+    row -= (b / a) prow. Over Q and Z the rows stay integral: a row
+    holding Fractions is first multiplied by the lcm of their
+    denominators, which keeps the rank; the step is
+    row = (a / g) row - (b / g) prow with g = gcd(a, b); and a row is
+    divided by its content when it becomes a pivot row.
+    """
+    p = m.ring.p
+    pivots = {}  # lead column -> (a, or a^-1 over F_p; the rest of the pivot row)
+    for row in reversed(_rows_of(m)):
+        if not p:
+            den = lcm(*(v.denominator for v in row.values() if type(v) is not int))
+            if den > 1:
+                row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        while row:
+            lead = min(row)
+            b = row.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    pivots[lead] = pow(b, -1, p), row
+                else:
+                    g = gcd(b, *row.values())
+                    pivots[lead] = (b // g, {j: v // g for j, v in row.items()}
+                                    if g > 1 else row)
+                break
+            a, prow = pivot
+            if p:
+                _axpy(row, b * a % p, prow, p)
+                continue
+            g = gcd(a, b)
+            if a != g:
+                f = a // g
+                for j in row:
+                    row[j] *= f
+            _axpy(row, b // g, prow, None)
+    return len(pivots)
 
 
 def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:

@@ -16,6 +16,7 @@ from .homology import (
     build_complex,
     delta_pairing,
     duality_check,
+    edge_carrier,
     inclusion_induced,
     inclusion_map,
     mayer_vietoris,
@@ -232,13 +233,14 @@ def suite_boundary_squared(rng) -> _Tally:
 
 
 def suite_linalg(rng) -> _Tally:
-    """Rank plus nullity, permutation-stable invariant factors, and the
-    trivial presentation."""
+    """Rank plus nullity (over Q with Fraction entries too), permutation-stable
+    invariant factors, and the trivial presentation."""
     t = _Tally()
     for _ in range(500):
         ring = rng.choice([QQ, GF(3), GF(7)])
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-        dense = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        dense = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3) if ring == QQ else 1)
+                  for _ in range(cols)] for _ in range(rows)]
         m = SparseMatrix.from_entries(
             rows, cols, ring,
             [((i, j), v) for i, row in enumerate(dense) for j, v in enumerate(row) if v],
@@ -637,9 +639,45 @@ def suite_duality(rng) -> _Tally:
     return t
 
 
+def _check_mv_maps(t: _Tally, a, b, op, ring, les) -> None:
+    """The maps of `les` against the inclusion maps between the four
+    complexes of its square, each built on its own: at each degree the
+    first map stacks cap -> a over cap -> b, the second sets a -> cup
+    beside minus b -> cup, and through either side the inclusions compose
+    to cap -> cup. Each map of `les` composed with the next is zero."""
+    families = {"cap": combine(a, b, CombineOp.INTERSECT), "a": a, "b": b,
+                "cup": combine(a, b, CombineOp.UNION)}
+    built = {k: build_complex(ComplexSpec(edge_carrier(op.kind, h), op, 0, ring))
+             for k, h in families.items()}
+    for k in range(0, len(les.maps), 3):
+        n = les.nodes[k].degree
+        ia, ib, ja, jb, cap_cup = (inclusion_map(built[x], built[y], n).matrix for x, y in (
+            ("cap", "a"), ("cap", "b"), ("a", "cup"), ("b", "cup"), ("cap", "cup")))
+        minus_jb = SparseMatrix(jb.rows, jb.cols, ring,
+                                tuple((i, ring.neg(v)) for i, v in jb.entries))
+        first = SparseMatrix.blocks(ia.rows + ib.rows, ia.cols, ring,
+                                    [((0, 0), ia), ((ia.rows, 0), ib)])
+        second = SparseMatrix.blocks(ja.rows, ja.cols + jb.cols, ring,
+                                     [((0, 0), ja), ((0, ja.cols), minus_jb)])
+        t.check(les.maps[k:k + 2] == (first, second),
+                f"maps at degree {n} are the inclusions over {ring}")
+        t.check(ja.mul(ia) == cap_cup == jb.mul(ib),
+                f"inclusions at degree {n} compose over {ring}")
+    for inner, outer in zip(les.maps, les.maps[1:]):
+        t.check(outer.mul(inner).is_zero(), f"consecutive maps compose to zero over {ring}")
+
+
 def suite_mv_exactness(rng) -> _Tally:
-    """Exactness at every junction for random simplicial pairs."""
+    """Exactness at every junction for random simplicial pairs, and their
+    maps against inclusion maps built on their own (see `_check_mv_maps`),
+    first on a pair whose degree-1 inclusion of the intersection in b is
+    square and not symmetric."""
     t = _Tally()
+    vs = VertexSet.of("v0", "v1", "v2", "v3")
+    a = closure(Hypergraph.of(vs, [[0, 1, 2], [1, 3], [2, 3]]), ClosureOp.DELTA_UP)
+    b = closure(Hypergraph.of(vs, [[0, 1], [0, 2], [0, 3], [1, 2, 3]]), ClosureOp.DELTA_UP)
+    op = WedgeOperator.weighted_sum("partial", [3, 2, 2, 2])
+    _check_mv_maps(t, a, b, op, QQ, mayer_vietoris(a, b, op, 0, QQ))
     for ring in (QQ, GF(3)):
         for _ in range(100):
             n = rng.randint(2, 5)
@@ -653,6 +691,7 @@ def suite_mv_exactness(rng) -> _Tally:
             les = mayer_vietoris(a, b, op, 0, ring)
             for rank_in, nullity, exact in les.junctions:
                 t.check(exact, f"junction {rank_in} vs {nullity} over {ring}")
+            _check_mv_maps(t, a, b, op, ring, les)
             # degree-raising version: local complements of complexes that
             # contain the empty edge are independence hypergraphs
             la = closure(a.with_edges(a.edges | {()}), ClosureOp.GAMMA_LOCAL)
@@ -663,6 +702,7 @@ def suite_mv_exactness(rng) -> _Tally:
             les = mayer_vietoris(la, lb, opd, 0, ring)
             for rank_in, nullity, exact in les.junctions:
                 t.check(exact, f"raising junction {rank_in} vs {nullity}")
+            _check_mv_maps(t, la, lb, opd, ring, les)
     return t
 
 

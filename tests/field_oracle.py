@@ -4,13 +4,16 @@ the per-vector route to homology-level maps, and the integer kernel lattice.
 `field_rref` is the full-row Gauss-Jordan reduction that `kernel_basis`
 and `DegreeSolver` were built on before the sparse route; `modp_row_rank`
 is the forward elimination that F_p `rank` used, and `int_row_rank` the
-fraction-free elimination that Q and Z `rank` used (`q_rank` clears
-denominators row by row first). `dense_kernel` and `DenseSolver` rebuild
-the old kernel basis and solver on top of them, with vectors as dense
-lists. `descend`, `coordinates` and `mv_connecting` are the homology-level
-maps read one dense vector at a time over `DenseSolver`, as
-`homology._descend`, `_coordinates` and `_mv_connecting` did before they
-read every vector of a map in one matrix product. `integer_kernel` is the
+fraction-free elimination with least-absolute-value pivots that Q and Z
+`rank` used (`q_rank` clears denominators row by row first).
+`gauss_jordan_rank` is the pivot count of `field_reduce`, the route
+`rank` took before it became a forward elimination. `dense_kernel` and
+`DenseSolver` rebuild the old kernel basis and solver on top of them,
+with vectors as dense lists. `descend`, `coordinates` and
+`mv_connecting` are the homology-level maps read one dense vector at a
+time over `DenseSolver`, as `homology._descend`, `_coordinates` and
+`_mv_connecting` did before they read every vector of a map in one
+matrix product. `integer_kernel` is the
 saturated kernel lattice of an integer matrix, which integer homology no
 longer needs. `column` and `columns` read the columns of a sparse matrix
 as dense lists, `apply` multiplies a sparse matrix into a dense vector,
@@ -23,7 +26,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hyperhom.errors import NotAChainMap
-from hyperhom.linalg import SparseMatrix
+from hyperhom.linalg import SparseMatrix, field_reduce
+from hyperhom.rings import QQ
 
 
 def matrix_of_rows(data: list, cols: int, ring) -> SparseMatrix:
@@ -104,6 +108,15 @@ def field_rref(dense: list, ncols: int, ring):
         if r == len(dense):
             break
     return pivots
+
+
+def gauss_jordan_rank(m: SparseMatrix) -> int:
+    """Rank as the number of pivots of the Gauss-Jordan `field_reduce`, over
+    Q for an integer matrix."""
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries:
+        rows[i][j] = v
+    return len(field_reduce(rows, m.cols, m.ring if m.ring.is_field else QQ)[0])
 
 
 def modp_row_rank(rows: list, p: int) -> int:

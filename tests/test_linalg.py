@@ -29,6 +29,7 @@ from field_oracle import (
     columns,
     dense_kernel,
     field_rref,
+    gauss_jordan_rank,
     integer_kernel,
     modp_row_rank,
     q_rank,
@@ -234,6 +235,60 @@ def test_rank_matches_fraction_free_oracle(ring):
     assert (deficient >= 10) == (ring == QQ)
 
 
+def deficient_dense(rng, ring, rows=60, cols=90):
+    """A rows x cols matrix at density 0.3 with entries up to 9 in absolute
+    value, whose rows from the 46th on are combinations of two earlier
+    rows, so that its rank is at most 45; over Q every third row is
+    divided by 2 or 3 into Fractions."""
+    dense = [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+    for i in range(45, rows):
+        a, b = rng.sample(range(i), 2)
+        c, d = rng.choice([-2, -1, 1, 2, 3]), rng.choice([-2, -1, 1, 2, 3])
+        dense[i] = [c * x + d * y for x, y in zip(dense[a], dense[b])]
+    if ring == QQ:
+        dense = [[Fraction(v, 2 + i % 2) for v in row] if i % 3 == 0 else row
+                 for i, row in enumerate(dense)]
+    rng.shuffle(dense)
+    return mat(rows, cols, ring, dense)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, GF(3), GF(5), GF(7), GF(2**61 - 1)], ids=str)
+def test_rank_matches_gauss_jordan_and_forward_oracles(ring):
+    """The forward-elimination `rank` against the Gauss-Jordan pivot count
+    and against the forward oracles, fraction-free over Q and Z and mod p
+    over F_p, on the edge shapes of `random_field_matrices`, rows mixing
+    ints and Fractions, and rank-deficient dense matrices, whose integer
+    rows grow to thousands of bits."""
+    rng = random.Random(43 + (ring.p or 0) % 1000)
+    matrices = list(random_field_matrices(rng, ring))
+    if ring == QQ:
+        matrices += fraction_combinations(rng)
+    matrices += [deficient_dense(rng, ring), deficient_dense(rng, ring, 90, 60)]
+    ranks = []
+    deficient = mixed = 0
+    for m in matrices:
+        entries = tuple(m.entries)
+        r = rank(m)
+        ranks.append(r)
+        assert m.entries == entries
+        assert r == gauss_jordan_rank(m)
+        if ring.p:
+            rows = [{} for _ in range(m.rows)]
+            for (i, j), v in m.entries:
+                rows[i][j] = v
+            assert r == modp_row_rank(rows, ring.p)
+        else:
+            assert r == q_rank(m)
+        deficient += r < min(m.rows, m.cols)
+        kinds = {}
+        for (i, _), v in m.entries:
+            kinds.setdefault(i, set()).add(type(v))
+        mixed += any(len(k) == 2 for k in kinds.values())
+    assert deficient >= 5 and max(ranks[-2:]) <= 45
+    assert (mixed >= 10) == (ring == QQ)
+
+
 def skeleton(n, k):
     """The augmented k-skeleton of the (n-1)-simplex."""
     vs = VertexSet.of(*[f"v{i}" for i in range(n)])
@@ -250,7 +305,9 @@ def cofaces(n, k):
 @pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
 def test_rank_matches_fraction_free_oracle_on_boundaries(ring):
     """Every boundary of the 3-skeleton on 9 vertices, the 4-skeleton on 8
-    and the cofaces of the 2-skeleton on 8, with weights 1..n."""
+    and the cofaces of the 2-skeleton on 8, with weights 1..n; over Q
+    also the 3-skeleton on 8 with weights 1/1..1/8, whose boundaries hold
+    Fractions."""
     specs = [
         ComplexSpec(simplicial_carrier(skeleton(9, 3)),
                     WedgeOperator.weighted_sum("partial", range(1, 10)), 0, ring),
@@ -259,14 +316,20 @@ def test_rank_matches_fraction_free_oracle_on_boundaries(ring):
         ComplexSpec(independence_carrier(cofaces(8, 2)),
                     WedgeOperator.weighted_sum("d", range(1, 9)), 0, ring),
     ]
-    nonzero = 0
+    if ring == QQ:
+        specs.append(ComplexSpec(
+            simplicial_carrier(skeleton(8, 3)),
+            WedgeOperator.weighted_sum("partial", [Fraction(1, k) for k in range(1, 9)]),
+            0, ring))
+    nonzero = fractional = 0
     for spec in specs:
         built = build_complex(spec)
         for n in spec.degrees():
             r = rank(built.matrix(n))
             assert r == q_rank(built.matrix(n)), (spec.carrier, n)
             nonzero += r > 0
-    assert nonzero >= 12
+            fractional += r > 0 and any(type(v) is Fraction for _, v in built.matrix(n).entries)
+    assert nonzero >= 12 and (fractional >= 3) == (ring == QQ)
 
 
 def test_presentation_zero_maps():

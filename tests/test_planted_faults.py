@@ -19,13 +19,20 @@ planted fault trips gives no assurance.
   pivot row without testing that its gcd divides the row:
   `test_snf_modulo.test_factors_mod_matches_euclidean_oracle_and_sympy`
   and the `linalg-properties` selftest suite.
+* The fraction-free Q step of `rank` without its a/g cross-multiplier:
+  `test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries` and
+  the rank-nullity check of the `linalg-properties` selftest suite;
+  `rank` leaving Fraction rows unscaled: that test and that suite, where
+  the gcd of a Fraction raises.
 * Transposed `InducedMap` matrices: every map,
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
-  maps only, that test (on its pinned pair) and the `persistence`
-  selftest suite.
+  maps only, that test (on its pinned pair), the `persistence` selftest
+  suite and the composition check of the `mv-exactness` suite (on its
+  pinned pair).
 * `DegreeSolver` with two representatives swapped:
-  `test_homology.test_degree_solver_against_greedy_rank_oracle` and the
-  unit-coordinates check of the `homology-functoriality` selftest suite.
+  `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
+  unit-coordinates check of the `homology-functoriality` selftest suite
+  and the composition check of the `mv-exactness` suite.
 * `BuiltComplex.restrict` keeping the empty-word row of a family without
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
@@ -54,6 +61,7 @@ from hyperhom.homology import (
 )
 from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import SparseMatrix
+from hyperhom.rings import QQ
 
 import test_fast_paths
 import test_homology
@@ -164,7 +172,8 @@ def test_smith_form_dropping_one_invariant_factor_is_caught(monkeypatch):
 
 
 def test_smith_form_dropping_one_invariant_factor_fails_a_suite(monkeypatch):
-    # `rank` reduces over a field, apart from the Smith normal form code
+    # `rank` is a forward elimination of its own, apart from the Smith
+    # normal form code
     assert selftest.run_suite("linalg-properties").failures == 0
     monkeypatch.setattr(selftest, "smith_normal_form", drop_one_factor)
     result = selftest.run_suite("linalg-properties")
@@ -180,6 +189,24 @@ def test_smith_form_squaring_every_factor_fails_the_known_answer_check(monkeypat
     monkeypatch.setattr(selftest, "smith_normal_form", square_every_factor)
     result = selftest.run_suite("linalg-properties")
     assert result.failures > 0 and result.detail == "invariant factors of U diag(d) V are d"
+
+
+@pytest.mark.parametrize("old, new, raised, detail", [
+    # the Q step as row - (b/g) prow: the lead cancels, the rest is wrong
+    ("if a != g:", "if False:", AssertionError, "rank-nullity"),
+    # Fraction rows left as they are, so that gcd meets a Fraction
+    ("if den > 1:", "if False:", TypeError, "TypeError: "),
+], ids=["cross-multiplier-dropped", "lcm-scaling-skipped"])
+def test_rank_faults_are_caught(monkeypatch, old, new, raised, detail):
+    test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries(QQ)  # the rewrite holds
+    assert selftest.run_suite("linalg-properties").failures == 0
+    faulty = planted(linalg.rank, old, new)
+    monkeypatch.setattr(test_linalg, "rank", faulty)
+    monkeypatch.setattr(selftest, "rank", faulty)
+    with pytest.raises(raised):
+        test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries(QQ)
+    result = selftest.run_suite("linalg-properties")
+    assert result.failures > 0 and result.detail.startswith(detail)
 
 
 def transposed(descend, square_only):
@@ -209,6 +236,9 @@ def test_transposed_square_induced_maps_are_caught(monkeypatch):
         test_map_route.test_inclusion_maps_match_per_vector_route()
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "structure maps compose"
+    result = selftest.run_suite("mv-exactness")
+    assert result.failures > 0
+    assert result.detail == "inclusions at degree 1 compose over Q"
 
 
 def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
@@ -221,11 +251,15 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
             self.reps = self.reps.permuted(list(range(self.reps.rows)), cols)
 
     assert selftest.run_suite("homology-functoriality").failures == 0
+    assert selftest.run_suite("mv-exactness").failures == 0
     monkeypatch.setattr(DegreeSolver, "__init__", swapped)
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
     result = selftest.run_suite("homology-functoriality")
     assert result.failures > 0 and result.detail == "representatives have unit coordinates"
+    result = selftest.run_suite("mv-exactness")
+    assert result.failures > 0
+    assert result.detail == "inclusions at degree 1 compose over Q"
 
 
 def inclusion_by_rebuild(small, large, op, q, ring):
