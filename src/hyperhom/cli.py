@@ -219,13 +219,13 @@ def cmd_mv(args) -> dict:
 def cmd_persist(args) -> dict:
     f, op, ring = _inputs(args, "filtration", load=_load_filtration)
     pr = persistent_ranks(f, op, args.q, ring, args.n)
+    grid = [str(x) for x in pr.grid]
     return {
         "n": pr.degree,
-        "grid": [str(x) for x in pr.grid],
+        "grid": grid,
         "ranks": [
-            {"from": str(pr.grid[i]), "to": str(pr.grid[j]), "rank": pr.rank(i, j)}
-            for i in range(len(pr.grid))
-            for j in range(i, len(pr.grid))
+            {"from": grid[i], "to": grid[j], "rank": pr.ranks[i, j]}
+            for i in range(len(grid)) for j in range(i, len(grid))
         ],
     }
 

@@ -122,25 +122,25 @@ def filtration_from_json(data) -> Filtration:
     births = []
     _require(isinstance(data["edges"], list), "'edges' must be a list")
     parse = _edge_parser(vs)
+    parsed = {}  # each distinct birth string is parsed once; ints are not looked up
     for row in data["edges"]:
         _require(isinstance(row, dict) and "edge" in row and "birth" in row,
                  "each filtration row needs 'edge' and 'birth'")
         _require(isinstance(row["edge"], list), "each edge must be a list")
-        births.append((parse(row["edge"])[0], coefficient_from_json(row["birth"])))
+        edge, birth = parse(row["edge"])[0], row["birth"]
+        if not (isinstance(birth, str) and birth in parsed):
+            parsed[birth] = coefficient_from_json(birth)  # only valid births are stored
+        births.append((edge, parsed[birth]))
     return Filtration.of(vs, births, cls)
 
 
 def filtration_to_json(f: Filtration) -> dict:
+    births = [str(x) for x in f.grid]
     return {
         "vertices": list(f.vertices.labels),
         "class": f.monotonicity_class,
-        "edges": [
-            {
-                "edge": [f.vertices.labels[v] for v in e],
-                "birth": str(birth),
-            }
-            for e, birth in f.births
-        ],
+        "edges": [{"edge": [f.vertices.labels[v] for v in e], "birth": births[k]}
+                  for k, e in f.indexed],
     }
 
 

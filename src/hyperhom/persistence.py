@@ -7,6 +7,10 @@ when the empty edge participates it must be born with the first edges
 (later arrival would change the bottom truncation midway and the
 inclusion maps would stop being chain maps).
 
+Until output, only the order of the births matters: a filtration keeps
+its grid, the distinct births ascending, and each edge's birth as an
+index into it, so validation, sublevels, pairing and rank grid compare ints.
+
 Every sublevel of a valid filtration is a subcomplex of the final one,
 so barcodes are read off the final complex alone, by the standard pairing
 of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
@@ -19,13 +23,16 @@ thresholds' squares.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 
 from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
     MV_NODE_PARTS,
+    Carrier,
     ComplexSpec,
     build_complex,
     edge_carrier,
@@ -45,74 +52,70 @@ INDEPENDENCE_CLASS = "independence"
 
 @record
 class Filtration:
+    """Build with `of`, or pass `validate`: the operations trust the class."""
+
     vertices: VertexSet
-    births: tuple  # ((edge, Fraction birth), ...) sorted
+    grid: tuple  # the distinct births, ascending Fractions
+    indexed: tuple  # ((index of its birth in grid, edge), ...) ascending
     monotonicity_class: str
 
     @staticmethod
     def of(vertices: VertexSet, births, monotonicity_class: str) -> "Filtration":
         if monotonicity_class not in (SIMPLICIAL_CLASS, INDEPENDENCE_CLASS):
             raise SchemaViolation(f"unknown filtration class {monotonicity_class!r}")
-        seen = {}
+        seen, values = {}, {}  # values: each distinct birth, made a Fraction once
         for edge, birth in births:
             edge = tuple(sorted(edge))
             if edge in seen:
                 raise SchemaViolation(f"edge {edge} listed twice")
-            seen[edge] = Fraction(birth)
-        f = Filtration(
-            vertices,
-            tuple(sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))),
-            monotonicity_class,
-        )
+            if birth not in values:
+                values[birth] = Fraction(birth)
+            seen[edge] = birth
+        grid = sorted(set(values.values()))
+        slot = {birth: bisect_left(grid, x) for birth, x in values.items()}
+        f = Filtration(vertices, tuple(grid), tuple(sorted((slot[b], e) for e, b in seen.items())),
+                       monotonicity_class)
         f.validate()
         return f
 
+    @property
+    def births(self) -> tuple:  # ((edge, Fraction birth), ...) by birth, then edge
+        return tuple((edge, self.grid[k]) for k, edge in self.indexed)
+
     def critical_values(self) -> list:
-        return sorted({birth for _, birth in self.births})
+        return list(self.grid)
 
     def validate(self) -> None:
         """Every sublevel family classifies as the declared class, in one
-        pass over the births. A sublevel is closed when each of its edges
-        keeps its codimension-1 faces (simplicial class, edges of size >= 2
-        only) or cofaces (independence class), the rule `Hypergraph.classify`
-        checks. So an edge breaks every sublevel from its own birth on when
-        one of those neighbours is missing or born later, and never
-        otherwise; the first sublevel that fails is at the least birth of
-        such an edge."""
-        births = dict(self.births)
-        if () in births and births[()] > min(births.values()):
-            raise MonotonicityViolation(
-                "the empty edge must be born with the first edges"
-            )
-        simplicial = self.monotonicity_class == SIMPLICIAL_CLASS
+        pass over the birth indices. A sublevel is closed when each of its
+        edges keeps its codimension-1 faces (simplicial class, edges of
+        size >= 2 only) or cofaces (independence class), the rule
+        `Hypergraph.classify` checks. So an edge breaks every sublevel from
+        its own birth on when one of those neighbours is missing or born
+        later, and never otherwise; the first sublevel that fails is at the
+        birth of the first such edge in birth order."""
+        births = {edge: k for k, edge in self.indexed}
+        if births.get((), 0) > 0:
+            raise MonotonicityViolation("the empty edge must be born with the first edges")
         nv = len(self.vertices)
-        broken = []
-        for edge, birth in births.items():
-            if not simplicial:
+        for k, edge in self.indexed:
+            if self.monotonicity_class == INDEPENDENCE_CLASS:
                 near = [tuple(sorted(edge + (v,))) for v in range(nv) if v not in edge]
-            elif len(edge) > 1:
-                near = [edge[:i] + edge[i + 1:] for i in range(len(edge))]
             else:
-                near = ()
-            if any(births.get(e, birth + 1) > birth for e in near):
-                broken.append(birth)
-        if broken:
-            x = min(broken)
-            offender = sorted((e for e, b in self.births if b <= x), key=lambda e: (len(e), e))
-            raise MonotonicityViolation(
-                f"sublevel family at {x} is not closed; edges {offender}"
-            )
+                near = [edge[:i] + edge[i + 1:] for i in range(len(edge))] if len(edge) > 1 else ()
+            if any(births.get(e, k + 1) > k for e in near):
+                offender = sorted((e for b, e in self.indexed if b <= k),
+                                  key=lambda e: (len(e), e))
+                raise MonotonicityViolation(
+                    f"sublevel family at {self.grid[k]} is not closed; edges {offender}")
 
     def complex_at(self, x) -> Hypergraph:
-        x = Fraction(x)
-        return Hypergraph(
-            self.vertices,
-            frozenset(edge for edge, birth in self.births if birth <= x),
-        )
+        k = bisect_right(self.grid, Fraction(x))  # the edges born at or before x
+        return Hypergraph(self.vertices, frozenset(edge for b, edge in self.indexed if b < k))
 
     @cached_property
     def final_complex(self) -> Hypergraph:
-        return Hypergraph(self.vertices, frozenset(e for e, _ in self.births))
+        return Hypergraph(self.vertices, frozenset(edge for _, edge in self.indexed))
 
 
 def complex_at(f: Filtration, x) -> Hypergraph:
@@ -144,27 +147,26 @@ def _check_operator(f: Filtration, operator: WedgeOperator) -> None:
 def persistent_ranks(f: Filtration, operator: WedgeOperator, q: int,
                      ring: Ring, n: int) -> PersistentRanks:
     """Ranks of every inclusion-induced map on the critical grid: the
-    number of bars alive over each grid interval."""
-    bc = barcode(f, operator, q, ring, n)
-    grid = f.critical_values()
-    ranks = {(i, j): bc.rank_between(grid[i], grid[j])
-             for i in range(len(grid)) for j in range(i, len(grid))}
-    return PersistentRanks(n, tuple(grid), ranks)
+    bars alive over [i, j], born at i or before and dying after j, are the
+    suffix sums of a tally, by death index, of the bars born by i."""
+    m = len(f.grid)
+    index = {x: k for k, x in enumerate(f.grid + (None,))}  # None: never dies
+    born = [[] for _ in range(m)]
+    for birth, death, mult in barcode(f, operator, q, ring, n).bars:
+        born[index[birth]].append((index[death], mult))
+    alive, ranks = [0] * (m + 1), {}
+    for i in range(m):
+        for death, mult in born[i]:
+            alive[death] += mult
+        suffix = list(accumulate(reversed(alive)))  # suffix[t]: dying at m - t or later
+        ranks.update(zip([(i, j) for j in range(i, m)], reversed(suffix[:m - i])))
+    return PersistentRanks(n, f.grid, ranks)
 
 
 @record
 class Barcode:
     degree: int
     bars: tuple  # (birth, death or None, multiplicity) by birth, then death
-
-    def rank_between(self, x, y) -> int:
-        """Number of bars alive on the whole closed interval [x, y]."""
-        x, y = Fraction(x), Fraction(y)
-        total = 0
-        for birth, death, mult in self.bars:
-            if birth <= x and (death is None or death > y):
-                total += mult
-        return total
 
 
 def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> Barcode:
@@ -173,15 +175,19 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     its outgoing column is independent of the columns of earlier edges.
     The incoming edges, reduced earliest first as rows keyed latest n-edge
     first, each close the bar of the n-edge at their pivot. Bars of
-    length zero are dropped."""
+    length zero are dropped. The pairing runs on birth indices, each bar's
+    ends read from the grid at the end, on the final complex as closed in
+    `f`'s class, which `validate` proved."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
-    spec = ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring)
+    # `validate` proved it closed in its class, which names its carrier kind: no classify
+    carrier = Carrier(f.monotonicity_class, f.vertices, hypergraph=f.final_complex)
+    spec = ComplexSpec(carrier, operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)
-    pos = {edge: k for k, (edge, _) in enumerate(f.births)}
-    births = [birth for _, birth in f.births]
+    pos = {edge: k for k, (_, edge) in enumerate(f.indexed)}
+    births = [b for b, _ in f.indexed]
     last = len(births) - 1
     edges = built.basis(n)
     src_edges = built.basis(n - operator.shift)
@@ -195,11 +201,10 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     pivots, pivot_rows, _ = field_reduce(
         [in_rows[k] for k in sorted(in_rows, reverse=True)], len(births), ring)
     paired = set(negative).union(last - c for c in pivots)
+    ends = f.grid + (None,)  # an open bar dies at index len(grid), which reads as None
     bars = Counter((births[last - c], closer[id(row)]) for c, row in zip(pivots, pivot_rows))
-    bars.update((births[pos[e]], None) for e in edges if pos[e] not in paired)
-    order = sorted((bar for bar in bars if bar[0] != bar[1]),
-                   key=lambda bar: (bar[0], bar[1] is None, bar[1] or 0))
-    return Barcode(n, tuple((birth, death, bars[birth, death]) for birth, death in order))
+    bars.update((births[pos[e]], len(f.grid)) for e in edges if pos[e] not in paired)
+    return Barcode(n, tuple((ends[b], ends[d], bars[b, d]) for b, d in sorted(bars) if b != d))
 
 
 @record
@@ -221,7 +226,7 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
     final = cache(lambda: build_complex(ComplexSpec(edge_carrier(
         operator.kind, combine(fa.final_complex, fb.final_complex, CombineOp.UNION)),
         operator, q, ring)))
-    grid = sorted(set(fa.critical_values()) | set(fb.critical_values()))
+    grid = sorted(set(fa.grid).union(fb.grid))
     sequences = []
     commute = True
     previous = None

@@ -558,19 +558,13 @@ def suite_homology_functoriality(rng) -> _Tally:
         )
         if with_empty:
             large = large.with_edges(large.edges | {()})
-        op = WedgeOperator.weighted_sum(
-            "partial", [rng.randint(1, 3) for _ in range(n)]
-        )
+        op = WedgeOperator.weighted_sum("partial", [rng.randint(1, 3) for _ in range(n)])
         spec_small = ComplexSpec(simplicial_carrier(small), op, 0, QQ)
         spec_large = ComplexSpec(simplicial_carrier(large), op, 0, QQ)
         b1 = WedgeOperator.build(
-            "partial", 2,
-            [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))],
-        )
+            "partial", 2, [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))])
         b2 = WedgeOperator.build(
-            "partial", 2,
-            [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))],
-        )
+            "partial", 2, [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))])
         act1 = operator_action(spec_small, b1)
         act2 = operator_action(spec_small, b2)
         act12 = operator_action(spec_small, b1.wedge(b2))
@@ -580,19 +574,8 @@ def suite_homology_functoriality(rng) -> _Tally:
             if outer is None:
                 t.check(m12.target_rank == 0, "wedge action beyond the grid")
                 continue
-            t.check(
-                outer.compose(inner).matrix == m12.matrix,
-                "wedge action is composition",
-            )
-        incl = inclusion_induced(small, large, op, 0, QQ)
-        act_large = operator_action(spec_large, b1)
-        for deg, m in act1.items():
-            tgt = m.target_degree
-            if tgt < -1:
-                continue
-            lhs = act_large[deg].compose(incl[deg])
-            rhs = incl[tgt].compose(m)
-            t.check(lhs.matrix == rhs.matrix, "inclusion commutes with action")
+            t.check(outer.compose(inner).matrix == m12.matrix, "wedge action is composition")
+        _check_action_commutes(t, act1, small, large, op, b1, "inclusion commutes with action")
         built = build_complex(spec_large)
         chi_dim = chi_betti = 0
         for p, nn in enumerate(spec_large.degrees()):
@@ -605,7 +588,43 @@ def suite_homology_functoriality(rng) -> _Tally:
         cut = build_complex(ComplexSpec(simplicial_word_carrier(vs), op, 0, QQ)).restrict(large)
         t.check((cut.bases, cut.mats) == (built.bases, built.mats),
                 "edge complex is the word complex restricted")
+        mid = large.with_edges(small.edges | {e for e in large.edges if len(e) <= 2})
+        _check_inclusions_compose(t, small, mid, large, op)
+    a, b, op = _pinned_pair()
+    _check_inclusions_compose(t, combine(a, b, CombineOp.INTERSECT), b,
+                              combine(a, b, CombineOp.UNION), op)
     return t
+
+
+def _check_inclusions_compose(t: _Tally, small, mid, large, op,
+                              detail="inclusions compose") -> tuple:
+    """Inclusion is functorial: through `mid`, at every degree of `mid`.
+    Returns the maps of `small` in `mid` and of `mid` in `large`."""
+    first, second, direct = (inclusion_induced(x, y, op, 0, QQ) for x, y in (
+        (small, mid), (mid, large), (small, large)))
+    for n, m in first.items():
+        t.check(second[n].compose(m).matrix == direct[n].matrix, detail)
+    return first, second
+
+
+def _check_action_commutes(t: _Tally, act_small, small, large, op, beta, detail) -> dict:
+    """The action `act_small` of the even operator `beta` on `small`
+    commutes with the inclusion in `large`. Returns the inclusion maps."""
+    act_large = operator_action(ComplexSpec(simplicial_carrier(large), op, 0, QQ), beta)
+    incl = inclusion_induced(small, large, op, 0, QQ)
+    for n, m in act_small.items():
+        if m.target_degree >= -1:
+            t.check(act_large[n].compose(incl[n]).matrix
+                    == incl[m.target_degree].compose(m).matrix, detail)
+    return incl
+
+
+def _pinned_pair():
+    """a, b and a boundary: the degree-1 inclusion of a & b in b is square, not symmetric."""
+    vs = VertexSet.of("v0", "v1", "v2", "v3")
+    a = closure(Hypergraph.of(vs, [[0, 1, 2], [1, 3], [2, 3]]), ClosureOp.DELTA_UP)
+    b = closure(Hypergraph.of(vs, [[0, 1], [0, 2], [0, 3], [1, 2, 3]]), ClosureOp.DELTA_UP)
+    return a, b, WedgeOperator.weighted_sum("partial", [3, 2, 2, 2])
 
 
 def suite_duality(rng) -> _Tally:
@@ -673,10 +692,7 @@ def suite_mv_exactness(rng) -> _Tally:
     first on a pair whose degree-1 inclusion of the intersection in b is
     square and not symmetric."""
     t = _Tally()
-    vs = VertexSet.of("v0", "v1", "v2", "v3")
-    a = closure(Hypergraph.of(vs, [[0, 1, 2], [1, 3], [2, 3]]), ClosureOp.DELTA_UP)
-    b = closure(Hypergraph.of(vs, [[0, 1], [0, 2], [0, 3], [1, 2, 3]]), ClosureOp.DELTA_UP)
-    op = WedgeOperator.weighted_sum("partial", [3, 2, 2, 2])
+    a, b, op = _pinned_pair()
     _check_mv_maps(t, a, b, op, QQ, mayer_vietoris(a, b, op, 0, QQ))
     for ring in (QQ, GF(3)):
         for _ in range(100):
@@ -735,9 +751,7 @@ def suite_persistence(rng) -> _Tally:
     for _ in range(110):
         nv = rng.randint(2, 4)
         f = _random_filtration(rng, nv)
-        op = WedgeOperator.weighted_sum(
-            "partial", [rng.randint(1, 2) for _ in range(nv)]
-        )
+        op = WedgeOperator.weighted_sum("partial", [rng.randint(1, 2) for _ in range(nv)])
         degree = rng.choice([0, 1])
         pr = persistent_ranks(f, op, 0, QQ, degree)
         m = len(pr.grid)
@@ -747,44 +761,25 @@ def suite_persistence(rng) -> _Tally:
                  for x in pr.grid]
         for i in range(m):
             for j in range(i, m):
-                t.check(
-                    inclusion_map(built[i], built[j], degree).rank() == pr.rank(i, j),
-                    "bars count the inclusion rank",
-                )
+                t.check(inclusion_map(built[i], built[j], degree).rank() == pr.rank(i, j),
+                        "bars count the inclusion rank")
+        # and at three pairs against `inclusion_induced`, which restricts
+        # the smaller sublevel from the larger's build
         if m >= 3:
-            x, y, z = pr.grid[0], pr.grid[m // 2], pr.grid[-1]
-            m_xy = inclusion_induced(f.complex_at(x), f.complex_at(y), op, 0, QQ)
-            m_yz = inclusion_induced(f.complex_at(y), f.complex_at(z), op, 0, QQ)
-            m_xz = inclusion_induced(f.complex_at(x), f.complex_at(z), op, 0, QQ)
-            for (i, j), maps in (((0, m // 2), m_xy), ((m // 2, m - 1), m_yz)):
-                rank_ij = maps[degree].rank() if degree in maps else 0
-                t.check(pr.rank(i, j) == rank_ij, "bars count the inclusion rank")
-            for n in m_xz:
-                if n in m_xy and n in m_yz:
-                    t.check(
-                        m_yz[n].compose(m_xy[n]).matrix == m_xz[n].matrix,
-                        "structure maps compose",
-                    )
+            x, y, z = (f.complex_at(pr.grid[i]) for i in (0, m // 2, m - 1))
+            halves = _check_inclusions_compose(t, x, y, z, op, "structure maps compose")
+            for (i, j), maps in zip(((0, m // 2), (m // 2, m - 1)), halves):
+                t.check(pr.rank(i, j) == (maps[degree].rank() if degree in maps else 0),
+                        "bars count the inclusion rank")
         if m >= 2 and nv >= 2:
-            beta = WedgeOperator.build(
-                "partial", 2, [(1, tuple(sorted(rng.sample(range(nv), 2))))]
-            )
-            x, y = pr.grid[0], pr.grid[-1]
-            kx, ky = f.complex_at(x), f.complex_at(y)
+            beta = WedgeOperator.build("partial", 2,
+                                       [(1, tuple(sorted(rng.sample(range(nv), 2))))])
+            kx, ky = f.complex_at(pr.grid[0]), f.complex_at(pr.grid[-1])
             act_x = operator_action(ComplexSpec(simplicial_carrier(kx), op, 0, QQ), beta)
-            act_y = operator_action(ComplexSpec(simplicial_carrier(ky), op, 0, QQ), beta)
-            incl = inclusion_induced(kx, ky, op, 0, QQ)
-            rank_xy = incl[degree].rank() if degree in incl else 0
-            t.check(pr.rank(0, m - 1) == rank_xy, "bars count the inclusion rank")
-            for n, mm in act_x.items():
-                tgt = mm.target_degree
-                if tgt < -1 or n not in incl or tgt not in incl:
-                    continue
-                t.check(
-                    act_y[n].compose(incl[n]).matrix
-                    == incl[tgt].compose(mm).matrix,
-                    "action commutes with structure maps",
-                )
+            incl = _check_action_commutes(t, act_x, kx, ky, op, beta,
+                                          "action commutes with structure maps")
+            t.check(pr.rank(0, m - 1) == (incl[degree].rank() if degree in incl else 0),
+                    "bars count the inclusion rank")
     for _ in range(15):
         fa = _random_filtration(rng, 3, with_empty=False)
         fb = _random_filtration(rng, 3, with_empty=False)

@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
+    INDEPENDENCE_EDGES,
+    SIMPLICIAL_EDGES,
     ComplexSpec,
     LongExactSequence,
     build_complex,
@@ -24,6 +27,8 @@ from hyperhom.homology import (
 from hyperhom.hypergraphs import ClosureOp, CombineOp, Hypergraph, closure, combine, power_set
 from hyperhom.linalg import SparseMatrix
 from hyperhom.persistence import (
+    INDEPENDENCE_CLASS,
+    SIMPLICIAL_CLASS,
     Filtration,
     PersistentMV,
     _mv_square_check,
@@ -35,7 +40,9 @@ from hyperhom.persistence import (
 from hyperhom.rings import GF, QQ
 from hyperhom.words import VertexSet, WedgeOperator
 
+import persistence_oracle
 from field_oracle import modp_row_rank, q_rank
+from persistence_oracle import rank_between, unvalidated
 from test_map_route import random_boundary
 
 S3 = VertexSet.of("s0", "s1", "s2")
@@ -50,6 +57,16 @@ def omega(*r):
 
 
 SEG = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
+
+
+def test_filtration_classes_name_their_carrier_kinds():
+    """`barcode` builds its carrier from the class `validate` proved, so a
+    class is the kind of the carrier that checks it."""
+    assert (SIMPLICIAL_CLASS, INDEPENDENCE_CLASS) == (SIMPLICIAL_EDGES, INDEPENDENCE_EDGES)
+    for cls, make in ((SIMPLICIAL_CLASS, simplicial_carrier),
+                      (INDEPENDENCE_CLASS, independence_carrier)):
+        f = Filtration.of(S3, [(e, 0) for e in power_set(S3)], cls)
+        assert make(f.final_complex).kind == cls
 
 
 def test_complex_at():
@@ -119,7 +136,7 @@ def test_barcode_rank_duality():
     bc = barcode(SEG, alpha(1, 1, 1), 0, QQ, 0)
     for i in range(len(pr.grid)):
         for j in range(i, len(pr.grid)):
-            assert bc.rank_between(pr.grid[i], pr.grid[j]) == pr.rank(i, j)
+            assert rank_between(bc.bars, pr.grid[i], pr.grid[j]) == pr.rank(i, j)
 
 
 def random_simplicial_filtration(rng, nverts, with_empty=None):
@@ -213,8 +230,7 @@ def test_one_pass_validation_matches_per_threshold_route(cls):
         else:
             base = random_independence_filtration(rng, nverts)
         births = mutated_births(rng, base)
-        f = Filtration(base.vertices, tuple(sorted(births.items(), key=lambda kv: (kv[1], kv[0]))),
-                       cls)
+        f = unvalidated(base.vertices, births, cls)
         want = validation_outcome(validate_by_thresholds, f)
         assert validation_outcome(Filtration.validate, f) == want, f
         seen.add((() in births, "valid" if want is None else want.split()[1]))
@@ -300,6 +316,87 @@ def test_persistent_ranks_match_per_pair_route(cls, arity, ring):
                         persisting += r > 0
                         dying += r < got[(i, i)]
     assert persisting > 0 and dying > 0
+
+
+def spelled(rng, x):
+    """The birth x as Filtration.of takes it: a Fraction, an int when
+    integral, a float when exact, or an "a/b" string, reduced or not."""
+    options = [x, str(x), f"{2 * x.numerator}/{2 * x.denominator}"]
+    if x.denominator == 1:
+        options.append(x.numerator)
+    if x.denominator in (1, 2, 4):
+        options.append(float(x))
+    return rng.choice(options)
+
+
+def random_births(rng, vs, cls, with_empty, single):
+    """Births {edge: Fraction} of a valid filtration of class `cls`, from
+    a start in [-3/2, 2/3] up by steps of 0, 1/3, 1/2 or 1 (all 0 when
+    `single`). In the independence class the edges are the complements of
+    a simplicial filtration's, and with the empty edge the family is the
+    whole power set, born at once."""
+    start = rng.choice([Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(2, 3)])
+    if cls == "independence" and with_empty:
+        return {e: start for e in power_set(vs)}
+    steps = [0] if single else [0, 0, Fraction(1, 3), Fraction(1, 2), 1]
+    final = closure(Hypergraph(vs, frozenset(e for e in power_set(vs)
+                                             if e and rng.random() < 0.5)),
+                    ClosureOp.DELTA_UP)
+    births = {}
+    for e in sorted(final.edges, key=len):
+        faces = [births[e[:i] + e[i + 1:]] for i in range(len(e))] if len(e) > 1 else []
+        births[e] = max(faces, default=start) + rng.choice(steps)
+    if cls == "independence":
+        full = tuple(range(len(vs)))
+        births.setdefault((), start)
+        return {tuple(v for v in full if v not in e): b for e, b in births.items() if e != full}
+    if with_empty and births:
+        births[()] = start
+    return births
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("cls", ["simplicial", "independence"])
+def test_birth_index_route_matches_fraction_route(cls, arity, ring):
+    """`Filtration.of`, `validate`, `barcode` and `persistent_ranks` on birth
+    indices against the Fraction route of `persistence_oracle`, with births
+    repeated, negative, non-integral and spelled several ways, with and
+    without the empty edge, and on a single threshold."""
+    rng = random.Random(f"indices:{cls}:{arity}:{ring}")
+    kind = "partial" if cls == "simplicial" else "d"
+    seen = Counter()
+    for t in range(30):
+        nverts = rng.randint(3, 4) if arity == 1 else rng.randint(4, 5)
+        vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
+        births = random_births(rng, vs, cls, with_empty=t % 3 == 0, single=t % 4 == 1)
+        rows = [(tuple(rng.sample(e, len(e))), spelled(rng, x)) for e, x in births.items()]
+        rng.shuffle(rows)
+        f = Filtration.of(vs, rows, cls)
+        assert f.births == tuple(sorted(births.items(), key=lambda kv: (kv[1], kv[0])))
+        assert f == unvalidated(vs, births, cls)
+        for _ in range(6):
+            g = unvalidated(vs, mutated_births(rng, f), cls)
+            want = validation_outcome(persistence_oracle.validate, g)
+            assert validation_outcome(Filtration.validate, g) == want
+            seen["valid" if want is None else "invalid"] += 1
+        op = random_operator(rng, kind, nverts, arity)
+        if op.is_zero:
+            continue
+        for q in range(arity):
+            for n in grid_degrees(f, op, q):
+                want = persistence_oracle.barcode(f, op, q, ring, n)
+                assert barcode(f, op, q, ring, n) == want
+                assert (persistent_ranks(f, op, q, ring, n)
+                        == persistence_oracle.persistent_ranks(f, op, q, ring, n))
+                seen["finite"] += any(death is not None for _, death, _ in want.bars)
+                seen["open"] += any(death is None for _, death, _ in want.bars)
+        seen["single"] += len(f.grid) == 1
+        seen["empty"] += () in births
+        seen["negative"] += any(x < 0 for x in f.grid)
+        seen["fractional"] += any(x.denominator > 1 for x in f.grid)
+    assert all(seen[key] > 0 for key in ("valid", "invalid", "finite", "open", "single",
+                                         "empty", "negative", "fractional")), seen
 
 
 def rips_filtration(rng, npts, top, cls):
@@ -388,7 +485,7 @@ def test_rank_monotonicity_and_functoriality_random():
             bc = barcode(f, op, 0, QQ, n)
             for i in range(m):
                 for j in range(i, m):
-                    assert bc.rank_between(pr.grid[i], pr.grid[j]) == pr.rank(i, j)
+                    assert rank_between(bc.bars, pr.grid[i], pr.grid[j]) == pr.rank(i, j)
 
 
 def test_inclusion_composition_functoriality():

@@ -27,8 +27,8 @@ planted fault trips gives no assurance.
 * Transposed `InducedMap` matrices: every map,
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
   maps only, that test (on its pinned pair), the `persistence` selftest
-  suite and the composition check of the `mv-exactness` suite (on its
-  pinned pair).
+  suite and the composition checks of the `mv-exactness` and
+  `homology-functoriality` suites (on their pinned pair).
 * `DegreeSolver` with two representatives swapped:
   `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
   unit-coordinates check of the `homology-functoriality` selftest suite
@@ -239,6 +239,8 @@ def test_transposed_square_induced_maps_are_caught(monkeypatch):
     result = selftest.run_suite("mv-exactness")
     assert result.failures > 0
     assert result.detail == "inclusions at degree 1 compose over Q"
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == "inclusions compose"
 
 
 def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):

@@ -83,8 +83,8 @@ CASES = {
     SequenceNode: ([("sum", 0, 2), ("union", 0, 2), ("intersection", -1, 0)], []),
     LongExactSequence: ([((NODE,), (M1,), ((0, 2, False),)), ((), (), ())], []),
     DualityReport: ([(((0, 1, 1),),), (((0, 1, 2), (1, 0, 0)),), ((),)], []),
-    Filtration: ([(V2, (((0,), Fraction(0)), ((1,), Fraction(1))), "simplicial"),
-                  (V2, (), "independence")], []),
+    Filtration: ([(V2, (Fraction(0), Fraction(1)), ((0, (0,)), (1, (1,))), "simplicial"),
+                  (V2, (), (), "independence")], []),
     PersistentRanks: ([(0, (Fraction(0),), {(0, 0): 1}), (1, (), {})], []),
     Barcode: ([(0, ((Fraction(0), None, 1),)), (1, ())], []),
     PersistentMV: ([((Fraction(0),), (SEQ,), True), ((), (), False)], []),
@@ -198,12 +198,13 @@ def test_cached_properties_survive_freezing():
 
 def test_cli_answers_without_importing_dataclasses_or_inspect(tmp_path):
     """The cold start of one CLI request: a fresh isolated interpreter
-    imports the CLI, answers a tiny `homology` request, and has loaded
+    imports the CLI, answers the benchmark's set-up request (`homology`
+    over Z of the augmented 1-skeleton of a triangle), and has loaded
     none of `dataclasses`, `inspect` and the selftest suites."""
     cx = tmp_path / "cx.json"
     op = tmp_path / "op.json"
-    cx.write_text(json.dumps({"vertices": ["a", "b", "c"],
-                              "edges": [[], ["a"], ["b"], ["c"], ["a", "b"], ["b", "c"]]}))
+    cx.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [
+        [], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"]]}))
     op.write_text(json.dumps({"kind": "partial", "terms": [
         {"coeff": c, "vertices": [v]} for c, v in zip([1, 2, 3], "abc")]}))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from hyperhom import cli; "
