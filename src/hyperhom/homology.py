@@ -17,9 +17,12 @@ and `in` steps into it. Over a field the module also carries a solver
 that fixes cycle representatives and homology coordinates, which powers
 induced maps: even-wedge operator actions, inclusion maps, and the
 Mayer-Vietoris long exact sequence with its zig-zag connecting map.
-Vectors are the columns of a `SparseMatrix`: a chain map applied to the
-representatives is one product, and so is reading the coordinates of
-all the images, which checks that every image is a cycle.
+Vectors are the columns of a `SparseMatrix`. An inclusion sends each
+word to the same word, so the images of the representatives are the
+representatives themselves, their rows re-indexed into the larger basis;
+any other chain map applied to them is one product. Reading the
+coordinates of all the images is one product too, and it checks that
+every image is a cycle.
 """
 
 from __future__ import annotations
@@ -407,12 +410,13 @@ def _coordinates(tgt: DegreeSolver, images: SparseMatrix, error: str) -> SparseM
     return coords
 
 
-def _descend(chain_mat: SparseMatrix, src: DegreeSolver, tgt: DegreeSolver,
-             src_n: int, tgt_n: int, what: str) -> InducedMap:
-    """Homology map of a chain map, on the representative bases of src and
-    tgt; the images of the representatives are checked to be cycles."""
+def _descend(images: SparseMatrix, tgt: DegreeSolver, src_n: int, tgt_n: int,
+             what: str) -> InducedMap:
+    """Homology map of a chain map, given the images of the source
+    representatives, on the representative basis of tgt; the images are
+    checked to be cycles."""
     return InducedMap(src_n, tgt_n, _coordinates(
-        tgt, chain_mat.mul(src.reps), f"{what} sends a cycle to a non-cycle"))
+        tgt, images, f"{what} sends a cycle to a non-cycle"))
 
 
 def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
@@ -442,30 +446,31 @@ def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
             raise NotAChainMap("even operator does not commute with the boundary")
 
     return {
-        n: _descend(even_mats[n], source.solver(n), target.solver(n + shift), n, n + shift,
-                    "even operator action")
+        n: _descend(even_mats[n].mul(source.solver(n).reps), target.solver(n + shift),
+                    n, n + shift, "even operator action")
         for n in spec.degrees()
     }
 
 
-def _inclusion_matrix(small_basis, large_basis, ring) -> SparseMatrix:
-    index = {w: i for i, w in enumerate(large_basis)}
-    items = []
-    for j, w in enumerate(small_basis):
-        if w not in index:
-            raise NotIncluded(f"edge {w} of the smaller family is missing above")
-        items.append(((index[w], j), ring.one))
-    return SparseMatrix.from_entries(len(large_basis), len(small_basis), ring, items)
-
-
 def inclusion_map(small: BuiltComplex, large: BuiltComplex, n: int) -> InducedMap:
     """Homology map in degree n induced by the inclusion of one built
-    complex in another with the same operator, offset and ring."""
+    complex in another with the same operator, offset and ring. The
+    inclusion sends each word to the same word above, so the images of
+    the representatives are the representatives, their rows re-indexed
+    into the larger basis."""
     if (small.spec.operator, small.spec.q, small.spec.ring) != (
             large.spec.operator, large.spec.q, large.spec.ring):
         raise SchemaViolation("inclusion needs one operator, offset and ring")
-    mat = _inclusion_matrix(small.basis(n), large.basis(n), small.spec.ring)
-    return _descend(mat, small.solver(n), large.solver(n), n, n, "inclusion")
+    index = {w: i for i, w in enumerate(large.basis(n))}
+    small_basis = small.basis(n)
+    where = list(map(index.get, small_basis))
+    if None in where:
+        missing = small_basis[where.index(None)]
+        raise NotIncluded(f"edge {missing} of the smaller family is missing above")
+    reps = small.solver(n).reps
+    images = SparseMatrix(len(index), reps.cols, reps.ring, tuple(sorted(
+        ((where[i], j), v) for (i, j), v in reps.entries)))
+    return _descend(images, large.solver(n), n, n, "inclusion")
 
 
 def _check_empty_edges(operator: WedgeOperator, a: Hypergraph, b: Hypergraph) -> None:
@@ -517,18 +522,26 @@ class LongExactSequence:
 
 
 def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator, ring: Ring,
-                 cut) -> dict:
+                 cut, previous: dict | None = None) -> dict:
     """The four complexes of a Mayer-Vietoris square, keyed "cap", "a",
     "b" and "cup": `cut` gives the union's complex after the side checks
-    (see `_check_empty_edges`), and the others are restricted from it."""
+    (see `_check_empty_edges`), and the others are restricted from it.
+    A part whose edge family is the same part's in `previous`, the square
+    of an earlier threshold cut from the same build, is that complex
+    itself, solvers and all."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("Mayer-Vietoris needs a common vertex set")
     if not ring.is_field:
         raise SchemaViolation("exactness reports are computed over fields")
     _check_empty_edges(operator, a, b)
-    cap = combine(a, b, CombineOp.INTERSECT)
-    cup = cut(combine(a, b, CombineOp.UNION))
-    return {"cap": cup.restrict(cap), "a": cup.restrict(a), "b": cup.restrict(b), "cup": cup}
+    families = {"cap": combine(a, b, CombineOp.INTERSECT), "a": a, "b": b,
+                "cup": combine(a, b, CombineOp.UNION)}
+    kept = {} if previous is None else {
+        part: previous[part] for part, h in families.items()
+        if previous[part].spec.carrier.hypergraph.edges == h.edges}
+    cup = kept.get("cup") or cut(families["cup"])
+    return {part: kept.get(part) or cup.restrict(h) for part, h in families.items()
+            if part != "cup"} | {"cup": cup}
 
 
 # the complexes behind each node label of a Mayer-Vietoris sequence, in order

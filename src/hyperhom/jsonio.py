@@ -119,7 +119,7 @@ def filtration_from_json(data) -> Filtration:
     cls = data["class"]
     _require(cls in ("simplicial", "independence"),
              "'class' must be 'simplicial' or 'independence'")
-    births = []
+    rows = []
     _require(isinstance(data["edges"], list), "'edges' must be a list")
     parse = _edge_parser(vs)
     parsed = {}  # each distinct birth string is parsed once; ints are not looked up
@@ -127,11 +127,11 @@ def filtration_from_json(data) -> Filtration:
         _require(isinstance(row, dict) and "edge" in row and "birth" in row,
                  "each filtration row needs 'edge' and 'birth'")
         _require(isinstance(row["edge"], list), "each edge must be a list")
-        edge, birth = parse(row["edge"])[0], row["birth"]
+        (edge, mask), birth = parse(row["edge"]), row["birth"]
         if not (isinstance(birth, str) and birth in parsed):
             parsed[birth] = coefficient_from_json(birth)  # only valid births are stored
-        births.append((edge, parsed[birth]))
-    return Filtration.of(vs, births, cls)
+        rows.append((edge, mask, parsed[birth]))
+    return Filtration.of_parsed(vs, rows, cls)
 
 
 def filtration_to_json(f: Filtration) -> dict:

@@ -289,10 +289,11 @@ def _eliminate_units(rows: dict) -> int:
     """Schur-complement away +-1 pivots of {row: {col: int}}, in place.
 
     Each step takes the unit entry of least Markowitz cost
-    (row length - 1) * (column length - 1), so fill-in stays small. Costs
-    in the heap go stale as columns shrink; a popped entry whose cost has
-    grown is pushed back. Returns the number of pivots; afterwards no
-    entry is a unit and emptied rows are gone.
+    (row length - 1) * (column length - 1), so fill-in stays small. An
+    entry enters the heap when it is or becomes a unit, once each time.
+    Costs in the heap go stale as rows and columns change; a popped entry
+    whose cost has grown is pushed back. Returns the number of pivots;
+    afterwards no entry is a unit and emptied rows are gone.
     """
     cols = {}
     for i, row in rows.items():
@@ -319,21 +320,24 @@ def _eliminate_units(rows: dict) -> int:
         for i in cols.pop(pj) - {pi}:
             row = rows[i]
             f = row.pop(pj) * pv
+            fresh = []  # the entries this update turns into units
             for j, w in prow.items():
-                nv = row.get(j, 0) - f * w
+                old = row.get(j, 0)
+                nv = old - f * w
                 if nv:
-                    if j not in row:
+                    if not old:
                         cols[j].add(i)
                     row[j] = nv
+                    if (nv == 1 or nv == -1) and old != 1 and old != -1:
+                        fresh.append(j)
                 else:
                     del row[j]
                     cols[j].discard(i)
             if not row:
                 del rows[i]
                 continue
-            for j, v in row.items():
-                if v in (1, -1):
-                    heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+            for j in fresh:
+                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
     return units
 
 

@@ -18,7 +18,10 @@ of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
 pair of thresholds. Persistent Mayer-Vietoris builds the union of the two
 final families once and cuts every threshold's square from it; the
 vertical maps of its naturality squares are the inclusions between two
-thresholds' squares.
+thresholds' squares. A part of the square (intersection, either side,
+union) whose family did not change since the previous threshold keeps
+that threshold's complex, solvers included, and its vertical map is the
+identity, read without a solve.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
@@ -61,20 +64,32 @@ class Filtration:
 
     @staticmethod
     def of(vertices: VertexSet, births, monotonicity_class: str) -> "Filtration":
+        """The filtration of (edge, birth) pairs, each edge an index tuple
+        in any order."""
+        bit = [1 << v for v in range(len(vertices))].__getitem__
+        rows = [(tuple(sorted(edge)), birth) for edge, birth in births]
+        return Filtration.of_parsed(vertices, [(edge, sum(map(bit, edge)), birth)
+                                               for edge, birth in rows], monotonicity_class)
+
+    @staticmethod
+    def of_parsed(vertices: VertexSet, rows, monotonicity_class: str) -> "Filtration":
+        """The filtration of (edge, bitmask, birth) rows, each edge a sorted
+        index tuple, as `hypergraphs._edge_parser` gives it with its mask."""
         if monotonicity_class not in (SIMPLICIAL_CLASS, INDEPENDENCE_CLASS):
             raise SchemaViolation(f"unknown filtration class {monotonicity_class!r}")
         seen, values = {}, {}  # values: each distinct birth, made a Fraction once
-        for edge, birth in births:
-            edge = tuple(sorted(edge))
+        for edge, mask, birth in rows:
             if edge in seen:
                 raise SchemaViolation(f"edge {edge} listed twice")
             if birth not in values:
                 values[birth] = Fraction(birth)
-            seen[edge] = birth
+            seen[edge] = birth, mask
         grid = sorted(set(values.values()))
         slot = {birth: bisect_left(grid, x) for birth, x in values.items()}
-        f = Filtration(vertices, tuple(grid), tuple(sorted((slot[b], e) for e, b in seen.items())),
+        order = sorted((slot[b], edge, mask) for edge, (b, mask) in seen.items())
+        f = Filtration(vertices, tuple(grid), tuple((k, edge) for k, edge, _ in order),
                        monotonicity_class)
+        object.__setattr__(f, "_masks", tuple(mask for _, _, mask in order))
         f.validate()
         return f
 
@@ -85,25 +100,38 @@ class Filtration:
     def critical_values(self) -> list:
         return list(self.grid)
 
+    @cached_property
+    def _masks(self) -> tuple:
+        """The edges of `indexed` as bitmasks, bit v for vertex v, in its
+        order; `of_parsed` fills this in."""
+        bit = [1 << v for v in range(len(self.vertices))].__getitem__
+        return tuple(sum(map(bit, edge)) for _, edge in self.indexed)
+
     def validate(self) -> None:
         """Every sublevel family classifies as the declared class, in one
         pass over the birth indices. A sublevel is closed when each of its
         edges keeps its codimension-1 faces (simplicial class, edges of
         size >= 2 only) or cofaces (independence class), the rule
-        `Hypergraph.classify` checks. So an edge breaks every sublevel from
-        its own birth on when one of those neighbours is missing or born
-        later, and never otherwise; the first sublevel that fails is at the
-        birth of the first such edge in birth order."""
-        births = {edge: k for k, edge in self.indexed}
-        if births.get((), 0) > 0:
+        `Hypergraph.classify` checks, here on bitmasks as it does. So an
+        edge breaks every sublevel from its own birth on when one of those
+        neighbours is missing or born later, and never otherwise; the first
+        sublevel that fails is at the birth of the first such edge in
+        birth order."""
+        births = dict(zip(self._masks, (k for k, _ in self.indexed)))
+        if births.get(0, 0) > 0:  # 0 is the empty edge's mask
             raise MonotonicityViolation("the empty edge must be born with the first edges")
-        nv = len(self.vertices)
-        for k, edge in self.indexed:
-            if self.monotonicity_class == INDEPENDENCE_CLASS:
-                near = [tuple(sorted(edge + (v,))) for v in range(nv) if v not in edge]
+        bits = [1 << v for v in range(len(self.vertices))]
+        bit = bits.__getitem__
+        independence = self.monotonicity_class == INDEPENDENCE_CLASS
+        never = repeat(len(self.grid))  # the birth index of a missing neighbour
+        for (k, edge), mask in zip(self.indexed, self._masks):
+            if independence:
+                near = map(mask.__or__, bits)  # the cofaces, and the edge itself
+            elif len(edge) > 1:
+                near = map(mask.__xor__, map(bit, edge))
             else:
-                near = [edge[:i] + edge[i + 1:] for i in range(len(edge))] if len(edge) > 1 else ()
-            if any(births.get(e, k + 1) > k for e in near):
+                continue
+            if max(map(births.get, near, never)) > k:
                 offender = sorted((e for b, e in self.indexed if b <= k),
                                   key=lambda e: (len(e), e))
                 raise MonotonicityViolation(
@@ -219,7 +247,8 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
     """Mayer-Vietoris sequences along a pair of filtrations, with the
     naturality squares of consecutive thresholds checked as matrices. Every
     square is cut from one build of the final union, made once the first
-    threshold has passed its side checks, so that their errors come first."""
+    threshold has passed its side checks, so that their errors come first;
+    a part whose family did not change is the previous threshold's."""
     if fa.vertices != fb.vertices or fa.monotonicity_class != fb.monotonicity_class:
         raise SchemaViolation("the two filtrations must share vertices and class")
     _check_operator(fa, operator)
@@ -233,7 +262,7 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
     for x in grid:
         # beside the final build, only two thresholds' squares are alive at a time
         current = mv_complexes(fa.complex_at(x), fb.complex_at(x), operator, ring,
-                               lambda union: final().restrict(union))
+                               lambda union: final().restrict(union), previous)
         sequences.append(mv_sequence(current))
         if previous is not None and not _mv_square_check(
                 previous, current, sequences[-2], sequences[-1]):
@@ -245,14 +274,17 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
 def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
     """Verify that the vertical inclusion maps from the complexes `cx_x` of
     one threshold into those of the next, `cx_y`, commute with every
-    horizontal map of the two sequences."""
+    horizontal map of the two sequences. A part both thresholds share maps
+    by the identity."""
     ring = cx_x["cup"].spec.ring
 
     def vertical(label, n):
         # block diagonal over the node's parts
         placed, rows, cols = [], 0, 0
         for part in MV_NODE_PARTS[label]:
-            m = inclusion_map(cx_x[part], cx_y[part], n).matrix
+            small, large = cx_x[part], cx_y[part]
+            m = (SparseMatrix.identity(small.solver(n).betti, ring) if small is large
+                 else inclusion_map(small, large, n).matrix)
             placed.append(((rows, cols), m))
             rows, cols = rows + m.rows, cols + m.cols
         return SparseMatrix.blocks(rows, cols, ring, placed)

@@ -122,6 +122,10 @@ class Ring:
 
     def inv(self, a):
         if self.name == "Q":
+            # almost every pivot over Q is a plain +-1, its own inverse
+            # (a Fraction(1) still goes through canonical, to come back an int)
+            if type(a) is int and (a == 1 or a == -1):
+                return a
             return canonical(Fraction(1) / a)
         if self.name == "Fp":
             return pow(a, -1, self.p)

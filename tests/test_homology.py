@@ -495,13 +495,14 @@ def test_descend_rejects_a_map_off_the_cycles():
     solver = built.solver(1)
     assert solver.betti == 1
     identity = SparseMatrix.identity(3, QQ)
-    assert _descend(identity, solver, solver, 1, 1, "identity").matrix.dense_rows() == [[1]]
+    assert _descend(identity.mul(solver.reps), solver, 1, 1,
+                    "identity").matrix.dense_rows() == [[1]]
     # keep only the first edge: the circle's cycle goes to a multiple of
     # that edge, whose boundary is nonzero
     first_edge = SparseMatrix.from_entries(3, 3, QQ, [((0, 0), 1)])
     assert not built.matrix(1).mul(first_edge).mul(solver.reps).is_zero()
     with pytest.raises(NotAChainMap, match="sends a cycle to a non-cycle"):
-        _descend(first_edge, solver, solver, 1, 1, "first edge")
+        _descend(first_edge.mul(solver.reps), solver, 1, 1, "first edge")
 
 
 def test_inclusion_into_a_vanishing_group_is_checked():

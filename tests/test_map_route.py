@@ -1,25 +1,30 @@
 """Homology-level maps against the per-vector route of `field_oracle`.
 
 The engine applies a chain map to all the representatives in one product
-and reads all the coordinates in another. The oracle applies it to one
-dense representative at a time over `DenseSolver` and reads each image on
-its own. Both must give the same matrices, and the same NotAChainMap on a
-map that leaves the cycles.
+(an inclusion re-indexes their rows instead) and reads all the
+coordinates in another. The oracle applies it to one dense
+representative at a time over `DenseSolver` and reads each image on its
+own. Both must give the same matrices, and the same NotAChainMap on a
+map that leaves the cycles. The inclusion maps are also compared with
+the product route that the re-index replaced, `inclusion_by_product`.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hyperhom.errors import NotAChainMap
+from hyperhom.errors import NotAChainMap, NotIncluded
 from hyperhom.homology import (
     ComplexSpec,
     _assemble_matrix,
+    _coordinates,
     _descend,
     build_complex,
     edge_carrier,
     inclusion_induced,
+    inclusion_map,
     mv_complexes,
     mv_sequence,
     operator_action,
@@ -161,6 +166,61 @@ def test_inclusion_maps_match_per_vector_route():
     assert nonzero >= 20
 
 
+def inclusion_by_product(small, large, n):
+    """`inclusion_map` by the route the re-index replaced, kept as its
+    oracle: the 0/1 matrix of the inclusion, built through `from_entries`,
+    times the representatives, then read in the larger complex."""
+    ring = small.spec.ring
+    index = {w: i for i, w in enumerate(large.basis(n))}
+    items = []
+    for j, w in enumerate(small.basis(n)):
+        if w not in index:
+            raise NotIncluded(f"edge {w} of the smaller family is missing above")
+        items.append(((index[w], j), ring.one))
+    mat = SparseMatrix.from_entries(len(index), small.dim(n), ring, items)
+    return _coordinates(large.solver(n), mat.mul(small.solver(n).reps),
+                        "inclusion sends a cycle to a non-cycle")
+
+
+def outcome(route, small, large, n):
+    """The matrix of a route, or the type and text of what it raised."""
+    try:
+        return route(small, large, n)
+    except (NotIncluded, NotAChainMap) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_inclusion_reindex_matches_product_route():
+    """Independently built and restricted sources, the reverse pair (a
+    word missing above), and for degree-lowering operators a family
+    without the empty edge into itself with it (a vertex is a cycle only
+    below)."""
+    seen = Counter()
+    for small, large, op, q, ring in inclusion_cases():
+        def built(h):
+            return build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+
+        tgt = built(large)
+        pairs = [(built(small), tgt), (tgt.restrict(small), tgt), (tgt, built(small))]
+        if op.kind == "partial" and () not in small.edges:
+            pairs.append((built(small), built(small.with_edges(small.edges | {()}))))
+        for src, dst in pairs:
+            for n in dst.spec.degrees():
+                want = outcome(inclusion_by_product, src, dst, n)
+                got = outcome(lambda *args: inclusion_map(*args).matrix, src, dst, n)
+                assert got == want, (small, large, op, q, ring, n)
+                if isinstance(want, tuple):
+                    seen[want[0]] += 1
+                else:
+                    assert well_formed(got)
+                    seen["nonzero" if got.entries else "zero"] += 1
+        seen[op.kind, op.arity, str(ring), () in small.edges] += 1
+    assert seen["nonzero"] >= 50 and seen["NotIncluded"] >= 20, seen
+    assert seen["NotAChainMap"] >= 5, seen
+    assert all(seen[kind, arity, ring, empty] for kind in ("partial", "d") for arity in (1, 3)
+               for ring in ("Q", "F5") for empty in (False, True)), seen
+
+
 def test_operator_actions_match_per_vector_route():
     nonzero = {0: 0, 2: 0}
     for rng, ring, kind, arity, empty, vs in instances(67, 144):
@@ -228,9 +288,9 @@ def test_random_chain_maps_descend_like_the_oracle(ring):
                 want = descend(chain, dense, dense, "random map")
             except NotAChainMap:
                 with pytest.raises(NotAChainMap, match="random map sends a cycle"):
-                    _descend(chain, solver, solver, n, n, "random map")
+                    _descend(chain.mul(solver.reps), solver, n, n, "random map")
                 rejected += 1
                 continue
-            assert _descend(chain, solver, solver, n, n, "random map").matrix == want
+            assert _descend(chain.mul(solver.reps), solver, n, n, "random map").matrix == want
             accepted += solver.betti > 0
     assert rejected >= 5 and accepted >= 5

@@ -10,6 +10,7 @@ from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
     INDEPENDENCE_EDGES,
     SIMPLICIAL_EDGES,
+    BuiltComplex,
     ComplexSpec,
     LongExactSequence,
     build_complex,
@@ -595,6 +596,37 @@ def test_persistent_mv_random():
             nontrivial += len(rep.grid) > 1 and any(
                 not m.is_zero() for seq in rep.sequences for m in seq.maps)
     assert nontrivial >= 20, nontrivial
+
+
+def test_persistent_mv_reuses_a_side_that_stops_changing(monkeypatch):
+    """b is born whole at the first threshold, and a grows at the next
+    three: b is restricted once, and its solvers are built once per
+    degree, for every threshold's square and every vertical map."""
+    s4 = VertexSet.of("s0", "s1", "s2", "s3")
+    fa = Filtration.of(s4, [((0,), 0), ((1,), 1), ((0, 1), 2), ((2,), 3), ((1, 2), 3)],
+                       "simplicial")
+    fb = Filtration.of(s4, [((2,), 0), ((3,), 0), ((2, 3), 0)], "simplicial")
+    b_edges = fb.final_complex.edges
+    restricted, solved = Counter(), Counter()
+    restrict, solver = BuiltComplex.restrict, BuiltComplex.solver
+
+    def counting_restrict(self, h):
+        restricted[h.edges] += 1
+        return restrict(self, h)
+
+    def counting_solver(self, n):
+        solved[self.spec.carrier.hypergraph.edges, n] += n not in self._solvers
+        return solver(self, n)
+
+    monkeypatch.setattr(BuiltComplex, "restrict", counting_restrict)
+    monkeypatch.setattr(BuiltComplex, "solver", counting_solver)
+    op = alpha(1, 2, 3, 1)
+    rep = persistent_mv(fa, fb, op, 0, QQ)
+    monkeypatch.undo()
+    assert rep == per_threshold_route(fa, fb, op, 0, QQ)
+    assert len(rep.grid) == 4 and rep.squares_commute
+    assert restricted[b_edges] == 1
+    assert {n: solved[b_edges, n] for n in (-1, 0, 1)} == {-1: 1, 0: 1, 1: 1}
 
 
 def test_mv_square_check_sees_a_changed_entry():
