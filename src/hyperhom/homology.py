@@ -20,9 +20,10 @@ Mayer-Vietoris long exact sequence with its zig-zag connecting map.
 Vectors are the columns of a `SparseMatrix`. An inclusion sends each
 word to the same word, so the images of the representatives are the
 representatives themselves, their rows re-indexed into the larger basis;
-any other chain map applied to them is one product. Reading the
-coordinates of all the images is one product too, and it checks that
-every image is a cycle.
+any other chain map applied to them is one product. One
+`DegreeSolver.coords` call reads the coordinates of all the images, one
+product too, and raises NotAChainMap when an image is not a cycle: every
+induced map and the connecting map leave through it.
 """
 
 from __future__ import annotations
@@ -362,13 +363,14 @@ class DegreeSolver:
             for j, v in row.items() if j >= ncols
         )))
 
-    def coords(self, vecs: SparseMatrix) -> SparseMatrix | None:
-        """Homology coordinates of the columns of vecs, one column each;
-        None exactly when some column is not a cycle, since the cancelled
-        transform rows span the annihilator of the cycle space."""
+    def coords(self, vecs: SparseMatrix, error: str) -> SparseMatrix:
+        """Homology coordinates of the columns of vecs, one column each.
+        The cancelled transform rows span the annihilator of the cycle
+        space, so a column off the cycles leaves an entry on one of them:
+        NotAChainMap(error) then, also when the group vanishes."""
         w = self._transform.mul(vecs)
         if w.entries and w.entries[-1][0][0] >= self.betti:
-            return None
+            raise NotAChainMap(error)
         return SparseMatrix(self.betti, vecs.cols, self.ring, w.entries)
 
 
@@ -400,25 +402,6 @@ class InducedMap:
         return rank(self.matrix)
 
 
-def _coordinates(tgt: DegreeSolver, images: SparseMatrix, error: str) -> SparseMatrix:
-    """Homology coordinates in tgt of each column of images;
-    NotAChainMap(error) when a column is not a cycle, also when the target
-    group vanishes."""
-    coords = tgt.coords(images)
-    if coords is None:
-        raise NotAChainMap(error)
-    return coords
-
-
-def _descend(images: SparseMatrix, tgt: DegreeSolver, src_n: int, tgt_n: int,
-             what: str) -> InducedMap:
-    """Homology map of a chain map, given the images of the source
-    representatives, on the representative basis of tgt; the images are
-    checked to be cycles."""
-    return InducedMap(src_n, tgt_n, _coordinates(
-        tgt, images, f"{what} sends a cycle to a non-cycle"))
-
-
 def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
     """Homology action of an even wedge operator, one InducedMap per
     degree of the source grid. The chain-level commutation with the
@@ -445,11 +428,9 @@ def operator_action(spec: ComplexSpec, evenop: WedgeOperator) -> dict:
         if lhs.entries != rhs:
             raise NotAChainMap("even operator does not commute with the boundary")
 
-    return {
-        n: _descend(even_mats[n].mul(source.solver(n).reps), target.solver(n + shift),
-                    n, n + shift, "even operator action")
-        for n in spec.degrees()
-    }
+    return {n: InducedMap(n, n + shift, target.solver(n + shift).coords(
+        even_mats[n].mul(source.solver(n).reps),
+        "even operator action sends a cycle to a non-cycle")) for n in spec.degrees()}
 
 
 def inclusion_map(small: BuiltComplex, large: BuiltComplex, n: int) -> InducedMap:
@@ -470,7 +451,8 @@ def inclusion_map(small: BuiltComplex, large: BuiltComplex, n: int) -> InducedMa
     reps = small.solver(n).reps
     images = SparseMatrix(len(index), reps.cols, reps.ring, tuple(sorted(
         ((where[i], j), v) for (i, j), v in reps.entries)))
-    return _descend(images, large.solver(n), n, n, "inclusion")
+    return InducedMap(n, n, large.solver(n).coords(
+        images, "inclusion sends a cycle to a non-cycle"))
 
 
 def _check_empty_edges(operator: WedgeOperator, a: Hypergraph, b: Hypergraph) -> None:
@@ -615,8 +597,7 @@ def _mv_connecting(complexes, n) -> SparseMatrix:
         raise NotAChainMap("connecting image leaves the intersection")
     images = SparseMatrix(len(cap_index), pushed.cols, pushed.ring, tuple(sorted(
         ((cap_index[a_target[i]], j), v) for (i, j), v in pushed.entries)))
-    return _coordinates(complexes["cap"].solver(m), images,
-                        "connecting image is not a cycle")
+    return complexes["cap"].solver(m).coords(images, "connecting image is not a cycle")
 
 
 @record

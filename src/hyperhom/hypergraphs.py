@@ -6,7 +6,9 @@ complex or independence hypergraph around a family, `gamma`/`Gamma` are
 the global and local complements, and `trace` restricts onto a vertex
 subset. Full power-set enumeration is capped at 20 vertices, the upward
 closures `Delta`/`barDelta` at 2**20 enumerated subsets, and all-words
-carriers at 2**16 words.
+carriers at 2**16 words. The downward closures `delta`/`bardelta` need no
+cap: they look at each edge's one-vertex neighbours only, as `classify`
+does.
 
 Ingest is one pass per edge: a C-level `map` over the labels-only position
 dict (True and 1.0 hash as 1), then the sorted tuple and bitmask together,
@@ -170,14 +172,21 @@ class Hypergraph:
         bit = [1 << v for v in range(len(self.vertices))].__getitem__
         return frozenset(sum(map(bit, e)) for e in self.edges)
 
+    def missing_flips(self, v: int) -> set:
+        """The flips m ^ (1 << v) of the edge masks m that are not edge
+        masks, 0 aside ({v} needs no empty face): a missing face lacks bit
+        v, a missing coface holds it."""
+        b, masks = 1 << v, self._masks
+        missing = {m ^ b for m in masks} - masks
+        missing.discard(0)
+        return missing
+
     @cached_property
     def _class(self) -> HypergraphClass:
-        masks = self._masks
         down = up = True
         for v in range(len(self.vertices)):
             b = 1 << v
-            missing = {m ^ b for m in masks} - masks
-            missing.discard(0)
+            missing = self.missing_flips(v)
             down = down and all(m & b for m in missing)
             up = up and not any(m & b for m in missing)
             if not (down or up):
@@ -241,15 +250,20 @@ def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
                 for k in range(1, len(e) + 1):
                     out.update(combinations(e, k))
         return h.with_edges(out)
-    if op is ClosureOp.DELTA_DOWN:
-        out = {
-            e
-            for e in edges
-            if all(
-                tau in edges for k in range(1, len(e)) for tau in combinations(e, k)
-            )
-        }
-        return h.with_edges(out)
+    if op is ClosureOp.DELTA_DOWN or op is ClosureOp.BAR_DELTA_DOWN:
+        # smallest edges first, an edge of two or more vertices stays when its
+        # codimension-1 faces stayed (delta), or largest first, when its
+        # cofaces stayed (bardelta): by induction on size, the edges whose
+        # nonempty subfaces, or supersets, are all edges
+        down = op is ClosureOp.DELTA_DOWN
+        bits = [1 << v for v in range(len(h.vertices))]
+        kept = {}  # mask -> edge
+        for size, mask, e in sorted(((len(e), sum(map(bits.__getitem__, e)), e)
+                                     for e in edges), reverse=not down):
+            if (down and size < 2) or all(
+                    mask ^ b in kept for b in bits if (mask & b != 0) == down):
+                kept[mask] = e
+        return h.with_edges(kept.values())
     if op is ClosureOp.BAR_DELTA_UP:
         everything = range(len(h.vertices))
         out = set()
@@ -258,18 +272,6 @@ def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
             for k in range(len(rest) + 1):
                 for extra in combinations(rest, k):
                     out.add(tuple(sorted(e + extra)))
-        return h.with_edges(out)
-    if op is ClosureOp.BAR_DELTA_DOWN:
-        everything = range(len(h.vertices))
-        out = set()
-        for e in edges:
-            rest = [v for v in everything if v not in e]
-            if all(
-                tuple(sorted(e + extra)) in edges
-                for k in range(1, len(rest) + 1)
-                for extra in combinations(rest, k)
-            ):
-                out.add(e)
         return h.with_edges(out)
     if op is ClosureOp.GAMMA_GLOBAL:
         return h.with_edges(power_set(h.vertices) - edges)

@@ -22,20 +22,17 @@ DIFFERENTIAL = "d"
 
 
 def is_invariant(h: Hypergraph, s: int, mode: str) -> bool:
+    """Read on the one-vertex flips that `classify` reads: no face missing
+    below an edge holding s (PARTIAL, where {s} needs no empty face), or no
+    coface missing above an edge without it (DIFFERENTIAL, where the empty
+    edge needs no {s} above it)."""
     if not 0 <= s < len(h.vertices):
         raise SchemaViolation(f"vertex index {s} out of range")
+    b = 1 << s
     if mode == PARTIAL:
-        for e in h.edges:
-            if s in e and len(e) > 1:
-                if tuple(v for v in e if v != s) not in h.edges:
-                    return False
-        return True
+        return all(m & b for m in h.missing_flips(s))
     if mode == DIFFERENTIAL:
-        for e in h.edges:
-            if e and s not in e:
-                if tuple(sorted(e + (s,))) not in h.edges:
-                    return False
-        return True
+        return not any(m & b for m in h.missing_flips(s) if m != b)
     raise SchemaViolation(f"unknown invariance mode {mode!r}")
 
 

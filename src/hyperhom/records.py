@@ -22,8 +22,6 @@ name is the field's default. The record has
 * `FrozenRecordError`, an `AttributeError`, on assignment or deletion.
   Set-up code writes with `object.__setattr__`, as with dataclasses.
 
-`@record(frozen=False)` gives a mutable record with no hash.
-
 The generated constructor loops over the fields, which costs about
 0.4 us per instance more than the straight-line one `dataclass` wrote. A
 class built thousands of times per request (`SparseMatrix`, say) writes
@@ -41,14 +39,8 @@ class FrozenRecordError(AttributeError):
     """An attempt to assign to or delete a field of a frozen record."""
 
 
-def record(cls=None, *, frozen: bool = True):
+def record(cls):
     """Class decorator; see the module docstring."""
-    if cls is None:
-        return lambda c: _make_record(c, frozen)
-    return _make_record(cls, frozen)
-
-
-def _make_record(cls, frozen: bool):
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     get = attrgetter(*names)
@@ -79,9 +71,6 @@ def _make_record(cls, frozen: bool):
     for name, method in (("__init__", __init__), ("__eq__", __eq__), ("__repr__", __repr__)):
         if name not in cls.__dict__:
             setattr(cls, name, method)
-    if not frozen:
-        cls.__hash__ = None
-        return cls
 
     def __hash__(self):
         return hash(values(self))

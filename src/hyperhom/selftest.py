@@ -59,7 +59,7 @@ from .words import (
 )
 
 
-@record(frozen=False)
+@record
 class SuiteResult:
     name: str
     cases: int
@@ -582,7 +582,8 @@ def suite_homology_functoriality(rng) -> _Tally:
             solver = built.solver(nn)
             chi_dim += (-1) ** p * built.dim(nn)
             chi_betti += (-1) ** p * solver.betti
-            t.check(solver.coords(solver.reps) == SparseMatrix.identity(solver.betti, QQ),
+            t.check(solver.coords(solver.reps, "a representative is not a cycle")
+                    == SparseMatrix.identity(solver.betti, QQ),
                     "representatives have unit coordinates")
         t.check(chi_dim == chi_betti, "Euler characteristic")
         cut = build_complex(ComplexSpec(simplicial_word_carrier(vs), op, 0, QQ)).restrict(large)

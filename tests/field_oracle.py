@@ -11,9 +11,9 @@ fraction-free elimination with least-absolute-value pivots that Q and Z
 `DenseSolver` rebuild the old kernel basis and solver on top of them,
 with vectors as dense lists. `descend`, `coordinates` and
 `mv_connecting` are the homology-level maps read one dense vector at a
-time over `DenseSolver`, as `homology._descend`, `_coordinates` and
-`_mv_connecting` did before they read every vector of a map in one
-matrix product. `integer_kernel` is the
+time over `DenseSolver`, as the engine did before one
+`DegreeSolver.coords` call read every vector of a map in one matrix
+product. `integer_kernel` is the
 saturated kernel lattice of an integer matrix, which integer homology no
 longer needs. `column` and `columns` read the columns of a sparse matrix
 as dense lists, `apply` multiplies a sparse matrix into a dense vector,

@@ -14,7 +14,6 @@ from hyperhom.errors import (
 )
 from hyperhom.homology import (
     ComplexSpec,
-    _descend,
     _word_count,
     build_complex,
     delta_pairing,
@@ -340,6 +339,16 @@ def random_operator(rng, kind, nverts, arity, weights=(1, 2, 3)):
     return WedgeOperator.build(kind, 3, terms)
 
 
+def raises_off_cycles(solver, vecs) -> bool:
+    """Whether `coords` rejects vecs, with the text it was given."""
+    try:
+        solver.coords(vecs, "off the cycles")
+    except NotAChainMap as exc:
+        assert str(exc) == "off the cycles"
+        return True
+    return False
+
+
 def test_degree_solver_against_greedy_rank_oracle():
     rng = random.Random(101)
     seen = {"reps": 0, "non_cycles": 0, "mixed": 0, "partial": 0, "d": 0}
@@ -385,28 +394,30 @@ def test_degree_solver_against_greedy_rank_oracle():
                     z = [ring.add(a, ring.mul(f, b)) for a, b in zip(z, c)]
                 mixed.append(z)
                 seen["mixed"] += 1
-            got = solver.coords(matrix_of_columns(mixed, dim, ring))
+            got = solver.coords(matrix_of_columns(mixed, dim, ring), "mixed")
             assert well_formed(got) and (got.rows, got.cols) == (solver.betti, 3)
             assert [tuple(c) for c in columns(got)] == [dense.coords(z) for z in mixed]
             assert solver.betti == built.homology(n).presentation.free_rank
-            assert solver.coords(solver.reps) == SparseMatrix.identity(solver.betti, ring)
-            assert solver.coords(in_mat) == SparseMatrix.zero(solver.betti, in_mat.cols, ring)
+            assert solver.coords(solver.reps, "reps") == SparseMatrix.identity(solver.betti, ring)
+            assert solver.coords(in_mat, "boundaries") == SparseMatrix.zero(
+                solver.betti, in_mat.cols, ring)
             assert all(dense.coords(col) == (zero,) * solver.betti for col in in_cols)
-            got = solver.coords(cycles)
+            got = solver.coords(cycles, "cycles")
             assert well_formed(got)
             assert [tuple(c) for c in columns(got)] == [dense.coords(z) for z in columns(cycles)]
-            # coords doubles as the cycle test: None exactly off the cycles,
-            # also when betti == 0
+            # coords doubles as the cycle test: NotAChainMap exactly off the
+            # cycles, also when betti == 0
             units = []
             for i in range(dim):
                 e = [one if j == i else zero for j in range(dim)]
                 is_cycle = all(ring.is_zero(v) for v in apply(built.matrix(n), e))
-                assert (solver.coords(matrix_of_columns([e], dim, ring)) is None) == (not is_cycle)
+                assert raises_off_cycles(solver, matrix_of_columns([e], dim, ring)) == (
+                    not is_cycle)
                 if not is_cycle:
                     assert dense.coords(e) is None
                     seen["non_cycles"] += 1
                 units.append(is_cycle)
-            assert (solver.coords(SparseMatrix.identity(dim, ring)) is None) == (not all(units))
+            assert raises_off_cycles(solver, SparseMatrix.identity(dim, ring)) == (not all(units))
             seen["reps"] += solver.betti
         off_grid = [h.top_degree + op.arity, -1 - op.arity]
         if op.arity > 1:
@@ -495,14 +506,14 @@ def test_descend_rejects_a_map_off_the_cycles():
     solver = built.solver(1)
     assert solver.betti == 1
     identity = SparseMatrix.identity(3, QQ)
-    assert _descend(identity.mul(solver.reps), solver, 1, 1,
-                    "identity").matrix.dense_rows() == [[1]]
+    assert solver.coords(identity.mul(solver.reps),
+                         "identity sends a cycle to a non-cycle").dense_rows() == [[1]]
     # keep only the first edge: the circle's cycle goes to a multiple of
     # that edge, whose boundary is nonzero
     first_edge = SparseMatrix.from_entries(3, 3, QQ, [((0, 0), 1)])
     assert not built.matrix(1).mul(first_edge).mul(solver.reps).is_zero()
-    with pytest.raises(NotAChainMap, match="sends a cycle to a non-cycle"):
-        _descend(first_edge.mul(solver.reps), solver, 1, 1, "first edge")
+    with pytest.raises(NotAChainMap, match="^first edge sends a cycle to a non-cycle$"):
+        solver.coords(first_edge.mul(solver.reps), "first edge sends a cycle to a non-cycle")
 
 
 def test_inclusion_into_a_vanishing_group_is_checked():

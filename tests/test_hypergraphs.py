@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -383,3 +384,65 @@ def test_upward_closure_size_is_checked_before_enumeration(monkeypatch):
     huge = VertexSet(tuple(f"v{i}" for i in range(10**5)))
     assert closure_size(Hypergraph(huge, frozenset({()})),
                         ClosureOp.BAR_DELTA_UP) == 2 ** (POWERSET_CAP + 1)
+
+
+def delta_by_subfaces(h):
+    """`delta` by the route the mask rule replaced, kept as its oracle: an
+    edge stays when every nonempty proper subface is an edge."""
+    return h.with_edges(e for e in h.edges if all(
+        tau in h.edges for k in range(1, len(e)) for tau in combinations(e, k)))
+
+
+def bardelta_by_supersets(h):
+    """`bardelta` by the route the mask rule replaced, kept as its oracle:
+    an edge stays when every proper superset is an edge."""
+    out = set()
+    for e in h.edges:
+        rest = [v for v in range(len(h.vertices)) if v not in e]
+        if all(tuple(sorted(e + extra)) in h.edges
+               for k in range(1, len(rest) + 1) for extra in combinations(rest, k)):
+            out.add(e)
+    return h.with_edges(out)
+
+
+def test_downward_closures_match_tuple_oracle():
+    """Random families of up to 7 vertices, with and without the empty
+    edge; many are closures with a few edges dropped, so that the closed
+    part is neither empty nor everything."""
+    rng = random.Random(101)
+    seen = {"delta": 0, "bardelta": 0}
+    for _ in range(500):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(0, 7))])
+        with_empty = rng.random() < 0.5
+        h = random_hypergraph(rng, vs, p=rng.choice([0.2, 0.5]), allow_empty=with_empty)
+        up = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
+        if up is not None:
+            h = closure(h, up)
+            h = h.with_edges(e for e in h.edges if rng.random() < 0.9)
+        h = h.with_edges(h.edges | {()} if with_empty else h.edges - {()})
+        for op, oracle in ((ClosureOp.DELTA_DOWN, delta_by_subfaces),
+                           (ClosureOp.BAR_DELTA_DOWN, bardelta_by_supersets)):
+            got = closure(h, op)
+            assert got == oracle(h), (h, op)
+            seen[op.value] += bool(got.edges) and got.edges != h.edges
+    assert min(seen.values()) >= 50, seen
+
+
+def test_downward_closures_of_large_families_are_fast():
+    """The 14-vertex power set is closed both ways; without one edge e of
+    two vertices, delta keeps the edges not above e and bardelta the edges
+    not below it. The routes through every subface or superset took
+    1.3 s and 6.4 s on the power set alone."""
+    vs = VertexSet.of(*[f"v{i}" for i in range(14)])
+    full = Hypergraph(vs, power_set(vs))
+    e = (3, 8)
+    holed = full.with_edges(full.edges - {e})
+    for h, op, want in (
+            (full, ClosureOp.DELTA_DOWN, full.edges),
+            (full, ClosureOp.BAR_DELTA_DOWN, full.edges),
+            (holed, ClosureOp.DELTA_DOWN, {f for f in full.edges if not set(e) <= set(f)}),
+            (holed, ClosureOp.BAR_DELTA_DOWN, {f for f in full.edges if not set(f) <= set(e)})):
+        start = time.perf_counter()
+        got = closure(h, op)
+        assert time.perf_counter() - start < 1.0, op
+        assert got.edges == want

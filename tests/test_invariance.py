@@ -118,6 +118,35 @@ def test_lemma_equivalences_random():
             )
 
 
+def invariant_by_tuples(h: Hypergraph, s: int, mode: str) -> bool:
+    """`is_invariant` by the route the mask flips replaced, kept as its
+    oracle: delete s from every edge of two or more vertices holding it,
+    or insert it into every nonempty edge missing it."""
+    if mode == PARTIAL:
+        return all(tuple(v for v in e if v != s) in h.edges
+                   for e in h.edges if s in e and len(e) > 1)
+    return all(tuple(sorted(e + (s,))) in h.edges for e in h.edges if e and s not in e)
+
+
+def test_invariance_matches_tuple_oracle():
+    """Random families of up to 7 vertices, with and without the empty
+    edge, their masks read by the parser or computed."""
+    rng = random.Random(41)
+    seen = {(mode, verdict): 0 for mode in (PARTIAL, DIFFERENTIAL) for verdict in (False, True)}
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        vs = VertexSet.of(*[f"v{i}" for i in range(n)])
+        h = random_hypergraph(rng, vs, p=rng.choice([0.3, 0.7, 0.95]))
+        if rng.random() < 0.5:
+            h = Hypergraph.of(vs, [list(e) for e in h.edges])
+        for s in range(n):
+            for mode in (PARTIAL, DIFFERENTIAL):
+                want = invariant_by_tuples(h, s, mode)
+                assert is_invariant(h, s, mode) == want, (h, s, mode)
+                seen[mode, want] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_invariant_trace_classification_random():
     rng = random.Random(37)
     for _ in range(120):

@@ -19,8 +19,6 @@ from hyperhom.errors import NotAChainMap, NotIncluded
 from hyperhom.homology import (
     ComplexSpec,
     _assemble_matrix,
-    _coordinates,
-    _descend,
     build_complex,
     edge_carrier,
     inclusion_induced,
@@ -178,8 +176,8 @@ def inclusion_by_product(small, large, n):
             raise NotIncluded(f"edge {w} of the smaller family is missing above")
         items.append(((index[w], j), ring.one))
     mat = SparseMatrix.from_entries(len(index), small.dim(n), ring, items)
-    return _coordinates(large.solver(n), mat.mul(small.solver(n).reps),
-                        "inclusion sends a cycle to a non-cycle")
+    return large.solver(n).coords(mat.mul(small.solver(n).reps),
+                                  "inclusion sends a cycle to a non-cycle")
 
 
 def outcome(route, small, large, n):
@@ -287,10 +285,10 @@ def test_random_chain_maps_descend_like_the_oracle(ring):
             try:
                 want = descend(chain, dense, dense, "random map")
             except NotAChainMap:
-                with pytest.raises(NotAChainMap, match="random map sends a cycle"):
-                    _descend(chain.mul(solver.reps), solver, n, n, "random map")
+                with pytest.raises(NotAChainMap, match="^random map sends a cycle"):
+                    solver.coords(chain.mul(solver.reps), "random map sends a cycle to a non-cycle")
                 rejected += 1
                 continue
-            assert _descend(chain.mul(solver.reps), solver, n, n, "random map").matrix == want
+            assert solver.coords(chain.mul(solver.reps), "random map: not a cycle") == want
             accepted += solver.betti > 0
     assert rejected >= 5 and accepted >= 5

@@ -9,6 +9,7 @@ import pytest
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
     INDEPENDENCE_EDGES,
+    MV_NODE_PARTS,
     SIMPLICIAL_EDGES,
     BuiltComplex,
     ComplexSpec,
@@ -561,9 +562,111 @@ def per_threshold_route(fa, fb, op, q, ring):
         parts = {"cap": combine(a, b, CombineOp.INTERSECT), "a": a, "b": b,
                  "cup": combine(a, b, CombineOp.UNION)}
         squares.append({part: edge_complex(h, op, q, ring) for part, h in parts.items()})
-    commute = all(_mv_square_check(squares[i], squares[i + 1], sequences[i], sequences[i + 1])
-                  for i in range(len(grid) - 1))
+    commute = all(square_check_by_search(squares[i], squares[i + 1], sequences[i],
+                                         sequences[i + 1]) for i in range(len(grid) - 1))
     return PersistentMV(tuple(grid), tuple(sequences), commute)
+
+
+def square_check_by_search(cx_x, cx_y, seq_x, seq_y) -> bool:
+    """`_mv_square_check` by the route the one offset replaced, kept as its
+    oracle: each pair of consecutive earlier nodes is looked up among the
+    later ones by a scan."""
+    ring = cx_x["cup"].spec.ring
+
+    def vertical(label, n):
+        placed, rows, cols = [], 0, 0
+        for part in MV_NODE_PARTS[label]:
+            small, large = cx_x[part], cx_y[part]
+            m = (SparseMatrix.identity(small.solver(n).betti, ring) if small is large
+                 else inclusion_map(small, large, n).matrix)
+            placed.append(((rows, cols), m))
+            rows, cols = rows + m.rows, cols + m.cols
+        return SparseMatrix.blocks(rows, cols, ring, placed)
+
+    keys = [(node.label, node.degree) for node in seq_x.nodes]
+    keys_y = [(node.label, node.degree) for node in seq_y.nodes]
+    vert = {key: vertical(*key) for key in keys}
+    for idx, (src, tgt) in enumerate(zip(keys, keys[1:])):
+        if src not in keys_y or keys_y[keys_y.index(src) + 1] != tgt:
+            return False
+        ydx = keys_y.index(src)
+        if vert[tgt].mul(seq_x.maps[idx]) != seq_y.maps[ydx].mul(vert[src]):
+            return False
+    return True
+
+
+def persistent_squares(fa, fb, op, q, ring):
+    """Each threshold's square and sequence, cut as `persistent_mv` cuts
+    them, with the parts that did not change kept."""
+    final = edge_complex(combine(fa.final_complex, fb.final_complex, CombineOp.UNION),
+                         op, q, ring)
+    out, previous = [], None
+    for x in sorted(set(fa.grid) | set(fb.grid)):
+        previous = mv_complexes(fa.complex_at(x), fb.complex_at(x), op, ring,
+                                final.restrict, previous)
+        out.append((previous, mv_sequence(previous)))
+    return out
+
+
+def with_one_entry_changed(rng, seq):
+    """seq with one entry of one nonempty map raised by one, or None."""
+    ks = [k for k, m in enumerate(seq.maps) if m.rows and m.cols]
+    if not ks:
+        return None
+    k = rng.choice(ks)
+    m = seq.maps[k]
+    entries = m.entry_dict()
+    pos = (rng.randrange(m.rows), rng.randrange(m.cols))
+    entries[pos] = m.ring.add(entries.get(pos, m.ring.zero), m.ring.one)
+    changed = SparseMatrix.from_entries(m.rows, m.cols, m.ring, entries.items())
+    return LongExactSequence(seq.nodes, seq.maps[:k] + (changed,) + seq.maps[k + 1:],
+                             seq.junctions)
+
+
+def test_mv_square_check_matches_search_route():
+    """Pairs of `persistent_mv` squares one and two thresholds apart, as
+    cut and with one entry of a later map changed: both operator families,
+    arity 1 and 3, Q and F_5, and an arity-3 operator at offset 1, whose
+    first thresholds hold vertices only and so no degree on its grid."""
+    rng = random.Random(83)
+    cases = []
+    for cls, arity, ring in itertools.product(("simplicial", "independence"), (1, 3),
+                                              (QQ, GF(5))):
+        for _ in range(3):
+            nverts = 3 if arity == 1 else 4
+            make = (random_simplicial_filtration if cls == "simplicial"
+                    else random_independence_filtration)
+            fa, fb = make(rng, nverts), make(rng, nverts)
+            if cls == "simplicial" and (() in fa.final_complex.edges) != (
+                    () in fb.final_complex.edges):
+                continue
+            kind = "partial" if cls == "simplicial" else "d"
+            cases.append((fa, fb, random_boundary(rng, ring, kind, nverts, arity),
+                          rng.randrange(arity), ring))
+    s5 = VertexSet.of(*[f"v{i}" for i in range(5)])
+    fa = Filtration.of(s5, [(e, {1: 0, 2: 1, 3: 2}.get(len(e), 3))
+                            for e in power_set(s5) if e], "simplicial")
+    fb = Filtration.of(s5, [((v,), 0) for v in range(5)] + [
+        ((0, 1), 2), ((1, 2), 2), ((0, 2), 3), ((0, 1, 2), 3)], "simplicial")
+    op = WedgeOperator.build("partial", 3, [(1, (0, 1, 2)), (2, (1, 3, 4)), (1, (0, 2, 4))])
+    cases.append((fa, fb, op, 1, QQ))
+    seen = Counter()
+    for fa, fb, op, q, ring in cases:
+        squares = persistent_squares(fa, fb, op, q, ring)
+        for i, j in itertools.combinations(range(len(squares)), 2):
+            if j - i > 2:
+                continue
+            (cx_x, seq_x), (cx_y, seq_y) = squares[i], squares[j]
+            assert _mv_square_check(cx_x, cx_y, seq_x, seq_y)
+            assert square_check_by_search(cx_x, cx_y, seq_x, seq_y)
+            seen["no degree" if not seq_x.nodes else "commute"] += 1
+            changed = with_one_entry_changed(rng, seq_y)
+            if changed is not None:
+                want = square_check_by_search(cx_x, cx_y, seq_x, changed)
+                assert _mv_square_check(cx_x, cx_y, seq_x, changed) == want
+                seen[want] += 1
+    assert seen["no degree"] >= 2 and seen["commute"] >= 50, seen
+    assert seen[False] >= 20 and seen[True] >= 5, seen
 
 
 def test_persistent_mv_random():

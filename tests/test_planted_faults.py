@@ -24,7 +24,8 @@ planted fault trips gives no assurance.
   the rank-nullity check of the `linalg-properties` selftest suite;
   `rank` leaving Fraction rows unscaled: that test and that suite, where
   the gcd of a Fraction raises.
-* Transposed `InducedMap` matrices: every map,
+* `DegreeSolver.coords` transposing its coordinates, which transposes
+  every induced map and the connecting map:
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
   maps only, that test (on its pinned pair), the `persistence` selftest
   suite and the composition checks of the `mv-exactness` and
@@ -209,29 +210,30 @@ def test_rank_faults_are_caught(monkeypatch, old, new, raised, detail):
     assert result.failures > 0 and result.detail.startswith(detail)
 
 
-def transposed(descend, square_only):
-    """`_descend` whose maps come out transposed (with `square_only`, the
-    square ones alone, so that no shape gives the fault away)."""
+def transposed(coords, square_only):
+    """`DegreeSolver.coords` whose coordinate matrices come out transposed
+    (with `square_only`, the square ones alone, so that no shape gives the
+    fault away). Every induced map and the connecting map read their
+    coordinates there."""
 
-    def _descend(*args):
-        m = descend(*args)
-        if square_only and m.matrix.rows != m.matrix.cols:
+    def transposed_coords(self, vecs, error):
+        m = coords(self, vecs, error)
+        if square_only and m.rows != m.cols:
             return m
-        t = SparseMatrix.from_entries(m.matrix.cols, m.matrix.rows, m.matrix.ring,
-                                      [((j, i), v) for (i, j), v in m.matrix.entries])
-        return InducedMap(m.source_degree, m.target_degree, t)
+        return SparseMatrix.from_entries(m.cols, m.rows, m.ring,
+                                         [((j, i), v) for (i, j), v in m.entries])
 
-    return _descend
+    return transposed_coords
 
 
 def test_transposed_induced_maps_are_caught(monkeypatch):
-    monkeypatch.setattr(homology, "_descend", transposed(homology._descend, False))
+    monkeypatch.setattr(DegreeSolver, "coords", transposed(DegreeSolver.coords, False))
     with pytest.raises(AssertionError):
         test_map_route.test_inclusion_maps_match_per_vector_route()
 
 
 def test_transposed_square_induced_maps_are_caught(monkeypatch):
-    monkeypatch.setattr(homology, "_descend", transposed(homology._descend, True))
+    monkeypatch.setattr(DegreeSolver, "coords", transposed(DegreeSolver.coords, True))
     with pytest.raises(AssertionError):
         test_map_route.test_inclusion_maps_match_per_vector_route()
     result = selftest.run_suite("persistence")
