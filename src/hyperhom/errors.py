@@ -76,3 +76,7 @@ class NotAChainMap(InternalCheckError):
 
 class OperatorLeavesCarrier(InternalCheckError):
     pass
+
+
+class TraceNotClassified(InternalCheckError):
+    pass

@@ -28,7 +28,6 @@ induced map and the connecting map leave through it.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, product
 
 from .errors import (
@@ -635,5 +634,4 @@ def delta_pairing(x: FreeChain, y: FreeChain):
     """Bilinear pairing with orthonormal words."""
     if x.ring != y.ring:
         raise SchemaViolation("pairing needs one ring")
-    return reduce(x.ring.add, (x.ring.mul(c, y.terms[w])
-                               for w, c in x.terms.items() if w in y.terms), x.ring.zero)
+    return x.ring.normal(sum(c * y.terms[w] for w, c in x.terms.items() if w in y.terms))

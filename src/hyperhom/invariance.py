@@ -13,7 +13,7 @@ modes.
 
 from __future__ import annotations
 
-from .errors import EmptyEdgePresent, SchemaViolation
+from .errors import EmptyEdgePresent, SchemaViolation, TraceNotClassified
 from .hypergraphs import Hypergraph, HypergraphClass, trace
 from .records import record
 
@@ -60,5 +60,5 @@ def invariant_trace(h: Hypergraph, mode: str) -> InvariantReport:
     else:
         ok = cls in (HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH)
     if not ok:
-        raise SchemaViolation(f"invariant trace failed to classify for mode {mode}")
+        raise TraceNotClassified(f"invariant trace failed to classify for mode {mode}")
     return InvariantReport(mode, verts, restricted)

@@ -43,7 +43,7 @@ from .homology import (
     mv_complexes,
     mv_sequence,
 )
-from .hypergraphs import CombineOp, Hypergraph, combine
+from .hypergraphs import CombineOp, Hypergraph, _edge_parser, combine
 from .linalg import SparseMatrix, field_reduce
 from .records import record
 from .rings import Ring
@@ -64,12 +64,11 @@ class Filtration:
 
     @staticmethod
     def of(vertices: VertexSet, births, monotonicity_class: str) -> "Filtration":
-        """The filtration of (edge, birth) pairs, each edge an index tuple
-        in any order."""
-        bit = [1 << v for v in range(len(vertices))].__getitem__
-        rows = [(tuple(sorted(edge)), birth) for edge, birth in births]
-        return Filtration.of_parsed(vertices, [(edge, sum(map(bit, edge)), birth)
-                                               for edge, birth in rows], monotonicity_class)
+        """The filtration of (edge, birth) pairs, each edge given by vertex
+        labels or indices in any order, parsed as `Hypergraph.of` parses it."""
+        parse = _edge_parser(vertices)
+        return Filtration.of_parsed(vertices, [(*parse(edge), birth) for edge, birth in births],
+                                    monotonicity_class)
 
     @staticmethod
     def of_parsed(vertices: VertexSet, rows, monotonicity_class: str) -> "Filtration":

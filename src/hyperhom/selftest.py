@@ -91,17 +91,16 @@ def _words_upto(nletters, maxlen):
 
 
 def _face_sum(i, s, c):
-    out = FreeChain.zero(c.ring, c.degree - 1)
-    for w, v in c.terms.items():
-        out = out + face(i, s, w, c.ring).scaled(v)
-    return out
+    """The i-th face deletion of s, with sign (-1)^i, on every word of c."""
+    return FreeChain(c.ring, c.degree - 1, (
+        (w[:i] + w[i + 1 :], -v if i & 1 else v) for w, v in c.terms.items() if w[i] == s))
 
 
 def _insert_sum(i, s, c):
-    out = FreeChain.zero(c.ring, c.degree + 1)
-    for w, v in c.terms.items():
-        out = out + insert(i, s, w, c.ring).scaled(v)
-    return out
+    """The insertion of s before position i, with sign (-1)^i, on every
+    word of c."""
+    return FreeChain(c.ring, c.degree + 1, (
+        (w[:i] + (s,) + w[i:], -v if i & 1 else v) for w, v in c.terms.items()))
 
 
 def suite_free_calculus(rng) -> _Tally:

@@ -18,7 +18,11 @@ This is the unique extension of the insertion formula to length zero and
 it preserves anticommutation (exercised by the test suite).
 
 `face`, `insert`, `partial` and `differential` are the reference
-primitives on `FreeChain`. `wedge_apply` is the one implementation of the
+primitives on `FreeChain`, with `join`, `concat_product` and
+`induced_map`. Each is written as its sum: one generator of signed
+(word, coefficient) terms, which the `FreeChain` constructor adds up,
+summing repeated words and dropping the zeros, so that no term is added
+by copying a running sum. `wedge_apply` is the one implementation of the
 calculus that the engine runs: it takes an operator and a list of words,
 and returns the image of every word in one call, so a matrix is one call.
 It builds the operator's term table once, coercing the coefficients into
@@ -130,21 +134,29 @@ def classify_word(w: Word) -> WordClass:
 
 
 class FreeChain:
-    """Homogeneous formal sum of words with exact coefficients."""
+    """Homogeneous formal sum of words with exact coefficients.
+
+    `terms` is a dict or an iterable of (word, coefficient) pairs. Each
+    coefficient is coerced into the ring and each word checked to have
+    the degree; a word that repeats has its coefficients summed in plain
+    arithmetic, each sum is reduced once by `Ring.normal`, and the words
+    whose sum vanishes are dropped.
+    """
 
     __slots__ = ("ring", "degree", "terms")
 
-    def __init__(self, ring: Ring, degree: int, terms=None):
+    def __init__(self, ring: Ring, degree: int, terms=()):
         self.ring = ring
         self.degree = degree
-        self.terms = {}
-        if terms:
-            for w, c in dict(terms).items():
-                c = ring.coerce(c)
-                if len(w) != degree + 1:
-                    raise SchemaViolation(f"word {w} does not have degree {degree}")
-                if not ring.is_zero(c):
-                    self.terms[w] = c
+        acc = {}
+        coerce = ring.coerce
+        for w, c in terms.items() if isinstance(terms, dict) else terms or ():
+            c = coerce(c)
+            if len(w) != degree + 1:
+                raise SchemaViolation(f"word {w} does not have degree {degree}")
+            acc[w] = acc.get(w, 0) + c
+        normal = ring.normal
+        self.terms = {w: y for w, x in acc.items() if (y := normal(x)) != 0}
 
     @staticmethod
     def zero(ring: Ring, degree: int) -> "FreeChain":
@@ -160,31 +172,17 @@ class FreeChain:
     def __add__(self, other: "FreeChain") -> "FreeChain":
         if self.ring != other.ring or self.degree != other.degree:
             raise SchemaViolation("cannot add chains of different type")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = self.ring.add(out.get(w, self.ring.zero), c)
-            if self.ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = FreeChain(self.ring, self.degree)
-        res.terms = out
-        return res
+        return FreeChain(self.ring, self.degree, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "FreeChain":
-        res = FreeChain(self.ring, self.degree)
-        res.terms = {w: self.ring.neg(c) for w, c in self.terms.items()}
-        return res
+        return FreeChain(self.ring, self.degree, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "FreeChain") -> "FreeChain":
         return self + (-other)
 
     def scaled(self, c) -> "FreeChain":
         c = self.ring.coerce(c)
-        res = FreeChain(self.ring, self.degree)
-        if not self.ring.is_zero(c):
-            res.terms = {w: self.ring.mul(c, v) for w, v in self.terms.items()}
-        return res
+        return FreeChain(self.ring, self.degree, {w: c * v for w, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -227,92 +225,56 @@ def insert(i: int, s: int, w: Word, ring: Ring = ZZ) -> FreeChain:
     return FreeChain(ring, n + 1, {w[:i] + (s,) + w[i:]: coeff})
 
 
+def _increasing(chain: FreeChain):
+    """The terms of `chain`, each word checked, as it is reached, to be
+    strictly increasing."""
+    for w, c in chain.terms.items():
+        if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
+            raise NotSimplicial(f"word {w} is not strictly increasing")
+        yield w, c
+
+
 def partial(s: int, chain: FreeChain) -> FreeChain:
     """Sum of all face deletions of s; lowers degree by one."""
-    n = chain.degree
-    out = FreeChain.zero(chain.ring, n - 1)
-    if n < 0:
-        return out
-    for w, c in chain.terms.items():
-        for i in range(n + 1):
-            if w[i] == s:
-                out = out + face(i, s, w, chain.ring).scaled(c)
-    return out
-
-
-def _simplicial_insert(s: int, w: Word, ring: Ring) -> FreeChain:
-    # at most one insertion position keeps the word strictly increasing
-    if s in w:
-        return FreeChain.zero(ring, len(w))
-    pos = 0
-    while pos < len(w) and w[pos] < s:
-        pos += 1
-    return insert(pos, s, w, ring)
+    return FreeChain(chain.ring, chain.degree - 1, (
+        (w[:i] + w[i + 1 :], -c if i & 1 else c)
+        for w, c in chain.terms.items() for i in range(len(w)) if w[i] == s))
 
 
 def differential(s: int, chain: FreeChain, ambient: str = FULL) -> FreeChain:
     """Sum of all insertions of s; raises degree by one.
 
     ambient="full" sums every signed insertion; ambient="simplicial"
-    applies the quotient rule on strictly increasing words.
+    applies the quotient rule on strictly increasing words: only the
+    sorted slot of s keeps the word increasing, and none does when s is
+    already a letter.
     """
-    n = chain.degree
-    out = FreeChain.zero(chain.ring, n + 1)
-    for w, c in chain.terms.items():
-        if ambient == SIMPLICIAL:
-            if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
-                raise NotSimplicial(f"word {w} is not strictly increasing")
-            out = out + _simplicial_insert(s, w, chain.ring).scaled(c)
-        else:
-            for i in range(n + 2):
-                out = out + insert(i, s, w, chain.ring).scaled(c)
-    return out
+    if ambient == SIMPLICIAL:
+        terms = _increasing(chain)
+        slots = lambda w: () if s in w else (bisect_left(w, s),)
+    else:
+        terms = chain.terms.items()
+        slots = lambda w: range(len(w) + 1)
+    return FreeChain(chain.ring, chain.degree + 1, (
+        (w[:i] + (s,) + w[i:], -c if i & 1 else c) for w, c in terms for i in slots(w)))
 
 
 def project_simplicial(chain: FreeChain) -> FreeChain:
     """Coordinate projection onto strictly increasing words (no sorting)."""
-    res = FreeChain.zero(chain.ring, chain.degree)
-    res.terms = {
-        w: c
-        for w, c in chain.terms.items()
-        if classify_word(w) is WordClass.SIMPLICIAL_ACYCLIC
-    }
-    return res
-
-
-def _sort_sign(word: Word):
-    """Sorted copy and the sign of the sorting permutation; None on repeats."""
-    if len(set(word)) != len(word):
-        return None, 0
-    inv = 0
-    items = list(word)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                inv += 1
-    return tuple(sorted(items)), (-1) ** inv
+    return FreeChain(chain.ring, chain.degree, {
+        w: c for w, c in chain.terms.items()
+        if classify_word(w) is WordClass.SIMPLICIAL_ACYCLIC})
 
 
 def join(a: FreeChain, b: FreeChain) -> FreeChain:
-    """Signed sorted concatenation, zero whenever a letter repeats."""
+    """Signed sorted concatenation, zero whenever a letter repeats: the
+    sign is that of the permutation that sorts the concatenation."""
     if a.ring != b.ring:
         raise SchemaViolation("ring mismatch in join")
-    ring = a.ring
-    out = FreeChain.zero(ring, a.degree + b.degree + 1)
-    for w1, c1 in a.terms.items():
-        if classify_word(w1) is not WordClass.SIMPLICIAL_ACYCLIC:
-            raise NotSimplicial(f"word {w1} is not strictly increasing")
-        for w2, c2 in b.terms.items():
-            if classify_word(w2) is not WordClass.SIMPLICIAL_ACYCLIC:
-                raise NotSimplicial(f"word {w2} is not strictly increasing")
-            merged, sign = _sort_sign(w1 + w2)
-            if merged is None:
-                continue
-            c = ring.mul(c1, c2)
-            if sign < 0:
-                c = ring.neg(c)
-            out = out + FreeChain(ring, out.degree, {merged: c})
-    return out
+    left, right = list(_increasing(a)), list(_increasing(b))
+    return FreeChain(a.ring, a.degree + b.degree + 1, (
+        (tuple(sorted(w1 + w2)), (-1) ** sum(x > y for x in w1 for y in w2) * c1 * c2)
+        for w1, c1 in left for w2, c2 in right if set(w1).isdisjoint(w2)))
 
 
 def concat_product(a: FreeChain, b: FreeChain) -> FreeChain:
@@ -323,11 +285,8 @@ def concat_product(a: FreeChain, b: FreeChain) -> FreeChain:
     """
     if a.ring != b.ring:
         raise SchemaViolation("ring mismatch in product")
-    out = FreeChain.zero(a.ring, a.degree + b.degree + 1)
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            out = out + FreeChain(a.ring, out.degree, {w1 + w2: a.ring.mul(c1, c2)})
-    return out
+    return FreeChain(a.ring, a.degree + b.degree + 1, (
+        (w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()))
 
 
 @record
@@ -544,9 +503,5 @@ def induced_map(f: VertexMap, chain: FreeChain) -> FreeChain:
     back onto strictly increasing words (collapsed words die)."""
     if not f.order_preserving:
         raise NotOrderPreserving("vertex map must be order preserving")
-    out = FreeChain.zero(chain.ring, chain.degree)
-    for w, c in chain.terms.items():
-        if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
-            raise NotSimplicial(f"word {w} is not strictly increasing")
-        out = out + FreeChain(chain.ring, chain.degree, {tuple(f(i) for i in w): c})
-    return project_simplicial(out)
+    return project_simplicial(FreeChain(chain.ring, chain.degree, (
+        (tuple(map(f, w)), c) for w, c in _increasing(chain))))

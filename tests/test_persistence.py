@@ -94,6 +94,25 @@ def test_monotonicity_validation():
         Filtration.of(S3, [((0,), 0), ((), 1)], "simplicial")
 
 
+@pytest.mark.parametrize("edge", [(-1,), (5,), (0, 0), (True,), ("c",), ("a", "a")])
+def test_filtration_of_parses_edges_as_hypergraph_of(edge):
+    vs = VertexSet.of("a", "b")
+    with pytest.raises(SchemaViolation) as want:
+        Hypergraph.of(vs, [edge])
+    with pytest.raises(SchemaViolation) as got:
+        Filtration.of(vs, [(edge, 0)], "simplicial")
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_filtration_of_takes_labels_or_indices():
+    vs = VertexSet.of("a", "b")
+    by_label = Filtration.of(vs, [(("a",), 0), (("b",), 0), (("b", "a"), 1)], "simplicial")
+    mixed = Filtration.of(vs, [((0,), 0), (("b",), 0), ((1, "a"), 1)], "simplicial")
+    assert by_label == mixed
+    assert by_label.indexed == ((0, (0,)), (0, (1,)), (1, (0, 1)))
+    assert by_label._masks == (1, 2, 3)
+
+
 def test_persistent_ranks_segment():
     pr = persistent_ranks(SEG, alpha(1, 1, 1), 0, QQ, 0)
     assert pr.grid == (0, 1)

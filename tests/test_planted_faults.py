@@ -10,6 +10,15 @@ planted fault trips gives no assurance.
 * `wedge_apply`'s deletion closed form with one sign flipped, and the
   deletion run rule skipped for even runs:
   `test_words.test_wedge_apply_matches_composition_oracle`.
+* The `FreeChain` constructor keeping the last of a repeated word's
+  coefficients instead of summing them: the `free-calculus` selftest
+  suite and `test_words.test_calculus_matches_copy_on_add_oracle`.
+* `partial` without its sign (-1)^i: the same suite and test.
+* The simplicial `differential` inserting one slot past the sorted one:
+  the `projection-compatibility` selftest suite and the same test.
+* `invariance.trace` dropping a one-vertex edge, so that the invariant
+  trace fails to classify: `invariant-trace` exits 1 with one error
+  document, as a failed internal check.
 * `smith_normal_form` dropping one invariant factor:
   `test_linalg.test_presentation_torsion` and the `linalg-properties`
   selftest suite; squaring every invariant factor, a fault stable under
@@ -45,12 +54,13 @@ its source with one line changed.
 
 import importlib
 import inspect
+import json
 import sys
 import textwrap
 
 import pytest
 
-from hyperhom import hypergraphs, linalg, persistence, selftest, words
+from hyperhom import cli, hypergraphs, invariance, linalg, persistence, selftest, words
 from hyperhom.homology import (
     BuiltComplex,
     ComplexSpec,
@@ -154,6 +164,53 @@ def test_run_rule_skipped_for_even_runs_is_caught(monkeypatch):
         words._deletions, "if (j - i) & 1:", "if j - i:"))
     with pytest.raises(AssertionError):
         test_words.test_wedge_apply_matches_composition_oracle()
+
+
+def test_constructor_keeping_the_last_repeated_word_is_caught(monkeypatch):
+    monkeypatch.setattr(words.FreeChain, "__init__", planted(
+        words.FreeChain.__init__, "acc[w] = acc.get(w, 0) + c", "acc[w] = c"))
+    result = selftest.run_suite("free-calculus")
+    assert result.failures > 0 and result.detail == "insertion anticommutation at ()"
+    with pytest.raises(AssertionError):
+        test_words.test_calculus_matches_copy_on_add_oracle()
+
+
+@pytest.mark.parametrize("func, old, new, suite, detail", [
+    ("partial", "-c if i & 1 else c", "c", "free-calculus",
+     "deletion anticommutation at (0, 0)"),
+    ("differential", "(bisect_left(w, s),)", "(bisect_left(w, s) + 1,)",
+     "projection-compatibility", "projection mismatch at () 0"),
+], ids=["partial-unsigned", "simplicial-slot-late"])
+def test_reference_primitive_faults_are_caught(monkeypatch, func, old, new, suite, detail):
+    assert selftest.run_suite(suite).failures == 0
+    faulty = planted(getattr(words, func), old, new)
+    for module in (words, selftest, test_words):
+        monkeypatch.setattr(module, func, faulty)
+    result = selftest.run_suite(suite)
+    assert result.failures > 0 and result.detail == detail
+    with pytest.raises(AssertionError):
+        test_words.test_calculus_matches_copy_on_add_oracle()
+
+
+def test_unclassified_invariant_trace_exits_one(monkeypatch, tmp_path, capsys):
+    trace = invariance.trace
+
+    def trace_without_a_vertex(h, verts):
+        t = trace(h, verts)
+        return t.with_edges(t.edges - {min(e for e in t.edges if len(e) == 1)})
+
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"vertices": ["s0", "s1"],
+                                "edges": [[], ["s0"], ["s1"], ["s0", "s1"]]}))
+    argv = ["invariant-trace", "--mode", "partial", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(invariance, "trace", trace_without_a_vertex)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"error": "TraceNotClassified",
+                               "detail": "invariant trace failed to classify for mode partial"}
 
 
 SMITH_NORMAL_FORM = linalg.smith_normal_form

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import words_oracle as oracle
+from hyperhom import selftest
 from hyperhom.errors import IndexOutOfRange, NotSimplicial, SchemaViolation
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import (
@@ -31,10 +33,7 @@ S3 = VertexSet.of("s0", "s1", "s2")
 
 
 def chain(*words, ring=ZZ):
-    out = FreeChain.zero(ring, len(words[0][0]) - 1)
-    for w, c in words:
-        out = out + FreeChain(ring, out.degree, {tuple(w): c})
-    return out
+    return FreeChain(ring, len(words[0][0]) - 1, [(tuple(w), c) for w, c in words])
 
 
 def test_face_examples():
@@ -266,38 +265,24 @@ def test_simplicial_identities_exhaustive_small():
             for t in range(3):
                 for j in range(n + 1):
                     for i in range(j):
-                        lhs = _face_op(i, s, _face_op(j, t, c))
-                        rhs = -_face_op(j - 1, t, _face_op(i, s, c))
+                        lhs = oracle.face_sum(i, s, oracle.face_sum(j, t, c))
+                        rhs = -oracle.face_sum(j - 1, t, oracle.face_sum(i, s, c))
                         assert lhs == rhs
                 for j in range(n + 2):
                     for i in range(n + 1):
-                        lhs = _face_op(i, s, _insert_op(j, t, c))
+                        lhs = oracle.face_sum(i, s, oracle.insert_sum(j, t, c))
                         if i < j:
-                            rhs = -_insert_op(j - 1, t, _face_op(i, s, c))
+                            rhs = -oracle.insert_sum(j - 1, t, oracle.face_sum(i, s, c))
                         elif i == j:
                             rhs = c if s == t else FreeChain.zero(ZZ, n)
                         else:
-                            rhs = -_insert_op(j, t, _face_op(i - 1, s, c))
+                            rhs = -oracle.insert_sum(j, t, oracle.face_sum(i - 1, s, c))
                         assert lhs == rhs
                 for j in range(n + 2):
                     for i in range(j + 1):
-                        lhs = _insert_op(i, s, _insert_op(j, t, c))
-                        rhs = -_insert_op(j + 1, t, _insert_op(i, s, c))
+                        lhs = oracle.insert_sum(i, s, oracle.insert_sum(j, t, c))
+                        rhs = -oracle.insert_sum(j + 1, t, oracle.insert_sum(i, s, c))
                         assert lhs == rhs
-
-
-def _face_op(i, s, c):
-    out = FreeChain.zero(c.ring, c.degree - 1)
-    for w, v in c.terms.items():
-        out = out + face(i, s, w, c.ring).scaled(v)
-    return out
-
-
-def _insert_op(i, s, c):
-    out = FreeChain.zero(c.ring, c.degree + 1)
-    for w, v in c.terms.items():
-        out = out + insert(i, s, w, c.ring).scaled(v)
-    return out
 
 
 def test_anticommutation_exhaustive():
@@ -396,3 +381,113 @@ def test_chain_arithmetic_rejects_mismatch():
         chain(((0,), 1)) + chain(((0, 1), 1))
     with pytest.raises(Exception):
         chain(((0,), 1), ring=QQ) + chain(((0,), 1), ring=ZZ)
+
+
+COEFFS = {
+    ZZ: [0, 1, -1, 2, -3, 5],
+    QQ: [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(4, 3)],
+    GF(5): [0, 1, 2, 4, 5, 7, -1, Fraction(1, 2)],
+}
+
+
+def random_chain(rng, ring, degree, nl, increasing):
+    """Up to four words of the degree on nl letters, strictly increasing
+    when asked and possible, else with repeated letters likely."""
+    terms = {}
+    for _ in range(rng.choice([0, 1, 2, 3, 4])):
+        if increasing and degree < nl and rng.random() < 0.9:
+            w = tuple(sorted(rng.sample(range(nl), degree + 1)))
+        else:
+            w = tuple(rng.randrange(nl) for _ in range(degree + 1))
+        terms[w] = rng.choice(COEFFS[ring])
+    return FreeChain(ring, degree, terms)
+
+
+def _result(fn, *args):
+    """Typed terms of the result, or the type and text of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # compared by type and text against the oracle
+        return type(exc), str(exc)
+    return got.degree, sorted((w, type(c), c) for w, c in got.terms.items())
+
+
+def test_calculus_matches_copy_on_add_oracle():
+    """The one-sum primitives and `FreeChain` arithmetic against the
+    copy-on-add route they replaced (`words_oracle`), on random chains
+    over Z, over Q with Fraction coefficients and over F_5: words with
+    repeated letters, the empty word, both ambients, repeated (word,
+    coefficient) pairs, and order-preserving maps that merge words."""
+    rng = random.Random(20261020)
+    features = {}
+
+    def seen(name, hit=True):
+        features[name] = features.get(name, 0) + bool(hit)
+
+    def same(new, old, *args):
+        got, want = _result(new, *args), _result(old, *args)
+        assert got == want, (new.__name__, args, got, want)
+        seen(f"raised {want[0].__name__}" if isinstance(want[0], type) else "answered")
+
+    for _ in range(1500):
+        ring = rng.choice(list(COEFFS))
+        nl = rng.randint(1, 4)
+        degree = rng.randint(-1, 3)
+        increasing = rng.random() < 0.5
+        a = random_chain(rng, ring, degree, nl, increasing)
+        b = random_chain(rng, ring, degree, nl, increasing)
+        seen("empty word", degree == -1 and a.terms)
+        seen("repeated letters", any(len(set(w)) < len(w) for w in a.terms))
+        seen("Fraction over Q", ring is QQ and any(type(c) is Fraction for c in a.terms.values()))
+        seen("F_5", ring.p and a.terms)
+
+        pairs = [(rng.choice([*a.terms, *b.terms] or [(0,) * (degree + 1)]),
+                  rng.choice(COEFFS[ring])) for _ in range(rng.randint(0, 6))]
+        seen("repeated pairs", len({w for w, _ in pairs}) < len(pairs))
+        summed = FreeChain.zero(ring, degree)
+        for w, c in pairs:
+            summed = oracle.plus(summed, FreeChain(ring, degree, {w: c}))
+        assert _result(FreeChain, ring, degree, pairs) == _result(lambda: summed)
+
+        same(lambda x, y: x + y, oracle.plus, a, b)
+        same(lambda x: -x, oracle.negated, a)
+        c = rng.choice(COEFFS[ring])
+        same(lambda x: x.scaled(c), lambda x: oracle.scaled(x, c), a)
+
+        s = rng.randrange(nl)
+        same(lambda x: partial(s, x), lambda x: oracle.partial(s, x), a)
+        for ambient in (FULL, SIMPLICIAL):
+            same(lambda x: differential(s, x, ambient),
+                 lambda x: oracle.differential(s, x, ambient), a)
+        same(project_simplicial, oracle.project_simplicial, a)
+        i = rng.randint(0, degree + 1)
+        if i <= degree:
+            same(lambda x: selftest._face_sum(i, s, x), lambda x: oracle.face_sum(i, s, x), a)
+        same(lambda x: selftest._insert_sum(i, s, x), lambda x: oracle.insert_sum(i, s, x), a)
+
+        right = random_chain(rng, ring, rng.randint(-1, 2), nl, increasing)
+        same(concat_product, oracle.concat_product, a, right)
+        got, want = _result(join, a, right), _result(oracle.join, a, right)
+        if a.terms and not isinstance(want[0], type):
+            assert got == want, (a, right)
+        else:
+            # join checks every word of both factors, the left ones first,
+            # where the oracle skipped the right factor of a zero left one
+            # and named the first bad word in the order of its double loop
+            bad = [w for w in (*a.terms, *right.terms)
+                   if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC]
+            assert got == ((NotSimplicial, f"word {bad[0]} is not strictly increasing")
+                           if bad else want), (a, right)
+            seen("join raised", bad)
+
+        images = tuple(sorted(rng.randrange(nl + 1) for _ in range(nl)))
+        if rng.random() < 0.1:
+            images = images[::-1]
+        f = VertexMap(VertexSet.of(*range(nl)), VertexSet.of(*range(nl + 1)), images)
+        same(lambda x: induced_map(f, x), lambda x: oracle.induced_map(f, x), a)
+        mapped = [tuple(map(f, w)) for w in a.terms if list(w) == sorted(set(w))]
+        seen("merged images", f.order_preserving and len(set(mapped)) < len(mapped))
+    floors = {"answered": 10000, "raised NotSimplicial": 100, "raised NotOrderPreserving": 50,
+              "empty word": 100, "repeated letters": 200, "Fraction over Q": 100, "F_5": 200,
+              "repeated pairs": 200, "merged images": 30, "join raised": 100}
+    assert all(features.get(k, 0) >= n for k, n in floors.items()), features
