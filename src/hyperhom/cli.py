@@ -35,13 +35,26 @@ from .words import VertexSet
 
 
 def _load_json(path: str):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(jsonio.MAX_DIGITS)  # `main` lifts the bound for answers only
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaViolation(f"{path} nests too deeply to parse") from None
+    except ValueError:  # the bound on int(str) refused an integer
+        raise SchemaViolation(
+            f"{path} holds an integer of more than {jsonio.MAX_DIGITS} digits") from None
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _load_hypergraph(path: str):
@@ -371,6 +384,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an exact answer prints whole, however long its integers; what is read
+    # keeps its own bound (`jsonio.MAX_DIGITS`)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _answer(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _answer(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         _check_option_values(args)

@@ -18,6 +18,9 @@ from .words import VertexSet, WedgeOperator
 
 
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the most digits an integer read may spell: Python's default bound on
+# `int(str)`, kept for what is read while `cli.main` lifts it for answers
+MAX_DIGITS = 4300
 
 
 def _require(cond, msg):
@@ -59,10 +62,10 @@ def coefficient_from_json(value):
         return value
     if isinstance(value, str) and _COEFFICIENT.fullmatch(value):
         num, _, den = value.partition("/")
-        try:  # int() refuses more than 4,300 digits
-            return canonical(Fraction(int(num), int(den or 1)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaViolation(f"bad coefficient {value!r}") from exc
+        den = den or "1"
+        # no zero denominator, and no part longer than what is read
+        if den.strip("0") and max(len(num.lstrip("-")), len(den)) <= MAX_DIGITS:
+            return canonical(Fraction(int(num), int(den)))
     raise SchemaViolation(f"bad coefficient {value!r}")
 
 

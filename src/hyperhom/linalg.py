@@ -9,16 +9,17 @@ the images they are read from. `mul` sums its products in plain
 arithmetic and reduces each sum once (`Ring.normal`), instead of going
 through the ring for every term.
 
-A rank needs only the number of pivots, so `rank` is a forward
+A rank needs only the number of pivots, and the pairing of barcodes
+only which row took each, so both come from `forward_pivots`, a forward
 elimination that keeps no reduced rows: mod p over F_p, and fraction-free
 over Q and Z, where the rows stay integers. Everything that reads reduced
 rows comes from `field_reduce`, a sparse Gauss-Jordan reduction over Q or
 F_p that pivots in column order on the columns below a bound and carries
-the columns past it along: the field `kernel_basis`, the homology
-solver's representatives and coordinates, and the pairing of barcodes.
-Its pivots are the columns independent of those before them and its
-pivot rows are the reduced row echelon form, both unique, so the results
-do not depend on the order rows are reduced.
+the columns past it along: the field `kernel_basis` and the homology
+solver's representatives and coordinates. Its pivots are the columns
+independent of those before them and its pivot rows are the reduced row
+echelon form, both unique, so the results do not depend on the order
+rows are reduced.
 
 Homology over Z of a free complex needs no kernel lattice: H_n is free of
 rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
@@ -155,8 +156,13 @@ def _rows_of(m: SparseMatrix) -> list:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over the ring's fraction field (Q for Z), counted as pivots of
-    a forward elimination.
+    """Rank over the ring's fraction field (Q for Z): the pivot count of `forward_pivots`."""
+    return len(forward_pivots(_rows_of(m), m.ring))
+
+
+def forward_pivots(rows: list, ring: Ring) -> dict:
+    """{lead column: index of the row that took it} of a forward elimination
+    of {col: value} rows, over Q for Z. It consumes the rows.
 
     Each row in turn, last to first as in `field_reduce`, cancels its
     leading entry b against the pivot row stored at that column, whose
@@ -168,9 +174,9 @@ def rank(m: SparseMatrix) -> int:
     row = (a / g) row - (b / g) prow with g = gcd(a, b); and a row is
     divided by its content when it becomes a pivot row.
     """
-    p = m.ring.p
-    pivots = {}  # lead column -> (a, or a^-1 over F_p; the rest of the pivot row)
-    for row in reversed(_rows_of(m)):
+    p = ring.p
+    pivots = {}  # lead column -> (its row's index, a or a^-1 over F_p, the rest of the row)
+    for k, row in reversed(list(enumerate(rows))):
         if not p:
             den = lcm(*(v.denominator for v in row.values() if type(v) is not int))
             if den > 1:
@@ -181,13 +187,13 @@ def rank(m: SparseMatrix) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 if p:
-                    pivots[lead] = pow(b, -1, p), row
+                    pivots[lead] = k, pow(b, -1, p), row
                 else:
                     g = gcd(b, *row.values())
-                    pivots[lead] = (b // g, {j: v // g for j, v in row.items()}
+                    pivots[lead] = (k, b // g, {j: v // g for j, v in row.items()}
                                     if g > 1 else row)
                 break
-            a, prow = pivot
+            _, a, prow = pivot
             if p:
                 _axpy(row, b * a % p, prow, p)
                 continue
@@ -197,7 +203,7 @@ def rank(m: SparseMatrix) -> int:
                 for j in row:
                     row[j] *= f
             _axpy(row, b // g, prow, None)
-    return len(pivots)
+    return {lead: k for lead, (k, _, _) in pivots.items()}
 
 
 def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
@@ -217,8 +223,7 @@ def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
     order changes only the cost: on boundary and solver matrices in basis
     order, last to first did the least clearing of the orders tried
     (first to last, by length, by leading column). The rows are reduced
-    in place and returned as the caller's own dicts, so a returned row
-    identifies the input row it came from.
+    in place.
     """
     p = ring.p
     by_col = {}

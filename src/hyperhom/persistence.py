@@ -12,16 +12,18 @@ its grid, the distinct births ascending, and each edge's birth as an
 index into it, so validation, sublevels, pairing and rank grid compare ints.
 
 Every sublevel of a valid filtration is a subcomplex of the final one,
-so barcodes are read off the final complex alone, by the standard pairing
-of Zomorodian & Carlsson (Discrete Comput. Geom. 2005) in two
-`field_reduce` calls, and the rank grid counts the bars alive over each
-pair of thresholds. Persistent Mayer-Vietoris builds the union of the two
-final families once and cuts every threshold's square from it; the
-vertical maps of its naturality squares are the inclusions between two
-thresholds' squares. A part of the square (intersection, either side,
-union) whose family did not change since the previous threshold keeps
-that threshold's complex, solvers included, and its vertical map is the
-identity, read without a solve.
+so barcodes are read off the final complex alone, by the pairing of
+Zomorodian & Carlsson (Discrete Comput. Geom. 2005) computed as the
+cohomology reduction with clearing (de Silva, Morozov & Vejdemo-Johansson,
+Inverse Problems 2011; Bauer, Kerber & Reininghaus, "Clear and compress",
+2014) on `forward_pivots`, and the rank grid counts the bars alive over
+each pair of thresholds. Persistent Mayer-Vietoris builds the union of
+the two final families once and cuts every threshold's square from it;
+the vertical maps of its naturality squares are the inclusions between
+two thresholds' squares. A part of the square (intersection, either
+side, union) whose family did not change since the previous threshold
+keeps that threshold's complex, solvers included, and its vertical map
+is the identity, read without a solve.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .homology import (
     mv_sequence,
 )
 from .hypergraphs import CombineOp, Hypergraph, _edge_parser, combine
-from .linalg import SparseMatrix, field_reduce
+from .linalg import SparseMatrix, forward_pivots
 from .records import record
 from .rings import Ring
 from .words import VertexSet, WedgeOperator
@@ -197,13 +199,14 @@ class Barcode:
 
 
 def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> Barcode:
-    """Interval decomposition in degree n by the standard pairing on the
-    final complex, its edges in birth order. An n-edge opens a bar unless
-    its outgoing column is independent of the columns of earlier edges.
-    The incoming edges, reduced earliest first as rows keyed latest n-edge
-    first, each close the bar of the n-edge at their pivot. Bars of
-    length zero are dropped. The pairing runs on birth indices, each bar's
-    ends read from the grid at the end, on the final complex as closed in
+    """Interval decomposition in degree n on the final complex, its edges
+    in birth order, by the cohomology reduction with clearing. The pivots
+    of `forward_pivots` on the outgoing rows are the n-edges that close a
+    bar where they map; they open none and their rows are skipped. Every
+    other n-edge's coboundary row, keyed by its cofaces, is passed oldest
+    first, so the newest is reduced first; it opens a bar that the coface
+    at its pivot closes, or none does. Bars of length zero are dropped.
+    The pairing runs on birth indices, on the final complex as closed in
     `f`'s class, which `validate` proved."""
     _check_operator(f, operator)
     if not ring.is_field:
@@ -215,22 +218,20 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     built = build_complex(spec)
     pos = {edge: k for k, (_, edge) in enumerate(f.indexed)}
     births = [b for b, _ in f.indexed]
-    last = len(births) - 1
-    edges = built.basis(n)
-    src_edges = built.basis(n - operator.shift)
-    out_rows, in_rows = {}, {}
+    place = [pos[e] for e in built.basis(n)]  # of each n-edge, in birth order
+    coface = [pos[e] for e in built.basis(n - operator.shift)]
+    out_rows, co_rows = {}, {k: {} for k in sorted(place)}
     for (i, j), v in built.matrix(n).entries:
-        out_rows.setdefault(i, {})[pos[edges[j]]] = v
+        out_rows.setdefault(i, {})[place[j]] = v
     for (i, j), v in built.incoming_matrix(n).entries:
-        in_rows.setdefault(pos[src_edges[j]], {})[last - pos[edges[i]]] = v
-    negative = field_reduce(list(out_rows.values()), len(births), ring)[0]
-    closer = {id(row): births[k] for k, row in in_rows.items()}
-    pivots, pivot_rows, _ = field_reduce(
-        [in_rows[k] for k in sorted(in_rows, reverse=True)], len(births), ring)
-    paired = set(negative).union(last - c for c in pivots)
+        co_rows[place[i]][coface[j]] = v
+    negative = forward_pivots(list(out_rows.values()), ring)
+    opened = [k for k in co_rows if k not in negative]
+    pairs = forward_pivots([co_rows[k] for k in opened], ring)
+    bars = Counter((births[opened[k]], births[c]) for c, k in pairs.items())
+    closed = set(pairs.values())
+    bars.update((births[e], len(f.grid)) for k, e in enumerate(opened) if k not in closed)
     ends = f.grid + (None,)  # an open bar dies at index len(grid), which reads as None
-    bars = Counter((births[last - c], closer[id(row)]) for c, row in zip(pivots, pivot_rows))
-    bars.update((births[pos[e]], len(f.grid)) for e in edges if pos[e] not in paired)
     return Barcode(n, tuple((ends[b], ends[d], bars[b, d]) for b, d in sorted(bars) if b != d))
 
 

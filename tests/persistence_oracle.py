@@ -2,11 +2,12 @@
 birth-index route.
 
 Here births are compared as `Fraction`s at every stage: the one-pass
-validation, the pairing (whose Counter and sort are keyed by Fraction
-pairs, on a carrier that classifies the final complex again) and the
-rank grid, which counts the bars alive over each grid pair one pair at a
-time. Each function reads a filtration only through `births`,
-`vertices`, `monotonicity_class` and `final_complex`.
+validation, the pairing (the homology pairing by two Gauss-Jordan
+`field_reduce` calls, whose Counter and sort are keyed by Fraction pairs,
+on a carrier that classifies the final complex again) and the rank grid,
+which counts the bars alive over each grid pair one pair at a time. Each
+function reads a filtration only through `births`, `vertices`,
+`monotonicity_class` and `final_complex`.
 """
 
 from collections import Counter
@@ -65,7 +66,9 @@ def rank_between(bars, x, y) -> int:
 
 
 def barcode(f, operator, q, ring, n) -> Barcode:
-    """The standard pairing on the final complex, keyed by Fraction births."""
+    """The standard pairing on the final complex, keyed by Fraction births.
+    `field_reduce` reduces the rows in place, so a pivot row is the dict
+    of the incoming edge it came from."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -485,6 +486,54 @@ def test_coefficient_grammar_accepts_signed_integers_and_fractions():
     assert coefficient_from_json("-10/4") == Fraction(-5, 2)
     assert coefficient_from_json("-0") == 0 and type(coefficient_from_json("6/3")) is int
     assert coefficient_from_json("9" * 4300) == int("9" * 4300)
+
+
+@pytest.mark.parametrize("content, error, detail", [
+    (b"\xff\xfe{}", "SchemaViolation", "{path} is not UTF-8: invalid start byte at byte 0"),
+    (None, "InputError", "cannot read {path}: Is a directory"),
+    (b"[" * 5000 + b"]" * 5000, "SchemaViolation", "{path} nests too deeply to parse"),
+    (b'{"vertices": [], "edges": [], "x": ' + b"9" * 5000 + b"}", "SchemaViolation",
+     "{path} holds an integer of more than 4300 digits"),
+], ids=["not-utf8", "directory", "nested-5000", "integer-5000-digits"])
+def test_unreadable_file_exits_two(tmp_path, capsys, content, error, detail):
+    path = tmp_path / "h.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out) == {"error": error, "detail": detail.format(path=path)}
+
+
+def test_integer_digits_read_up_to_the_bound(tmp_path, capsys):
+    from hyperhom.jsonio import MAX_DIGITS
+
+    h = write(tmp_path, "h.json", CIRCLE_DOC)
+    for digits, code in ((MAX_DIGITS, 0), (MAX_DIGITS + 1, 2)):
+        op = tmp_path / "op.json"
+        text = json.dumps(ALPHA_DOC).replace('"coeff": 1,', f'"coeff": -{"7" * digits},', 1)
+        op.write_text(text)
+        assert main(["homology", "--operator", str(op), "--ring", "Q", h]) == code
+        capsys.readouterr()
+
+
+def test_answers_print_integers_past_the_conversion_bound(tmp_path, capsys):
+    # weights of 4,300 digits, within what is read, give H_0 a torsion
+    # factor of 8,600 digits, past Python's default bound on int-to-str
+    labels = ["s0", "s1", "s2", "s3"]
+    h = write(tmp_path, "h.json", {"vertices": labels, "edges": [
+        [], ["s0"], ["s1"], ["s2"], ["s3"], ["s0", "s3"], ["s1", "s2"], ["s1", "s3"]]})
+    weights = ["3" * 4300, "8" * 4299 + "1", "9" * 4300, "3" * 4300]
+    op = write(tmp_path, "op.json", {"kind": "partial", "terms": [
+        {"coeff": w, "vertices": [v]} for w, v in zip(weights, labels)]})
+    limit = sys.get_int_max_str_digits()
+    code = main(["homology", "--operator", op, "--ring", "Z", "--n", "0", h])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    torsion = json.loads(out, parse_int=lambda text: text)["torsion"]
+    assert max(map(len, torsion)) > limit
 
 
 @pytest.mark.parametrize("op,edge", [("Delta", 21), ("barDelta", 0)])

@@ -489,6 +489,32 @@ def test_long_rips_filtrations_match_rank_grid_route(cls, arity, q, ring):
     assert len(finite) >= (2 if arity == 1 else 1)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["Q", "F5"])
+def test_complement_law_on_barcodes(ring):
+    """Complementing edges sends an edge e of degree n to V - e, of degree
+    npts - 2 - n, and deleting s from e to inserting s into V - e. With
+    every weight 1 their signs, -1 to the number of letters below s in
+    the word, differ by (-1)^s, so e -> (-1)^(sum e) (V - e) carries the
+    deletion complex of a simplicial filtration onto the insertion
+    complex of its complemented independence filtration, births kept:
+    their bars agree at degrees n and npts - 2 - n. Cliques stop at
+    npts - 1 points, as the full set's complement would be a late empty
+    edge."""
+    compared = finite = 0
+    for seed in range(6):
+        for npts in (6, 7, 8):
+            f, g = (rips_filtration(random.Random(seed), npts, npts - 1, cls)
+                    for cls in ("simplicial", "independence"))
+            deletion, insertion = (WedgeOperator.weighted_sum(kind, [1] * npts)
+                                   for kind in ("partial", "d"))
+            for n in range(-1, npts):
+                bars = barcode(f, deletion, 0, ring, n).bars
+                assert bars == barcode(g, insertion, 0, ring, npts - 2 - n).bars, (seed, npts, n)
+                compared += 1
+                finite += any(death is not None for _, death, _ in bars)
+    assert compared == 6 * (7 + 8 + 9) and finite >= 40
+
+
 def test_rank_monotonicity_and_functoriality_random():
     rng = random.Random(67)
     for _ in range(15):

@@ -6,7 +6,8 @@ planted fault trips gives no assurance.
   coface: `test_fast_paths.test_classify_matches_two_comprehension_check`.
 * The edge ingest accepting a repeated vertex:
   `test_fast_paths.test_ingest_matches_old_route`.
-* `barcode` dropping one bar: the `persistence` selftest suite.
+* `barcode` dropping one bar, or reducing the coboundary rows oldest
+  first instead of newest first: the `persistence` selftest suite.
 * `wedge_apply`'s deletion closed form with one sign flipped, and the
   deletion run rule skipped for even runs:
   `test_words.test_wedge_apply_matches_composition_oracle`.
@@ -28,11 +29,12 @@ planted fault trips gives no assurance.
   pivot row without testing that its gcd divides the row:
   `test_snf_modulo.test_factors_mod_matches_euclidean_oracle_and_sympy`
   and the `linalg-properties` selftest suite.
-* The fraction-free Q step of `rank` without its a/g cross-multiplier:
+* The fraction-free Q step of `forward_pivots`, the elimination behind
+  `rank` and `barcode`, without its a/g cross-multiplier:
   `test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries` and
   the rank-nullity check of the `linalg-properties` selftest suite;
-  `rank` leaving Fraction rows unscaled: that test and that suite, where
-  the gcd of a Fraction raises.
+  `forward_pivots` leaving Fraction rows unscaled: that test and that
+  suite, where the gcd of a Fraction raises.
 * `DegreeSolver.coords` transposing its coordinates, which transposes
   every induced map and the connecting map:
   `test_map_route.test_inclusion_maps_match_per_vector_route`; the square
@@ -49,7 +51,9 @@ planted fault trips gives no assurance.
   of the `homology-functoriality` selftest suite.
 
 A fault inside a function body is planted by rebuilding the function from
-its source with one line changed.
+its source with one line changed. A suite's run without any fault comes
+from the session fixture `unfaulted`, except where a test patches before
+that run.
 """
 
 import importlib
@@ -112,6 +116,15 @@ def class_with_slack(faces_allowed, cofaces_allowed):
     return property(_class)
 
 
+@pytest.fixture(scope="session")
+def unfaulted():
+    """The result of each suite a fault below is planted under, run once at
+    seed 0 with no patch active. A test reads it before it patches."""
+    return {name: selftest.run_suite(name) for name in (
+        "linalg-properties", "persistence", "free-calculus", "projection-compatibility",
+        "homology-functoriality", "mv-exactness")}
+
+
 @pytest.mark.parametrize("faces, cofaces", [(1, 0), (0, 1)])
 def test_classify_accepting_one_missing_neighbour_is_caught(monkeypatch, faces, cofaces):
     monkeypatch.setattr(Hypergraph, "_class", class_with_slack(0, 0))
@@ -133,7 +146,7 @@ def test_ingest_accepting_a_repeated_vertex_is_caught(monkeypatch):
         test_fast_paths.test_ingest_matches_old_route()
 
 
-def test_barcode_dropping_one_bar_is_caught(monkeypatch):
+def test_barcode_dropping_one_bar_is_caught(monkeypatch, unfaulted):
     barcode = persistence.barcode
 
     def drop_one_bar(*args):
@@ -144,8 +157,17 @@ def test_barcode_dropping_one_bar_is_caught(monkeypatch):
         kept = [(birth, death, mult - 1)] if mult > 1 else []
         return persistence.Barcode(bc.degree, tuple(kept + rest))
 
-    assert selftest.run_suite("persistence").failures == 0
+    assert unfaulted["persistence"].failures == 0
     monkeypatch.setattr(persistence, "barcode", drop_one_bar)
+    result = selftest.run_suite("persistence")
+    assert result.failures > 0 and result.detail == "bars count the inclusion rank"
+
+
+def test_barcode_reducing_the_oldest_coboundary_row_first_is_caught(monkeypatch, unfaulted):
+    # the homology row order on the cohomology pivots: other pairs, wrong bars
+    assert unfaulted["persistence"].failures == 0
+    monkeypatch.setattr(persistence, "barcode", planted(
+        persistence.barcode, "sorted(place)", "sorted(place, reverse=True)"))
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
 
@@ -181,8 +203,9 @@ def test_constructor_keeping_the_last_repeated_word_is_caught(monkeypatch):
     ("differential", "(bisect_left(w, s),)", "(bisect_left(w, s) + 1,)",
      "projection-compatibility", "projection mismatch at () 0"),
 ], ids=["partial-unsigned", "simplicial-slot-late"])
-def test_reference_primitive_faults_are_caught(monkeypatch, func, old, new, suite, detail):
-    assert selftest.run_suite(suite).failures == 0
+def test_reference_primitive_faults_are_caught(monkeypatch, unfaulted, func, old, new, suite,
+                                               detail):
+    assert unfaulted[suite].failures == 0
     faulty = planted(getattr(words, func), old, new)
     for module in (words, selftest, test_words):
         monkeypatch.setattr(module, func, faulty)
@@ -229,10 +252,10 @@ def test_smith_form_dropping_one_invariant_factor_is_caught(monkeypatch):
         test_linalg.test_presentation_torsion()
 
 
-def test_smith_form_dropping_one_invariant_factor_fails_a_suite(monkeypatch):
+def test_smith_form_dropping_one_invariant_factor_fails_a_suite(monkeypatch, unfaulted):
     # `rank` is a forward elimination of its own, apart from the Smith
     # normal form code
-    assert selftest.run_suite("linalg-properties").failures == 0
+    assert unfaulted["linalg-properties"].failures == 0
     monkeypatch.setattr(selftest, "smith_normal_form", drop_one_factor)
     result = selftest.run_suite("linalg-properties")
     assert result.failures > 0 and result.detail == "invariant factors count the rank"
@@ -255,12 +278,13 @@ def test_smith_form_squaring_every_factor_fails_the_known_answer_check(monkeypat
     # Fraction rows left as they are, so that gcd meets a Fraction
     ("if den > 1:", "if False:", TypeError, "TypeError: "),
 ], ids=["cross-multiplier-dropped", "lcm-scaling-skipped"])
-def test_rank_faults_are_caught(monkeypatch, old, new, raised, detail):
+def test_rank_faults_are_caught(monkeypatch, unfaulted, old, new, raised, detail):
     test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries(QQ)  # the rewrite holds
-    assert selftest.run_suite("linalg-properties").failures == 0
-    faulty = planted(linalg.rank, old, new)
-    monkeypatch.setattr(test_linalg, "rank", faulty)
-    monkeypatch.setattr(selftest, "rank", faulty)
+    assert unfaulted["linalg-properties"].failures == 0
+    # planted in the one elimination, where `rank` and `barcode` look it up
+    faulty = planted(linalg.forward_pivots, old, new)
+    monkeypatch.setattr(linalg, "forward_pivots", faulty)
+    monkeypatch.setattr(persistence, "forward_pivots", faulty)
     with pytest.raises(raised):
         test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries(QQ)
     result = selftest.run_suite("linalg-properties")
@@ -302,7 +326,7 @@ def test_transposed_square_induced_maps_are_caught(monkeypatch):
     assert result.failures > 0 and result.detail == "inclusions compose"
 
 
-def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
+def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch, unfaulted):
     init = DegreeSolver.__init__
 
     def swapped(self, *args):
@@ -311,8 +335,8 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch):
             cols = [1, 0, *range(2, self.betti)]
             self.reps = self.reps.permuted(list(range(self.reps.rows)), cols)
 
-    assert selftest.run_suite("homology-functoriality").failures == 0
-    assert selftest.run_suite("mv-exactness").failures == 0
+    assert unfaulted["homology-functoriality"].failures == 0
+    assert unfaulted["mv-exactness"].failures == 0
     monkeypatch.setattr(DegreeSolver, "__init__", swapped)
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
@@ -353,8 +377,8 @@ def test_restrict_faults_are_caught(monkeypatch, old, new):
     # the pivot row zeroed whether or not g divides it
     ("_factors_mod", "if all(v % g == 0 for v in a[t][t + 1:]):", "if True:"),
 ], ids=["inverse-dropped", "row-zeroed-unchecked"])
-def test_exact_modulo_steps_faults_are_caught(monkeypatch, func, old, new):
-    assert selftest.run_suite("linalg-properties").failures == 0
+def test_exact_modulo_steps_faults_are_caught(monkeypatch, unfaulted, func, old, new):
+    assert unfaulted["linalg-properties"].failures == 0
     monkeypatch.setattr(linalg, func, planted(getattr(linalg, func), old, new))
     with pytest.raises(AssertionError):
         test_snf_modulo.test_factors_mod_matches_euclidean_oracle_and_sympy()
