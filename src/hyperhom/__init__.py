@@ -20,14 +20,12 @@ from .homology import (
     LongExactSequence,
     build_complex,
     duality_check,
+    edge_carrier,
     homology,
     homology_table,
     inclusion_induced,
-    independence_carrier,
     mayer_vietoris,
     operator_action,
-    simplicial_carrier,
-    simplicial_word_carrier,
     word_carrier,
 )
 from .invariance import InvariantReport, invariant_trace, invariant_vertices, is_invariant

@@ -146,7 +146,7 @@ def cmd_invariant_trace(args) -> dict:
 
 def _homology_command(args, kind: str) -> dict:
     h, op, ring = _inputs(args, "file", kind=kind)
-    built = build_complex(ComplexSpec(edge_carrier(kind, h), op, args.q, ring))
+    built = build_complex(ComplexSpec(edge_carrier(h), op, args.q, ring))
     if args.n is not None:
         group = built.homology(args.n)
         return jsonio.group_to_json(group.degree, group.presentation)
@@ -183,7 +183,7 @@ def cmd_act(args) -> dict:
     h = _load_hypergraph(args.file)
     op = _load_operator(args.operator, h.vertices)
     even = _load_operator(args.even, h.vertices)
-    spec = ComplexSpec(edge_carrier(op.kind, h), op, args.q, _ring(args))
+    spec = ComplexSpec(edge_carrier(h), op, args.q, _ring(args))
     return _maps_json(operator_action(spec, even))
 
 

@@ -1,9 +1,11 @@
 """Chain complexes of hypergraph modules under odd wedge operators.
 
-A carrier selects the graded module: the edge span of a simplicial
-complex (degree-lowering operators), the edge span of an independence
-hypergraph (degree-raising operators), all words up to a truncation
-degree, or all strictly increasing words. An odd-arity wedge operator of
+A carrier selects the graded module: the edge span of a hypergraph, or
+all words up to a truncation degree. The operator's family fixes the
+class of an edge family, checked once by `ComplexSpec`: degree-lowering
+operators act on simplicial complexes, degree-raising ones on
+independence hypergraphs. All strictly increasing words are the edge
+span of the power set, which is both. An odd-arity wedge operator of
 arity 2k+1 together with an offset q cuts out the complex living in
 degrees n = p(2k+1)+q, n >= -1.
 
@@ -28,7 +30,7 @@ induced map and the connecting map leave through it.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from .errors import (
     CarrierTooLarge,
@@ -40,7 +42,7 @@ from .errors import (
     SchemaViolation,
     VertexSetMismatch,
 )
-from .hypergraphs import POWERSET_CAP, WORDS_CAP, CombineOp, Hypergraph, combine
+from .hypergraphs import WORDS_CAP, CombineOp, Hypergraph, combine
 from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
@@ -54,67 +56,36 @@ from .records import record
 from .rings import QQ, Ring
 from .words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
-SIMPLICIAL_EDGES = "simplicial"
-INDEPENDENCE_EDGES = "independence"
-ALL_WORDS = "words"
-INCREASING_WORDS = "simplicial-words"
-
 
 @record
 class Carrier:
-    kind: str
+    """The edge span of a hypergraph or, without one, all words through
+    max_degree; `ComplexSpec` checks an edge family's class."""
+
     vertices: VertexSet
     hypergraph: Hypergraph | None = None
     max_degree: int | None = None
 
     @property
     def ambient(self) -> str:
-        return FULL if self.kind == ALL_WORDS else SIMPLICIAL
-
-    @property
-    def has_empty(self) -> bool:
-        if self.hypergraph is not None:
-            return self.hypergraph.has_empty_edge
-        return True
+        return FULL if self.hypergraph is None else SIMPLICIAL
 
     @property
     def top_degree(self) -> int:
-        if self.kind == SIMPLICIAL_EDGES or self.kind == INDEPENDENCE_EDGES:
-            return self.hypergraph.top_degree
-        if self.kind == INCREASING_WORDS:
-            return len(self.vertices) - 1
-        return self.max_degree
+        return self.max_degree if self.hypergraph is None else self.hypergraph.top_degree
 
     def basis(self, n: int) -> list:
-        if n < -1 or n > self.top_degree:
-            return []
-        if n == -1:
-            return [()] if self.has_empty else []
-        nv = len(self.vertices)
-        if self.kind in (SIMPLICIAL_EDGES, INDEPENDENCE_EDGES):
+        if self.hypergraph is not None:
             return self.hypergraph.degree_edges(n)
-        if self.kind == INCREASING_WORDS:
-            return [tuple(c) for c in combinations(range(nv), n + 1)]
-        return [tuple(w) for w in product(range(nv), repeat=n + 1)]
+        if n < -1 or n > self.max_degree:
+            return []
+        return list(product(range(len(self.vertices)), repeat=n + 1))
 
 
-def simplicial_carrier(h: Hypergraph) -> Carrier:
-    if not h.is_simplicial_complex:
-        raise ClassMismatch("carrier is not an augmented simplicial complex")
-    return Carrier(SIMPLICIAL_EDGES, h.vertices, hypergraph=h)
-
-
-def independence_carrier(h: Hypergraph) -> Carrier:
-    if not h.is_independence_hypergraph:
-        raise ClassMismatch("carrier is not an augmented independence hypergraph")
-    return Carrier(INDEPENDENCE_EDGES, h.vertices, hypergraph=h)
-
-
-def edge_carrier(kind: str, h: Hypergraph) -> Carrier:
-    """The edge span an operator family acts on: a simplicial complex for
-    degree-lowering ("partial") operators, an independence hypergraph for
-    degree-raising ("d") ones."""
-    return simplicial_carrier(h) if kind == "partial" else independence_carrier(h)
+def edge_carrier(h: Hypergraph) -> Carrier:
+    """The edge span of h; the all-increasing-words complex is the span of
+    the power set."""
+    return Carrier(h.vertices, hypergraph=h)
 
 
 def _word_count(nv: int, max_degree: int) -> int:
@@ -145,15 +116,7 @@ def word_carrier(vertices: VertexSet, max_degree: int) -> Carrier:
             f"all words through degree {max_degree} on {nv} letters "
             f"hold more than {16 * WORDS_CAP} letters"
         )
-    return Carrier(ALL_WORDS, vertices, max_degree=max_degree)
-
-
-def simplicial_word_carrier(vertices: VertexSet) -> Carrier:
-    """One increasing word per vertex subset, so at most POWERSET_CAP
-    vertices, as for `power_set`; checked before any word is formed."""
-    if len(vertices) > POWERSET_CAP:
-        raise CarrierTooLarge(f"increasing words capped at {POWERSET_CAP} vertices")
-    return Carrier(INCREASING_WORDS, vertices)
+    return Carrier(vertices, max_degree=max_degree)
 
 
 @record
@@ -164,12 +127,13 @@ class ComplexSpec:
     ring: Ring
 
     def __post_init__(self):
+        h = self.carrier.hypergraph  # the one class rule, before the arity check
+        if h is not None and self.operator.kind == "partial" and not h.is_simplicial_complex:
+            raise ClassMismatch("carrier is not an augmented simplicial complex")
+        if h is not None and self.operator.kind == "d" and not h.is_independence_hypergraph:
+            raise ClassMismatch("carrier is not an augmented independence hypergraph")
         if not self.operator.is_odd:
             raise SchemaViolation("boundary operators must have odd arity")
-        if self.carrier.kind == SIMPLICIAL_EDGES and self.operator.kind != "partial":
-            raise ClassMismatch("simplicial carriers take degree-lowering operators")
-        if self.carrier.kind == INDEPENDENCE_EDGES and self.operator.kind != "d":
-            raise ClassMismatch("independence carriers take degree-raising operators")
         object.__setattr__(self, "q", self.q % self.operator.arity)
 
     def on_grid(self, n: int) -> bool:
@@ -207,7 +171,7 @@ def _assemble_matrix(op, carrier, ring, src_basis, n_target) -> SparseMatrix:
     target = carrier.basis(n_target)
     if not src_basis:
         return SparseMatrix.zero(len(target), 0, ring)
-    truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
+    truncate_top = carrier.hypergraph is None and n_target > carrier.top_degree
     # above the truncation every image is cut, so no column is formed; the
     # call still checks the operator's coefficients against the ring
     entries = wedge_apply(op, [] if truncate_top else src_basis, ring, carrier.ambient)
@@ -239,7 +203,7 @@ class BuiltComplex:
         complex's words: these bases and matrices cut to h, in their order,
         so a missing empty edge drops the empty-word row (the -1 truncation)."""
         carrier, op = self.spec.carrier, self.spec.operator
-        spec = ComplexSpec(edge_carrier(op.kind, h), op, self.spec.q, self.spec.ring)
+        spec = ComplexSpec(edge_carrier(h), op, self.spec.q, self.spec.ring)
         family = h.edges if carrier.hypergraph is None else carrier.hypergraph.edges
         if h.vertices != carrier.vertices or not h.edges <= family or (
                 h.top_degree > carrier.top_degree):
@@ -475,7 +439,7 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     if not ring.is_field:
         raise SchemaViolation("induced maps are computed over fields")
     _check_empty_edges(operator, small, large)
-    tgt = build_complex(ComplexSpec(edge_carrier(operator.kind, large), operator, q, ring))
+    tgt = build_complex(ComplexSpec(edge_carrier(large), operator, q, ring))
     src = tgt.restrict(small)
     degrees = tgt.spec.degrees()
     if n is not None:
@@ -557,7 +521,7 @@ def mayer_vietoris(a: Hypergraph, b: Hypergraph, operator: WedgeOperator,
     """The long exact sequence linking intersection, direct sum, and union,
     cut from one build of the union; see `mv_complexes`."""
     return mv_sequence(mv_complexes(a, b, operator, ring, lambda union: build_complex(
-        ComplexSpec(edge_carrier(operator.kind, union), operator, q, ring))))
+        ComplexSpec(edge_carrier(union), operator, q, ring))))
 
 
 def _mv_first_map(complexes, n) -> SparseMatrix:

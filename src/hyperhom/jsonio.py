@@ -151,7 +151,7 @@ def group_to_json(degree: int, presentation) -> dict:
     return {
         "n": degree,
         "free_rank": presentation.free_rank,
-        "torsion": list(presentation.torsion_factors),
+        "torsion": [coefficient_to_json(t) for t in presentation.torsion_factors],
     }
 
 

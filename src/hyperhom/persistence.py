@@ -37,7 +37,6 @@ from itertools import accumulate, repeat
 from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
     MV_NODE_PARTS,
-    Carrier,
     ComplexSpec,
     build_complex,
     edge_carrier,
@@ -45,7 +44,7 @@ from .homology import (
     mv_complexes,
     mv_sequence,
 )
-from .hypergraphs import CombineOp, Hypergraph, _edge_parser, combine
+from .hypergraphs import CombineOp, Hypergraph, _edge_parser, combine, proved_closed
 from .linalg import SparseMatrix, forward_pivots
 from .records import record
 from .rings import Ring
@@ -144,7 +143,10 @@ class Filtration:
 
     @cached_property
     def final_complex(self) -> Hypergraph:
-        return Hypergraph(self.vertices, frozenset(edge for _, edge in self.indexed))
+        """Every edge, its class the one `validate` proved; a sublevel from
+        `complex_at` is classified when asked."""
+        return proved_closed(Hypergraph(self.vertices, frozenset(e for _, e in self.indexed)),
+                             self.monotonicity_class == SIMPLICIAL_CLASS)
 
 
 def complex_at(f: Filtration, x) -> Hypergraph:
@@ -206,14 +208,12 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     other n-edge's coboundary row, keyed by its cofaces, is passed oldest
     first, so the newest is reduced first; it opens a bar that the coface
     at its pivot closes, or none does. Bars of length zero are dropped.
-    The pairing runs on birth indices, on the final complex as closed in
-    `f`'s class, which `validate` proved."""
+    The pairing runs on birth indices, on the final complex, whose class
+    `validate` proved."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
-    # `validate` proved it closed in its class, which names its carrier kind: no classify
-    carrier = Carrier(f.monotonicity_class, f.vertices, hypergraph=f.final_complex)
-    spec = ComplexSpec(carrier, operator, q, ring)
+    spec = ComplexSpec(edge_carrier(f.final_complex), operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)
     pos = {edge: k for k, (_, edge) in enumerate(f.indexed)}
@@ -253,8 +253,7 @@ def persistent_mv(fa: Filtration, fb: Filtration, operator: WedgeOperator,
         raise SchemaViolation("the two filtrations must share vertices and class")
     _check_operator(fa, operator)
     final = cache(lambda: build_complex(ComplexSpec(edge_carrier(
-        operator.kind, combine(fa.final_complex, fb.final_complex, CombineOp.UNION)),
-        operator, q, ring)))
+        combine(fa.final_complex, fb.final_complex, CombineOp.UNION)), operator, q, ring)))
     grid = sorted(set(fa.grid).union(fb.grid))
     sequences = []
     commute = True

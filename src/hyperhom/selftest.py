@@ -21,8 +21,6 @@ from .homology import (
     inclusion_map,
     mayer_vietoris,
     operator_action,
-    simplicial_carrier,
-    simplicial_word_carrier,
 )
 from .hypergraphs import (
     ClosureOp,
@@ -558,8 +556,8 @@ def suite_homology_functoriality(rng) -> _Tally:
         if with_empty:
             large = large.with_edges(large.edges | {()})
         op = WedgeOperator.weighted_sum("partial", [rng.randint(1, 3) for _ in range(n)])
-        spec_small = ComplexSpec(simplicial_carrier(small), op, 0, QQ)
-        spec_large = ComplexSpec(simplicial_carrier(large), op, 0, QQ)
+        spec_small = ComplexSpec(edge_carrier(small), op, 0, QQ)
+        spec_large = ComplexSpec(edge_carrier(large), op, 0, QQ)
         b1 = WedgeOperator.build(
             "partial", 2, [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))])
         b2 = WedgeOperator.build(
@@ -585,7 +583,8 @@ def suite_homology_functoriality(rng) -> _Tally:
                     == SparseMatrix.identity(solver.betti, QQ),
                     "representatives have unit coordinates")
         t.check(chi_dim == chi_betti, "Euler characteristic")
-        cut = build_complex(ComplexSpec(simplicial_word_carrier(vs), op, 0, QQ)).restrict(large)
+        words = edge_carrier(Hypergraph(vs, power_set(vs)))  # every increasing word
+        cut = build_complex(ComplexSpec(words, op, 0, QQ)).restrict(large)
         t.check((cut.bases, cut.mats) == (built.bases, built.mats),
                 "edge complex is the word complex restricted")
         mid = large.with_edges(small.edges | {e for e in large.edges if len(e) <= 2})
@@ -610,7 +609,7 @@ def _check_inclusions_compose(t: _Tally, small, mid, large, op,
 def _check_action_commutes(t: _Tally, act_small, small, large, op, beta, detail) -> dict:
     """The action `act_small` of the even operator `beta` on `small`
     commutes with the inclusion in `large`. Returns the inclusion maps."""
-    act_large = operator_action(ComplexSpec(simplicial_carrier(large), op, 0, QQ), beta)
+    act_large = operator_action(ComplexSpec(edge_carrier(large), op, 0, QQ), beta)
     incl = inclusion_induced(small, large, op, 0, QQ)
     for n, m in act_small.items():
         if m.target_degree >= -1:
@@ -627,9 +626,43 @@ def _pinned_pair():
     return a, b, WedgeOperator.weighted_sum("partial", [3, 2, 2, 2])
 
 
+def _check_complement_law(t: _Tally, rng, ring, arity) -> None:
+    """The law of `suite_duality` on a random complex K holding the empty
+    edge, with weights that are units and non-units over Z and units mod 5
+    on every generator set of the arity, at every offset."""
+    nv = rng.randint(arity, 6)
+    vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+    k = _random_complex(rng, vs, rng.choice([0.15, 0.3, 0.45]), with_empty=True)
+    terms = [(rng.choice((1, 2, 3, -2, 4, 6)), g)
+             for g in itertools.combinations(range(nv), arity)]
+    deletion, insertion = (WedgeOperator.build(kind, arity, terms) for kind in ("partial", "d"))
+    gamma = edge_carrier(closure(k, ClosureOp.GAMMA_LOCAL))
+    for q in range(arity):
+        low = build_complex(ComplexSpec(edge_carrier(k), deletion, q, ring))
+        high = build_complex(ComplexSpec(gamma, insertion, nv - 2 - q, ring))
+        for n in range(-1, nv):
+            if low.spec.on_grid(n):
+                t.check(low.homology(n).presentation == high.homology(nv - 2 - n).presentation,
+                        f"complement law at degree {n} over {ring}")
+
+
 def suite_duality(rng) -> _Tally:
-    """Betti numbers of the two weighted complexes agree, and the two
-    weighted derivation families are adjoint under the word pairing."""
+    """Betti numbers of the two weighted complexes agree, the two weighted
+    derivation families are adjoint under the word pairing, and the
+    complement law H_n(K) = H^(N-2-n)(Gamma(K)) holds for complexes K on N
+    vertices, over Z and F_5, at arity 1 and 3.
+
+    The law. K holds the empty edge, so Gamma(K) = {V - e : e in K} is an
+    independence hypergraph, and both operators weigh each generator set G
+    by c_G. Deleting G from an increasing word e has sign -1 to the sum of
+    G's positions in e; inserting G into f = V - e, -1 to the number of
+    letters of f below each g, summed. Each g has g letters below it in V,
+    so the two exponents differ by sum G, as sum f and sum (f + G) do:
+    phi(e) = (-1)^(sum f) f is a bijection of the bases, from degree n to
+    N - 2 - n, with phi(partial e) = d phi(e), and no image is cut, as the
+    empty edge of K is the word V of Gamma(K). So the two homologies agree
+    over any ring, torsion included, at degrees n and N - 2 - n, on the
+    grids of offsets q and (N - 2 - q) mod arity."""
     t = _Tally()
     for nv in (1, 2, 3):
         vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
@@ -655,6 +688,10 @@ def suite_duality(rng) -> _Tally:
                 == delta_pairing(cx, wedge_chain(w, ce, FULL)),
                 f"adjointness at {xi} {eta}",
             )
+    for ring in (ZZ, GF(5)):
+        for arity in (1, 3):
+            for _ in range(100):
+                _check_complement_law(t, rng, ring, arity)
     return t
 
 
@@ -666,7 +703,7 @@ def _check_mv_maps(t: _Tally, a, b, op, ring, les) -> None:
     to cap -> cup. Each map of `les` composed with the next is zero."""
     families = {"cap": combine(a, b, CombineOp.INTERSECT), "a": a, "b": b,
                 "cup": combine(a, b, CombineOp.UNION)}
-    built = {k: build_complex(ComplexSpec(edge_carrier(op.kind, h), op, 0, ring))
+    built = {k: build_complex(ComplexSpec(edge_carrier(h), op, 0, ring))
              for k, h in families.items()}
     for k in range(0, len(les.maps), 3):
         n = les.nodes[k].degree
@@ -757,7 +794,7 @@ def suite_persistence(rng) -> _Tally:
         m = len(pr.grid)
         # the rank grid read off the barcode against the inclusion maps
         # between the sublevels, each built once
-        built = [build_complex(ComplexSpec(simplicial_carrier(f.complex_at(x)), op, 0, QQ))
+        built = [build_complex(ComplexSpec(edge_carrier(f.complex_at(x)), op, 0, QQ))
                  for x in pr.grid]
         for i in range(m):
             for j in range(i, m):
@@ -775,7 +812,7 @@ def suite_persistence(rng) -> _Tally:
             beta = WedgeOperator.build("partial", 2,
                                        [(1, tuple(sorted(rng.sample(range(nv), 2))))])
             kx, ky = f.complex_at(pr.grid[0]), f.complex_at(pr.grid[-1])
-            act_x = operator_action(ComplexSpec(simplicial_carrier(kx), op, 0, QQ), beta)
+            act_x = operator_action(ComplexSpec(edge_carrier(kx), op, 0, QQ), beta)
             incl = _check_action_commutes(t, act_x, kx, ky, op, beta,
                                           "action commutes with structure maps")
             t.check(pr.rank(0, m - 1) == (incl[degree].rank() if degree in incl else 0),

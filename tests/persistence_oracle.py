@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import ComplexSpec, build_complex, edge_carrier
+from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import field_reduce
 from hyperhom.persistence import Barcode, Filtration, PersistentRanks, _check_operator
 
@@ -72,7 +73,8 @@ def barcode(f, operator, q, ring, n) -> Barcode:
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
-    spec = ComplexSpec(edge_carrier(operator.kind, f.final_complex), operator, q, ring)
+    final = Hypergraph(f.vertices, f.final_complex.edges)  # classified again, not trusted
+    spec = ComplexSpec(edge_carrier(final), operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)
     pos = {edge: k for k, (edge, _) in enumerate(f.births)}

@@ -10,9 +10,8 @@ import time
 from hyperhom import selftest
 from hyperhom.homology import (
     ComplexSpec,
+    edge_carrier,
     homology_table,
-    independence_carrier,
-    simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set, trace
 from hyperhom.invariance import DIFFERENTIAL, PARTIAL, invariant_trace, invariant_vertices
@@ -33,8 +32,7 @@ def report(num, ok, text):
 
 def groups_of(h, kind, weights, ring):
     op = WedgeOperator.weighted_sum(kind, weights)
-    make = simplicial_carrier if kind == "partial" else independence_carrier
-    table = homology_table(ComplexSpec(make(h), op, 0, ring))
+    table = homology_table(ComplexSpec(edge_carrier(h), op, 0, ring))
     return {
         g.degree: (g.presentation.free_rank, list(g.presentation.torsion_factors))
         for g in table

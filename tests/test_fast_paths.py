@@ -32,16 +32,10 @@ import pytest
 from hyperhom.cli import main
 from hyperhom.errors import CompositionNotZero, OperatorLeavesCarrier, SchemaViolation
 from hyperhom.homology import (
-    ALL_WORDS,
-    INCREASING_WORDS,
-    INDEPENDENCE_EDGES,
-    SIMPLICIAL_EDGES,
-    Carrier,
     ComplexSpec,
     _assemble_matrix,
     build_complex,
     edge_carrier,
-    simplicial_word_carrier,
     word_carrier,
 )
 from hyperhom.hypergraphs import (
@@ -78,7 +72,7 @@ def per_word_assembly(op, carrier, ring, src_basis, n_target):
     target = carrier.basis(n_target)
     index = {w: i for i, w in enumerate(target)}
     items = []
-    truncate_top = carrier.kind == ALL_WORDS and n_target > carrier.top_degree
+    truncate_top = carrier.hypergraph is None and n_target > carrier.top_degree
     for j, w in enumerate(src_basis):
         image = composed_wedge_apply(op, FreeChain.single(ring, w), carrier.ambient)
         for word, c in image.terms.items():
@@ -124,20 +118,19 @@ def random_carrier(rng, kind, vs):
     if pick < 0.15:
         return word_carrier(vs, rng.randint(-1, 2))
     if pick < 0.25:
-        return simplicial_word_carrier(vs)
+        return edge_carrier(Hypergraph(vs, power_set(vs)))
     h = random_hypergraph(rng, vs, p=rng.choice([0.2, 0.4]))
     if pick < 0.35:
-        return Carrier(SIMPLICIAL_EDGES if kind == "partial" else INDEPENDENCE_EDGES, vs,
-                       hypergraph=h)
+        return edge_carrier(h)
     h = closure(h, ClosureOp.DELTA_UP if kind == "partial" else ClosureOp.BAR_DELTA_UP)
     if kind == "partial" and rng.random() < 0.5:
         h = h.with_edges(h.edges ^ {()})
-    return edge_carrier(kind, h)
+    return edge_carrier(h)
 
 
 def test_assembly_matches_per_word_route():
     """Odd arities, and the even arities 0 and 2 as `operator_action`
-    assembles them, on every carrier kind. All-words carriers of two or
+    assembles them, on edge and all-words carriers. All-words carriers of two or
     three letters reach degree 3 or 4, so columns have runs of 2 to 4
     equal letters and unsorted words without repeats."""
     rng = random.Random(1107)
@@ -160,7 +153,7 @@ def test_assembly_matches_per_word_route():
             args = (op, carrier, ring, src, target)
             want = outcome(per_word_assembly, *args)
             assert outcome(_assemble_matrix, *args) == want, (op, carrier, ring, n)
-            shapes.add((kind, carrier.kind, arity))
+            shapes.add((kind, "words" if carrier.hypergraph is None else "edges", arity))
             if isinstance(want[0], type):
                 errors.add(want[0])
                 continue
@@ -169,8 +162,8 @@ def test_assembly_matches_per_word_route():
             if any(t is Fraction for _, t, _ in entries):
                 features.add(f"fractions over {ring}")
             if target == -1 and src:
-                features.add("empty word kept" if carrier.has_empty else "empty word cut")
-            if carrier.kind == ALL_WORDS and target > carrier.top_degree and src:
+                features.add("empty word kept" if carrier.basis(-1) else "empty word cut")
+            if carrier.hypergraph is None and target > carrier.top_degree and src:
                 features.add("truncated")
             for (_, j), _, _ in entries:
                 w = src[j]
@@ -179,10 +172,7 @@ def test_assembly_matches_per_word_route():
                     runs[key] = runs.get(key, 0) + 1
                 elif list(w) != sorted(w):
                     features.add("unsorted without repeats")
-    assert shapes >= {(k, c, a) for k, c in (("partial", SIMPLICIAL_EDGES),
-                                            ("d", INDEPENDENCE_EDGES),
-                                            ("partial", ALL_WORDS), ("d", ALL_WORDS),
-                                            ("d", INCREASING_WORDS))
+    assert shapes >= {(k, c, a) for k in ("partial", "d") for c in ("edges", "words")
                       for a in (0, 1, 2, 3)}
     assert errors == {SchemaViolation, OperatorLeavesCarrier}
     assert features == {"entries", "zero", "fractions over Q", "empty word kept",
@@ -199,9 +189,9 @@ def test_assembly_coerces_only_when_a_column_is_assembled():
     # over Z a coefficient 1/2 is an error, but only once a word meets it
     op = WedgeOperator.weighted_sum("partial", [Fraction(1, 2), 1])
     vs = VertexSet.of("a", "b")
-    empty = edge_carrier("partial", Hypergraph(vs, frozenset()))
+    empty = edge_carrier(Hypergraph(vs, frozenset()))
     assert _assemble_matrix(op, empty, ZZ, [], -1) == SparseMatrix.zero(0, 0, ZZ)
-    points = edge_carrier("partial", Hypergraph.of(vs, [[], ["a"]]))
+    points = edge_carrier(Hypergraph.of(vs, [[], ["a"]]))
     with pytest.raises(SchemaViolation, match="is not an integer"):
         _assemble_matrix(op, points, ZZ, points.basis(0), -1)
 
@@ -648,7 +638,7 @@ def test_traced_layers_are_reached(monkeypatch, tmp_path, capsys):
     solver = wrap_bindings(monkeypatch, "homology", "DegreeSolver.__init__")
     vs = VertexSet.of("s0", "s1", "s2")
     circle = Hypergraph.of(vs, [[], [0], [1], [2], [0, 1], [1, 2], [0, 2]])
-    spec = ComplexSpec(edge_carrier("partial", circle),
+    spec = ComplexSpec(edge_carrier(circle),
                        WedgeOperator.weighted_sum("partial", [1, 1, 1]), 0, QQ)
     built = build_complex(spec)
     assert [call[1] for call in wedge] == [built.basis(n) for n in spec.degrees()]
@@ -692,7 +682,7 @@ def test_mv_and_include_assemble_one_complex(monkeypatch, tmp_path, capsys, comm
                                             for c, v in zip([1, 2, 1, 3], labels)]}})
     h = Hypergraph.of(VertexSet.of(*labels), union)
     op = WedgeOperator.weighted_sum("partial", [1, 2, 1, 3])
-    spec = ComplexSpec(edge_carrier("partial", h), op, 0, QQ)
+    spec = ComplexSpec(edge_carrier(h), op, 0, QQ)
     want = [build_complex(spec).basis(n) for n in spec.degrees()]
     assert len(want) == 4 and all(want)
     wedge = wrap_bindings(monkeypatch, "words", "wedge_apply")

@@ -7,9 +7,9 @@ import random
 from hyperhom.homology import (
     ComplexSpec,
     build_complex,
+    edge_carrier,
     mayer_vietoris,
     operator_action,
-    simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
 from hyperhom.rings import GF, QQ
@@ -41,7 +41,7 @@ def test_offset_grids_partition_the_degrees():
     op = random_odd3(rng, 5)
     seen = []
     for q in (0, 1, 2):
-        spec = ComplexSpec(simplicial_carrier(h), op, q, QQ)
+        spec = ComplexSpec(edge_carrier(h), op, q, QQ)
         grid = spec.degrees()
         assert all(n % 3 == (q % 3) or n == -1 for n in grid)
         seen.extend(grid)
@@ -60,7 +60,7 @@ def test_cross_offset_action_functoriality():
         if alpha3.is_zero:
             continue
         q = rng.randint(0, 2)
-        spec = ComplexSpec(simplicial_carrier(h), alpha3, q, QQ)
+        spec = ComplexSpec(edge_carrier(h), alpha3, q, QQ)
         b1 = WedgeOperator.build(
             "partial", 2, [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))]
         )
@@ -69,7 +69,7 @@ def test_cross_offset_action_functoriality():
         )
         act1 = operator_action(spec, b1)
         act12 = operator_action(spec, b1.wedge(b2))
-        mid = ComplexSpec(simplicial_carrier(h), alpha3, q - 2, QQ)
+        mid = ComplexSpec(edge_carrier(h), alpha3, q - 2, QQ)
         act2_mid = operator_action(mid, b2)
         for deg, m12 in act12.items():
             inner = act1[deg]
@@ -104,7 +104,7 @@ def test_large_prime_field_smoke():
     vs = VertexSet.of(*"abcd")
     h = random_complex(rng, vs, 0.7, with_empty=True)
     op = WedgeOperator.weighted_sum("partial", [1, 96, 7, 50])
-    built = build_complex(ComplexSpec(simplicial_carrier(h), op, 0, GF(97)))
+    built = build_complex(ComplexSpec(edge_carrier(h), op, 0, GF(97)))
     chi_dim = sum((-1) ** p * built.dim(n) for p, n in enumerate(built.spec.degrees()))
     chi_betti = sum(
         (-1) ** p * built.solver(n).betti for p, n in enumerate(built.spec.degrees())

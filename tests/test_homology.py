@@ -1,20 +1,25 @@
 import importlib
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperhom.hypergraphs
 from hyperhom.errors import (
     CarrierTooLarge,
     ClassMismatch,
     NotAChainMap,
     NotIncluded,
+    PowerSetTooLarge,
     SchemaViolation,
 )
 from hyperhom.homology import (
-    ComplexSpec,
     _word_count,
+    ComplexSpec,
     build_complex,
     delta_pairing,
     duality_check,
@@ -23,13 +28,10 @@ from hyperhom.homology import (
     homology_table,
     inclusion_induced,
     inclusion_map,
-    independence_carrier,
     mayer_vietoris,
     mv_complexes,
     mv_sequence,
     operator_action,
-    simplicial_carrier,
-    simplicial_word_carrier,
     word_carrier,
 )
 from hyperhom.hypergraphs import (
@@ -39,6 +41,7 @@ from hyperhom.hypergraphs import (
     Hypergraph,
     closure,
     power_set,
+    proved_closed,
 )
 from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
@@ -73,8 +76,7 @@ def omega(*r):
 
 
 def spec(h, op, ring, q=0):
-    make = simplicial_carrier if op.kind == "partial" else independence_carrier
-    return ComplexSpec(make(h), op, q, ring)
+    return ComplexSpec(edge_carrier(h), op, q, ring)
 
 
 def groups(h, op, ring, q=0):
@@ -221,14 +223,71 @@ def test_carrier_validation():
         spec(SEGMENT, omega(1, 1, 1), ZZ)
     with pytest.raises(SchemaViolation):
         ComplexSpec(
-            simplicial_carrier(SEGMENT), WedgeOperator.scalar("partial"), 0, ZZ
+            edge_carrier(SEGMENT), WedgeOperator.scalar("partial"), 0, ZZ
         )
+
+
+def closed_down(h):
+    """Every nonempty proper subface of every edge is an edge."""
+    return all(f in h.edges for e in h.edges
+               for k in range(1, len(e)) for f in itertools.combinations(e, k))
+
+
+def closed_up(h):
+    """Every superset of every edge is an edge."""
+    return all(f in h.edges for e in h.edges for f in power_set(h.vertices) if set(e) <= set(f))
+
+
+def test_complex_spec_is_the_one_class_rule():
+    """`ComplexSpec(edge_carrier(h), op, 0, QQ)` accepts h exactly when h is
+    closed in the operator's direction, down under deletions and up under
+    insertions, and otherwise raises `ClassMismatch` naming the class: on
+    every family of 0-3 vertices, and on 4-6 vertices on random closed
+    families, the same less one edge, and random families, under both
+    kinds. The class check comes before the odd-arity check, and
+    `proved_closed` gives each closed family the class `classify` finds."""
+    rng = random.Random(211)
+    families = []
+    for nv in range(4):
+        vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+        subsets = sorted(power_set(vs))
+        families += [Hypergraph(vs, frozenset(e for i, e in enumerate(subsets) if k >> i & 1))
+                     for k in range(2 ** len(subsets))]
+    for nv in (4, 5, 6):
+        vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+        for _ in range(30):
+            h = random_family(rng, vs, rng.choice(["partial", "d"]), rng.random() < 0.3)
+            families += [h, Hypergraph(vs, frozenset(
+                e for e in power_set(vs) if rng.random() < 0.3))]
+            if h.edges:
+                families.append(h.with_edges(h.edges - {rng.choice(sorted(h.edges))}))
+    seen = Counter()
+    for h in families:
+        for kind, closed, text in (
+                ("partial", closed_down(h), "carrier is not an augmented simplicial complex"),
+                ("d", closed_up(h), "carrier is not an augmented independence hypergraph")):
+            odd = WedgeOperator.weighted_sum(kind, [1] * len(h.vertices))
+            even = WedgeOperator.build(kind, 2, [])
+            if closed:
+                assert ComplexSpec(edge_carrier(h), odd, 0, QQ).carrier.hypergraph is h
+                # the O(1) class of a family its caller proved closed
+                proved = proved_closed(Hypergraph(h.vertices, h.edges), kind == "partial")
+                assert proved.classify() is h.classify()
+                with pytest.raises(SchemaViolation, match="odd arity"):
+                    ComplexSpec(edge_carrier(h), even, 0, QQ)
+            else:
+                for op in (odd, even):
+                    with pytest.raises(ClassMismatch) as raised:
+                        ComplexSpec(edge_carrier(h), op, 0, QQ)
+                    assert str(raised.value) == text
+            seen[kind, closed, len(h.vertices) > 3] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
 def test_higher_arity_grading():
     # arity-three boundary on the full simplicial word module
     op = WedgeOperator.build("partial", 3, [(1, (0, 1, 2))])
-    cx = ComplexSpec(simplicial_word_carrier(S3), op, 2, QQ)
+    cx = ComplexSpec(edge_carrier(Hypergraph(S3, power_set(S3))), op, 2, QQ)
     built = build_complex(cx)
     assert cx.degrees() == [-1, 2]
     # rightmost generator first: +(0,1), then -(0,), then -()
@@ -245,7 +304,7 @@ def test_arity_three_on_edge_carrier():
     op = WedgeOperator.build("partial", 3, [(2, (0, 1, 2))])
     by_q = {}
     for q in (0, 1, 2):
-        cx = ComplexSpec(simplicial_carrier(full), op, q, ZZ)
+        cx = ComplexSpec(edge_carrier(full), op, q, ZZ)
         by_q[q] = {
             g.degree: (g.presentation.free_rank, list(g.presentation.torsion_factors))
             for g in homology_table(cx)
@@ -253,7 +312,7 @@ def test_arity_three_on_edge_carrier():
     assert by_q[0] == {0: (3, [])}
     assert by_q[1] == {1: (3, [])}
     assert by_q[2] == {-1: (0, [2]), 2: (0, [])}
-    built = build_complex(ComplexSpec(simplicial_carrier(full), op, 2, ZZ))
+    built = build_complex(ComplexSpec(edge_carrier(full), op, 2, ZZ))
     assert built.matrix(2).entry_dict() == {(0, 0): -2}
 
 
@@ -300,7 +359,7 @@ def test_operator_action_functoriality_random():
         seed = [e for e in pool if rng.random() < 0.4]
         h = closure(Hypergraph(vs, frozenset(seed)), ClosureOp.DELTA_UP)
         op = alpha(*[rng.randint(1, 3) for _ in range(n)])
-        s = ComplexSpec(simplicial_carrier(h), op, 0, QQ)
+        s = ComplexSpec(edge_carrier(h), op, 0, QQ)
         b1 = WedgeOperator.build(
             "partial", 2, [(rng.randint(-2, 2), tuple(sorted(rng.sample(range(n), 2))))]
         )
@@ -487,8 +546,8 @@ def test_inclusion_commutes_with_action():
             "partial", 2, [(1, tuple(sorted(rng.sample(range(n), 2))))]
         )
         incl = inclusion_induced(small, large, op, 0, QQ)
-        act_small = operator_action(ComplexSpec(simplicial_carrier(small), op, 0, QQ), beta)
-        act_large = operator_action(ComplexSpec(simplicial_carrier(large), op, 0, QQ), beta)
+        act_small = operator_action(ComplexSpec(edge_carrier(small), op, 0, QQ), beta)
+        act_large = operator_action(ComplexSpec(edge_carrier(large), op, 0, QQ), beta)
         for deg, m in act_small.items():
             tgt = m.target_degree
             if tgt < -1:
@@ -617,12 +676,28 @@ def test_word_carrier_size_is_checked_before_enumeration():
             word_carrier(vs, d)
 
 
-def test_increasing_words_carrier_size_is_checked_before_enumeration():
+def test_increasing_words_are_the_capped_power_set_span(monkeypatch):
+    """The complex on every strictly increasing word is the edge complex of
+    the power set, in the order of `combinations`, so its size is checked
+    by `power_set` before anything is enumerated."""
+    for nv in range(5):
+        vs = VertexSet.of(*[f"v{i}" for i in range(nv)])
+        carrier = edge_carrier(Hypergraph(vs, power_set(vs)))
+        assert carrier.top_degree == nv - 1
+        assert carrier.basis(-2) == []
+        for n in range(-1, nv + 1):
+            assert carrier.basis(n) == list(itertools.combinations(range(nv), n + 1))
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(hyperhom.hypergraphs, "combinations", enumerate_nothing)
     at_cap = VertexSet.of(*[f"v{i}" for i in range(POWERSET_CAP)])
-    assert simplicial_word_carrier(at_cap).top_degree == POWERSET_CAP - 1
+    with pytest.raises(AssertionError, match="enumerated"):
+        power_set(at_cap)
     one_past = VertexSet.of(*[f"v{i}" for i in range(POWERSET_CAP + 1)])
-    with pytest.raises(CarrierTooLarge, match=f"capped at {POWERSET_CAP} vertices"):
-        simplicial_word_carrier(one_past)
+    with pytest.raises(PowerSetTooLarge, match=f"capped at {POWERSET_CAP} vertices"):
+        power_set(one_past)
 
 
 def test_one_letter_word_carrier_is_bounded_by_its_letters():
@@ -762,8 +837,9 @@ def test_word_module_complex_agrees_with_edge_complex():
             ClosureOp.DELTA_UP,
         )
         op = alpha(*[rng.randint(1, 3) for _ in range(n)])
-        edge_cx = build_complex(ComplexSpec(simplicial_carrier(h), op, 0, QQ))
-        word_cx = build_complex(ComplexSpec(simplicial_word_carrier(vs), op, 0, QQ))
+        edge_cx = build_complex(ComplexSpec(edge_carrier(h), op, 0, QQ))
+        word_cx = build_complex(ComplexSpec(edge_carrier(Hypergraph(vs, power_set(vs))),
+                                            op, 0, QQ))
         for deg in edge_cx.spec.degrees():
             rows, cols = word_cx.basis(deg - 1), word_cx.basis(deg)
             sub = {(rows[i], cols[j]): v for (i, j), v in word_cx.matrix(deg).entries
@@ -806,17 +882,17 @@ def test_restrict_matches_build_complex():
         # all words on five letters through degree 4 would be slow to build
         words = rng.choice(["increasing words", "all words" if len(vs) < 5 else None,
                             None, None, None, None])
-        carrier = {"increasing words": simplicial_word_carrier(vs),
+        carrier = {"increasing words": edge_carrier(Hypergraph(vs, power_set(vs))),
                    "all words": word_carrier(vs, max(ambient.top_degree, -1)),
-                   None: edge_carrier(kind, ambient)}[words]
+                   None: edge_carrier(ambient)}[words]
         for q in range(arity):
             cut = build_complex(ComplexSpec(carrier, op, q, ring)).restrict(sub)
-            want = build_complex(ComplexSpec(edge_carrier(kind, sub), op, q, ring))
+            want = build_complex(ComplexSpec(edge_carrier(sub), op, q, ring))
             assert cut.spec == want.spec
             assert cut.bases == want.bases and cut.mats == want.mats
             seen["entries"] += sum(len(m.entries) for m in cut.mats.values())
         seen[words] = seen.get(words, 0) + 1
-        key = (kind, arity, carrier.has_empty, sub.has_empty_edge)
+        key = (kind, arity, bool(carrier.basis(-1)), sub.has_empty_edge)
         seen[key] = seen.get(key, 0) + 1
     assert seen["entries"] >= 2000, seen
     assert seen["increasing words"] >= 30 and seen["all words"] >= 20, seen
@@ -845,3 +921,14 @@ def test_restrict_rejects_a_family_outside_the_complex():
     # the class check and its text are those of the subfamily's own build
     with pytest.raises(ClassMismatch, match="not an augmented simplicial complex"):
         built.restrict(L1)
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's Library example runs as printed, on the public names,
+    and prints the circle's groups: H_1 = Z and nothing below."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```\n", 1)[0], {})
+    assert capsys.readouterr().out.splitlines() == [
+        f"{n} SubquotientPresentation(free_rank={free}, torsion_factors=())"
+        for n, free in ((-1, 0), (0, 0), (1, 1))]

@@ -20,9 +20,8 @@ from itertools import combinations
 from hyperhom.homology import (
     ComplexSpec,
     build_complex,
+    edge_carrier,
     homology_table,
-    independence_carrier,
-    simplicial_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
 from hyperhom.linalg import SubquotientPresentation
@@ -229,14 +228,11 @@ def test_rank_snf_route_matches_lattice_route():
         arity = 3 if trial % 4 >= 2 else 1
         with_empty = trial % 8 < 4
         nverts = rng.randint(arity + 1, 6 if arity == 3 else 5)
-        if lowering:
-            h = random_family(rng, nverts, ClosureOp.DELTA_UP, with_empty)
-            carrier = simplicial_carrier(h)
-        else:
-            h = random_family(rng, nverts, ClosureOp.BAR_DELTA_UP, with_empty)
-            if not h.edges:
-                continue
-            carrier = independence_carrier(h)
+        h = random_family(rng, nverts, ClosureOp.DELTA_UP if lowering
+                          else ClosureOp.BAR_DELTA_UP, with_empty)
+        if not (lowering or h.edges):
+            continue
+        carrier = edge_carrier(h)
         op = random_operator(rng, "partial" if lowering else "d", nverts, arity)
         for q in range(arity):
             spec = ComplexSpec(carrier, op, q, ZZ)
@@ -265,7 +261,7 @@ def test_arity_three_coefficient_patterns():
     sympy)."""
     vs = VertexSet.of(*[f"v{i}" for i in range(8)])
     edges = frozenset(c for r in range(6) for c in combinations(range(8), r))
-    carrier = simplicial_carrier(Hypergraph(vs, edges))
+    carrier = edge_carrier(Hypergraph(vs, edges))
     gens = list(combinations(range(8), 3))
     with_torsion = 0
     for mult in range(1, 5):
@@ -291,7 +287,7 @@ def test_weighted_nine_vertex_four_skeleton_is_fast():
     edges = frozenset(c for r in range(6) for c in combinations(range(9), r))
     op = WedgeOperator.weighted_sum("partial", range(1, 10))
     start = time.perf_counter()
-    table = homology_table(ComplexSpec(simplicial_carrier(Hypergraph(vs, edges)), op, 0, ZZ))
+    table = homology_table(ComplexSpec(edge_carrier(Hypergraph(vs, edges)), op, 0, ZZ))
     elapsed = time.perf_counter() - start
     assert {g.degree: g.presentation for g in table} == {
         n: SubquotientPresentation(56 if n == 4 else 0) for n in range(-1, 5)

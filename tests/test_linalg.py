@@ -8,8 +8,7 @@ from hyperhom.errors import CompositionNotZero, SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
     build_complex,
-    independence_carrier,
-    simplicial_carrier,
+    edge_carrier,
 )
 from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import (
@@ -309,16 +308,16 @@ def test_rank_matches_fraction_free_oracle_on_boundaries(ring):
     also the 3-skeleton on 8 with weights 1/1..1/8, whose boundaries hold
     Fractions."""
     specs = [
-        ComplexSpec(simplicial_carrier(skeleton(9, 3)),
+        ComplexSpec(edge_carrier(skeleton(9, 3)),
                     WedgeOperator.weighted_sum("partial", range(1, 10)), 0, ring),
-        ComplexSpec(simplicial_carrier(skeleton(8, 4)),
+        ComplexSpec(edge_carrier(skeleton(8, 4)),
                     WedgeOperator.weighted_sum("partial", range(1, 9)), 0, ring),
-        ComplexSpec(independence_carrier(cofaces(8, 2)),
+        ComplexSpec(edge_carrier(cofaces(8, 2)),
                     WedgeOperator.weighted_sum("d", range(1, 9)), 0, ring),
     ]
     if ring == QQ:
         specs.append(ComplexSpec(
-            simplicial_carrier(skeleton(8, 3)),
+            edge_carrier(skeleton(8, 3)),
             WedgeOperator.weighted_sum("partial", [Fraction(1, k) for k in range(1, 9)]),
             0, ring))
     nonzero = fractional = 0

@@ -155,8 +155,8 @@ def test_inclusion_maps_match_per_vector_route():
     nonzero = 0
     for small, large, op, q, ring in inclusion_cases():
         maps = inclusion_induced(small, large, op, q, ring)
-        src = build_complex(ComplexSpec(edge_carrier(op.kind, small), op, q, ring))
-        tgt = build_complex(ComplexSpec(edge_carrier(op.kind, large), op, q, ring))
+        src = build_complex(ComplexSpec(edge_carrier(small), op, q, ring))
+        tgt = build_complex(ComplexSpec(edge_carrier(large), op, q, ring))
         for n, m in maps.items():
             assert well_formed(m.matrix)
             assert m.matrix == inclusion_oracle(src, tgt, n)
@@ -196,7 +196,7 @@ def test_inclusion_reindex_matches_product_route():
     seen = Counter()
     for small, large, op, q, ring in inclusion_cases():
         def built(h):
-            return build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+            return build_complex(ComplexSpec(edge_carrier(h), op, q, ring))
 
         tgt = built(large)
         pairs = [(built(small), tgt), (tgt.restrict(small), tgt), (tgt, built(small))]
@@ -232,7 +232,7 @@ def test_operator_actions_match_per_vector_route():
                 for _ in range(rng.randint(1, 3))])
         if op.is_zero or not h.edges:
             continue
-        spec = ComplexSpec(edge_carrier(kind, h), op, rng.randrange(arity), ring)
+        spec = ComplexSpec(edge_carrier(h), op, rng.randrange(arity), ring)
         action = operator_action(spec, even)
         shift = even.shift
         source = build_complex(spec)
@@ -255,7 +255,7 @@ def test_mv_maps_match_per_vector_route():
             continue
         q = rng.randrange(arity)
         complexes = mv_complexes(a, b, op, ring, lambda union: build_complex(
-            ComplexSpec(edge_carrier(kind, union), op, q, ring)))
+            ComplexSpec(edge_carrier(union), op, q, ring)))
         les = mv_sequence(complexes)
         assert les.all_exact
         assert all(well_formed(m) for m in les.maps)
@@ -274,7 +274,7 @@ def test_random_chain_maps_descend_like_the_oracle(ring):
         op = random_boundary(rng, ring, kind, len(vs), arity)
         if op.is_zero:
             continue
-        built = build_complex(ComplexSpec(edge_carrier(kind, h), op, rng.randrange(arity), ring))
+        built = build_complex(ComplexSpec(edge_carrier(h), op, rng.randrange(arity), ring))
         for n in built.spec.degrees():
             dim = built.dim(n)
             density = rng.choice([0.05, 0.3])

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hyperhom.homology import ComplexSpec, homology_table, simplicial_carrier
+from hyperhom.homology import ComplexSpec, edge_carrier, homology_table
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure, power_set
 from hyperhom.linalg import SparseMatrix, smith_normal_form
 from hyperhom.rings import GF, QQ, ZZ
@@ -34,7 +34,7 @@ def reduced_groups(h, weights, ring):
     op = WedgeOperator.weighted_sum("partial", weights)
     return {
         g.degree: (g.presentation.free_rank, list(g.presentation.torsion_factors))
-        for g in homology_table(ComplexSpec(simplicial_carrier(h), op, 0, ring))
+        for g in homology_table(ComplexSpec(edge_carrier(h), op, 0, ring))
     }
 
 
@@ -153,7 +153,7 @@ def test_complementation_mirrors_raising_and_lowering():
     # degrees n <-> |S| - n - 2
     import random as _random
 
-    from hyperhom.homology import ComplexSpec, build_complex, independence_carrier
+    from hyperhom.homology import ComplexSpec, build_complex, edge_carrier
 
     rng = _random.Random(21)
     checked = 0
@@ -172,10 +172,10 @@ def test_complementation_mirrors_raising_and_lowering():
         r = [rng.randint(1, 3) for _ in range(n)]
         ring = rng.choice([QQ, GF(5)])
         raising = build_complex(
-            ComplexSpec(independence_carrier(ell), WedgeOperator.weighted_sum("d", r), 0, ring)
+            ComplexSpec(edge_carrier(ell), WedgeOperator.weighted_sum("d", r), 0, ring)
         )
         lowering = build_complex(
-            ComplexSpec(simplicial_carrier(comp), WedgeOperator.weighted_sum("partial", r), 0, ring)
+            ComplexSpec(edge_carrier(comp), WedgeOperator.weighted_sum("partial", r), 0, ring)
         )
         for deg in raising.spec.degrees():
             mirror = n - deg - 2

@@ -1,16 +1,17 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import (
-    INDEPENDENCE_EDGES,
     MV_NODE_PARTS,
-    SIMPLICIAL_EDGES,
     BuiltComplex,
     ComplexSpec,
     LongExactSequence,
@@ -19,18 +20,23 @@ from hyperhom.homology import (
     homology_table,
     inclusion_induced,
     inclusion_map,
-    independence_carrier,
     mayer_vietoris,
     mv_complexes,
     mv_sequence,
     operator_action,
-    simplicial_carrier,
 )
-from hyperhom.hypergraphs import ClosureOp, CombineOp, Hypergraph, closure, combine, power_set
+from hyperhom import persistence
+from hyperhom.hypergraphs import (
+    ClosureOp,
+    CombineOp,
+    Hypergraph,
+    HypergraphClass,
+    closure,
+    combine,
+    power_set,
+)
 from hyperhom.linalg import SparseMatrix
 from hyperhom.persistence import (
-    INDEPENDENCE_CLASS,
-    SIMPLICIAL_CLASS,
     Filtration,
     PersistentMV,
     _mv_square_check,
@@ -61,16 +67,6 @@ def omega(*r):
 SEG = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
 
 
-def test_filtration_classes_name_their_carrier_kinds():
-    """`barcode` builds its carrier from the class `validate` proved, so a
-    class is the kind of the carrier that checks it."""
-    assert (SIMPLICIAL_CLASS, INDEPENDENCE_CLASS) == (SIMPLICIAL_EDGES, INDEPENDENCE_EDGES)
-    for cls, make in ((SIMPLICIAL_CLASS, simplicial_carrier),
-                      (INDEPENDENCE_CLASS, independence_carrier)):
-        f = Filtration.of(S3, [(e, 0) for e in power_set(S3)], cls)
-        assert make(f.final_complex).kind == cls
-
-
 def test_complex_at():
     assert complex_at(SEG, -1).edges == frozenset()
     assert complex_at(SEG, 5).edges == {(0,), (1,), (0, 1)}
@@ -81,6 +77,57 @@ def test_final_complex_is_made_once():
     f = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
     assert f.final_complex is f.final_complex
     assert f.final_complex.edges == {(0,), (1,), (0, 1)}
+
+
+def test_final_complex_carries_the_class_validate_proved():
+    """`final_complex` comes with the class `validate` proved, set without
+    a classify, and it is the class a fresh classify finds: on random
+    filtrations of both classes, the empty filtration and the power set
+    (with and without the empty edge) in either class."""
+    rng = random.Random(131)
+    filtrations = [Filtration.of(S3, [(e, 0) for e in edges], cls)
+                   for cls in ("simplicial", "independence")
+                   for edges in ([], power_set(S3), power_set(S3) - {()})]
+    for _ in range(60):
+        nv = rng.randint(1, 4)
+        filtrations += [random_simplicial_filtration(rng, nv),
+                        random_independence_filtration(rng, nv)]
+    seen = Counter()
+    for f in filtrations:
+        final = f.final_complex
+        assert "_class" in vars(final)
+        fresh = Hypergraph(f.vertices, final.edges).classify()
+        assert final.classify() is fresh, (f.monotonicity_class, final.sorted_edges())
+        seen[fresh] += 1
+    assert set(seen) == {HypergraphClass.SIMPLICIAL_COMPLEX,
+                         HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH}, seen
+
+
+def test_barcode_classifies_nothing(monkeypatch):
+    """The class rule is written once, in `ComplexSpec`: `persistence`
+    names no carrier kind, and `barcode` reads the class of the final
+    complex without computing a `_class`, where the oracle, which
+    classifies a fresh copy, computes one per call."""
+    source = Path(persistence.__file__).read_text()
+    assert re.findall(r"\bCarrier\b|\b_class\b|_EDGES\b|_WORDS\b", source) == []
+    package = [p.read_text() for p in Path(persistence.__file__).parent.glob("*.py")]
+    for text in ("carrier is not an augmented simplicial complex",
+                 "carrier is not an augmented independence hypergraph"):
+        assert sum(src.count(text) for src in package) == 1
+    classified = []
+    rule = Hypergraph.__dict__["_class"]
+    counted = cached_property(lambda h: classified.append(h) or rule.func(h))
+    counted.__set_name__(Hypergraph, "_class")
+    monkeypatch.setattr(Hypergraph, "_class", counted)
+    for cls, kind in (("simplicial", "partial"), ("independence", "d")):
+        f = rips_filtration(random.Random(7), 8, 4, cls)
+        op = WedgeOperator.weighted_sum(kind, [1] * 8)
+        for n in range(-1, 8):
+            barcode(f, op, 0, QQ, n)
+        assert classified == []
+        assert persistence_oracle.barcode(f, op, 0, QQ, 0) == barcode(f, op, 0, QQ, 0)
+        assert len(classified) == 1
+        classified.clear()
 
 
 def test_monotonicity_validation():
@@ -275,12 +322,11 @@ def ranks_by_pairs(f, op, q, ring):
     """The per-pair route: one inclusion_induced call per grid pair and the
     Betti number of each threshold on the diagonal, for every degree."""
     grid = f.critical_values()
-    make = simplicial_carrier if f.monotonicity_class == "simplicial" else independence_carrier
     degrees = grid_degrees(f, op, q)
     out = {n: {} for n in degrees}
     for i, x in enumerate(grid):
         betti = {g.degree: g.presentation.free_rank
-                 for g in homology_table(ComplexSpec(make(f.complex_at(x)), op, q, ring))}
+                 for g in homology_table(ComplexSpec(edge_carrier(f.complex_at(x)), op, q, ring))}
         for n in degrees:
             out[n][(i, i)] = betti.get(n, 0)
         for j in range(i + 1, len(grid)):
@@ -455,8 +501,7 @@ def ranks_by_built_pairs(f, op, q, ring):
     """The rank-grid route: each threshold's complex built once, the
     Betti numbers on the diagonal and one inclusion descended per grid
     pair, for every degree."""
-    make = simplicial_carrier if f.monotonicity_class == "simplicial" else independence_carrier
-    built = [build_complex(ComplexSpec(make(f.complex_at(x)), op, q, ring))
+    built = [build_complex(ComplexSpec(edge_carrier(f.complex_at(x)), op, q, ring))
              for x in f.critical_values()]
     out = {}
     for n in grid_degrees(f, op, q):
@@ -563,8 +608,8 @@ def test_action_commutes_with_persistence_maps():
         beta = WedgeOperator.build("partial", 2, [(1, (0, 1))])
         x, y = grid[0], grid[-1]
         kx, ky = f.complex_at(x), f.complex_at(y)
-        act_x = operator_action(ComplexSpec(simplicial_carrier(kx), op, 0, QQ), beta)
-        act_y = operator_action(ComplexSpec(simplicial_carrier(ky), op, 0, QQ), beta)
+        act_x = operator_action(ComplexSpec(edge_carrier(kx), op, 0, QQ), beta)
+        act_y = operator_action(ComplexSpec(edge_carrier(ky), op, 0, QQ), beta)
         incl = inclusion_induced(kx, ky, op, 0, QQ)
         for n, m in act_x.items():
             tgt = m.target_degree
@@ -592,7 +637,7 @@ def test_persistent_mv_grown_pair():
 
 
 def edge_complex(h, op, q, ring):
-    return build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+    return build_complex(ComplexSpec(edge_carrier(h), op, q, ring))
 
 
 def per_threshold_route(fa, fb, op, q, ring):

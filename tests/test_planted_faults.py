@@ -45,6 +45,9 @@ planted fault trips gives no assurance.
   `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
   unit-coordinates check of the `homology-functoriality` selftest suite
   and the composition check of the `mv-exactness` suite.
+* `wedge_apply`'s simplicial insertion reading each monomial's weight
+  from the monomial with vertices 0 and 1 exchanged, a legal odd
+  operator: the complement law of the `duality` selftest suite.
 * `BuiltComplex.restrict` keeping the empty-word row of a family without
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
@@ -122,7 +125,7 @@ def unfaulted():
     seed 0 with no patch active. A test reads it before it patches."""
     return {name: selftest.run_suite(name) for name in (
         "linalg-properties", "persistence", "free-calculus", "projection-compatibility",
-        "homology-functoriality", "mv-exactness")}
+        "homology-functoriality", "mv-exactness", "duality")}
 
 
 @pytest.mark.parametrize("faces, cofaces", [(1, 0), (0, 1)])
@@ -170,6 +173,19 @@ def test_barcode_reducing_the_oldest_coboundary_row_first_is_caught(monkeypatch,
         persistence.barcode, "sorted(place)", "sorted(place, reverse=True)"))
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
+
+
+def test_insertion_with_two_weights_exchanged_is_caught(monkeypatch, unfaulted):
+    # still d o d = 0, exact sequences and chain maps: only the complement
+    # law, which sets the insertion complex against the deletion one, sees it
+    assert unfaulted["duality"].failures == 0
+    exchanged = planted(words.wedge_apply, "for gens, t in terms.items():", (
+        "for gens, t in ((g, terms.get(tuple(sorted({0: 1, 1: 0}.get(v, v) for v in g)), t))"
+        " for g, t in terms.items()):"))
+    for module in (words, homology):
+        monkeypatch.setattr(module, "wedge_apply", exchanged)
+    result = selftest.run_suite("duality")
+    assert result.failures > 0 and result.detail == "complement law at degree 0 over Z"
 
 
 def test_wedge_apply_with_one_flipped_sign_is_caught(monkeypatch):
@@ -350,7 +366,7 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch, u
 def inclusion_by_rebuild(small, large, op, q, ring):
     """`inclusion_induced` building both sides, so that no restriction
     reaches a suite except through the check under test."""
-    src, tgt = (build_complex(ComplexSpec(edge_carrier(op.kind, h), op, q, ring))
+    src, tgt = (build_complex(ComplexSpec(edge_carrier(h), op, q, ring))
                 for h in (small, large))
     return {n: inclusion_map(src, tgt, n) for n in tgt.spec.degrees()}
 

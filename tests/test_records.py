@@ -28,10 +28,10 @@ from hyperhom.homology import (
     InducedMap,
     LongExactSequence,
     SequenceNode,
-    simplicial_carrier,
+    edge_carrier,
     word_carrier,
 )
-from hyperhom.hypergraphs import Hypergraph
+from hyperhom.hypergraphs import Hypergraph, power_set
 from hyperhom.invariance import InvariantReport
 from hyperhom.linalg import SparseMatrix, SubquotientPresentation
 from hyperhom.persistence import Barcode, Filtration, PersistentMV, PersistentRanks
@@ -44,6 +44,8 @@ V2 = VertexSet.of("a", "b")
 V3 = VertexSet.of("a", "b", "c")
 SEGMENT = Hypergraph(V2, frozenset({(), (0,), (1,), (0, 1)}))
 POINTS = Hypergraph(V2, frozenset({(0,), (1,)}))
+LINK = Hypergraph(V2, frozenset({(0, 1)}))  # no faces: independence only
+CUBE = Hypergraph(V3, power_set(V3))  # both classes
 M1 = SparseMatrix(2, 1, QQ, (((0, 0), 1), ((1, 0), -1)))
 M2 = SparseMatrix(1, 2, QQ, (((0, 1), Fraction(1, 2)),))
 ALPHA = WedgeOperator("partial", 1, ((1, (0,)), (2, (1,))))
@@ -68,15 +70,18 @@ CASES = {
                      ("d", 2, ((1, (1, 0)),))]),
     Hypergraph: ([(V2, SEGMENT.edges), (V2, POINTS.edges), (V3, POINTS.edges)], []),
     InvariantReport: ([("partial", (0, 1), SEGMENT), ("d", (), POINTS)], []),
-    Carrier: ([("simplicial", V2, SEGMENT), ("words", V2, None, 2),
-               ("simplicial-words", V3), ("words", V2, None, 3)], []),
-    ComplexSpec: ([(simplicial_carrier(SEGMENT), ALPHA, 0, QQ),
-                   (simplicial_carrier(SEGMENT), ALPHA, 5, QQ),
+    Carrier: ([(V2, SEGMENT), (V2, None, 2), (V3, CUBE), (V2, None, 3)], []),
+    ComplexSpec: ([(edge_carrier(SEGMENT), ALPHA, 0, QQ),
+                   (edge_carrier(SEGMENT), ALPHA, 5, QQ),
                    (word_carrier(V3, 4), OMEGA3, -2, GF(5)),
-                   (word_carrier(V3, 4), OMEGA3, 1, GF(5))],
-                  [(simplicial_carrier(SEGMENT), WedgeOperator("partial", 2, ()), 0, QQ),
-                   (simplicial_carrier(SEGMENT), OMEGA3, 0, QQ),
-                   (Carrier("independence", V2, POINTS), ALPHA, 0, QQ)]),
+                   (word_carrier(V3, 4), OMEGA3, 1, GF(5)),
+                   (edge_carrier(SEGMENT), OMEGA3, 0, QQ),
+                   (edge_carrier(CUBE), OMEGA3, 0, QQ),
+                   (edge_carrier(POINTS), ALPHA, 0, QQ)],
+                  [(edge_carrier(SEGMENT), WedgeOperator("partial", 2, ()), 0, QQ),
+                   (edge_carrier(POINTS), OMEGA3, 0, QQ),
+                   (edge_carrier(LINK), ALPHA, 0, QQ),
+                   (edge_carrier(LINK), WedgeOperator("partial", 2, ()), 0, QQ)]),
     HomologyGroup: ([(0, SubquotientPresentation(1)), (1, SubquotientPresentation(0, (2,)))],
                     []),
     InducedMap: ([(0, 0, M1), (0, 1, M2), (1, 1, M1)], []),

@@ -18,8 +18,7 @@ from hyperhom.errors import SchemaViolation
 from hyperhom.homology import (
     ComplexSpec,
     build_complex,
-    independence_carrier,
-    simplicial_carrier,
+    edge_carrier,
     word_carrier,
 )
 from hyperhom.hypergraphs import ClosureOp, Hypergraph, closure
@@ -93,12 +92,12 @@ def test_assembled_matrices_are_canonical(weights):
     tetra = closure(Hypergraph(VS, frozenset({(0, 1, 2, 3)})), ClosureOp.DELTA_UP)
     cotetra = closure(Hypergraph(VS, frozenset({(0,)})), ClosureOp.BAR_DELTA_UP)
     specs = [
-        ComplexSpec(simplicial_carrier(tetra), WedgeOperator.weighted_sum("partial", weights),
+        ComplexSpec(edge_carrier(tetra), WedgeOperator.weighted_sum("partial", weights),
                     0, QQ),
-        ComplexSpec(independence_carrier(cotetra), WedgeOperator.weighted_sum("d", weights),
+        ComplexSpec(edge_carrier(cotetra), WedgeOperator.weighted_sum("d", weights),
                     0, QQ),
         ComplexSpec(word_carrier(VS, 2), WedgeOperator.weighted_sum("d", weights), 0, QQ),
-        ComplexSpec(simplicial_carrier(tetra), WedgeOperator.build(
+        ComplexSpec(edge_carrier(tetra), WedgeOperator.build(
             "partial", 3, [(weights[0], (0, 1, 2)), (weights[2], (1, 2, 3))]), 0, QQ),
     ]
     fractions = 0

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd
 
 from hyperhom import linalg
-from hyperhom.homology import ComplexSpec, homology_table, simplicial_carrier
+from hyperhom.homology import ComplexSpec, edge_carrier, homology_table
 from hyperhom.hypergraphs import Hypergraph
 from hyperhom.rings import ZZ
 from hyperhom.words import VertexSet, WedgeOperator
@@ -87,7 +87,7 @@ def arity_three_blocks() -> list:
     coefficient patterns with torsion [3, 3, 3, 3], none (the one whose
     Smith normal form grows its coefficients), [9, 9] and [2, 2]."""
     vs = VertexSet.of(*[f"v{i}" for i in range(8)])
-    carrier = simplicial_carrier(Hypergraph(vs, frozenset(
+    carrier = edge_carrier(Hypergraph(vs, frozenset(
         c for r in range(6) for c in combinations(range(8), r))))
     gens = list(combinations(range(8), 3))
     blocks = []

@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import combinations
 
 from hyperhom import linalg
-from hyperhom.homology import ComplexSpec, build_complex, simplicial_carrier
+from hyperhom.homology import ComplexSpec, build_complex, edge_carrier
 from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import SparseMatrix
 from hyperhom.rings import ZZ
@@ -119,7 +119,7 @@ def test_unit_stage_matches_oracle_on_arity_three_patterns():
     vertices, every boundary at every offset."""
     vs = VertexSet.of(*[f"v{i}" for i in range(8)])
     edges = frozenset(c for r in range(6) for c in combinations(range(8), r))
-    carrier = simplicial_carrier(Hypergraph(vs, edges))
+    carrier = edge_carrier(Hypergraph(vs, edges))
     gens = list(combinations(range(8), 3))
     shapes = set()
     for coeff in PATTERNS.values():
