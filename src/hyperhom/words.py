@@ -26,7 +26,24 @@ by copying a running sum. `wedge_apply` is the one implementation of the
 calculus that the engine runs: it takes an operator and a list of words,
 and returns the image of every word in one call, so a matrix is one call.
 It builds the operator's term table once, coercing the coefficients into
-the ring, and uses closed forms instead of composing sums:
+the ring, and never composes `FreeChain` sums. Two run rules carry the
+calculus: deleting g from a run of k letters g that starts at i gives
+one word with sign (-1)^i when k is odd and nothing when k is even, and
+inserting g at a slot i followed by k letters g (and not preceded by g)
+gives one word with sign (-1)^i when k is even and nothing when k is
+odd.
+
+An arity-1 operator, a weighted sum of single derivations, reads each
+word once, in one scan over all its letters:
+
+* deletions walk the word's runs, in position order;
+* insertions on all words walk the slots once per letter, in letter
+  order;
+* simplicial insertions merge the sorted letters into the increasing
+  word with one pointer, the sign (-1)^p of the slot p, and nothing for
+  a letter already in the word.
+
+Higher arities use closed forms where they exist:
 
 * a deletion monomial on a word without repeated letters: each subset P
   of positions whose letters are the generators leaves the word without
@@ -34,11 +51,8 @@ the ring, and uses closed forms instead of composing sums:
 * a simplicial insertion monomial on a strictly increasing word: the
   sorted merge, with sign (-1)^(sum of the bisection positions), or zero
   when a generator is already a letter;
-* on any other word, one derivation at a time by the run rules: deleting
-  g from a run of k letters g that starts at i gives one word with sign
-  (-1)^i when k is odd and nothing when k is even, and inserting g at a
-  slot i followed by k letters g (and not preceded by g) gives one word
-  with sign (-1)^i when k is even and nothing when k is odd.
+* on any other word, the monomial applies one derivation at a time by
+  the run rules, the same scans with a single letter.
 
 `wedge_chain` applies an operator to a `FreeChain`, as the weighted sum of
 the images of its words.
@@ -128,7 +142,7 @@ class WordClass(Enum):
 def classify_word(w: Word) -> WordClass:
     if len(set(w)) != len(w):
         return WordClass.CYCLIC
-    if all(a < b for a, b in zip(w, w[1:])):
+    if list(w) == sorted(w):
         return WordClass.SIMPLICIAL_ACYCLIC
     return WordClass.NON_SIMPLICIAL_ACYCLIC
 
@@ -385,45 +399,60 @@ def _term_table(op: WedgeOperator, ring: Ring) -> dict:
     return {gens: (y, normal(-y)) for gens, x in acc.items() if (y := normal(x)) != 0}
 
 
-def _deletions(g: int, u: Word):
-    """`partial(g, u)` by the run rule, as (word, i) for sign (-1)^i: the
-    k deletions from a run of k letters g give one word, and cancel in
+def _deletions(table: dict, u: Word):
+    """The deletions from u of the letters of `table` by the run rule, in
+    position order, as (word, table[g][i & 1]): the k deletions from a
+    run of k letters g that starts at i give one word, and cancel in
     pairs down to one or none."""
     n, i = len(u), 0
     while i < n:
-        if u[i] != g:
-            i += 1
-            continue
+        g = u[i]
         j = i + 1
         while j < n and u[j] == g:
             j += 1
-        if (j - i) & 1:
-            yield u[:i] + u[i + 1 :], i
+        if (j - i) & 1 and g in table:
+            yield u[:i] + u[i + 1 :], table[g][i & 1]
         i = j
 
 
-def _insertions(g: int, u: Word):
-    """`differential(g, u, FULL)` by the run rule, as (word, i) for sign
-    (-1)^i: the k + 1 slots from slot i through a run of k letters g give
-    one word, and cancel in pairs down to one or none."""
-    n, i = len(u), 0
-    while i <= n:
-        j = i
-        while j < n and u[j] == g:
-            j += 1
-        if not (j - i) & 1:
-            yield u[:i] + (g,) + u[i:], i
-        i = j + 1
+def _insertions(table: dict, u: Word):
+    """The insertions into u of the letters of `table` by the run rule,
+    letter by letter and slot by slot, as (word, table[g][i & 1]): the
+    k + 1 slots from slot i through a run of k letters g give one word,
+    and cancel in pairs down to one or none."""
+    n = len(u)
+    for g, t in table.items():
+        i = 0
+        while i <= n:
+            j = i
+            while j < n and u[j] == g:
+                j += 1
+            if not (j - i) & 1:
+                yield u[:i] + (g,) + u[i:], t[i & 1]
+            i = j + 1
+
+
+def _merges(table: dict, u: Word):
+    """The simplicial insertions into the increasing word u of the
+    letters of `table`, taken in increasing order, as (word,
+    table[g][p & 1]): one pointer into u passes as the letters do, a
+    letter of u gives nothing, and any other goes in at its sorted slot p."""
+    n, p = len(u), 0
+    for g, t in table.items():
+        while p < n and u[p] < g:
+            p += 1
+        if p == n or u[p] != g:
+            yield u[:p] + (g,) + u[p:], t[p & 1]
 
 
 def _compose(gens: tuple, w: Word, step) -> dict:
     """One monomial on one word, right to left: {word: multiplicity}."""
     cur = {w: 1}
     for g in reversed(gens):
-        nxt = {}
+        nxt, sign = {}, {g: (1, -1)}
         for u, m in cur.items():
-            for v, i in step(g, u):
-                nxt[v] = nxt.get(v, 0) + (-m if i & 1 else m)
+            for v, s in step(sign, u):
+                nxt[v] = nxt.get(v, 0) + s * m
         cur = nxt
     return cur
 
@@ -431,9 +460,19 @@ def _compose(gens: tuple, w: Word, step) -> dict:
 def wedge_apply(op: WedgeOperator, words, ring: Ring, ambient: str = FULL) -> list:
     """The matrix kernel of the calculus: the image of every word of
     `words` under `op`, as a list of (image word, column, coefficient),
-    column by column, by the closed forms and run rules of the module
-    docstring. Within a column the image words are distinct and the
-    coefficients nonzero and reduced by `Ring.normal`.
+    column by column, by the scans, closed forms and run rules of the
+    module docstring. Within a column the image words are distinct and
+    the coefficients nonzero and reduced by `Ring.normal`.
+
+    At arity 1 each word is read once, by one scan over all the
+    operator's letters, and its images go straight out with no sum:
+    images of two letters differ in their letter counts, while images of
+    one letter share a word only within one run or slot group, where the
+    run rule leaves one image. Such a column lists deletions in
+    position order and insertions in increasing letter order, slot by
+    slot. On the increasing words of an edge carrier both orders are
+    letter order, so `OperatorLeavesCarrier` names the image of the
+    least letter that leaves the carrier.
 
     A simplicial insertion of nonzero arity raises `NotSimplicial` on a
     word that is not strictly increasing. The term table is built next,
@@ -450,6 +489,10 @@ def wedge_apply(op: WedgeOperator, words, ring: Ring, ambient: str = FULL) -> li
     k = op.arity
     if not terms or not k:
         return [(w, j, c) for c, _ in terms.values() for j, w in enumerate(words)]
+    if k == 1:
+        table = dict(sorted((g, t) for (g,), t in terms.items()))
+        scan = _merges if simplicial else _deletions if lowering else _insertions
+        return [(v, j, c) for j, w in enumerate(words) for v, c in scan(table, w)]
     out = []
     step = _deletions if lowering else _insertions
     normal = ring.normal

@@ -60,7 +60,7 @@ from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FreeChain, VertexSet, WedgeOperator
 
 from test_hypergraphs import random_hypergraph, subface_classify
-from test_words import composed_wedge_apply, longest_run
+from test_words import SCAN_FLOORS, composed_wedge_apply, longest_run, scan_features
 
 RINGS = [ZZ, QQ, GF(5), GF(7)]
 WEIGHTS = [0, 1, -1, 2, 3, 5, -7, Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3)]
@@ -132,9 +132,10 @@ def test_assembly_matches_per_word_route():
     """Odd arities, and the even arities 0 and 2 as `operator_action`
     assembles them, on edge and all-words carriers. All-words carriers of two or
     three letters reach degree 3 or 4, so columns have runs of 2 to 4
-    equal letters and unsorted words without repeats."""
+    equal letters and unsorted words without repeats. At arity 1 each of
+    the three scans meets the features of `test_words.scan_features`."""
     rng = random.Random(1107)
-    shapes, errors, features, runs = set(), set(), set(), {}
+    shapes, errors, features, runs, scans = set(), set(), set(), {}, {}
     for _ in range(500):
         kind = rng.choice(["partial", "d"])
         arity = rng.choice([0, 1, 1, 2, 3, 3])
@@ -159,6 +160,13 @@ def test_assembly_matches_per_word_route():
                 continue
             entries = want[3]
             features.add("entries" if entries else "zero")
+            if arity == 1:
+                images, target_basis = {}, carrier.basis(target)
+                for (i, j), _, _ in entries:
+                    images.setdefault(j, []).append(target_basis[i])
+                for j, w in enumerate(src):
+                    for key in scan_features(op, ring, carrier.ambient, w, images.get(j, ())):
+                        scans[key] = scans.get(key, 0) + 1
             if any(t is Fraction for _, t, _ in entries):
                 features.add(f"fractions over {ring}")
             if target == -1 and src:
@@ -183,6 +191,7 @@ def test_assembly_matches_per_word_route():
     floors = {(k, 1, r): 20 for k in ("partial", "d") for r in (2, 3, 4)}
     floors.update({("partial", 3, 2): 20, ("partial", 3, 3): 20, ("d", 3, 2): 20})
     assert all(runs.get(key, 0) >= n for key, n in floors.items()), runs
+    assert all(scans.get(key, 0) >= n for key, n in SCAN_FLOORS.items()), scans
 
 
 def test_assembly_coerces_only_when_a_column_is_assembled():

@@ -238,12 +238,14 @@ def random_independence_filtration(rng, nverts):
 def validate_by_thresholds(f):
     """The per-threshold route that `Filtration.validate` replaced, kept as
     its oracle: build and classify the sublevel family at every critical
-    value, in order."""
+    value, in order. Each family is classified as a fresh `Hypergraph`, so
+    that no class `complex_at` may carry is trusted."""
     births = dict(f.births)
     if () in births and f.births and births[()] > min(b for _, b in f.births):
         raise MonotonicityViolation("the empty edge must be born with the first edges")
     for x in f.critical_values():
         h = f.complex_at(x)
+        h = Hypergraph(h.vertices, h.edges)
         ok = (h.is_simplicial_complex if f.monotonicity_class == "simplicial"
               else h.is_independence_hypergraph)
         if not ok:

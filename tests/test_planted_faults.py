@@ -8,9 +8,11 @@ planted fault trips gives no assurance.
   `test_fast_paths.test_ingest_matches_old_route`.
 * `barcode` dropping one bar, or reducing the coboundary rows oldest
   first instead of newest first: the `persistence` selftest suite.
-* `wedge_apply`'s deletion closed form with one sign flipped, and the
-  deletion run rule skipped for even runs:
-  `test_words.test_wedge_apply_matches_composition_oracle`.
+* The deletion scan behind `wedge_apply` with one sign flipped, and its
+  run rule skipped for even runs:
+  `test_words.test_wedge_apply_matches_composition_oracle`; the
+  simplicial merge putting a letter one slot late:
+  `test_fast_paths.test_assembly_matches_per_word_route`.
 * The `FreeChain` constructor keeping the last of a repeated word's
   coefficients instead of summing them: the `free-calculus` selftest
   suite and `test_words.test_calculus_matches_copy_on_add_oracle`.
@@ -45,9 +47,10 @@ planted fault trips gives no assurance.
   `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
   unit-coordinates check of the `homology-functoriality` selftest suite
   and the composition check of the `mv-exactness` suite.
-* `wedge_apply`'s simplicial insertion reading each monomial's weight
-  from the monomial with vertices 0 and 1 exchanged, a legal odd
-  operator: the complement law of the `duality` selftest suite.
+* `wedge_apply`'s simplicial insertion closed form, which serves arity
+  2 and up, reading each monomial's weight from the monomial with
+  vertices 0 and 1 exchanged, a legal odd operator: the complement law
+  of the `duality` selftest suite, at arity 3.
 * `BuiltComplex.restrict` keeping the empty-word row of a family without
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
@@ -189,9 +192,10 @@ def test_insertion_with_two_weights_exchanged_is_caught(monkeypatch, unfaulted):
 
 
 def test_wedge_apply_with_one_flipped_sign_is_caught(monkeypatch):
-    # deleting the second letter alone of a word without repeats
-    monkeypatch.setattr(words, "wedge_apply", planted(
-        words.wedge_apply, "parity = sum(P)\n", "parity = sum(P) + (P == (1,))\n"))
+    # the deletion scan flips the sign of a run that starts at position 1
+    monkeypatch.setattr(words, "_deletions", planted(
+        words._deletions, "u[i + 1 :], table[g][i & 1]",
+        "u[i + 1 :], table[g][(i & 1) ^ (i == 1)]"))
     with pytest.raises(AssertionError):
         test_words.test_wedge_apply_matches_composition_oracle()
 
@@ -199,9 +203,17 @@ def test_wedge_apply_with_one_flipped_sign_is_caught(monkeypatch):
 def test_run_rule_skipped_for_even_runs_is_caught(monkeypatch):
     # an even run of deletions keeps one word instead of cancelling
     monkeypatch.setattr(words, "_deletions", planted(
-        words._deletions, "if (j - i) & 1:", "if j - i:"))
+        words._deletions, "if (j - i) & 1 and g in table:", "if g in table:"))
     with pytest.raises(AssertionError):
         test_words.test_wedge_apply_matches_composition_oracle()
+
+
+def test_simplicial_merge_one_slot_late_is_caught(monkeypatch):
+    # the merge puts a letter one slot past its sorted slot
+    monkeypatch.setattr(words, "_merges", planted(
+        words._merges, "yield u[:p] + (g,) + u[p:]", "yield u[:p + 1] + (g,) + u[p + 1 :]"))
+    with pytest.raises(AssertionError):
+        test_fast_paths.test_assembly_matches_per_word_route()
 
 
 def test_constructor_keeping_the_last_repeated_word_is_caught(monkeypatch):

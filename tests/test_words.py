@@ -183,16 +183,46 @@ def run_word(rng, alphabet, length):
     return w[:length]
 
 
+def scan_features(op, ring, ambient, w, images):
+    """What one column of an arity-1 operator reaches, as (route, feature)
+    pairs. The routes are the deletion scan, the slot walk on all words
+    and the simplicial merge. The features are an image from the word's
+    first or last run or slot group, the empty word, a letter of the word
+    with no term, and a letter whose nonzero weight vanishes mod p (for
+    the deletion scan, a letter of the word)."""
+    route = ("deletions" if op.kind == "partial"
+             else "merges" if ambient == SIMPLICIAL else "insertions")
+    weights = {}
+    for c, (g,) in op.terms:
+        weights[g] = weights.get(g, 0) + c
+    live = {g for g, c in weights.items() if ring.normal(ring.coerce(c)) != 0}
+    vanished = {g for g, c in weights.items() if c != 0 and g not in live}
+    found = {
+        "first run": any(v[1:] == w or v == w[1:] for v in images),
+        "last run": any(v[:-1] == w or v == w[:-1] for v in images),
+        "empty word": not w,
+        "letter with no term": bool(set(w) - live),
+        "weight zero mod p": bool(vanished & set(w) if route == "deletions" else vanished),
+    }
+    return [(route, f) for f, hit in found.items() if hit]
+
+
+SCAN_FLOORS = {(r, f): 5 for r in ("deletions", "insertions", "merges")
+               for f in ("first run", "last run", "empty word", "letter with no term",
+                         "weight zero mod p")}
+
+
 def test_wedge_apply_matches_composition_oracle():
     """The kernel, through `wedge_chain`, against the composition of the
     reference primitives: direct operators with repeated generator tuples
     and zero coefficients, words with runs of equal letters, unsorted
-    words without repeats, and odd signs over F_p."""
+    words without repeats, and odd signs over F_p. At arity 1 each of the
+    three scans meets the features of `scan_features`."""
     rng = random.Random(20240606)
     rings = [ZZ, QQ, GF(3), GF(5)]
-    coeffs = [0, 1, -1, 2, 3, -4, 7, Fraction(1, 2), Fraction(-3, 5)]
-    raised, nonzero, features = set(), 0, {}
-    for _ in range(2500):
+    coeffs = [0, 1, -1, 2, 3, -4, 5, 7, Fraction(1, 2), Fraction(-3, 5)]
+    raised, nonzero, features, scans = set(), 0, {}, {}
+    for _ in range(3000):
         ring = rng.choice(rings)
         kind = rng.choice(["partial", "d"])
         ambient = rng.choice([FULL, SIMPLICIAL])
@@ -205,7 +235,8 @@ def test_wedge_apply_matches_composition_oracle():
         op = WedgeOperator(kind, arity, terms)
         pick = rng.random()
         top = 4 if pick < 0.3 else 3
-        degree = rng.randint(arity - 1, top) if kind == "partial" else rng.randint(-1, top)
+        low = arity - 1 if kind == "partial" and arity > 1 else -1
+        degree = rng.randint(low, top)
         # deletions need the generators among the letters
         alphabet = list(range(nl))
         if kind == "partial" and terms:
@@ -229,6 +260,11 @@ def test_wedge_apply_matches_composition_oracle():
         if isinstance(want, type):
             raised.add(want)
             continue
+        if arity == 1:
+            for w in c.terms:
+                image = composed_wedge_apply(op, FreeChain.single(ring, w), ambient)
+                for key in scan_features(op, ring, ambient, w, image.terms):
+                    scans[key] = scans.get(key, 0) + 1
         if not want[1]:
             continue
         nonzero += 1
@@ -249,6 +285,7 @@ def test_wedge_apply_matches_composition_oracle():
     floors = {("runs", k, a): 10 for k in ("partial", "d") for a in (1, 3)}
     floors.update({"unsorted without repeats": 50, "repeated generators": 50, "F_p": 100})
     assert all(features.get(f, 0) >= n for f, n in floors.items()), features
+    assert all(scans.get(f, 0) >= n for f, n in SCAN_FLOORS.items()), scans
 
 
 def exhaustive_words(nletters, maxlen):
