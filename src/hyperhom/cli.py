@@ -4,6 +4,17 @@ Each command is one row of `COMMANDS`: its name, help text, handler and
 arguments. A handler takes the parsed arguments and returns the JSON
 document that `main` prints.
 
+`main` reads a plain command line straight from the command's row: the
+name, then options by their exact long names (`--opt value` or
+`--opt=value`) and positionals, with each row's types, choices, appends,
+required flags and defaults, into the namespace argparse would give.
+Every other line (help, an unknown or abbreviated flag, a missing or
+extra argument, a bad int or choice, a token starting with '-' that is
+no exact option, a value of exactly '--') goes to the argparse parser of
+`build_parser`, which alone writes help and argv-error text; argparse is
+imported, and the parser built, only then. An argv item that is not a
+string is bad input, refused before either reader runs.
+
 Exit codes: 0 on success, 2 for invalid or inconsistent input (including
 unreadable files and schema violations), 1 when an internal consistency
 assertion fires or a selftest suite fails.
@@ -11,10 +22,10 @@ assertion fires or a selftest suite fails.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 
 from . import jsonio
 from .errors import InputError, InternalCheckError, SchemaViolation
@@ -343,18 +354,18 @@ COMMANDS = [
 ]
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad argv (an unknown flag, a
-    missing option, a bad int or choice) as a SchemaViolation, so that it
-    gets one error document and exit 2 like any other bad input.
-    Subparsers are built from the same class."""
+def build_parser():
+    """The argparse parser: the only producer of help and argv-error text.
+    A bad argv (an unknown flag, a missing option, a bad int or choice)
+    raises SchemaViolation, so that it gets one error document and exit 2
+    like any other bad input."""
+    import argparse  # only help and argv errors come here
 
-    def error(self, message):
-        raise SchemaViolation(message)
+    class Parser(argparse.ArgumentParser):  # subparsers are built from it too
+        def error(self, message):
+            raise SchemaViolation(message)
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="hyperhom",
         description="Exact (co)homology of simplicial complexes and "
         "independence hypergraphs, hypergraph closure algebra, and "
@@ -378,9 +389,82 @@ def _check_option_values(args) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser, built once per process: parsing keeps no state in it."""
     return build_parser()
+
+
+_ROWS = {name: (handler, arguments) for name, _, handler, arguments in COMMANDS}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _plain_args(argv: list):
+    """The arguments of a plain command line, read straight from its
+    `COMMANDS` row, as argparse would read them; None for anything else.
+
+    Plain is: a command name, then options by their exact long names
+    (`--opt value` or `--opt=value`) and the row's positionals, in any
+    order, each option value passing the row's `type` and `choices`, and
+    every required argument given. Any other token starting with '-' (a
+    prefix, `-h`, a negative number, `--`) and a value of exactly '--'
+    leave the whole line to argparse, which alone writes help and argv
+    errors."""
+    row = _ROWS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    handler, arguments = row
+    flags = {flag: options for flag, options in arguments if flag.startswith("-")}
+    names = [flag for flag, _ in arguments if not flag.startswith("-")]
+    values = {"command": argv[0], "fn": handler}
+    values.update((_dest(flag), options.get("default")) for flag, options in flags.items())
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        options = flags.get(flag)
+        if options is None or value == "--":
+            return None
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        choices = options.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        dest = _dest(flag)
+        if options.get("action") == "append":
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
+        seen.add(flag)
+    if len(given) != len(names) or any(
+            options.get("required") and flag not in seen for flag, options in flags.items()):
+        return None
+    values.update(zip(names, given))
+    return types.SimpleNamespace(**values)
+
+
+def _parse(argv: list):
+    """The arguments of `argv`: read from the table when the line is plain,
+    else by argparse (help, or a SchemaViolation for a bad argv)."""
+    for i, item in enumerate(argv):
+        if not isinstance(item, str):
+            raise SchemaViolation(f"command line item {i} is not a string: {item!r}")
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
+        _check_option_values(args)
+    return args
 
 
 def main(argv=None) -> int:
@@ -389,15 +473,14 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _answer(argv)
+        return _answer(sys.argv[1:] if argv is None else list(argv))
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def _answer(argv) -> int:
+def _answer(argv: list) -> int:
     try:
-        args = _parser().parse_args(argv)
-        _check_option_values(args)
+        args = _parse(argv)
         doc = args.fn(args)
         code = 1 if doc.get("ok") is False else 0  # a failed selftest suite
     except SystemExit as exc:

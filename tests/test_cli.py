@@ -598,18 +598,23 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert "'other-suite'" in details[1] and "no-such-suite" not in details[1]
 
 
-def test_parser_is_built_at_most_once(capsys, monkeypatch):
+def test_parser_is_built_at_most_once(tmp_path, capsys, monkeypatch):
+    """A well-formed command line builds no parser at all; bad ones build
+    the one parser once."""
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        if kwargs.get("prog") == "hyperhom":
-            built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()  # start from no parser, whatever ran before
+    h = write(tmp_path, "h.json", {"vertices": ["a"], "edges": [[], ["a"]]})
+    for _ in range(20):
+        assert main(["classify", h]) == 0
+    assert built == []
     for _ in range(20):
         assert main(["classify", "--bogus"]) == 2
     capsys.readouterr()
-    assert len(built) == 1
+    assert built.count("hyperhom") == 1

@@ -222,11 +222,15 @@ def test_wedge_apply_matches_composition_oracle():
     rings = [ZZ, QQ, GF(3), GF(5)]
     coeffs = [0, 1, -1, 2, 3, -4, 5, 7, Fraction(1, 2), Fraction(-3, 5)]
     raised, nonzero, features, scans = set(), 0, {}, {}
-    for _ in range(3000):
+    # 3,000 free draws, then arity-3 deletions on run words drawn on purpose,
+    # which the free draws reach only rarely
+    for on_purpose in [False] * 3000 + [True] * 100:
         ring = rng.choice(rings)
         kind = rng.choice(["partial", "d"])
         ambient = rng.choice([FULL, SIMPLICIAL])
         arity = rng.randint(0, 4)
+        if on_purpose:
+            kind, arity = "partial", 3
         nl = rng.randint(max(arity, 1), 5)
         terms = tuple(
             (rng.choice(coeffs), tuple(sorted(rng.sample(range(nl), arity))))
@@ -236,14 +240,20 @@ def test_wedge_apply_matches_composition_oracle():
         pick = rng.random()
         top = 4 if pick < 0.3 else 3
         low = arity - 1 if kind == "partial" and arity > 1 else -1
-        degree = rng.randint(low, top)
+        degree = 4 if on_purpose else rng.randint(low, top)
         # deletions need the generators among the letters
         alphabet = list(range(nl))
         if kind == "partial" and terms:
             alphabet = sorted(set(rng.choice(terms)[1]) | {rng.randrange(nl)})
         words = {}
         for _ in range(rng.choice([0, 1, 2, 3, 4, 4])):
-            if pick < 0.3 and (kind == "partial" or ambient == FULL):
+            if on_purpose and terms:
+                # one term's letters and one more, shuffled, with one doubled
+                w = [*rng.choice(terms)[1], rng.randrange(nl)]
+                rng.shuffle(w)
+                i = rng.randrange(4)
+                w = tuple(w[:i + 1] + w[i:])
+            elif pick < 0.3 and (kind == "partial" or ambient == FULL):
                 w = run_word(rng, alphabet, degree + 1)
             elif ambient == SIMPLICIAL and rng.random() < 0.85 and degree < nl:
                 w = tuple(sorted(rng.sample(range(nl), degree + 1)))
