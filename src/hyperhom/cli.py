@@ -454,9 +454,14 @@ def _plain_args(argv: list):
     return types.SimpleNamespace(**values)
 
 
-def _parse(argv: list):
-    """The arguments of `argv`: read from the table when the line is plain,
-    else by argparse (help, or a SchemaViolation for a bad argv)."""
+def _parse(argv):
+    """The arguments of `argv`, a list or tuple of strings: read from the
+    table when the line is plain, else by argparse (help, or a
+    SchemaViolation for a bad argv)."""
+    if not isinstance(argv, (list, tuple)):
+        raise SchemaViolation(
+            f"the command line is not a list or tuple of strings: {type(argv).__name__}")
+    argv = list(argv)
     for i, item in enumerate(argv):
         if not isinstance(item, str):
             raise SchemaViolation(f"command line item {i} is not a string: {item!r}")
@@ -473,12 +478,12 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _answer(sys.argv[1:] if argv is None else list(argv))
+        return _answer(sys.argv[1:] if argv is None else argv)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def _answer(argv: list) -> int:
+def _answer(argv) -> int:
     try:
         args = _parse(argv)
         doc = args.fn(args)

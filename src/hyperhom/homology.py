@@ -18,14 +18,19 @@ Homology at degree n is Ker(out_n)/Im(in_n) where `out` steps away from n
 and `in` steps into it. Over a field the module also carries a solver
 that fixes cycle representatives and homology coordinates, which powers
 induced maps: even-wedge operator actions, inclusion maps, and the
-Mayer-Vietoris long exact sequence with its zig-zag connecting map.
+Mayer-Vietoris long exact sequence with its zig-zag connecting map. The
+solver works on the free coordinates of the cycle space: a cycle is
+fixed by its entries at the free columns of the outgoing boundary's
+reduced echelon form, so after the kernel basis only the incoming
+columns' rows there are reduced, and nothing is solved for.
 Vectors are the columns of a `SparseMatrix`. An inclusion sends each
 word to the same word, so the images of the representatives are the
 representatives themselves, their rows re-indexed into the larger basis;
 any other chain map applied to them is one product. One
-`DegreeSolver.coords` call reads the coordinates of all the images, one
-product too, and raises NotAChainMap when an image is not a cycle: every
-induced map and the connecting map leave through it.
+`DegreeSolver.coords` call reads the coordinates of all the images: one
+product with the outgoing boundary checks that they are cycles, or
+raises NotAChainMap, and their free rows are reduced. Every induced map
+and the connecting map leave through it.
 """
 
 from __future__ import annotations
@@ -46,14 +51,14 @@ from .hypergraphs import WORDS_CAP, CombineOp, Hypergraph, combine
 from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
+    _axpy,
     boundary_invariants,
-    field_reduce,
     homology_presentation,
     kernel_basis,
     rank,
 )
 from .records import record
-from .rings import QQ, Ring
+from .rings import QQ, Ring, canonical
 from .words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
 
 
@@ -284,57 +289,97 @@ def homology_table(spec: ComplexSpec) -> list:
 
 class DegreeSolver:
     """Cycle representatives and homology coordinates at one degree,
-    field coefficients only.
+    field coefficients only, read on the free coordinates of the cycles.
 
-    One sparse Gauss-Jordan reduction of the rows of [in-columns | cycle
-    basis | I] does all the work, pivoting in column order on the first
-    two blocks only. Its pivot columns are the columns independent of
-    those before them: first a basis of the boundaries, then the
-    representatives, so `reps` (the columns of a dim x betti matrix) is
-    the greedy pick. The identity block records the row operations. On
-    the representative pivot rows it carries a cycle onto its
-    coordinates; on the rows that cancel it spans the vectors
-    annihilating every cycle. The reduced echelon form and the cycle
-    space are unique, so `reps` and the coordinates of every cycle do not
-    depend on how the reduction orders its rows."""
+    `kernel_basis` brings the outgoing boundary to its reduced row echelon
+    form R. Its column k is the cycle z_f of the k-th free (non-pivot)
+    column f of R: 1 at f and minus R's column f at the pivot rows, all
+    before f, so f is the column's last row. A cycle x is the sum of
+    x_f z_f over the free columns F, so x -> x_F is injective on cycles.
+    Every boundary is a cycle, so the incoming columns' rows in F are
+    their coordinates, read with no solve. These columns are reduced by
+    their largest index, their low, as the column reduction of
+    persistence does: each is cleared at the lows taken before it until
+    its low is new or it is zero. The lows taken are then the lows of the
+    nonzero boundaries, and e_f lies in the span of the boundaries and of
+    the e_f' with f' < f exactly when f is a low. So the representatives,
+    the z_f whose f is no low in F order, are the greedy pick that a
+    reduction of [in-columns | cycles] in column order makes: a cycle is
+    kept when it is independent of the boundaries and the cycles before
+    it. `coords` reads a cycle's class by reducing its F rows from the top:
+    at a low it subtracts that boundary, anywhere else the entry is the
+    coordinate of that representative. The reduced boundaries and the
+    unit vectors at the representatives' f are a triangular basis of the
+    vectors on F, so this writes x_F once as a boundary plus a
+    combination of representatives.
+
+    Nothing printed depends on how the reduction orders its work: R is
+    unique, so F and every z_f are; the lows are those of the span of the
+    boundaries, whatever order the columns are reduced in; and a class
+    has one coordinate vector on a basis of the homology."""
 
     def __init__(self, ring: Ring, dim: int, out_mat: SparseMatrix, in_mat: SparseMatrix):
         if not ring.is_field:
             raise SchemaViolation("homology solvers need field coefficients")
-        self.ring = ring
-        self.dim = dim
+        self.ring, self.dim, self._out = ring, dim, out_mat
         cycles = kernel_basis(out_mat)
-        ncols = in_mat.cols + cycles.cols
-        aug = [{ncols + i: ring.one} for i in range(dim)]
-        for (i, j), v in in_mat.entries:
-            aug[i][j] = v
-        for (i, k), v in cycles.entries:
-            aug[i][in_mat.cols + k] = v
-        pivots, pivot_rows, zero_rows = field_reduce(aug, ncols, ring)
-        self.boundary_rank = sum(c < in_mat.cols for c in pivots)
-        chosen = {c - in_mat.cols: k for k, c in enumerate(pivots[self.boundary_rank:])}
+        free = [0] * cycles.cols  # the f of each z_f, its last row
+        for (i, k), _ in cycles.entries:
+            free[k] = i
+        self._slot = slot = {f: k for k, f in enumerate(free)}
+        self._lows = lows = {}  # low -> the boundary column taking it, 1 there
+        p = ring.p
+        for col in _free_columns(in_mat, slot).values():
+            low = _reduce_by_lows(col, lows, p)
+            if low is not None:
+                inv = ring.inv(col[low])
+                for k in col:
+                    col[k] = col[k] * inv % p if p else canonical(col[k] * inv)
+                lows[low] = col
+        self.boundary_rank = len(lows)
+        self._chosen = chosen = {k: r for r, k in enumerate(
+            k for k in range(cycles.cols) if k not in lows)}
         self.betti = len(chosen)
         # `chosen` keeps the cycle order, so the entries stay sorted
         self.reps = SparseMatrix(dim, self.betti, ring, tuple(
-            ((i, chosen[k]), v) for (i, k), v in cycles.entries if k in chosen
-        ))
-        # transform rows of the representative pivots, then of the rows a
-        # cycle must leave at zero
-        rows = pivot_rows[self.boundary_rank:] + zero_rows
-        self._transform = SparseMatrix(len(rows), dim, ring, tuple(sorted(
-            ((i, j - ncols), v) for i, row in enumerate(rows)
-            for j, v in row.items() if j >= ncols
-        )))
+            ((i, chosen[k]), v) for (i, k), v in cycles.entries if k in chosen))
 
     def coords(self, vecs: SparseMatrix, error: str) -> SparseMatrix:
-        """Homology coordinates of the columns of vecs, one column each.
-        The cancelled transform rows span the annihilator of the cycle
-        space, so a column off the cycles leaves an entry on one of them:
-        NotAChainMap(error) then, also when the group vanishes."""
-        w = self._transform.mul(vecs)
-        if w.entries and w.entries[-1][0][0] >= self.betti:
+        """Homology coordinates of the columns of vecs, one column each;
+        NotAChainMap(error) when a column is not a cycle, also when the
+        group vanishes."""
+        if not self._out.mul(vecs).is_zero():
             raise NotAChainMap(error)
-        return SparseMatrix(self.betti, vecs.cols, self.ring, w.entries)
+        lows, chosen, p = self._lows, self._chosen, self.ring.p
+        items = []
+        for j, col in _free_columns(vecs, self._slot).items():
+            while (low := _reduce_by_lows(col, lows, p)) is not None:
+                items.append(((chosen[low], j), col.pop(low)))
+        items.sort()
+        return SparseMatrix(self.betti, vecs.cols, self.ring, tuple(items))
+
+
+def _free_columns(m: SparseMatrix, slot: dict) -> dict:
+    """{col: {k: value}}: each nonzero column of m on the rows `slot` maps
+    to their k."""
+    cols = {}
+    for (i, j), v in m.entries:
+        k = slot.get(i)
+        if k is not None:
+            cols.setdefault(j, {})[k] = v
+    return cols
+
+
+def _reduce_by_lows(col: dict, lows: dict, p) -> int | None:
+    """Clear col at its largest index while that index is a low, in place;
+    the largest index left, or None once col is zero."""
+    while col:
+        low = max(col)
+        prow = lows.get(low)
+        if prow is None:
+            return low
+        _axpy(col, col[low], prow, p)
+    return None
 
 
 @record

@@ -291,12 +291,24 @@ def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
     raise SchemaViolation(f"unknown closure operator {op!r}")
 
 
+# the classes of a family closed downward, and of one closed upward
+_DOWN = {HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH}
+_UP = {HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH}
+
+
 def combine(a: Hypergraph, b: Hypergraph, op: CombineOp) -> Hypergraph:
+    """The intersection or union of a and b. When both already hold their
+    class, the result carries what they share: an edge of either keeps
+    its faces (cofaces) in its own family, and an edge of both in both, so
+    unions and intersections of families closed one way stay closed that
+    way."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("combine needs a common vertex set")
-    if op is CombineOp.INTERSECT:
-        return a.with_edges(a.edges & b.edges)
-    return a.with_edges(a.edges | b.edges)
+    h = a.with_edges(a.edges & b.edges if op is CombineOp.INTERSECT else a.edges | b.edges)
+    classes = {vars(a).get("_class"), vars(b).get("_class")}
+    if classes <= _DOWN or classes <= _UP:
+        proved_closed(h, classes <= _DOWN)
+    return h
 
 
 def join_hg(a: Hypergraph, b: Hypergraph) -> Hypergraph:

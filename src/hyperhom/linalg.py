@@ -12,14 +12,13 @@ through the ring for every term.
 A rank needs only the number of pivots, and the pairing of barcodes
 only which row took each, so both come from `forward_pivots`, a forward
 elimination that keeps no reduced rows: mod p over F_p, and fraction-free
-over Q and Z, where the rows stay integers. Everything that reads reduced
-rows comes from `field_reduce`, a sparse Gauss-Jordan reduction over Q or
-F_p that pivots in column order on the columns below a bound and carries
-the columns past it along: the field `kernel_basis` and the homology
-solver's representatives and coordinates. Its pivots are the columns
-independent of those before them and its pivot rows are the reduced row
-echelon form, both unique, so the results do not depend on the order
-rows are reduced.
+over Q and Z, where the rows stay integers. Only the field `kernel_basis`
+reads reduced rows. They come from `field_reduce`, a sparse Gauss-Jordan
+reduction over Q or F_p whose pivots are the columns independent of
+those before them and whose pivot rows are the reduced row echelon form,
+both unique, so a kernel basis does not depend on the order rows are
+reduced. The homology solver reads its representatives and coordinates
+off that kernel basis (see `homology.DegreeSolver`).
 
 Homology over Z of a free complex needs no kernel lattice: H_n is free of
 rank dim - rank(out) - rank(in), plus the nonunit invariant factors of
@@ -206,35 +205,30 @@ def forward_pivots(rows: list, ring: Ring) -> dict:
     return {lead: k for lead, (k, _, _) in pivots.items()}
 
 
-def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
+def field_reduce(rows: list, ring: Ring) -> tuple:
     """Gauss-Jordan reduction of field rows given as {col: value} dicts
-    with no stored zeros.
+    with no stored zeros, for `kernel_basis`.
 
-    Only columns below `bound` are pivot candidates; entries at or past it
-    ride along under the same row operations. Each row in turn, last to
-    first, is cleared at the pivot columns found so far, then its first
-    remaining column below `bound` becomes a new pivot, scaled to 1 and
-    cleared from the earlier pivot rows. Returns (pivots, pivot_rows,
-    zero_rows): the pivot columns in increasing order, their rows in the
-    same order (1 at their own pivot, 0 at every other), and the rows that
-    cancelled below `bound`. The pivots are the columns independent of
-    the columns before them, and the pivot rows restricted below `bound`
-    are the unique reduced row echelon form, whatever the row order. The
-    order changes only the cost: on boundary and solver matrices in basis
-    order, last to first did the least clearing of the orders tried
-    (first to last, by length, by leading column). The rows are reduced
-    in place.
+    Each row in turn, last to first, is cleared at the pivot columns found
+    so far, then its first remaining column becomes a new pivot, scaled to
+    1 and cleared from the earlier pivot rows; a row that cancels is
+    dropped. Returns (pivots, pivot_rows): the pivot columns in increasing
+    order and their rows in the same order (1 at their own pivot, 0 at
+    every other). The pivots are the columns independent of the columns
+    before them, and the pivot rows are the unique reduced row echelon
+    form, whatever the row order. The order changes only the cost: on
+    boundary matrices in basis order, last to first did the least clearing
+    of the orders tried (first to last, by length, by leading column). The
+    rows are reduced in place.
     """
     p = ring.p
     by_col = {}
-    zero_rows = []
     for row in reversed(rows):
         for c in [c for c in row if c in by_col]:
             _axpy(row, row[c], by_col[c], p)
-        lead = min((c for c in row if c < bound), default=None)
-        if lead is None:
-            zero_rows.append(row)
+        if not row:
             continue
+        lead = min(row)
         inv = ring.inv(row[lead])
         for c in row:
             row[c] = row[c] * inv % p if p else canonical(row[c] * inv)
@@ -243,7 +237,7 @@ def field_reduce(rows: list, bound: int, ring: Ring) -> tuple:
                 _axpy(prow, prow[lead], row, p)
         by_col[lead] = row
     pivots = sorted(by_col)
-    return pivots, [by_col[c] for c in pivots], zero_rows
+    return pivots, [by_col[c] for c in pivots]
 
 
 def _axpy(row: dict, f, prow: dict, p) -> None:
@@ -264,11 +258,12 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     """Kernel basis of a field matrix, as the columns of a cols x nullity
     matrix: column k belongs to the k-th non-pivot column f of the reduced
     row echelon form, with 1 at row f and minus that form's column f at
-    the pivot rows."""
+    the pivot rows. A pivot row is 0 before its pivot, so those rows all
+    come before f: f is the column's last row."""
     ring = m.ring
     if not ring.is_field:
         raise SchemaViolation("kernel bases are computed over fields")
-    pivots, pivot_rows, _ = field_reduce(_rows_of(m), m.cols, ring)
+    pivots, pivot_rows = field_reduce(_rows_of(m), ring)
     free = {f: k for k, f in enumerate(sorted(set(range(m.cols)).difference(pivots)))}
     items = [((f, k), ring.one) for f, k in free.items()]
     items += [((c, free[f]), ring.neg(v)) for c, row in zip(pivots, pivot_rows)

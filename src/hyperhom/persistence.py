@@ -18,8 +18,10 @@ cohomology reduction with clearing (de Silva, Morozov & Vejdemo-Johansson,
 Inverse Problems 2011; Bauer, Kerber & Reininghaus, "Clear and compress",
 2014) on `forward_pivots`, and the rank grid counts the bars alive over
 each pair of thresholds. Persistent Mayer-Vietoris builds the union of
-the two final families once and cuts every threshold's square from it;
-the vertical maps of its naturality squares are the inclusions between
+the two final families once and cuts every threshold's square from it.
+Every sublevel carries the class `validate` proved, and `combine` keeps
+it for their unions and intersections, so no square is classified. The
+vertical maps of its naturality squares are the inclusions between
 two thresholds' squares. A part of the square (intersection, either
 side, union) whose family did not change since the previous threshold
 keeps that threshold's complex, solvers included, and its vertical map
@@ -138,14 +140,18 @@ class Filtration:
                     f"sublevel family at {self.grid[k]} is not closed; edges {offender}")
 
     def complex_at(self, x) -> Hypergraph:
-        k = bisect_right(self.grid, Fraction(x))  # the edges born at or before x
-        return Hypergraph(self.vertices, frozenset(edge for b, edge in self.indexed if b < k))
+        """The edges born at or before x, their class the one `validate`
+        proved for every sublevel."""
+        k = bisect_right(self.grid, Fraction(x))
+        return self._proved(edge for b, edge in self.indexed if b < k)
 
     @cached_property
     def final_complex(self) -> Hypergraph:
-        """Every edge, its class the one `validate` proved; a sublevel from
-        `complex_at` is classified when asked."""
-        return proved_closed(Hypergraph(self.vertices, frozenset(e for _, e in self.indexed)),
+        """Every edge, its class the one `validate` proved."""
+        return self._proved(e for _, e in self.indexed)
+
+    def _proved(self, edges) -> Hypergraph:
+        return proved_closed(Hypergraph(self.vertices, frozenset(edges)),
                              self.monotonicity_class == SIMPLICIAL_CLASS)
 
 

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .errors import NotAChainMap
 from .homology import (
     ComplexSpec,
     build_complex,
@@ -537,8 +538,9 @@ def _random_complex(rng, vs, p=0.4, with_empty=None):
 
 def suite_homology_functoriality(rng) -> _Tally:
     """Inclusion and even-operator actions commute; Euler characteristics
-    agree; each solver reads its representatives as the unit vectors;
-    edge complexes are restrictions of the word complex."""
+    agree; each solver reads its representatives as the unit vectors and
+    refuses a basis vector that the boundary moves; edge complexes are
+    restrictions of the word complex."""
     t = _Tally()
     for _ in range(100):
         n = rng.randint(2, 4)
@@ -582,6 +584,9 @@ def suite_homology_functoriality(rng) -> _Tally:
             t.check(solver.coords(solver.reps, "a representative is not a cycle")
                     == SparseMatrix.identity(solver.betti, QQ),
                     "representatives have unit coordinates")
+            # a basis vector that the boundary moves is no cycle
+            t.check(_refuses(solver, SparseMatrix.identity(built.dim(nn), QQ))
+                    == (not built.matrix(nn).is_zero()), "coords refuses a non-cycle")
         t.check(chi_dim == chi_betti, "Euler characteristic")
         words = edge_carrier(Hypergraph(vs, power_set(vs)))  # every increasing word
         cut = build_complex(ComplexSpec(words, op, 0, QQ)).restrict(large)
@@ -593,6 +598,15 @@ def suite_homology_functoriality(rng) -> _Tally:
     _check_inclusions_compose(t, combine(a, b, CombineOp.INTERSECT), b,
                               combine(a, b, CombineOp.UNION), op)
     return t
+
+
+def _refuses(solver, vecs) -> bool:
+    """Whether the solver's `coords` refuses vecs as not all cycles."""
+    try:
+        solver.coords(vecs, "not a cycle")
+    except NotAChainMap:
+        return True
+    return False
 
 
 def _check_inclusions_compose(t: _Tally, small, mid, large, op,

@@ -1,5 +1,6 @@
 """Dense field elimination, the oracle for the sparse `linalg.field_reduce`,
-the per-vector route to homology-level maps, and the integer kernel lattice.
+the solvers `DegreeSolver` replaced, the per-vector route to
+homology-level maps, and the integer kernel lattice.
 
 `field_rref` is the full-row Gauss-Jordan reduction that `kernel_basis`
 and `DegreeSolver` were built on before the sparse route; `modp_row_rank`
@@ -9,7 +10,13 @@ fraction-free elimination with least-absolute-value pivots that Q and Z
 `gauss_jordan_rank` is the pivot count of `field_reduce`, the route
 `rank` took before it became a forward elimination. `dense_kernel` and
 `DenseSolver` rebuild the old kernel basis and solver on top of them,
-with vectors as dense lists. `descend`, `coordinates` and
+with vectors as dense lists. `bounded_field_reduce` is `field_reduce`
+as it was while it also served the solver: it pivots only on the columns
+below a bound, carries the columns past it along and returns the rows
+that cancel. `SparseSolver` is the sparse solver built on it, one
+reduction of [in-columns | cycles | I] whose identity block records the
+transform onto the homology coordinates, before `DegreeSolver` read them
+on the free coordinates of the cycles. `descend`, `coordinates` and
 `mv_connecting` are the homology-level maps read one dense vector at a
 time over `DenseSolver`, as the engine did before one
 `DegreeSolver.coords` call read every vector of a map in one matrix
@@ -26,8 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hyperhom.errors import NotAChainMap
-from hyperhom.linalg import SparseMatrix, field_reduce
-from hyperhom.rings import QQ
+from hyperhom.linalg import SparseMatrix, _axpy, field_reduce, kernel_basis
+from hyperhom.rings import QQ, canonical
 
 
 def matrix_of_rows(data: list, cols: int, ring) -> SparseMatrix:
@@ -116,7 +123,7 @@ def gauss_jordan_rank(m: SparseMatrix) -> int:
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries:
         rows[i][j] = v
-    return len(field_reduce(rows, m.cols, m.ring if m.ring.is_field else QQ)[0])
+    return len(field_reduce(rows, m.ring if m.ring.is_field else QQ)[0])
 
 
 def modp_row_rank(rows: list, p: int) -> int:
@@ -245,11 +252,11 @@ class DenseSolver:
             row.extend(z[i] for z in cycles)
             row.extend(ring.one if i == k else ring.zero for k in range(dim))
         pivots = field_rref(aug, ncols, ring)
-        boundary_rank = sum(c < in_mat.cols for c in pivots)
-        self.reps = [cycles[c - in_mat.cols] for c in pivots[boundary_rank:]]
+        self.boundary_rank = sum(c < in_mat.cols for c in pivots)
+        self.reps = [cycles[c - in_mat.cols] for c in pivots[self.boundary_rank:]]
         self.betti = len(self.reps)
         self._transform = matrix_of_rows(
-            [row[ncols:] for row in aug[boundary_rank:]], dim, ring
+            [row[ncols:] for row in aug[self.boundary_rank:]], dim, ring
         )
 
     def coords(self, vec):
@@ -257,6 +264,78 @@ class DenseSolver:
         if any(not self.ring.is_zero(v) for v in w[self.betti:]):
             return None
         return tuple(w[: self.betti])
+
+
+def bounded_field_reduce(rows: list, bound: int, ring) -> tuple:
+    """Gauss-Jordan reduction of field rows given as {col: value} dicts
+    with no stored zeros, pivoting on the columns below `bound` only.
+
+    Entries at or past `bound` ride along under the same row operations.
+    Each row in turn, last to first, is cleared at the pivot columns found
+    so far, then its first remaining column below `bound` becomes a new
+    pivot, scaled to 1 and cleared from the earlier pivot rows. Returns
+    (pivots, pivot_rows, zero_rows): the pivot columns in increasing
+    order, their rows in the same order, and the rows that cancelled
+    below `bound`. The rows are reduced in place.
+    """
+    p = ring.p
+    by_col = {}
+    zero_rows = []
+    for row in reversed(rows):
+        for c in [c for c in row if c in by_col]:
+            _axpy(row, row[c], by_col[c], p)
+        lead = min((c for c in row if c < bound), default=None)
+        if lead is None:
+            zero_rows.append(row)
+            continue
+        inv = ring.inv(row[lead])
+        for c in row:
+            row[c] = row[c] * inv % p if p else canonical(row[c] * inv)
+        for prow in by_col.values():
+            if lead in prow:
+                _axpy(prow, prow[lead], row, p)
+        by_col[lead] = row
+    pivots = sorted(by_col)
+    return pivots, [by_col[c] for c in pivots], zero_rows
+
+
+class SparseSolver:
+    """The sparse solver `DegreeSolver` replaced: one `bounded_field_reduce`
+    of the rows of [in-columns | cycle basis | I], pivoting in column order
+    on the first two blocks only. Its pivots are first a basis of the
+    boundaries, then the representatives, the greedy pick. On the
+    representative pivot rows the identity block carries a cycle onto its
+    coordinates; on the rows that cancel it spans the vectors annihilating
+    every cycle, so `coords` raises NotAChainMap off the cycles."""
+
+    def __init__(self, ring, dim, out_mat, in_mat):
+        self.ring = ring
+        self.dim = dim
+        cycles = kernel_basis(out_mat)
+        ncols = in_mat.cols + cycles.cols
+        aug = [{ncols + i: ring.one} for i in range(dim)]
+        for (i, j), v in in_mat.entries:
+            aug[i][j] = v
+        for (i, k), v in cycles.entries:
+            aug[i][in_mat.cols + k] = v
+        pivots, pivot_rows, zero_rows = bounded_field_reduce(aug, ncols, ring)
+        self.boundary_rank = sum(c < in_mat.cols for c in pivots)
+        chosen = {c - in_mat.cols: k for k, c in enumerate(pivots[self.boundary_rank:])}
+        self.betti = len(chosen)
+        self.reps = SparseMatrix(dim, self.betti, ring, tuple(
+            ((i, chosen[k]), v) for (i, k), v in cycles.entries if k in chosen
+        ))
+        rows = pivot_rows[self.boundary_rank:] + zero_rows
+        self._transform = SparseMatrix(len(rows), dim, ring, tuple(sorted(
+            ((i, j - ncols), v) for i, row in enumerate(rows)
+            for j, v in row.items() if j >= ncols
+        )))
+
+    def coords(self, vecs: SparseMatrix, error: str) -> SparseMatrix:
+        w = self._transform.mul(vecs)
+        if w.entries and w.entries[-1][0][0] >= self.betti:
+            raise NotAChainMap(error)
+        return SparseMatrix(self.betti, vecs.cols, self.ring, w.entries)
 
 
 def dense_solver(built, n: int) -> DenseSolver:

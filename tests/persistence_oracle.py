@@ -87,10 +87,9 @@ def barcode(f, operator, q, ring, n) -> Barcode:
         out_rows.setdefault(i, {})[pos[edges[j]]] = v
     for (i, j), v in built.incoming_matrix(n).entries:
         in_rows.setdefault(pos[src_edges[j]], {})[last - pos[edges[i]]] = v
-    negative = field_reduce(list(out_rows.values()), len(births), ring)[0]
+    negative = field_reduce(list(out_rows.values()), ring)[0]
     closer = {id(row): births[k] for k, row in in_rows.items()}
-    pivots, pivot_rows, _ = field_reduce(
-        [in_rows[k] for k in sorted(in_rows, reverse=True)], len(births), ring)
+    pivots, pivot_rows = field_reduce([in_rows[k] for k in sorted(in_rows, reverse=True)], ring)
     paired = set(negative).union(last - c for c in pivots)
     bars = Counter((births[last - c], closer[id(row)]) for c, row in zip(pivots, pivot_rows))
     bars.update((births[pos[e]], None) for e in edges if pos[e] not in paired)

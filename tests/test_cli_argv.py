@@ -5,7 +5,8 @@ The table read (`cli._plain_args`) is checked against argparse, its
 oracle, on argvs drawn from every command row and mutated: it either
 leaves the line to argparse or gives what argparse gives. Fresh
 interpreters check that a plain request never loads argparse while a bad
-argv still gets the pinned error document.
+argv still gets the pinned error document. An argv that is not a list or
+tuple of strings gets one error document before either reader runs.
 """
 
 import contextlib
@@ -190,6 +191,43 @@ def test_non_string_argv_items_get_one_error_document(capsys, monkeypatch, argv)
     doc = json.loads(captured.out)
     assert captured.out.count("\n") == 1 and captured.err == ""
     assert doc["error"] == "SchemaViolation" and "not a string" in doc["detail"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (3, "int"),
+    ("classify", "str"),
+    (b"classify", "bytes"),
+    (iter(["classify", "h.json"]), "list_iterator"),
+    ({"classify": "h.json"}, "dict"),
+], ids=["int", "str", "bytes", "list_iterator", "dict"])
+def test_argv_that_is_not_a_list_or_tuple_gets_one_error_document(capsys, monkeypatch,
+                                                                   argv, kind):
+    def no_parser(*_):
+        raise AssertionError("a parser ran on an argv that is not a list or tuple")
+
+    monkeypatch.setattr(cli, "_plain_args", no_parser)
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": "SchemaViolation",
+        "detail": f"the command line is not a list or tuple of strings: {kind}"}
+
+
+def test_tuple_argv_answers_as_the_list_and_none_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"vertices": ["a", "b"], "edges": [[], ["a"], ["b"], ["a", "b"]]}))
+    answers = []
+    for argv in (["classify", str(cx)], ("classify", str(cx))):
+        answers.append((main(argv), capsys.readouterr()))
+    monkeypatch.setattr(sys, "argv", ["hyperhom", "classify", str(cx)])
+    answers.append((main(None), capsys.readouterr()))
+    assert answers[0][0] == 0 and json.loads(answers[0][1].out)
+    assert answers[1:] == answers[:1] * 2
+    # a tuple holding a non-string is refused item by item, as a list is
+    assert main(("classify", 3)) == 2
+    assert "command line item 1 is not a string" in capsys.readouterr().out
 
 
 # A fresh isolated interpreter puts `src` on its path, answers argv[2:]

@@ -104,6 +104,45 @@ def test_combine():
         combine(a, Hypergraph.of(VertexSet.of("x"), []), CombineOp.UNION)
 
 
+def test_combine_carries_only_a_class_both_inputs_hold():
+    """A union or an intersection carries the class its two inputs share,
+    closed downward or upward, and it is the class a fresh classify finds;
+    it carries none when an input holds no class yet, as a document just
+    read, or when the two share no direction."""
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(1, 4))])
+        pool = sorted(power_set(vs))
+        pair = []
+        for _ in range(2):
+            h = Hypergraph(vs, frozenset(e for e in pool if rng.random() < 0.4))
+            pick = rng.random()
+            if pick < 0.35:
+                h = closure(h, ClosureOp.DELTA_UP)
+            elif pick < 0.7:
+                h = closure(h, ClosureOp.BAR_DELTA_UP)
+            elif pick < 0.75:
+                h = Hypergraph(vs, power_set(vs) - {()} if rng.random() < 0.5 else power_set(vs))
+            pair.append(h)
+        a, b = pair
+        for op in CombineOp:
+            assert "_class" not in vars(combine(a, b, op))  # no input classified yet
+        a.classify(), b.classify()
+        down = {a._class, b._class} <= {HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH}
+        up = {a._class, b._class} <= {HypergraphClass.INDEPENDENCE_HYPERGRAPH,
+                                       HypergraphClass.BOTH}
+        for op in CombineOp:
+            h = combine(a, b, op)
+            assert ("_class" in vars(h)) == (down or up)
+            fresh = Hypergraph(vs, h.edges).classify()
+            assert h.classify() is fresh
+            seen.add((down, up, fresh))
+    assert {(True, False), (False, True), (True, True), (False, False)} <= {
+        (down, up) for down, up, _ in seen}
+    assert {fresh for *_, fresh in seen} == set(HypergraphClass)
+
+
 def test_join():
     a = Hypergraph.of(VertexSet.of("s0"), [[0]])
     b = Hypergraph.of(VertexSet.of("t0"), [[0]])

@@ -25,6 +25,7 @@ from hyperhom.words import VertexSet, WedgeOperator
 
 from field_oracle import (
     apply,
+    bounded_field_reduce,
     columns,
     dense_kernel,
     field_rref,
@@ -178,21 +179,29 @@ def test_sparse_field_reduction_matches_dense_oracle(ring):
             for (i, j), v in m.entries:
                 rows[i][j] = v
             assert r == modp_row_rank(rows, ring.p)
-        # reduce [m | I] on the m block: the pivot rows there are the
-        # dense RREF, the other rows cancel on it, and the identity block
-        # records an invertible transform onto those rows
+        rows = [{} for _ in range(m.rows)]
+        for (i, j), v in m.entries:
+            rows[i][j] = v
+        given = list(rows)
+        pivots, pivot_rows = field_reduce(rows, ring)
+        # the pivot rows are the caller's own dicts, each at most once, and
+        # the dense RREF; the rows that cancel are dropped
+        assert len(set(map(id, pivot_rows))) == len(pivot_rows)
+        assert set(map(id, pivot_rows)) <= set(map(id, given))
+        dense = m.dense_rows()
+        assert pivots == field_rref(dense, m.cols, ring)
+        assert len(pivots) == r
+        for row, want in zip(pivot_rows, dense):
+            assert [row.get(j, ring.zero) for j in range(m.cols)] == want
+        # the solver oracle's reduction of [m | I] on the m block: the same
+        # pivot rows there, the other rows cancel on it, and the identity
+        # block records an invertible transform onto those rows
         aug = [{m.cols + i: ring.one} for i in range(m.rows)]
         for (i, j), v in m.entries:
             aug[i][j] = v
-        given = list(aug)
-        pivots, pivot_rows, zero_rows = field_reduce(aug, m.cols, ring)
-        # the rows come back as the caller's own dicts, each exactly once
-        assert sorted(map(id, pivot_rows + zero_rows)) == sorted(map(id, given))
-        dense = m.dense_rows()
-        assert pivots == field_rref(dense, m.cols, ring)
-        assert len(pivots) == r and len(zero_rows) == m.rows - r
-        for row, want in zip(pivot_rows, dense):
-            assert [row.get(j, ring.zero) for j in range(m.cols)] == want
+        pivots, pivot_rows, zero_rows = bounded_field_reduce(aug, m.cols, ring)
+        assert pivots == field_rref(m.dense_rows(), m.cols, ring)
+        assert len(zero_rows) == m.rows - r
         assert all(j >= m.cols for row in zero_rows for j in row)
         out = pivot_rows + zero_rows
         transform = SparseMatrix.from_entries(m.rows, m.rows, ring, [

@@ -103,6 +103,47 @@ def test_final_complex_carries_the_class_validate_proved():
                          HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH}, seen
 
 
+def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
+    """Every sublevel `complex_at` gives, and every intersection and union
+    of two sublevels that `mv_complexes` forms, carries the class
+    `validate` proved, set without a classify, and it is the class of a
+    fresh `Hypergraph` on the same edges: on random pairs of both classes,
+    with one side the whole power set now and then. `persistent_mv` then
+    computes no `_class` at all."""
+    rng = random.Random(139)
+    pairs = []
+    for _ in range(40):
+        nv, empty = rng.randint(1, 4), rng.random() < 0.3
+        fa, fb = (random_simplicial_filtration(rng, nv, empty) for _ in range(2))
+        if fa.final_complex.has_empty_edge == fb.final_complex.has_empty_edge:
+            pairs.append((fa, fb, "partial"))
+        fa, fb = random_independence_filtration(rng, nv), random_independence_filtration(rng, nv)
+        if rng.random() < 0.2:
+            fa = Filtration.of(fa.vertices, [(e, 0) for e in power_set(fa.vertices)],
+                               "independence")
+        pairs.append((fa, fb, "d"))
+    seen = Counter()
+    for fa, fb, _ in pairs:
+        for x in sorted(set(fa.grid) | set(fb.grid)):
+            a, b = fa.complex_at(x), fb.complex_at(x)
+            for h in (a, b, combine(a, b, CombineOp.INTERSECT), combine(a, b, CombineOp.UNION)):
+                assert "_class" in vars(h)
+                fresh = Hypergraph(h.vertices, h.edges).classify()
+                assert h.classify() is fresh, (fa.monotonicity_class, h.sorted_edges())
+                seen[fresh] += 1
+    assert min(seen[c] for c in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH,
+                                 HypergraphClass.INDEPENDENCE_HYPERGRAPH)) >= 20, seen
+    classified = []
+    rule = Hypergraph.__dict__["_class"]
+    counted = cached_property(lambda h: classified.append(h) or rule.func(h))
+    counted.__set_name__(Hypergraph, "_class")
+    monkeypatch.setattr(Hypergraph, "_class", counted)
+    for fa, fb, kind in pairs[:20]:
+        op = WedgeOperator.weighted_sum(kind, [1] * len(fa.vertices))
+        persistent_mv(fa, fb, op, 0, QQ)
+    assert classified == []
+
+
 def test_barcode_classifies_nothing(monkeypatch):
     """The class rule is written once, in `ComplexSpec`: `persistence`
     names no carrier kind, and `barcode` reads the class of the final

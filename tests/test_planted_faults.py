@@ -47,6 +47,15 @@ planted fault trips gives no assurance.
   `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
   unit-coordinates check of the `homology-functoriality` selftest suite
   and the composition check of the `mv-exactness` suite.
+* `DegreeSolver` keying its lows by the least index instead of the
+  largest: `test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced`
+  and `test_homology.test_degree_solver_against_greedy_rank_oracle`. The
+  representatives are then another basis of the homology, read
+  consistently, so every map is still a map of the same rank: no
+  selftest suite sees it, nor do the pins of `tests/printed_maps.json`.
+* `DegreeSolver.coords` skipping its check that the boundary sends every
+  column to zero: the same two tests and the non-cycle check of the
+  `homology-functoriality` selftest suite.
 * `wedge_apply`'s simplicial insertion closed form, which serves arity
   2 and up, reading each monomial's weight from the monomial with
   vertices 0 and 1 exchanged, a legal odd operator: the complement law
@@ -84,6 +93,7 @@ from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import SparseMatrix
 from hyperhom.rings import QQ
 
+import test_degree_solver
 import test_fast_paths
 import test_homology
 import test_linalg
@@ -373,6 +383,27 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch, u
     result = selftest.run_suite("mv-exactness")
     assert result.failures > 0
     assert result.detail == "inclusions at degree 1 compose over Q"
+
+
+def test_degree_solver_lows_keyed_by_the_least_index_are_caught(monkeypatch):
+    monkeypatch.setattr(homology, "_reduce_by_lows", planted(
+        homology._reduce_by_lows, "low = max(col)", "low = min(col)"))
+    with pytest.raises(AssertionError):
+        test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced()
+    with pytest.raises(AssertionError):
+        test_homology.test_degree_solver_against_greedy_rank_oracle()
+
+
+def test_coords_skipping_the_cycle_check_is_caught(monkeypatch, unfaulted):
+    assert unfaulted["homology-functoriality"].failures == 0
+    monkeypatch.setattr(DegreeSolver, "coords", planted(
+        DegreeSolver.coords, "if not self._out.mul(vecs).is_zero():", "if False:"))
+    with pytest.raises(AssertionError):
+        test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced()
+    with pytest.raises(AssertionError):
+        test_homology.test_degree_solver_against_greedy_rank_oracle()
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == "coords refuses a non-cycle"
 
 
 def inclusion_by_rebuild(small, large, op, q, ring):
