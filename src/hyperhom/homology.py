@@ -260,9 +260,7 @@ class BuiltComplex:
         """Solver at degree n; off the grid the module is zero and so is
         its homology."""
         if n not in self._solvers:
-            self._solvers[n] = DegreeSolver(
-                self.spec.ring, self.dim(n), self.matrix(n), self.incoming_matrix(n)
-            )
+            self._solvers[n] = DegreeSolver(self.matrix(n), self.incoming_matrix(n))
         return self._solvers[n]
 
 
@@ -318,7 +316,9 @@ class DegreeSolver:
     boundaries, whatever order the columns are reduced in; and a class
     has one coordinate vector on a basis of the homology."""
 
-    def __init__(self, ring: Ring, dim: int, out_mat: SparseMatrix, in_mat: SparseMatrix):
+    def __init__(self, out_mat: SparseMatrix, in_mat: SparseMatrix):
+        """At the degree that out_mat leaves and in_mat enters, over their ring."""
+        ring, dim = out_mat.ring, out_mat.cols
         if not ring.is_field:
             raise SchemaViolation("homology solvers need field coefficients")
         self.ring, self.dim, self._out = ring, dim, out_mat

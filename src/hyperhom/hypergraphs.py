@@ -7,12 +7,16 @@ the global and local complements, and `trace` restricts onto a vertex
 subset. Full power-set enumeration is capped at 20 vertices, the upward
 closures `Delta`/`barDelta` at 2**20 enumerated subsets, and all-words
 carriers at 2**16 words. The downward closures `delta`/`bardelta` need no
-cap: they look at each edge's one-vertex neighbours only, as `classify`
-does.
+cap: they look at each edge's one-vertex neighbours only, as `_closed` does.
+
+A family's class is which ways it is closed: downward, under nonempty
+subfaces (a simplicial complex), and upward, under supersets (an
+independence hypergraph). `Hypergraph._closed` holds the pair, and
+`classify` only names it.
 
 Ingest is one pass per edge: a C-level `map` over the labels-only position
 dict (True and 1.0 hash as 1), then the sorted tuple and bitmask together,
-kept by `Hypergraph.of` for `classify`. Where that lookup fails, the
+kept by `Hypergraph.of` for `_closed`. Where that lookup fails, the
 checking loop `_vertex_indices` runs, so every error keeps its text.
 """
 
@@ -41,6 +45,13 @@ class HypergraphClass(Enum):
     INDEPENDENCE_HYPERGRAPH = "independence-hypergraph"
     BOTH = "both"
     NEITHER = "neither"
+
+
+# the class of each (closed downward, closed upward), for `classify`
+_NAMES = {(True, True): HypergraphClass.BOTH,
+          (True, False): HypergraphClass.SIMPLICIAL_COMPLEX,
+          (False, True): HypergraphClass.INDEPENDENCE_HYPERGRAPH,
+          (False, False): HypergraphClass.NEITHER}
 
 
 class ClosureOp(Enum):
@@ -148,23 +159,8 @@ class Hypergraph:
         return Hypergraph(self.vertices, frozenset(edges))
 
     def classify(self) -> HypergraphClass:
-        """Simplicial complex (closed under nonempty subfaces), independence
-        hypergraph (closed under supersets), both, or neither; computed
-        once per hypergraph.
-
-        Codimension 1 suffices both ways. Down: if every edge of size >= 2
-        keeps all its one-vertex deletions, then so does each of those, and
-        by induction every nonempty subface is present. Up: likewise, if
-        every edge keeps all its one-vertex insertions, every superset is
-        present.
-
-        Edges are checked as bitmasks, bit v standing for vertex v. For
-        each vertex bit b, the flips m ^ b of the masks that are not masks,
-        0 aside ({b} need not keep its empty face), are what is missing:
-        one without bit b is a missing face (not closed down), one with
-        bit b a missing coface (not closed up). It stops once both fail.
-        """
-        return self._class
+        """`_closed` named: a simplicial complex, an independence hypergraph, both or neither."""
+        return _NAMES[self._closed]
 
     @cached_property
     def _masks(self) -> frozenset:
@@ -182,7 +178,22 @@ class Hypergraph:
         return missing
 
     @cached_property
-    def _class(self) -> HypergraphClass:
+    def _closed(self) -> tuple:
+        """(closed downward, closed upward), found once per hypergraph
+        unless `proved_closed` set it.
+
+        Codimension 1 suffices both ways. Down: if every edge of size >= 2
+        keeps all its one-vertex deletions, then so does each of those, and
+        by induction every nonempty subface is present. Up: likewise, if
+        every edge keeps all its one-vertex insertions, every superset is
+        present.
+
+        Edges are checked as bitmasks, bit v standing for vertex v. For
+        each vertex bit b, the flips m ^ b of the masks that are not masks,
+        0 aside ({b} need not keep its empty face), are what is missing:
+        one without bit b is a missing face (not closed down), one with
+        bit b a missing coface (not closed up). It stops once both fail.
+        """
         down = up = True
         for v in range(len(self.vertices)):
             b = 1 << v
@@ -191,33 +202,23 @@ class Hypergraph:
             up = up and not any(m & b for m in missing)
             if not (down or up):
                 break
-        if down and up:
-            return HypergraphClass.BOTH
-        if down:
-            return HypergraphClass.SIMPLICIAL_COMPLEX
-        if up:
-            return HypergraphClass.INDEPENDENCE_HYPERGRAPH
-        return HypergraphClass.NEITHER
+        return down, up
 
     @property
     def is_simplicial_complex(self) -> bool:
-        return self._class in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH)
+        return self._closed[0]
 
     @property
     def is_independence_hypergraph(self) -> bool:
-        return self._class in (
-            HypergraphClass.INDEPENDENCE_HYPERGRAPH,
-            HypergraphClass.BOTH,
-        )
+        return self._closed[1]
 
 
 def proved_closed(h: Hypergraph, down: bool) -> Hypergraph:
     """h, which its caller proved closed downward (simplicial) or upward, its
-    class set in O(1) with no classify: a family closed one way is closed
+    `_closed` set in O(1) with no flip loop: a family closed one way is closed
     both ways exactly when it is empty or holds every nonempty subset."""
     both = not h.edges or len(h.edges) - h.has_empty_edge == 2 ** len(h.vertices) - 1
-    _set(h, "_class", HypergraphClass.BOTH if both else HypergraphClass.SIMPLICIAL_COMPLEX
-         if down else HypergraphClass.INDEPENDENCE_HYPERGRAPH)
+    _set(h, "_closed", (down or both, both or not down))
     return h
 
 
@@ -291,23 +292,18 @@ def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
     raise SchemaViolation(f"unknown closure operator {op!r}")
 
 
-# the classes of a family closed downward, and of one closed upward
-_DOWN = {HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH}
-_UP = {HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH}
-
-
 def combine(a: Hypergraph, b: Hypergraph, op: CombineOp) -> Hypergraph:
     """The intersection or union of a and b. When both already hold their
-    class, the result carries what they share: an edge of either keeps
-    its faces (cofaces) in its own family, and an edge of both in both, so
-    unions and intersections of families closed one way stay closed that
-    way."""
+    `_closed`, the result carries the ways both are closed: an edge of
+    either keeps its faces (cofaces) in its own family, and an edge of both
+    in both, so unions and intersections of families closed one way stay
+    closed that way."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("combine needs a common vertex set")
     h = a.with_edges(a.edges & b.edges if op is CombineOp.INTERSECT else a.edges | b.edges)
-    classes = {vars(a).get("_class"), vars(b).get("_class")}
-    if classes <= _DOWN or classes <= _UP:
-        proved_closed(h, classes <= _DOWN)
+    closed = [x and y for x, y in zip(vars(a).get("_closed", ()), vars(b).get("_closed", ()))]
+    if any(closed):
+        proved_closed(h, closed[0])
     return h
 
 

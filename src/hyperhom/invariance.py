@@ -14,7 +14,7 @@ modes.
 from __future__ import annotations
 
 from .errors import EmptyEdgePresent, SchemaViolation, TraceNotClassified
-from .hypergraphs import Hypergraph, HypergraphClass, trace
+from .hypergraphs import Hypergraph, trace
 from .records import record
 
 PARTIAL = "partial"
@@ -22,10 +22,10 @@ DIFFERENTIAL = "d"
 
 
 def is_invariant(h: Hypergraph, s: int, mode: str) -> bool:
-    """Read on the one-vertex flips that `classify` reads: no face missing
-    below an edge holding s (PARTIAL, where {s} needs no empty face), or no
-    coface missing above an edge without it (DIFFERENTIAL, where the empty
-    edge needs no {s} above it)."""
+    """Read on the one-vertex flips that `Hypergraph._closed` reads: no
+    face missing below an edge holding s (PARTIAL, where {s} needs no empty
+    face), or no coface missing above an edge without it (DIFFERENTIAL,
+    where the empty edge needs no {s} above it)."""
     if not 0 <= s < len(h.vertices):
         raise SchemaViolation(f"vertex index {s} out of range")
     b = 1 << s
@@ -54,11 +54,7 @@ def invariant_trace(h: Hypergraph, mode: str) -> InvariantReport:
         )
     verts = invariant_vertices(h, mode)
     restricted = trace(h, verts)
-    cls = restricted.classify()
-    if mode == PARTIAL:
-        ok = cls in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH)
-    else:
-        ok = cls in (HypergraphClass.INDEPENDENCE_HYPERGRAPH, HypergraphClass.BOTH)
-    if not ok:
+    if not (restricted.is_simplicial_complex if mode == PARTIAL
+            else restricted.is_independence_hypergraph):
         raise TraceNotClassified(f"invariant trace failed to classify for mode {mode}")
     return InvariantReport(mode, verts, restricted)

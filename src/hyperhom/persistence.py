@@ -114,9 +114,9 @@ class Filtration:
         pass over the birth indices. A sublevel is closed when each of its
         edges keeps its codimension-1 faces (simplicial class, edges of
         size >= 2 only) or cofaces (independence class), the rule
-        `Hypergraph.classify` checks, here on bitmasks as it does. So an
-        edge breaks every sublevel from its own birth on when one of those
-        neighbours is missing or born later, and never otherwise; the first
+        `Hypergraph` checks, here on bitmasks as it does. So an edge breaks
+        every sublevel from its own birth on when one of those neighbours
+        is missing or born later, and never otherwise; the first
         sublevel that fails is at the birth of the first such edge in
         birth order."""
         births = dict(zip(self._masks, (k for k, _ in self.indexed)))
@@ -133,7 +133,7 @@ class Filtration:
                 near = map(mask.__xor__, map(bit, edge))
             else:
                 continue
-            if max(map(births.get, near, never)) > k:
+            if max(map(births.get, near, never), default=k) > k:  # no vertex: no coface
                 offender = sorted((e for b, e in self.indexed if b <= k),
                                   key=lambda e: (len(e), e))
                 raise MonotonicityViolation(
@@ -187,10 +187,9 @@ def persistent_ranks(f: Filtration, operator: WedgeOperator, q: int,
     bars alive over [i, j], born at i or before and dying after j, are the
     suffix sums of a tally, by death index, of the bars born by i."""
     m = len(f.grid)
-    index = {x: k for k, x in enumerate(f.grid + (None,))}  # None: never dies
     born = [[] for _ in range(m)]
-    for birth, death, mult in barcode(f, operator, q, ring, n).bars:
-        born[index[birth]].append((index[death], mult))
+    for birth, death, mult in _pairing(f, operator, q, ring, n):
+        born[birth].append((death, mult))
     alive, ranks = [0] * (m + 1), {}
     for i in range(m):
         for death, mult in born[i]:
@@ -207,15 +206,23 @@ class Barcode:
 
 
 def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> Barcode:
-    """Interval decomposition in degree n on the final complex, its edges
-    in birth order, by the cohomology reduction with clearing. The pivots
-    of `forward_pivots` on the outgoing rows are the n-edges that close a
-    bar where they map; they open none and their rows are skipped. Every
-    other n-edge's coboundary row, keyed by its cofaces, is passed oldest
-    first, so the newest is reduced first; it opens a bar that the coface
-    at its pivot closes, or none does. Bars of length zero are dropped.
-    The pairing runs on birth indices, on the final complex, whose class
-    `validate` proved."""
+    """Interval decomposition in degree n: the bars of `_pairing`, their
+    indices read as births on the grid."""
+    ends = f.grid + (None,)  # an open bar dies at index len(grid), which reads as None
+    return Barcode(n, tuple((ends[b], ends[d], mult)
+                            for b, d, mult in _pairing(f, operator, q, ring, n)))
+
+
+def _pairing(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> list:
+    """The bars in degree n as (birth index, death index, multiplicity), by
+    birth, then death, an open bar dying at index len(f.grid): the
+    cohomology reduction with clearing on the final complex, whose class
+    `validate` proved, its edges in birth order. The pivots of
+    `forward_pivots` on the outgoing rows are the n-edges that close a bar
+    where they map; they open none and their rows are skipped. Every other
+    n-edge's coboundary row, keyed by its cofaces, is passed oldest first,
+    so the newest is reduced first; it opens a bar that the coface at its
+    pivot closes, or none does. Bars of length zero are dropped."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
@@ -237,8 +244,7 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
     bars = Counter((births[opened[k]], births[c]) for c, k in pairs.items())
     closed = set(pairs.values())
     bars.update((births[e], len(f.grid)) for k, e in enumerate(opened) if k not in closed)
-    ends = f.grid + (None,)  # an open bar dies at index len(grid), which reads as None
-    return Barcode(n, tuple((ends[b], ends[d], bars[b, d]) for b, d in sorted(bars) if b != d))
+    return [(b, d, bars[b, d]) for b, d in sorted(bars) if b != d]
 
 
 @record

@@ -55,7 +55,7 @@ def test_degree_solver_matches_the_solvers_it_replaced():
         seen["fraction_weights"] += any(type(c) is not int for c, _ in op.terms)
         for n in built.spec.degrees():
             dim, out_mat, in_mat = built.dim(n), built.matrix(n), built.incoming_matrix(n)
-            solver = DegreeSolver(ring, dim, out_mat, in_mat)
+            solver = DegreeSolver(out_mat, in_mat)
             sparse = SparseSolver(ring, dim, out_mat, in_mat)
             dense = DenseSolver(ring, dim, out_mat, in_mat)
             assert well_formed(solver.reps) and solver.reps == sparse.reps

@@ -9,7 +9,9 @@ replaced.
   term with `ring.add` and `ring.mul`.
 * `Hypergraph.classify` against the subface oracle of `test_hypergraphs`
   on ten and more vertices, and its flip set against the two set
-  comprehensions it replaced.
+  comprehensions it replaced; so are both class properties and the pair
+  `_closed` that `proved_closed`, `combine` and a filtration's sublevels
+  carry without the flip set.
 * The one-pass edge ingest against the route it replaced: each letter
   checked alone and repeats found by a set, through all three `jsonio`
   readers, errors included.
@@ -40,11 +42,14 @@ from hyperhom.homology import (
 )
 from hyperhom.hypergraphs import (
     ClosureOp,
+    CombineOp,
     Hypergraph,
     HypergraphClass,
     _vertex_indices,
     closure,
+    combine,
     power_set,
+    proved_closed,
 )
 from hyperhom.jsonio import (
     _require,
@@ -557,16 +562,58 @@ def two_comprehension_classify(h):
     return CLASSES[down, up]
 
 
+# the (closed downward, closed upward) pair of each class
+CLOSED = {cls: pair for pair, cls in CLASSES.items()}
+
+
+def carried_closures(rng, h):
+    """(who set it, family) for each `_closed` that a caller sets on h's
+    edges without the flip loop: `proved_closed` in every way the oracle
+    finds h closed, `combine` of h with a random classified partner, and
+    the final complex and every sublevel of a filtration of h in each of
+    its classes. A combine that carries nothing is checked here."""
+    vs, n = h.vertices, len(h.vertices)
+    down, up = CLOSED[two_comprehension_classify(h)]
+    out = [("proved_closed", proved_closed(Hypergraph(vs, h.edges), way))
+           for way, holds in ((True, down), (False, up)) if holds]
+    partner = random_hypergraph(rng, vs, p=rng.choice([0.1, 0.4, 0.9]))
+    op = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
+    a, b = Hypergraph(vs, h.edges), partner if op is None else closure(partner, op)
+    a.classify(), b.classify()
+    for op in CombineOp:
+        c = combine(a, b, op)
+        shared = any(x and y for x, y in zip(a._closed, b._closed))
+        assert ("_closed" in vars(c)) == shared, (sorted(a.edges), sorted(b.edges))
+        if shared:
+            out.append(("combine", c))
+    for cls, holds in (("simplicial", down), ("independence", up)):
+        if not holds:
+            continue
+        # faces are born no later than their edges (simplicial), cofaces no
+        # later (independence); the empty edge comes with the first edges
+        birth = (len if cls == "simplicial" else (lambda e: 0) if () in h.edges
+                 else (lambda e: n - len(e)))
+        f = Filtration.of(vs, [(e, birth(e)) for e in h.edges], cls)
+        out.append(("final_complex", f.final_complex))
+        out += [("complex_at", f.complex_at(x)) for x in f.grid]
+    return out
+
+
 def test_classify_matches_two_comprehension_check():
     """Random closed families of both classes, with and without the
     empty edge, some with one edge dropped, classified from the parser's
     masks (`Hypergraph.of`) and from masks built on demand (a bare
     `Hypergraph`). The fixed families miss exactly one face, or one
-    coface."""
+    coface, or are the empty family, {()}, and the power set with and
+    without (). On every family both properties read the oracle's pair,
+    and so does every `_closed` that `carried_closures` finds set."""
     rng = random.Random(1607)
+    partners = random.Random(1608)
     s3, s2 = VertexSet.of("a", "b", "c"), VertexSet.of("a", "b")
     families = [Hypergraph(s3, frozenset(power_set(s3) - {(0, 1)})),
-                Hypergraph(s2, frozenset({(0,)}))]
+                Hypergraph(s2, frozenset({(0,)})),
+                Hypergraph(s3, frozenset()), Hypergraph(s3, frozenset({()})),
+                Hypergraph(s3, power_set(s3)), Hypergraph(s3, power_set(s3) - {()})]
     for _ in range(400):
         vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(0, 7))])
         h = random_hypergraph(rng, vs, p=rng.choice([0.05, 0.2, 0.5]))
@@ -578,16 +625,28 @@ def test_classify_matches_two_comprehension_check():
         if h.edges and rng.random() < 0.3:
             h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
         families.append(h)
-    seen = set()
+    seen, carried = set(), Counter()
     for h in families:
         want = two_comprehension_classify(h)
         parsed = Hypergraph.of(h.vertices, [mixed(rng, h.vertices, e) for e in h.edges])
         assert parsed == h and parsed._masks == edge_masks(h.edges)
         assert parsed.classify() is want and h.classify() is want, sorted(h.edges)
+        for g in (parsed, h):
+            assert (g.is_simplicial_complex, g.is_independence_hypergraph) == CLOSED[want]
         seen.add((want, h.has_empty_edge))
+        for who, g in carried_closures(partners, h):
+            fresh = two_comprehension_classify(g)
+            assert vars(g)["_closed"] == CLOSED[fresh], (who, sorted(g.edges))
+            assert g.classify() is fresh
+            carried[who, fresh] += 1
     # closed up with the empty edge is the power set, which is both
     assert seen == {(c, empty) for c in HypergraphClass for empty in (True, False)} - {
         (HypergraphClass.INDEPENDENCE_HYPERGRAPH, True)}
+    # every carrier sets every pair a family closed some way can hold
+    assert min(carried[who, c] for who in (
+        "proved_closed", "combine", "final_complex", "complex_at") for c in (
+        HypergraphClass.BOTH, HypergraphClass.SIMPLICIAL_COMPLEX,
+        HypergraphClass.INDEPENDENCE_HYPERGRAPH)) >= 10, carried
 
 
 def test_edges_are_bucketed_by_degree():

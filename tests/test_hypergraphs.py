@@ -127,14 +127,13 @@ def test_combine_carries_only_a_class_both_inputs_hold():
             pair.append(h)
         a, b = pair
         for op in CombineOp:
-            assert "_class" not in vars(combine(a, b, op))  # no input classified yet
+            assert "_closed" not in vars(combine(a, b, op))  # no input classified yet
         a.classify(), b.classify()
-        down = {a._class, b._class} <= {HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH}
-        up = {a._class, b._class} <= {HypergraphClass.INDEPENDENCE_HYPERGRAPH,
-                                       HypergraphClass.BOTH}
+        down = {a._closed, b._closed} <= {(True, True), (True, False)}
+        up = {a._closed, b._closed} <= {(True, True), (False, True)}
         for op in CombineOp:
             h = combine(a, b, op)
-            assert ("_class" in vars(h)) == (down or up)
+            assert ("_closed" in vars(h)) == (down or up)
             fresh = Hypergraph(vs, h.edges).classify()
             assert h.classify() is fresh
             seen.add((down, up, fresh))

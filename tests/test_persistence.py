@@ -95,7 +95,7 @@ def test_final_complex_carries_the_class_validate_proved():
     seen = Counter()
     for f in filtrations:
         final = f.final_complex
-        assert "_class" in vars(final)
+        assert "_closed" in vars(final)
         fresh = Hypergraph(f.vertices, final.edges).classify()
         assert final.classify() is fresh, (f.monotonicity_class, final.sorted_edges())
         seen[fresh] += 1
@@ -109,7 +109,7 @@ def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
     `validate` proved, set without a classify, and it is the class of a
     fresh `Hypergraph` on the same edges: on random pairs of both classes,
     with one side the whole power set now and then. `persistent_mv` then
-    computes no `_class` at all."""
+    computes no `_closed` at all."""
     rng = random.Random(139)
     pairs = []
     for _ in range(40):
@@ -127,17 +127,17 @@ def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
         for x in sorted(set(fa.grid) | set(fb.grid)):
             a, b = fa.complex_at(x), fb.complex_at(x)
             for h in (a, b, combine(a, b, CombineOp.INTERSECT), combine(a, b, CombineOp.UNION)):
-                assert "_class" in vars(h)
+                assert "_closed" in vars(h)
                 fresh = Hypergraph(h.vertices, h.edges).classify()
                 assert h.classify() is fresh, (fa.monotonicity_class, h.sorted_edges())
                 seen[fresh] += 1
     assert min(seen[c] for c in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH,
                                  HypergraphClass.INDEPENDENCE_HYPERGRAPH)) >= 20, seen
     classified = []
-    rule = Hypergraph.__dict__["_class"]
+    rule = Hypergraph.__dict__["_closed"]
     counted = cached_property(lambda h: classified.append(h) or rule.func(h))
-    counted.__set_name__(Hypergraph, "_class")
-    monkeypatch.setattr(Hypergraph, "_class", counted)
+    counted.__set_name__(Hypergraph, "_closed")
+    monkeypatch.setattr(Hypergraph, "_closed", counted)
     for fa, fb, kind in pairs[:20]:
         op = WedgeOperator.weighted_sum(kind, [1] * len(fa.vertices))
         persistent_mv(fa, fb, op, 0, QQ)
@@ -147,19 +147,19 @@ def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
 def test_barcode_classifies_nothing(monkeypatch):
     """The class rule is written once, in `ComplexSpec`: `persistence`
     names no carrier kind, and `barcode` reads the class of the final
-    complex without computing a `_class`, where the oracle, which
+    complex without computing a `_closed`, where the oracle, which
     classifies a fresh copy, computes one per call."""
     source = Path(persistence.__file__).read_text()
-    assert re.findall(r"\bCarrier\b|\b_class\b|_EDGES\b|_WORDS\b", source) == []
+    assert re.findall(r"\bCarrier\b|\b_closed\b|_EDGES\b|_WORDS\b", source) == []
     package = [p.read_text() for p in Path(persistence.__file__).parent.glob("*.py")]
     for text in ("carrier is not an augmented simplicial complex",
                  "carrier is not an augmented independence hypergraph"):
         assert sum(src.count(text) for src in package) == 1
     classified = []
-    rule = Hypergraph.__dict__["_class"]
+    rule = Hypergraph.__dict__["_closed"]
     counted = cached_property(lambda h: classified.append(h) or rule.func(h))
-    counted.__set_name__(Hypergraph, "_class")
-    monkeypatch.setattr(Hypergraph, "_class", counted)
+    counted.__set_name__(Hypergraph, "_closed")
+    monkeypatch.setattr(Hypergraph, "_closed", counted)
     for cls, kind in (("simplicial", "partial"), ("independence", "d")):
         f = rips_filtration(random.Random(7), 8, 4, cls)
         op = WedgeOperator.weighted_sum(kind, [1] * 8)

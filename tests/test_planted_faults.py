@@ -2,12 +2,13 @@
 fault and asserts that the named check reports it. A check that no
 planted fault trips gives no assurance.
 
-* `classify` accepting one missing codimension-1 face, or one missing
-  coface: `test_fast_paths.test_classify_matches_two_comprehension_check`.
+* `Hypergraph._closed` accepting one missing codimension-1 face, or one
+  missing coface: `test_fast_paths.test_classify_matches_two_comprehension_check`.
 * The edge ingest accepting a repeated vertex:
   `test_fast_paths.test_ingest_matches_old_route`.
-* `barcode` dropping one bar, or reducing the coboundary rows oldest
-  first instead of newest first: the `persistence` selftest suite.
+* The barcode pairing `persistence._pairing` dropping one bar, or
+  reducing the coboundary rows oldest first instead of newest first: the
+  `persistence` selftest suite.
 * The deletion scan behind `wedge_apply` with one sign flipped, and its
   run rule skipped for even runs:
   `test_words.test_wedge_apply_matches_composition_oracle`; the
@@ -48,11 +49,13 @@ planted fault trips gives no assurance.
   unit-coordinates check of the `homology-functoriality` selftest suite
   and the composition check of the `mv-exactness` suite.
 * `DegreeSolver` keying its lows by the least index instead of the
-  largest: `test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced`
-  and `test_homology.test_degree_solver_against_greedy_rank_oracle`. The
-  representatives are then another basis of the homology, read
-  consistently, so every map is still a map of the same rank: no
-  selftest suite sees it, nor do the pins of `tests/printed_maps.json`.
+  largest: `test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced`,
+  `test_homology.test_degree_solver_against_greedy_rank_oracle` and the
+  last pin of `tests/printed_maps.json`, an `include` over Q whose
+  degree-0 map then prints in another basis. The representatives are
+  another basis of the homology, read consistently, so every map is
+  still a map of the same rank: no selftest suite sees it, nor do the
+  other pins.
 * `DegreeSolver.coords` skipping its check that the boundary sends every
   column to zero: the same two tests and the non-cycle check of the
   `homology-functoriality` selftest suite.
@@ -76,6 +79,7 @@ import inspect
 import json
 import sys
 import textwrap
+from functools import cached_property
 
 import pytest
 
@@ -98,9 +102,9 @@ import test_fast_paths
 import test_homology
 import test_linalg
 import test_map_route
+import test_printed_maps
 import test_snf_modulo
 import test_words
-from test_fast_paths import CLASSES
 
 # the package exports a function of the same name as this module
 homology = importlib.import_module("hyperhom.homology")
@@ -117,19 +121,21 @@ def planted(func, old, new):
 
 
 def class_with_slack(faces_allowed, cofaces_allowed):
-    """`Hypergraph._class` that lets the given number of missing faces
-    and cofaces pass unseen."""
+    """`Hypergraph._closed` that lets the given number of missing faces
+    and cofaces pass unseen; cached, so that `proved_closed` can set it."""
 
-    def _class(self):
+    def _closed(self):
         faces = cofaces = 0
         for v in range(len(self.vertices)):
             b = 1 << v
             missing = {m ^ b for m in self._masks} - self._masks - {0}
             faces += sum(1 for m in missing if not m & b)
             cofaces += sum(1 for m in missing if m & b)
-        return CLASSES[faces <= faces_allowed, cofaces <= cofaces_allowed]
+        return faces <= faces_allowed, cofaces <= cofaces_allowed
 
-    return property(_class)
+    rule = cached_property(_closed)
+    rule.__set_name__(Hypergraph, "_closed")
+    return rule
 
 
 @pytest.fixture(scope="session")
@@ -143,9 +149,9 @@ def unfaulted():
 
 @pytest.mark.parametrize("faces, cofaces", [(1, 0), (0, 1)])
 def test_classify_accepting_one_missing_neighbour_is_caught(monkeypatch, faces, cofaces):
-    monkeypatch.setattr(Hypergraph, "_class", class_with_slack(0, 0))
+    monkeypatch.setattr(Hypergraph, "_closed", class_with_slack(0, 0))
     test_fast_paths.test_classify_matches_two_comprehension_check()  # the rewrite holds
-    monkeypatch.setattr(Hypergraph, "_class", class_with_slack(faces, cofaces))
+    monkeypatch.setattr(Hypergraph, "_closed", class_with_slack(faces, cofaces))
     with pytest.raises(AssertionError):
         test_fast_paths.test_classify_matches_two_comprehension_check()
 
@@ -163,18 +169,17 @@ def test_ingest_accepting_a_repeated_vertex_is_caught(monkeypatch):
 
 
 def test_barcode_dropping_one_bar_is_caught(monkeypatch, unfaulted):
-    barcode = persistence.barcode
+    pairing = persistence._pairing
 
     def drop_one_bar(*args):
-        bc = barcode(*args)
-        if not bc.bars:
-            return bc
-        (birth, death, mult), *rest = bc.bars
-        kept = [(birth, death, mult - 1)] if mult > 1 else []
-        return persistence.Barcode(bc.degree, tuple(kept + rest))
+        bars = pairing(*args)
+        if not bars:
+            return bars
+        (birth, death, mult), *rest = bars
+        return ([(birth, death, mult - 1)] if mult > 1 else []) + rest
 
     assert unfaulted["persistence"].failures == 0
-    monkeypatch.setattr(persistence, "barcode", drop_one_bar)
+    monkeypatch.setattr(persistence, "_pairing", drop_one_bar)
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
 
@@ -182,8 +187,8 @@ def test_barcode_dropping_one_bar_is_caught(monkeypatch, unfaulted):
 def test_barcode_reducing_the_oldest_coboundary_row_first_is_caught(monkeypatch, unfaulted):
     # the homology row order on the cohomology pivots: other pairs, wrong bars
     assert unfaulted["persistence"].failures == 0
-    monkeypatch.setattr(persistence, "barcode", planted(
-        persistence.barcode, "sorted(place)", "sorted(place, reverse=True)"))
+    monkeypatch.setattr(persistence, "_pairing", planted(
+        persistence._pairing, "sorted(place)", "sorted(place, reverse=True)"))
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
 
@@ -385,13 +390,18 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch, u
     assert result.detail == "inclusions at degree 1 compose over Q"
 
 
-def test_degree_solver_lows_keyed_by_the_least_index_are_caught(monkeypatch):
+def test_degree_solver_lows_keyed_by_the_least_index_are_caught(monkeypatch, tmp_path, capsys):
+    pin = test_printed_maps.CASES[-1]
+    test_printed_maps.test_printed_maps_are_byte_identical(pin, tmp_path, capsys)
     monkeypatch.setattr(homology, "_reduce_by_lows", planted(
         homology._reduce_by_lows, "low = max(col)", "low = min(col)"))
     with pytest.raises(AssertionError):
         test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced()
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
+    # the degree-0 map prints [["3", "1"]] instead of [["1", "1/3"]]
+    with pytest.raises(AssertionError):
+        test_printed_maps.test_printed_maps_are_byte_identical(pin, tmp_path, capsys)
 
 
 def test_coords_skipping_the_cycle_check_is_caught(monkeypatch, unfaulted):
