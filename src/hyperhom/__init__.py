@@ -21,7 +21,6 @@ from .homology import (
     build_complex,
     duality_check,
     edge_carrier,
-    homology,
     homology_table,
     inclusion_induced,
     mayer_vietoris,

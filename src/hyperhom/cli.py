@@ -41,7 +41,7 @@ from .homology import (
 from .hypergraphs import ClosureOp, CombineOp, closure, combine, join_hg, trace
 from .invariance import invariant_trace, invariant_vertices
 from .persistence import barcode, persistent_ranks
-from .rings import ring_from_name
+from .rings import Ring
 from .words import VertexSet
 
 
@@ -80,10 +80,6 @@ def _load_operator(path: str, vertices):
     return jsonio.operator_from_json(_load_json(path), vertices)
 
 
-def _ring(args):
-    return ring_from_name(args.ring, args.p)
-
-
 def _inputs(args, *names, load=_load_hypergraph, kind=None) -> list:
     """The documents in the files named by the options `names`, the
     `--operator` on the first one's vertices (of family `kind`, when
@@ -95,7 +91,7 @@ def _inputs(args, *names, load=_load_hypergraph, kind=None) -> list:
         raise SchemaViolation(
             f"this command needs a {kind!r} operator, got {op.kind!r}"
         )
-    return [*docs, op, _ring(args)]
+    return [*docs, op, Ring(args.ring, args.p)]
 
 
 def _comma_list(text: str) -> list:
@@ -194,7 +190,7 @@ def cmd_act(args) -> dict:
     h = _load_hypergraph(args.file)
     op = _load_operator(args.operator, h.vertices)
     even = _load_operator(args.even, h.vertices)
-    spec = ComplexSpec(edge_carrier(h), op, args.q, _ring(args))
+    spec = ComplexSpec(edge_carrier(h), op, args.q, Ring(args.ring, args.p))
     return _maps_json(operator_action(spec, even))
 
 
@@ -208,7 +204,7 @@ def cmd_duality(args) -> dict:
     labels = _comma_list(args.vertices)
     vs = VertexSet(tuple(labels))
     if args.coeffs:
-        coeffs = [jsonio.coefficient_from_json(c) for c in _comma_list(args.coeffs)]
+        coeffs = [jsonio.coefficient_from_json(c) for c in args.coeffs.split(",")]
     else:
         coeffs = [1] * len(vs)
     report = duality_check(vs, coeffs, args.q, args.max_degree)

@@ -276,10 +276,6 @@ def build_complex(spec: ComplexSpec) -> BuiltComplex:
     return BuiltComplex(spec, bases, mats)
 
 
-def homology(spec: ComplexSpec, n: int) -> HomologyGroup:
-    return build_complex(spec).homology(n)
-
-
 def homology_table(spec: ComplexSpec) -> list:
     built = build_complex(spec)
     return [built.homology(n) for n in spec.degrees()]

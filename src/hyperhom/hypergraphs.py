@@ -18,6 +18,8 @@ Ingest is one pass per edge: a C-level `map` over the labels-only position
 dict (True and 1.0 hash as 1), then the sorted tuple and bitmask together,
 kept by `Hypergraph.of` for `_closed`. Where that lookup fails, the
 checking loop `_vertex_indices` runs, so every error keeps its text.
+`trace` reads its vertex subset with the same loop, so a subset's labels
+and indices read as a document's do; its errors come out as `NotASubset`.
 """
 
 from __future__ import annotations
@@ -322,19 +324,12 @@ def join_hg(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 def subset_vertices(h: Hypergraph, t) -> tuple:
-    """Normalize a vertex subset given as labels or indices; sorted indices.
-    Indices are ints that are not bools, as in `_vertex_indices`."""
-    idx = []
-    for v in t:
-        if isinstance(v, str):
-            if v not in h.vertices.labels:
-                raise NotASubset(f"vertex {v!r} is not in the vertex set")
-            v = h.vertices.index(v)
-        elif isinstance(v, bool) or not isinstance(v, int):
-            raise NotASubset(f"vertex {v!r} is neither a label nor an index")
-        if not 0 <= v < len(h.vertices):
-            raise NotASubset(f"vertex {v} is not in the vertex set")
-        idx.append(v)
+    """Sorted indices of a vertex subset given by labels or indices, read
+    by `_vertex_indices`, whose errors it raises as NotASubset."""
+    try:
+        idx = _vertex_indices(h.vertices, t)
+    except SchemaViolation as exc:
+        raise NotASubset(str(exc)) from None
     if len(set(idx)) != len(idx):
         raise NotASubset("subset repeats a vertex")
     return tuple(sorted(idx))

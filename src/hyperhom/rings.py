@@ -153,14 +153,3 @@ QQ = Ring("Q")
 def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
-
-def ring_from_name(name: str, p: int | None = None) -> Ring:
-    if name == "Z":
-        return ZZ
-    if name == "Q":
-        return QQ
-    if name == "Fp":
-        if p is None:
-            raise SchemaViolation("ring Fp requires --p")
-        return GF(p)
-    raise SchemaViolation(f"unknown ring {name!r} (expected Z, Q, or Fp)")

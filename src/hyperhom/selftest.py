@@ -538,9 +538,9 @@ def _random_complex(rng, vs, p=0.4, with_empty=None):
 
 def suite_homology_functoriality(rng) -> _Tally:
     """Inclusion and even-operator actions commute; Euler characteristics
-    agree; each solver reads its representatives as the unit vectors and
-    refuses a basis vector that the boundary moves; edge complexes are
-    restrictions of the word complex."""
+    agree; each solver's representatives are the greedy pick, which it
+    reads as the unit vectors, and it refuses a basis vector that the
+    boundary moves; edge complexes are restrictions of the word complex."""
     t = _Tally()
     for _ in range(100):
         n = rng.randint(2, 4)
@@ -584,6 +584,8 @@ def suite_homology_functoriality(rng) -> _Tally:
             t.check(solver.coords(solver.reps, "a representative is not a cycle")
                     == SparseMatrix.identity(solver.betti, QQ),
                     "representatives have unit coordinates")
+            t.check(solver.reps == _greedy_pick(built, nn),
+                    "representatives are the greedy pick")
             # a basis vector that the boundary moves is no cycle
             t.check(_refuses(solver, SparseMatrix.identity(built.dim(nn), QQ))
                     == (not built.matrix(nn).is_zero()), "coords refuses a non-cycle")
@@ -598,6 +600,23 @@ def suite_homology_functoriality(rng) -> _Tally:
     _check_inclusions_compose(t, combine(a, b, CombineOp.INTERSECT), b,
                               combine(a, b, CombineOp.UNION), op)
     return t
+
+
+def _greedy_pick(built, n) -> SparseMatrix:
+    """The columns of `kernel_basis` at degree n, in order, each kept when it
+    raises the rank of [incoming boundary | the columns kept before it]."""
+    cycles, span = kernel_basis(built.matrix(n)), built.incoming_matrix(n)
+    items, kept, r = list(span.entries), [], rank(span)
+    for k in range(cycles.cols):
+        col = [((i, span.cols + len(kept)), v) for (i, j), v in cycles.entries if j == k]
+        trial = SparseMatrix(span.rows, span.cols + len(kept) + 1, span.ring,
+                             tuple(sorted(items + col)))
+        if rank(trial) > r:
+            items, r = items + col, r + 1
+            kept.append(k)
+    slot = {k: c for c, k in enumerate(kept)}
+    return SparseMatrix(cycles.rows, len(kept), cycles.ring, tuple(
+        ((i, slot[k]), v) for (i, k), v in cycles.entries if k in slot))
 
 
 def _refuses(solver, vecs) -> bool:

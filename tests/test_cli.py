@@ -275,6 +275,26 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 2 and doc["error"] == "ClassMismatch"
 
 
+@pytest.mark.parametrize("ring, detail", [
+    (["--ring", "Z", "--p", "5"], "ring Z takes no modulus"),
+    (["--ring", "Q", "--p", "5"], "ring Q takes no modulus"),
+    (["--ring", "Fp"], "Fp requires a prime modulus, got None"),
+], ids=["Z-with-p", "Q-with-p", "Fp-without-p"])
+def test_ring_options_are_read_by_ring(tmp_path, capsys, ring, detail):
+    circle = write(tmp_path, "circle.json", CIRCLE_DOC)
+    op = write(tmp_path, "op.json", ALPHA_DOC)
+    code = main(["homology", "--operator", op, *ring, circle])
+    assert assert_one_error_document(capsys, code) == {
+        "error": "SchemaViolation", "detail": detail}
+
+
+def test_trace_reads_vertex_labels_as_documents_do(tmp_path, capsys):
+    f = write(tmp_path, "h.json", H_DOC)
+    code = main(["trace", "--vertices", "s0,zz", f])
+    assert assert_one_error_document(capsys, code) == {
+        "error": "NotASubset", "detail": "unknown vertex 'zz'"}
+
+
 def test_unknown_flag_rejected(tmp_path, capsys):
     f = write(tmp_path, "h.json", H_DOC)
     code = main(["classify", "--bogus", f])
@@ -450,10 +470,22 @@ def test_malformed_operator_vertices_are_rejected(tmp_path, capsys, term_vertice
     assert_one_error_document(capsys, code)
 
 
-@pytest.mark.parametrize("coeffs", ["1/0,1", "x,1"])
+# an empty slot is a bad weight, not a dropped one
+@pytest.mark.parametrize("coeffs", ["1/0,1", "x,1", "1,,2", "1,2,", ",1,2"])
 def test_duality_rejects_bad_weights(capsys, coeffs):
     code = main(["duality", "--vertices", "a,b", "--coeffs", coeffs, "--max-degree", "2"])
-    assert_one_error_document(capsys, code)
+    bad = next(c for c in coeffs.split(",") if c not in ("1", "2"))
+    assert assert_one_error_document(capsys, code) == {
+        "error": "SchemaViolation", "detail": f"bad coefficient {bad!r}"}
+
+
+def test_duality_empty_coeffs_are_all_ones(capsys):
+    argv = ["duality", "--vertices", "a,b,c", "--q", "1", "--max-degree", "3"]
+    outputs = []
+    for extra in ([], ["--coeffs", ""], ["--coeffs=1,1,1"]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # an exponent once took Fraction 14 s to expand; 4,301 digits pass the

@@ -159,9 +159,9 @@ def mutate_text(data, text):
     return data.draw(TEXT_EDITS)
 
 
-@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_cli_contract_on_mutated_documents(data):
+def draw_case(data) -> tuple:
+    """One drawn command: its argv, whose "{name}" items are documents,
+    and the text of each document."""
     command = data.draw(st.sampled_from(COMMANDS))
     docs = {name: json.loads(json.dumps(doc)) for name, doc in DOCUMENTS[command[0]].items()}
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
@@ -188,6 +188,13 @@ def test_cli_contract_on_mutated_documents(data):
             template[target] = f"{flag}={value}"
     if data.draw(st.integers(0, 4)) == 0:
         template.insert(data.draw(st.integers(1, len(template))), data.draw(STRAY_FLAGS))
+    return template, texts
+
+
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_contract_on_mutated_documents(data):
+    template, texts = draw_case(data)
     with tempfile.TemporaryDirectory() as tmp:
         argv = []
         for item in template:

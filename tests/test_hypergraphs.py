@@ -76,6 +76,18 @@ def test_trace_rejects_bad_vertex_subsets(subset):
         trace(H, subset)
 
 
+@pytest.mark.parametrize("subset, detail", [
+    (["s0", "zz"], "unknown vertex 'zz'"),
+    ([0, 3], "vertex index 3 out of range"),
+    ([0, "s0"], "subset repeats a vertex"),
+], ids=["unknown-label", "index-past-end", "repeat"])
+def test_trace_errors_read_as_in_documents(subset, detail):
+    # the subset is read by the document reader `_vertex_indices`
+    with pytest.raises(NotASubset) as raised:
+        trace(H, subset)
+    assert str(raised.value) == detail
+
+
 def test_trace_takes_indices_and_labels_alike():
     assert trace(H, [1, 0]) == trace(H, ["s0", "s1"]) == trace(H, ["s1", 0])
 

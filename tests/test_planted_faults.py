@@ -50,12 +50,13 @@ planted fault trips gives no assurance.
   and the composition check of the `mv-exactness` suite.
 * `DegreeSolver` keying its lows by the least index instead of the
   largest: `test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced`,
-  `test_homology.test_degree_solver_against_greedy_rank_oracle` and the
-  last pin of `tests/printed_maps.json`, an `include` over Q whose
+  `test_homology.test_degree_solver_against_greedy_rank_oracle`, the
+  greedy-pick check of the `homology-functoriality` selftest suite and
+  the last pin of `tests/printed_maps.json`, an `include` over Q whose
   degree-0 map then prints in another basis. The representatives are
   another basis of the homology, read consistently, so every map is
-  still a map of the same rank: no selftest suite sees it, nor do the
-  other pins.
+  still a map of the same rank: only a check of the basis itself sees
+  it, and no other pin does.
 * `DegreeSolver.coords` skipping its check that the boundary sends every
   column to zero: the same two tests and the non-cycle check of the
   `homology-functoriality` selftest suite.
@@ -74,7 +75,6 @@ from the session fixture `unfaulted`, except where a test patches before
 that run.
 """
 
-import importlib
 import inspect
 import json
 import sys
@@ -83,7 +83,7 @@ from functools import cached_property
 
 import pytest
 
-from hyperhom import cli, hypergraphs, invariance, linalg, persistence, selftest, words
+from hyperhom import cli, homology, hypergraphs, invariance, linalg, persistence, selftest, words
 from hyperhom.homology import (
     BuiltComplex,
     ComplexSpec,
@@ -105,9 +105,6 @@ import test_map_route
 import test_printed_maps
 import test_snf_modulo
 import test_words
-
-# the package exports a function of the same name as this module
-homology = importlib.import_module("hyperhom.homology")
 
 
 def planted(func, old, new):
@@ -390,15 +387,19 @@ def test_degree_solver_with_two_representatives_swapped_is_caught(monkeypatch, u
     assert result.detail == "inclusions at degree 1 compose over Q"
 
 
-def test_degree_solver_lows_keyed_by_the_least_index_are_caught(monkeypatch, tmp_path, capsys):
+def test_degree_solver_lows_keyed_by_the_least_index_are_caught(monkeypatch, unfaulted,
+                                                                tmp_path, capsys):
     pin = test_printed_maps.CASES[-1]
     test_printed_maps.test_printed_maps_are_byte_identical(pin, tmp_path, capsys)
+    assert unfaulted["homology-functoriality"].failures == 0
     monkeypatch.setattr(homology, "_reduce_by_lows", planted(
         homology._reduce_by_lows, "low = max(col)", "low = min(col)"))
     with pytest.raises(AssertionError):
         test_degree_solver.test_degree_solver_matches_the_solvers_it_replaced()
     with pytest.raises(AssertionError):
         test_homology.test_degree_solver_against_greedy_rank_oracle()
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == "representatives are the greedy pick"
     # the degree-0 map prints [["3", "1"]] instead of [["1", "1/3"]]
     with pytest.raises(AssertionError):
         test_printed_maps.test_printed_maps_are_byte_identical(pin, tmp_path, capsys)
