@@ -36,7 +36,7 @@ from .linalg import (
     rank,
     smith_normal_form,
 )
-from .persistence import Barcode, Filtration, barcode, complex_at, persistent_mv, persistent_ranks
+from .persistence import Barcode, Filtration, barcode, persistent_mv, persistent_ranks
 from .rings import GF, QQ, ZZ, Ring
 from .words import (
     FreeChain,

@@ -209,13 +209,15 @@ class BuiltComplex:
         so a missing empty edge drops the empty-word row (the -1 truncation)."""
         carrier, op = self.spec.carrier, self.spec.operator
         spec = ComplexSpec(edge_carrier(h), op, self.spec.q, self.spec.ring)
-        family = h.edges if carrier.hypergraph is None else carrier.hypergraph.edges
-        if h.vertices != carrier.vertices or not h.edges <= family or (
+        family = h.masks if carrier.hypergraph is None else carrier.hypergraph.masks
+        if h.vertices != carrier.vertices or not h.masks <= family or (
                 h.top_degree > carrier.top_degree):
             raise NotIncluded("the family is not a subfamily of the complex's words")
         index, bases = {}, {}
         for n in spec.degrees():
-            kept = [j for j, w in enumerate(self.bases[n]) if w in h.edges]
+            # h's words, not the masks of these: a word carrier's may repeat letters
+            words = set(h.degree_edges(n))
+            kept = [j for j, w in enumerate(self.bases[n]) if w in words]
             index[n] = {j: k for k, j in enumerate(kept)}
             bases[n] = [self.bases[n][j] for j in kept]
         mats = {}
@@ -475,7 +477,7 @@ def inclusion_induced(small: Hypergraph, large: Hypergraph, operator: WedgeOpera
     larger's build; see `_check_empty_edges` for the condition on both."""
     if small.vertices != large.vertices:
         raise VertexSetMismatch("inclusion needs a common vertex set")
-    if not small.edges <= large.edges:
+    if not small.masks <= large.masks:
         raise NotIncluded("left hypergraph is not contained in the right one")
     if not ring.is_field:
         raise SchemaViolation("induced maps are computed over fields")
@@ -524,7 +526,7 @@ def mv_complexes(a: Hypergraph, b: Hypergraph, operator: WedgeOperator, ring: Ri
                 "cup": combine(a, b, CombineOp.UNION)}
     kept = {} if previous is None else {
         part: previous[part] for part, h in families.items()
-        if previous[part].spec.carrier.hypergraph.edges == h.edges}
+        if previous[part].spec.carrier.hypergraph.masks == h.masks}
     cup = kept.get("cup") or cut(families["cup"])
     return {part: kept.get(part) or cup.restrict(h) for part, h in families.items()
             if part != "cup"} | {"cup": cup}

@@ -1,13 +1,19 @@
 """Augmented hypergraphs: set families over an ordered vertex set.
 
-Edges are sorted index tuples; the empty tuple is the permitted empty
-hyperedge. The closure operators produce the smallest/largest simplicial
-complex or independence hypergraph around a family, `gamma`/`Gamma` are
-the global and local complements, and `trace` restricts onto a vertex
-subset. Full power-set enumeration is capped at 20 vertices, the upward
-closures `Delta`/`barDelta` at 2**20 enumerated subsets, and all-words
-carriers at 2**16 words. The downward closures `delta`/`bardelta` need no
-cap: they look at each edge's one-vertex neighbours only, as `_closed` does.
+An edge is an int bitmask, bit v standing for vertex v; 0 is the permitted
+empty hyperedge. A `Hypergraph` holds the set of its masks. Words, sorted
+index tuples, are made from masks by `_word` only where words are read:
+the complex bases (`degree_edges`), the emitters, error texts and the
+read-only view `edges`.
+
+The closure operators produce the smallest/largest simplicial complex or
+independence hypergraph around a family, `gamma`/`Gamma` are the global
+and local complements, and `trace` restricts onto a vertex subset. Full
+power-set enumeration is capped at 20 vertices, the upward closures
+`Delta`/`barDelta` at 2**20 enumerated subsets, and all-words carriers at
+2**16 words. The upward closures run through submasks, s = (s - 1) & m.
+The downward closures `delta`/`bardelta` need no cap: they look at each
+edge's one-vertex neighbours only, as `_closed` does.
 
 A family's class is which ways it is closed: downward, under nonempty
 subfaces (a simplicial complex), and upward, under supersets (an
@@ -15,18 +21,19 @@ independence hypergraph). `Hypergraph._closed` holds the pair, and
 `classify` only names it.
 
 Ingest is one pass per edge: a C-level `map` over the labels-only position
-dict (True and 1.0 hash as 1), then the sorted tuple and bitmask together,
-kept by `Hypergraph.of` for `_closed`. Where that lookup fails, the
-checking loop `_vertex_indices` runs, so every error keeps its text.
-`trace` reads its vertex subset with the same loop, so a subset's labels
-and indices read as a document's do; its errors come out as `NotASubset`.
+dict (True and 1.0 hash as 1), then the sum of the vertices' bits. Where
+that lookup fails, the checking loop `_vertex_indices` runs, so every
+error keeps its text. `trace` reads its vertex subset with the same loop,
+so a subset's labels and indices read as a document's do; its errors come
+out as `NotASubset`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
-from itertools import chain as _ichain, combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import chain as _ichain
+from operator import or_
 
 from .errors import NotASubset, PowerSetTooLarge, SchemaViolation, VertexSetMismatch
 from .records import record
@@ -99,53 +106,72 @@ def _indexer(vertices):
 
 
 def _edge_parser(vertices):
-    """One document's edge parser: sorted index tuple and bitmask of an edge."""
+    """One document's edge parser: the bitmask of an edge."""
     indices = _indexer(vertices)
     bit = [1 << v for v in range(len(vertices))].__getitem__
 
-    def parse(raw) -> tuple:
-        idx = indices(raw)  # a fresh list, sorted in place
-        idx.sort()
+    def parse(raw) -> int:
+        idx = indices(raw)
         mask = sum(map(bit, idx))
         # a repeated vertex carries, leaving fewer bits than letters
         if mask.bit_count() != len(idx):
             raise SchemaViolation(f"edge {raw} repeats a vertex")
-        return tuple(idx), mask
+        return mask
 
     return parse
+
+
+# cached: a filtration reads each edge's word three times (its order, the
+# final complex's basis and the barcode's positions)
+@lru_cache(maxsize=1 << 12)
+def _word(mask: int) -> tuple:
+    """The edge `mask` as a word: its vertex indices, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _submasks(m: int):
+    """Every submask of m, from m itself down to 0."""
+    s = m
+    while s:
+        yield s
+        s = (s - 1) & m
+    yield 0
 
 
 @record
 class Hypergraph:
     vertices: VertexSet
-    edges: frozenset  # of sorted index tuples; () is the empty hyperedge
+    masks: frozenset  # of edge bitmasks, bit v for vertex v; 0 is the empty hyperedge
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices, masks):
         # straight-line: built for every document and sublevel (see `records`)
         _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
+        _set(self, "masks", masks)
 
     @staticmethod
     def of(vertices: VertexSet, edges) -> "Hypergraph":
-        """The edges given by vertex labels or indices; keeps their bitmasks."""
-        edge_masks = dict(map(_edge_parser(vertices), edges))
-        h = Hypergraph(vertices, frozenset(edge_masks))
-        _set(h, "_masks", frozenset(edge_masks.values()))
-        return h
+        """The edges given as lists of vertex labels or indices."""
+        return Hypergraph(vertices, frozenset(map(_edge_parser(vertices), edges)))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as words, () the empty one: a read-only view of `masks`."""
+        return frozenset(map(_word, self.masks))
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges, key=lambda e: (len(e), e))
+        """The words by size, then lexicographically."""
+        return list(_ichain.from_iterable(self._by_degree[n] for n in sorted(self._by_degree)))
 
     @property
     def has_empty_edge(self) -> bool:
-        return () in self.edges
+        return 0 in self.masks
 
     @cached_property
     def _by_degree(self) -> dict:
-        """The sorted edges of each degree, bucketed once."""
+        """The sorted words of each degree, bucketed once."""
         out = {}
-        for e in self.edges:
-            out.setdefault(len(e) - 1, []).append(e)
+        for m in self.masks:
+            out.setdefault(m.bit_count() - 1, []).append(_word(m))
         for bucket in out.values():
             bucket.sort()
         return out
@@ -157,24 +183,18 @@ class Hypergraph:
     def top_degree(self) -> int:
         return max(self._by_degree, default=-2)
 
-    def with_edges(self, edges) -> "Hypergraph":
-        return Hypergraph(self.vertices, frozenset(edges))
+    def with_masks(self, masks) -> "Hypergraph":
+        return Hypergraph(self.vertices, frozenset(masks))
 
     def classify(self) -> HypergraphClass:
         """`_closed` named: a simplicial complex, an independence hypergraph, both or neither."""
         return _NAMES[self._closed]
 
-    @cached_property
-    def _masks(self) -> frozenset:
-        """The edges as bitmasks; `of` fills this in from its parser."""
-        bit = [1 << v for v in range(len(self.vertices))].__getitem__
-        return frozenset(sum(map(bit, e)) for e in self.edges)
-
     def missing_flips(self, v: int) -> set:
         """The flips m ^ (1 << v) of the edge masks m that are not edge
         masks, 0 aside ({v} needs no empty face): a missing face lacks bit
         v, a missing coface holds it."""
-        b, masks = 1 << v, self._masks
+        b, masks = 1 << v, self.masks
         missing = {m ^ b for m in masks} - masks
         missing.discard(0)
         return missing
@@ -190,8 +210,7 @@ class Hypergraph:
         every edge keeps all its one-vertex insertions, every superset is
         present.
 
-        Edges are checked as bitmasks, bit v standing for vertex v. For
-        each vertex bit b, the flips m ^ b of the masks that are not masks,
+        For each vertex bit b, the flips m ^ b of the masks that are not masks,
         0 aside ({b} need not keep its empty face), are what is missing:
         one without bit b is a missing face (not closed down), one with
         bit b a missing coface (not closed up). It stops once both fail.
@@ -219,19 +238,17 @@ def proved_closed(h: Hypergraph, down: bool) -> Hypergraph:
     """h, which its caller proved closed downward (simplicial) or upward, its
     `_closed` set in O(1) with no flip loop: a family closed one way is closed
     both ways exactly when it is empty or holds every nonempty subset."""
-    both = not h.edges or len(h.edges) - h.has_empty_edge == 2 ** len(h.vertices) - 1
+    both = not h.masks or len(h.masks) - h.has_empty_edge == 2 ** len(h.vertices) - 1
     _set(h, "_closed", (down or both, both or not down))
     return h
 
 
 def power_set(vertices: VertexSet) -> frozenset:
+    """The mask of every subset of the vertices."""
     n = len(vertices)
     if n > POWERSET_CAP:
         raise PowerSetTooLarge(f"power set enumeration capped at {POWERSET_CAP} vertices")
-    idx = range(n)
-    return frozenset(
-        _ichain.from_iterable(combinations(idx, k) for k in range(n + 1))
-    )
+    return frozenset(range(1 << n))
 
 
 def closure_size(h: Hypergraph, op: ClosureOp) -> int:
@@ -240,29 +257,23 @@ def closure_size(h: Hypergraph, op: ClosureOp) -> int:
     operators. Exact up to 2^POWERSET_CAP; above it, only known to exceed
     it (each exponent is clipped, so no huge power is formed)."""
     if op is ClosureOp.DELTA_UP:
-        exponents = (len(e) for e in h.edges)
+        exponents = map(int.bit_count, h.masks)
     elif op is ClosureOp.BAR_DELTA_UP:
-        exponents = (len(h.vertices) - len(e) for e in h.edges)
+        exponents = (len(h.vertices) - m.bit_count() for m in h.masks)
     else:
         return 0
     return sum(2 ** min(k, POWERSET_CAP + 1) for k in exponents)
 
 
 def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
-    edges = h.edges
+    masks, full = h.masks, (1 << len(h.vertices)) - 1
     if closure_size(h, op) > 2**POWERSET_CAP:
         raise PowerSetTooLarge(
             f"{op.value} closure would enumerate more than 2**{POWERSET_CAP} subsets"
         )
     if op is ClosureOp.DELTA_UP:
-        out = set()
-        for e in edges:
-            if e == ():
-                out.add(())
-            else:
-                for k in range(1, len(e) + 1):
-                    out.update(combinations(e, k))
-        return h.with_edges(out)
+        # the nonempty subfaces of each edge; the empty edge only from itself
+        return h.with_masks(s for m in masks for s in _submasks(m) if s or not m)
     if op is ClosureOp.DELTA_DOWN or op is ClosureOp.BAR_DELTA_DOWN:
         # smallest edges first, an edge of two or more vertices stays when its
         # codimension-1 faces stayed (delta), or largest first, when its
@@ -270,27 +281,19 @@ def closure(h: Hypergraph, op: ClosureOp) -> Hypergraph:
         # nonempty subfaces, or supersets, are all edges
         down = op is ClosureOp.DELTA_DOWN
         bits = [1 << v for v in range(len(h.vertices))]
-        kept = {}  # mask -> edge
-        for size, mask, e in sorted(((len(e), sum(map(bits.__getitem__, e)), e)
-                                     for e in edges), reverse=not down):
-            if (down and size < 2) or all(
-                    mask ^ b in kept for b in bits if (mask & b != 0) == down):
-                kept[mask] = e
-        return h.with_edges(kept.values())
+        kept = set()
+        for m in sorted(masks, key=int.bit_count, reverse=not down):
+            if (down and m.bit_count() < 2) or all(
+                    m ^ b in kept for b in bits if (m & b != 0) == down):
+                kept.add(m)
+        return h.with_masks(kept)
     if op is ClosureOp.BAR_DELTA_UP:
-        everything = range(len(h.vertices))
-        out = set()
-        for e in edges:
-            rest = [v for v in everything if v not in e]
-            for k in range(len(rest) + 1):
-                for extra in combinations(rest, k):
-                    out.add(tuple(sorted(e + extra)))
-        return h.with_edges(out)
+        # each edge with every subset of the vertices it lacks
+        return h.with_masks(m | s for m in masks for s in _submasks(full ^ m))
     if op is ClosureOp.GAMMA_GLOBAL:
-        return h.with_edges(power_set(h.vertices) - edges)
+        return h.with_masks(power_set(h.vertices) - masks)
     if op is ClosureOp.GAMMA_LOCAL:
-        everything = set(range(len(h.vertices)))
-        return h.with_edges(tuple(sorted(everything - set(e))) for e in edges)
+        return h.with_masks(full ^ m for m in masks)
     raise SchemaViolation(f"unknown closure operator {op!r}")
 
 
@@ -302,7 +305,7 @@ def combine(a: Hypergraph, b: Hypergraph, op: CombineOp) -> Hypergraph:
     closed that way."""
     if a.vertices != b.vertices:
         raise VertexSetMismatch("combine needs a common vertex set")
-    h = a.with_edges(a.edges & b.edges if op is CombineOp.INTERSECT else a.edges | b.edges)
+    h = a.with_masks(a.masks & b.masks if op is CombineOp.INTERSECT else a.masks | b.masks)
     closed = [x and y for x, y in zip(vars(a).get("_closed", ()), vars(b).get("_closed", ()))]
     if any(closed):
         proved_closed(h, closed[0])
@@ -315,12 +318,9 @@ def join_hg(a: Hypergraph, b: Hypergraph) -> Hypergraph:
         raise VertexSetMismatch("join needs disjoint vertex label sets")
     merged = VertexSet(a.vertices.labels + b.vertices.labels)
     shift = len(a.vertices)
-    b_edges = [tuple(v + shift for v in e) for e in b.edges]
-    out = set(a.edges) | set(b_edges)
-    for e in a.edges:
-        for f in b_edges:
-            out.add(tuple(sorted(e + f)))
-    return Hypergraph(merged, frozenset(out))
+    b_masks = [y << shift for y in b.masks]
+    return Hypergraph(merged, frozenset(a.masks).union(
+        b_masks, (x | y for x in a.masks for y in b_masks)))
 
 
 def subset_vertices(h: Hypergraph, t) -> tuple:
@@ -339,29 +339,19 @@ def trace(h: Hypergraph, t) -> Hypergraph:
     """Restriction onto the vertex subset t: nonempty intersections, plus
     the empty edge exactly when h has it."""
     tidx = subset_vertices(h, t)
-    tset = set(tidx)
-    pos = {v: i for i, v in enumerate(tidx)}
     sub = VertexSet(tuple(h.vertices.labels[v] for v in tidx))
-    out = set()
-    for e in h.edges:
-        cut = tuple(pos[v] for v in e if v in tset)
-        if cut:
-            out.add(cut)
-    if h.has_empty_edge:
-        out.add(())
-    return Hypergraph(sub, frozenset(out))
+    cuts = {sum(1 << i for i, v in enumerate(tidx) if m >> v & 1) for m in h.masks}
+    cuts.discard(0)
+    return Hypergraph(sub, frozenset(cuts) | (h.masks & {0}))
 
 
 def morphism_image(f: VertexMap, h: Hypergraph) -> Hypergraph:
     if f.domain != h.vertices:
         raise VertexSetMismatch("vertex map domain differs from the hypergraph's")
-    return Hypergraph(
-        f.codomain, frozenset(tuple(sorted({f(v) for v in e})) for e in h.edges)
-    )
+    return Hypergraph(f.codomain, frozenset(image for _, image in morphism_graph(f, h)))
 
 
 def morphism_graph(f: VertexMap, h: Hypergraph) -> frozenset:
-    """The graph of the induced edge map: pairs (edge, image edge)."""
-    return frozenset(
-        (e, tuple(sorted({f(v) for v in e}))) for e in h.edges
-    )
+    """The graph of the induced edge map: pairs (edge mask, image edge mask)."""
+    bits = [1 << f(v) for v in range(len(f.domain))]
+    return frozenset((m, reduce(or_, (bits[v] for v in _word(m)), 0)) for m in h.masks)

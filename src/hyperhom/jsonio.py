@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import SchemaViolation
-from .hypergraphs import Hypergraph, _edge_parser, _indexer
+from .hypergraphs import Hypergraph, _edge_parser, _indexer, _word
 from .persistence import Filtration
 from .rings import canonical
 from .words import VertexSet, WedgeOperator
@@ -130,10 +130,10 @@ def filtration_from_json(data) -> Filtration:
         _require(isinstance(row, dict) and "edge" in row and "birth" in row,
                  "each filtration row needs 'edge' and 'birth'")
         _require(isinstance(row["edge"], list), "each edge must be a list")
-        (edge, mask), birth = parse(row["edge"]), row["birth"]
+        mask, birth = parse(row["edge"]), row["birth"]
         if not (isinstance(birth, str) and birth in parsed):
             parsed[birth] = coefficient_from_json(birth)  # only valid births are stored
-        rows.append((edge, mask, parsed[birth]))
+        rows.append((mask, parsed[birth]))
     return Filtration.of_parsed(vs, rows, cls)
 
 
@@ -142,8 +142,8 @@ def filtration_to_json(f: Filtration) -> dict:
     return {
         "vertices": list(f.vertices.labels),
         "class": f.monotonicity_class,
-        "edges": [{"edge": [f.vertices.labels[v] for v in e], "birth": births[k]}
-                  for k, e in f.indexed],
+        "edges": [{"edge": [f.vertices.labels[v] for v in _word(mask)], "birth": births[k]}
+                  for k, mask in f.indexed],
     }
 
 

@@ -10,6 +10,8 @@ inclusion maps would stop being chain maps).
 Until output, only the order of the births matters: a filtration keeps
 its grid, the distinct births ascending, and each edge's birth as an
 index into it, so validation, sublevels, pairing and rank grid compare ints.
+Edges are the bitmasks of `hypergraphs`; words are made from them only for
+output, error texts and the positions of basis words.
 
 Every sublevel of a valid filtration is a subcomplex of the final one,
 so barcodes are read off the final complex alone, by the pairing of
@@ -46,7 +48,7 @@ from .homology import (
     mv_complexes,
     mv_sequence,
 )
-from .hypergraphs import CombineOp, Hypergraph, _edge_parser, combine, proved_closed
+from .hypergraphs import CombineOp, Hypergraph, _edge_parser, _word, combine, proved_closed
 from .linalg import SparseMatrix, forward_pivots
 from .records import record
 from .rings import Ring
@@ -62,7 +64,7 @@ class Filtration:
 
     vertices: VertexSet
     grid: tuple  # the distinct births, ascending Fractions
-    indexed: tuple  # ((index of its birth in grid, edge), ...) ascending
+    indexed: tuple  # ((index of its birth in grid, edge mask), ...) by birth, then word
     monotonicity_class: str
 
     @staticmethod
@@ -70,72 +72,63 @@ class Filtration:
         """The filtration of (edge, birth) pairs, each edge given by vertex
         labels or indices in any order, parsed as `Hypergraph.of` parses it."""
         parse = _edge_parser(vertices)
-        return Filtration.of_parsed(vertices, [(*parse(edge), birth) for edge, birth in births],
+        return Filtration.of_parsed(vertices, [(parse(edge), birth) for edge, birth in births],
                                     monotonicity_class)
 
     @staticmethod
     def of_parsed(vertices: VertexSet, rows, monotonicity_class: str) -> "Filtration":
-        """The filtration of (edge, bitmask, birth) rows, each edge a sorted
-        index tuple, as `hypergraphs._edge_parser` gives it with its mask."""
+        """The filtration of (edge mask, birth) rows, each mask as
+        `hypergraphs._edge_parser` gives it."""
         if monotonicity_class not in (SIMPLICIAL_CLASS, INDEPENDENCE_CLASS):
             raise SchemaViolation(f"unknown filtration class {monotonicity_class!r}")
         seen, values = {}, {}  # values: each distinct birth, made a Fraction once
-        for edge, mask, birth in rows:
-            if edge in seen:
-                raise SchemaViolation(f"edge {edge} listed twice")
+        for mask, birth in rows:
+            if mask in seen:
+                raise SchemaViolation(f"edge {_word(mask)} listed twice")
             if birth not in values:
                 values[birth] = Fraction(birth)
-            seen[edge] = birth, mask
+            seen[mask] = birth
         grid = sorted(set(values.values()))
         slot = {birth: bisect_left(grid, x) for birth, x in values.items()}
-        order = sorted((slot[b], edge, mask) for edge, (b, mask) in seen.items())
-        f = Filtration(vertices, tuple(grid), tuple((k, edge) for k, edge, _ in order),
-                       monotonicity_class)
-        object.__setattr__(f, "_masks", tuple(mask for _, _, mask in order))
+        # by birth, then by word: the order `births` and the emitters read
+        order = sorted(((slot[b], mask) for mask, b in seen.items()),
+                       key=lambda row: (row[0], _word(row[1])))
+        f = Filtration(vertices, tuple(grid), tuple(order), monotonicity_class)
         f.validate()
         return f
 
     @property
     def births(self) -> tuple:  # ((edge, Fraction birth), ...) by birth, then edge
-        return tuple((edge, self.grid[k]) for k, edge in self.indexed)
+        return tuple((_word(mask), self.grid[k]) for k, mask in self.indexed)
 
     def critical_values(self) -> list:
         return list(self.grid)
-
-    @cached_property
-    def _masks(self) -> tuple:
-        """The edges of `indexed` as bitmasks, bit v for vertex v, in its
-        order; `of_parsed` fills this in."""
-        bit = [1 << v for v in range(len(self.vertices))].__getitem__
-        return tuple(sum(map(bit, edge)) for _, edge in self.indexed)
 
     def validate(self) -> None:
         """Every sublevel family classifies as the declared class, in one
         pass over the birth indices. A sublevel is closed when each of its
         edges keeps its codimension-1 faces (simplicial class, edges of
         size >= 2 only) or cofaces (independence class), the rule
-        `Hypergraph` checks, here on bitmasks as it does. So an edge breaks
+        `Hypergraph` checks, on the masks as it does. So an edge breaks
         every sublevel from its own birth on when one of those neighbours
         is missing or born later, and never otherwise; the first
         sublevel that fails is at the birth of the first such edge in
         birth order."""
-        births = dict(zip(self._masks, (k for k, _ in self.indexed)))
+        births = {mask: k for k, mask in self.indexed}
         if births.get(0, 0) > 0:  # 0 is the empty edge's mask
             raise MonotonicityViolation("the empty edge must be born with the first edges")
         bits = [1 << v for v in range(len(self.vertices))]
-        bit = bits.__getitem__
         independence = self.monotonicity_class == INDEPENDENCE_CLASS
         never = repeat(len(self.grid))  # the birth index of a missing neighbour
-        for (k, edge), mask in zip(self.indexed, self._masks):
+        for k, mask in self.indexed:
             if independence:
                 near = map(mask.__or__, bits)  # the cofaces, and the edge itself
-            elif len(edge) > 1:
-                near = map(mask.__xor__, map(bit, edge))
+            elif mask.bit_count() > 1:
+                near = map(mask.__xor__, filter(mask.__and__, bits))
             else:
                 continue
             if max(map(births.get, near, never), default=k) > k:  # no vertex: no coface
-                offender = sorted((e for b, e in self.indexed if b <= k),
-                                  key=lambda e: (len(e), e))
+                offender = self._sublevel(k).sorted_edges()
                 raise MonotonicityViolation(
                     f"sublevel family at {self.grid[k]} is not closed; edges {offender}")
 
@@ -143,20 +136,19 @@ class Filtration:
         """The edges born at or before x, their class the one `validate`
         proved for every sublevel."""
         k = bisect_right(self.grid, Fraction(x))
-        return self._proved(edge for b, edge in self.indexed if b < k)
+        return self._proved(self._sublevel(k - 1))
 
     @cached_property
     def final_complex(self) -> Hypergraph:
         """Every edge, its class the one `validate` proved."""
-        return self._proved(e for _, e in self.indexed)
+        return self._proved(self._sublevel(len(self.grid)))
 
-    def _proved(self, edges) -> Hypergraph:
-        return proved_closed(Hypergraph(self.vertices, frozenset(edges)),
-                             self.monotonicity_class == SIMPLICIAL_CLASS)
+    def _sublevel(self, k: int) -> Hypergraph:
+        """The edges born at grid index k or before, unclassified."""
+        return Hypergraph(self.vertices, frozenset(m for b, m in self.indexed if b <= k))
 
-
-def complex_at(f: Filtration, x) -> Hypergraph:
-    return f.complex_at(x)
+    def _proved(self, h: Hypergraph) -> Hypergraph:
+        return proved_closed(h, self.monotonicity_class == SIMPLICIAL_CLASS)
 
 
 @record
@@ -229,7 +221,7 @@ def _pairing(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int)
     spec = ComplexSpec(edge_carrier(f.final_complex), operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)
-    pos = {edge: k for k, (_, edge) in enumerate(f.indexed)}
+    pos = {_word(mask): k for k, (_, mask) in enumerate(f.indexed)}
     births = [b for b, _ in f.indexed]
     place = [pos[e] for e in built.basis(n)]  # of each n-edge, in birth order
     coface = [pos[e] for e in built.basis(n - operator.shift)]

@@ -21,12 +21,12 @@ from hyperhom.persistence import Barcode, Filtration, PersistentRanks, _check_op
 
 
 def unvalidated(vertices, births: dict, cls: str) -> Filtration:
-    """The record of births {edge: birth} as `Filtration.of` lays it out,
-    without validating it."""
+    """The record of births {word: birth} as `Filtration.of` lays it out,
+    by birth, then word, each edge as its mask, without validating it."""
     grid = tuple(sorted({Fraction(b) for b in births.values()}))
     index = {x: k for k, x in enumerate(grid)}
-    return Filtration(vertices, grid, tuple(sorted((index[Fraction(b)], e)
-                                                   for e, b in births.items())), cls)
+    rows = sorted((index[Fraction(b)], e) for e, b in births.items())
+    return Filtration(vertices, grid, tuple((k, sum(1 << v for v in e)) for k, e in rows), cls)
 
 
 def validate(f) -> None:
@@ -73,7 +73,7 @@ def barcode(f, operator, q, ring, n) -> Barcode:
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
-    final = Hypergraph(f.vertices, f.final_complex.edges)  # classified again, not trusted
+    final = Hypergraph(f.vertices, f.final_complex.masks)  # classified again, not trusted
     spec = ComplexSpec(edge_carrier(final), operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)

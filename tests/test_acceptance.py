@@ -110,9 +110,9 @@ def test_criterion_4_closure_and_trace_tables():
         return frozenset(tuple(e) for e in es)
 
     want = {
-        ClosureOp.DELTA_UP: power_set(S3),
+        ClosureOp.DELTA_UP: Hypergraph(S3, power_set(S3)).edges,
         ClosureOp.DELTA_DOWN: edges((), (0,)),
-        ClosureOp.BAR_DELTA_UP: power_set(S3),
+        ClosureOp.BAR_DELTA_UP: Hypergraph(S3, power_set(S3)).edges,
         ClosureOp.BAR_DELTA_DOWN: edges((0,), (0, 1), (0, 2), (1, 2), (0, 1, 2)),
         ClosureOp.GAMMA_GLOBAL: edges((1,), (2,)),
         ClosureOp.GAMMA_LOCAL: edges((), (0,), (1,), (2,), (1, 2), (0, 1, 2)),

@@ -230,6 +230,20 @@ def test_tuple_argv_answers_as_the_list_and_none_reads_sys_argv(tmp_path, capsys
     assert "command line item 1 is not a string" in capsys.readouterr().out
 
 
+def test_a_value_starting_with_a_dash_is_written_with_equals(capsys):
+    """`--coeffs=-1,2` reads a negative first weight; `--coeffs -1,2`
+    reads `-1,2` as a flag, leaving `--coeffs` without its value."""
+    argv = ["duality", "--vertices", "a,b", "--max-degree", "2"]
+    assert main(argv + ["--coeffs=-1,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and json.loads(captured.out)["q"] == 0
+    assert main(argv + ["--coeffs", "-1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": "SchemaViolation",
+                                        "detail": "argument --coeffs: expected one argument"}
+
+
 # A fresh isolated interpreter puts `src` on its path, answers argv[2:]
 # through the CLI or as `python -m hyperhom` does (runpy; the package is
 # not installed here), and reports on stderr whether argparse was loaded.

@@ -64,7 +64,8 @@ from hyperhom.persistence import Filtration, persistent_mv
 from hyperhom.rings import GF, QQ, ZZ
 from hyperhom.words import FreeChain, VertexSet, WedgeOperator
 
-from test_hypergraphs import random_hypergraph, subface_classify
+import hypergraph_oracle as oracle
+from test_hypergraphs import random_hypergraph
 from test_words import SCAN_FLOORS, composed_wedge_apply, longest_run, scan_features
 
 RINGS = [ZZ, QQ, GF(5), GF(7)]
@@ -129,7 +130,7 @@ def random_carrier(rng, kind, vs):
         return edge_carrier(h)
     h = closure(h, ClosureOp.DELTA_UP if kind == "partial" else ClosureOp.BAR_DELTA_UP)
     if kind == "partial" and rng.random() < 0.5:
-        h = h.with_edges(h.edges ^ {()})
+        h = h.with_masks(h.masks ^ {0})
     return edge_carrier(h)
 
 
@@ -316,21 +317,21 @@ def test_classify_matches_subface_oracle_on_ten_and_more_vertices():
                      ClosureOp.BAR_DELTA_UP: (nv - 7, nv)}[op]
         seeds = [tuple(sorted(rng.sample(range(nv), rng.randint(low, high))))
                  for _ in range(rng.randint(1, 5))]
-        h = Hypergraph(vs, frozenset(seeds))
+        h = Hypergraph.of(vs, seeds)
         if op is not None:
             h = closure(h, op)
         if rng.random() < 0.5:
-            h = h.with_edges(h.edges ^ {()})
+            h = h.with_masks(h.masks ^ {0})
         if h.edges and rng.random() < 0.4:
             # drop one edge: often just breaks a closure property
-            h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
-        want = subface_classify(h)
+            h = Hypergraph.of(vs, h.edges - {rng.choice(sorted(h.edges))})
+        want = oracle.classify(h.edges, nv)
         assert h.classify() is want, sorted(h.edges)
         seen.setdefault(want, set()).add(h.has_empty_edge)
     vs = VertexSet.of(*[f"v{i}" for i in range(10)])
     full = Hypergraph(vs, power_set(vs))
-    for h in (full, full.with_edges(full.edges - {()})):
-        assert h.classify() is subface_classify(h) is HypergraphClass.BOTH
+    for h in (full, full.with_masks(full.masks - {0})):
+        assert h.classify() is oracle.classify(h.edges, 10) is HypergraphClass.BOTH
     assert set(seen) == set(HypergraphClass)
     assert seen[HypergraphClass.NEITHER] == {True, False}
     assert seen[HypergraphClass.SIMPLICIAL_COMPLEX] == {True, False}
@@ -388,7 +389,7 @@ def old_hypergraph_from_json(data):
     _require(isinstance(edges, list), "'edges' must be a list")
     for e in edges:
         _require(isinstance(e, list), "each edge must be a list")
-    return Hypergraph(vs, frozenset(old_as_edge(vs, e) for e in edges))
+    return Hypergraph(vs, edge_masks(old_as_edge(vs, e) for e in edges))
 
 
 def old_operator_from_json(data, vertices):
@@ -520,7 +521,7 @@ def test_ingest_matches_old_route():
             else:
                 results[name] += 1
             if name == "hypergraph" and not isinstance(want, tuple):
-                assert got._masks == edge_masks(want.edges)
+                assert edge_masks(got.edges) == got.masks
     for part in ("each edge must be a list", "repeats a vertex", "is neither a label",
                  "unknown vertex", "out of range", "strictly increasing", "one arity",
                  "needs 'edge' and 'birth'", "bad coefficient"):
@@ -546,12 +547,6 @@ def test_ingest_matches_old_route_on_fixed_edges(edges):
     assert read(operator_from_json, odoc, vs) == read(old_operator_from_json, odoc, vs)
 
 
-CLASSES = {(True, True): HypergraphClass.BOTH,
-           (True, False): HypergraphClass.SIMPLICIAL_COMPLEX,
-           (False, True): HypergraphClass.INDEPENDENCE_HYPERGRAPH,
-           (False, False): HypergraphClass.NEITHER}
-
-
 def two_comprehension_classify(h):
     """The check the flip set replaced: for each vertex bit b, clearing b
     in every edge but {b} and setting it in every edge stay in the family."""
@@ -559,11 +554,11 @@ def two_comprehension_classify(h):
     masks = {sum(map(bits.__getitem__, e)) for e in h.edges}
     down = all({m & ~b for m in masks if m != b} <= masks for b in bits)
     up = all({m | b for m in masks} <= masks for b in bits)
-    return CLASSES[down, up]
+    return oracle.CLASSES[down, up]
 
 
 # the (closed downward, closed upward) pair of each class
-CLOSED = {cls: pair for pair, cls in CLASSES.items()}
+CLOSED = {cls: pair for pair, cls in oracle.CLASSES.items()}
 
 
 def carried_closures(rng, h):
@@ -574,11 +569,11 @@ def carried_closures(rng, h):
     its classes. A combine that carries nothing is checked here."""
     vs, n = h.vertices, len(h.vertices)
     down, up = CLOSED[two_comprehension_classify(h)]
-    out = [("proved_closed", proved_closed(Hypergraph(vs, h.edges), way))
+    out = [("proved_closed", proved_closed(Hypergraph(vs, h.masks), way))
            for way, holds in ((True, down), (False, up)) if holds]
     partner = random_hypergraph(rng, vs, p=rng.choice([0.1, 0.4, 0.9]))
     op = rng.choice([None, ClosureOp.DELTA_UP, ClosureOp.BAR_DELTA_UP])
-    a, b = Hypergraph(vs, h.edges), partner if op is None else closure(partner, op)
+    a, b = Hypergraph(vs, h.masks), partner if op is None else closure(partner, op)
     a.classify(), b.classify()
     for op in CombineOp:
         c = combine(a, b, op)
@@ -601,19 +596,18 @@ def carried_closures(rng, h):
 
 def test_classify_matches_two_comprehension_check():
     """Random closed families of both classes, with and without the
-    empty edge, some with one edge dropped, classified from the parser's
-    masks (`Hypergraph.of`) and from masks built on demand (a bare
-    `Hypergraph`). The fixed families miss exactly one face, or one
+    empty edge, some with one edge dropped, classified as built and again
+    as parsed from their words (`Hypergraph.of`). The fixed families miss exactly one face, or one
     coface, or are the empty family, {()}, and the power set with and
     without (). On every family both properties read the oracle's pair,
     and so does every `_closed` that `carried_closures` finds set."""
     rng = random.Random(1607)
     partners = random.Random(1608)
     s3, s2 = VertexSet.of("a", "b", "c"), VertexSet.of("a", "b")
-    families = [Hypergraph(s3, frozenset(power_set(s3) - {(0, 1)})),
-                Hypergraph(s2, frozenset({(0,)})),
-                Hypergraph(s3, frozenset()), Hypergraph(s3, frozenset({()})),
-                Hypergraph(s3, power_set(s3)), Hypergraph(s3, power_set(s3) - {()})]
+    families = [Hypergraph(s3, power_set(s3) - {0b011}),
+                Hypergraph(s2, frozenset({0b01})),
+                Hypergraph(s3, frozenset()), Hypergraph(s3, frozenset({0})),
+                Hypergraph(s3, power_set(s3)), Hypergraph(s3, power_set(s3) - {0})]
     for _ in range(400):
         vs = VertexSet.of(*[f"v{i}" for i in range(rng.randint(0, 7))])
         h = random_hypergraph(rng, vs, p=rng.choice([0.05, 0.2, 0.5]))
@@ -621,15 +615,15 @@ def test_classify_matches_two_comprehension_check():
         if op is not None:
             h = closure(h, op)
         if rng.random() < 0.5:
-            h = h.with_edges(h.edges ^ {()})
+            h = h.with_masks(h.masks ^ {0})
         if h.edges and rng.random() < 0.3:
-            h = h.with_edges(h.edges - {rng.choice(sorted(h.edges))})
+            h = Hypergraph.of(vs, h.edges - {rng.choice(sorted(h.edges))})
         families.append(h)
     seen, carried = set(), Counter()
     for h in families:
         want = two_comprehension_classify(h)
         parsed = Hypergraph.of(h.vertices, [mixed(rng, h.vertices, e) for e in h.edges])
-        assert parsed == h and parsed._masks == edge_masks(h.edges)
+        assert parsed == h and parsed.masks == edge_masks(h.edges)
         assert parsed.classify() is want and h.classify() is want, sorted(h.edges)
         for g in (parsed, h):
             assert (g.is_simplicial_complex, g.is_independence_hypergraph) == CLOSED[want]
@@ -818,7 +812,8 @@ def test_homology_squares_each_boundary_pair_once(monkeypatch, tmp_path, capsys,
     matrices once: `BuiltComplex` checks the pair, and the presentation it
     asks for does not form the product again."""
     labels = [f"s{i}" for i in range(7)]
-    edges = [[labels[i] for i in e] for e in power_set(VertexSet.of(*labels))]
+    edges = [[labels[i] for i in e] for e in Hypergraph(VertexSet.of(*labels),
+                                                        power_set(VertexSet.of(*labels))).edges]
     if arity == 1:
         terms = [{"coeff": c, "vertices": [v]} for c, v in zip([1, 2, 3, 2, 1, 2, 3], labels)]
     else:
@@ -868,7 +863,8 @@ def test_operator_action_builds_a_second_complex_only_off_the_offset(
     printed_maps.json."""
     builds = wrap_bindings(monkeypatch, "homology", "build_complex")
     labels = ["a", "b", "c", "d"]
-    sphere = [[labels[i] for i in e] for e in power_set(VertexSet.of(*labels)) if len(e) < 4]
+    vs = VertexSet.of(*labels)
+    sphere = [[labels[i] for i in e] for e in Hypergraph(vs, power_set(vs)).edges if len(e) < 4]
     paths = write_docs(tmp_path, {
         "file": {"vertices": labels, "edges": sphere},
         "operator": {"kind": "partial", "terms": [{"coeff": c, "vertices": [v]}

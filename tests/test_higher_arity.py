@@ -18,11 +18,11 @@ from hyperhom.words import VertexSet, WedgeOperator
 
 def random_complex(rng, vs, p=0.5, with_empty=False):
     h = closure(
-        Hypergraph(vs, frozenset(e for e in power_set(vs) if e and rng.random() < p)),
+        Hypergraph(vs, frozenset(m for m in power_set(vs) if m and rng.random() < p)),
         ClosureOp.DELTA_UP,
     )
     if with_empty:
-        h = h.with_edges(h.edges | {()})
+        h = h.with_masks(h.masks | {0})
     return h
 
 

@@ -32,7 +32,7 @@ def test_invariant_vertex_sets():
     assert invariant_vertices(H, DIFFERENTIAL) == (0,)
     assert invariant_vertices(HP, PARTIAL) == (1, 2)
     assert invariant_vertices(HP, DIFFERENTIAL) == (0,)
-    full = Hypergraph(S3, power_set(S3) - {()})
+    full = Hypergraph(S3, power_set(S3) - {0})
     assert invariant_vertices(full, PARTIAL) == (0, 1, 2)
     assert invariant_vertices(full, DIFFERENTIAL) == (0, 1, 2)
 
@@ -68,8 +68,8 @@ def test_isolated_vertices_are_vacuously_invariant():
 
 
 def random_hypergraph(rng, vs, p=0.4):
-    pool = sorted(power_set(vs), key=lambda e: (len(e), e))
-    return Hypergraph(vs, frozenset(e for e in pool if rng.random() < p))
+    pool = Hypergraph(vs, power_set(vs)).sorted_edges()
+    return Hypergraph.of(vs, [e for e in pool if rng.random() < p])
 
 
 def matrixwise_invariant(h: Hypergraph, s: int, mode: str) -> bool:
@@ -130,7 +130,7 @@ def invariant_by_tuples(h: Hypergraph, s: int, mode: str) -> bool:
 
 def test_invariance_matches_tuple_oracle():
     """Random families of up to 7 vertices, with and without the empty
-    edge, their masks read by the parser or computed."""
+    edge, their edges read by the parser as tuples or as lists."""
     rng = random.Random(41)
     seen = {(mode, verdict): 0 for mode in (PARTIAL, DIFFERENTIAL) for verdict in (False, True)}
     for _ in range(300):

@@ -300,13 +300,13 @@ def test_rank_matches_gauss_jordan_and_forward_oracles(ring):
 def skeleton(n, k):
     """The augmented k-skeleton of the (n-1)-simplex."""
     vs = VertexSet.of(*[f"v{i}" for i in range(n)])
-    return Hypergraph(vs, frozenset(c for r in range(k + 2) for c in combinations(range(n), r)))
+    return Hypergraph.of(vs, (c for r in range(k + 2) for c in combinations(range(n), r)))
 
 
 def cofaces(n, k):
     """The power set of n vertices minus its k-skeleton."""
     vs = VertexSet.of(*[f"v{i}" for i in range(n)])
-    return Hypergraph(vs, frozenset(
+    return Hypergraph.of(vs, (
         c for r in range(k + 2, n + 1) for c in combinations(range(n), r)))
 
 

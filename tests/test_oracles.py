@@ -27,7 +27,7 @@ def complex_from_faces(nverts, faces, with_empty=True):
                 edges.add((t[a], t[b]))
         for v in t:
             edges.add((v,))
-    return Hypergraph(vs, frozenset(edges))
+    return Hypergraph.of(vs, edges)
 
 
 def reduced_groups(h, weights, ring):
@@ -133,12 +133,12 @@ def test_field_homology_is_weight_independent():
         h = closure(
             Hypergraph(
                 vs,
-                frozenset(e for e in power_set(vs) if e and rng.random() < 0.4),
+                frozenset(m for m in power_set(vs) if m and rng.random() < 0.4),
             ),
             ClosureOp.DELTA_UP,
         )
         if rng.random() < 0.4:
-            h = h.with_edges(h.edges | {()})
+            h = h.with_masks(h.masks | {0})
         for ring in (QQ, GF(5)):
             unit = reduced_groups(h, [1] * n, ring)
             weights = [rng.randint(1, 4) for _ in range(n)]
@@ -162,7 +162,7 @@ def test_complementation_mirrors_raising_and_lowering():
         vs = VertexSet.of(*[f"v{i}" for i in range(n)])
         ell = closure(
             Hypergraph(
-                vs, frozenset(e for e in power_set(vs) if e and rng.random() < 0.4)
+                vs, frozenset(m for m in power_set(vs) if m and rng.random() < 0.4)
             ),
             ClosureOp.BAR_DELTA_UP,
         )

@@ -41,7 +41,6 @@ from hyperhom.persistence import (
     PersistentMV,
     _mv_square_check,
     barcode,
-    complex_at,
     persistent_mv,
     persistent_ranks,
 )
@@ -56,6 +55,11 @@ from test_map_route import random_boundary
 S3 = VertexSet.of("s0", "s1", "s2")
 
 
+def subsets(vs) -> frozenset:
+    """Every subset of vs as a word."""
+    return Hypergraph(vs, power_set(vs)).edges
+
+
 def alpha(*r):
     return WedgeOperator.weighted_sum("partial", r)
 
@@ -68,9 +72,9 @@ SEG = Filtration.of(S3, [((0,), 0), ((1,), 0), ((0, 1), 1)], "simplicial")
 
 
 def test_complex_at():
-    assert complex_at(SEG, -1).edges == frozenset()
-    assert complex_at(SEG, 5).edges == {(0,), (1,), (0, 1)}
-    assert complex_at(SEG, Fraction(1, 2)).edges == {(0,), (1,)}
+    assert SEG.complex_at(-1).edges == frozenset()
+    assert SEG.complex_at(5).edges == {(0,), (1,), (0, 1)}
+    assert SEG.complex_at(Fraction(1, 2)).edges == {(0,), (1,)}
 
 
 def test_final_complex_is_made_once():
@@ -87,7 +91,7 @@ def test_final_complex_carries_the_class_validate_proved():
     rng = random.Random(131)
     filtrations = [Filtration.of(S3, [(e, 0) for e in edges], cls)
                    for cls in ("simplicial", "independence")
-                   for edges in ([], power_set(S3), power_set(S3) - {()})]
+                   for edges in ([], subsets(S3), subsets(S3) - {()})]
     for _ in range(60):
         nv = rng.randint(1, 4)
         filtrations += [random_simplicial_filtration(rng, nv),
@@ -96,7 +100,7 @@ def test_final_complex_carries_the_class_validate_proved():
     for f in filtrations:
         final = f.final_complex
         assert "_closed" in vars(final)
-        fresh = Hypergraph(f.vertices, final.edges).classify()
+        fresh = Hypergraph(f.vertices, final.masks).classify()
         assert final.classify() is fresh, (f.monotonicity_class, final.sorted_edges())
         seen[fresh] += 1
     assert set(seen) == {HypergraphClass.SIMPLICIAL_COMPLEX,
@@ -119,7 +123,7 @@ def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
             pairs.append((fa, fb, "partial"))
         fa, fb = random_independence_filtration(rng, nv), random_independence_filtration(rng, nv)
         if rng.random() < 0.2:
-            fa = Filtration.of(fa.vertices, [(e, 0) for e in power_set(fa.vertices)],
+            fa = Filtration.of(fa.vertices, [(e, 0) for e in subsets(fa.vertices)],
                                "independence")
         pairs.append((fa, fb, "d"))
     seen = Counter()
@@ -128,7 +132,7 @@ def test_sublevels_and_their_squares_carry_the_fresh_class(monkeypatch):
             a, b = fa.complex_at(x), fb.complex_at(x)
             for h in (a, b, combine(a, b, CombineOp.INTERSECT), combine(a, b, CombineOp.UNION)):
                 assert "_closed" in vars(h)
-                fresh = Hypergraph(h.vertices, h.edges).classify()
+                fresh = Hypergraph(h.vertices, h.masks).classify()
                 assert h.classify() is fresh, (fa.monotonicity_class, h.sorted_edges())
                 seen[fresh] += 1
     assert min(seen[c] for c in (HypergraphClass.SIMPLICIAL_COMPLEX, HypergraphClass.BOTH,
@@ -197,8 +201,8 @@ def test_filtration_of_takes_labels_or_indices():
     by_label = Filtration.of(vs, [(("a",), 0), (("b",), 0), (("b", "a"), 1)], "simplicial")
     mixed = Filtration.of(vs, [((0,), 0), (("b",), 0), ((1, "a"), 1)], "simplicial")
     assert by_label == mixed
-    assert by_label.indexed == ((0, (0,)), (0, (1,)), (1, (0, 1)))
-    assert by_label._masks == (1, 2, 3)
+    assert by_label.indexed == ((0, 0b01), (0, 0b10), (1, 0b11))
+    assert by_label.births == (((0,), 0), ((1,), 0), ((0, 1), 1))
 
 
 def test_persistent_ranks_segment():
@@ -250,11 +254,9 @@ def test_barcode_rank_duality():
 
 def random_simplicial_filtration(rng, nverts, with_empty=None):
     vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
-    pool = sorted(power_set(vs), key=lambda e: (len(e), e))
-    final = closure(
-        Hypergraph(vs, frozenset(e for e in pool if e and rng.random() < 0.5)),
-        ClosureOp.DELTA_UP,
-    )
+    pool = Hypergraph(vs, power_set(vs)).sorted_edges()
+    final = closure(Hypergraph.of(vs, [e for e in pool if e and rng.random() < 0.5]),
+                    ClosureOp.DELTA_UP)
     births = {}
     for e in sorted(final.edges, key=len):
         floor = max((births[tuple(f)] for k in range(1, len(e))
@@ -286,7 +288,7 @@ def validate_by_thresholds(f):
         raise MonotonicityViolation("the empty edge must be born with the first edges")
     for x in f.critical_values():
         h = f.complex_at(x)
-        h = Hypergraph(h.vertices, h.edges)
+        h = Hypergraph(h.vertices, h.masks)
         ok = (h.is_simplicial_complex if f.monotonicity_class == "simplicial"
               else h.is_independence_hypergraph)
         if not ok:
@@ -307,7 +309,7 @@ def mutated_births(rng, f):
     or the empty edge added or removed."""
     births = dict(f.births)
     edges = sorted(births, key=lambda e: (len(e), e))
-    pool = sorted(power_set(f.vertices), key=lambda e: (len(e), e))
+    pool = Hypergraph(f.vertices, power_set(f.vertices)).sorted_edges()
     later = [0, Fraction(1, 2), 1, 2, 3]
     move = rng.choice(["keep", "keep", "delay", "drop", "add", "empty"])
     if move == "delay" and edges:
@@ -337,7 +339,7 @@ def test_one_pass_validation_matches_per_threshold_route(cls):
             # with the empty edge, an independence family holds every
             # subset from the first threshold on
             vs = VertexSet.of(*[f"v{i}" for i in range(nverts)])
-            base = Filtration.of(vs, [(e, 1) for e in power_set(vs)], cls)
+            base = Filtration.of(vs, [(e, 1) for e in subsets(vs)], cls)
         else:
             base = random_independence_filtration(rng, nverts)
         births = mutated_births(rng, base)
@@ -447,10 +449,10 @@ def random_births(rng, vs, cls, with_empty, single):
     whole power set, born at once."""
     start = rng.choice([Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(2, 3)])
     if cls == "independence" and with_empty:
-        return {e: start for e in power_set(vs)}
+        return {e: start for e in subsets(vs)}
     steps = [0] if single else [0, 0, Fraction(1, 3), Fraction(1, 2), 1]
-    final = closure(Hypergraph(vs, frozenset(e for e in power_set(vs)
-                                             if e and rng.random() < 0.5)),
+    final = closure(Hypergraph(vs, frozenset(m for m in power_set(vs)
+                                             if m and rng.random() < 0.5)),
                     ClosureOp.DELTA_UP)
     births = {}
     for e in sorted(final.edges, key=len):
@@ -778,7 +780,7 @@ def test_mv_square_check_matches_search_route():
                           rng.randrange(arity), ring))
     s5 = VertexSet.of(*[f"v{i}" for i in range(5)])
     fa = Filtration.of(s5, [(e, {1: 0, 2: 1, 3: 2}.get(len(e), 3))
-                            for e in power_set(s5) if e], "simplicial")
+                            for e in subsets(s5) if e], "simplicial")
     fb = Filtration.of(s5, [((v,), 0) for v in range(5)] + [
         ((0, 1), 2), ((1, 2), 2), ((0, 2), 3), ((0, 1, 2), 3)], "simplicial")
     op = WedgeOperator.build("partial", 3, [(1, (0, 1, 2)), (2, (1, 3, 4)), (1, (0, 2, 4))])
@@ -820,7 +822,7 @@ def test_persistent_mv_random():
                 fb = random_independence_filtration(rng, nverts)
                 if with_empty:
                     birth = rng.choice([0, Fraction(1, 2), 1])
-                    fa = Filtration.of(fa.vertices, [(e, birth) for e in power_set(fa.vertices)],
+                    fa = Filtration.of(fa.vertices, [(e, birth) for e in subsets(fa.vertices)],
                                        "independence")
             kind = "partial" if cls == "simplicial" else "d"
             op = random_boundary(rng, ring, kind, nverts, arity)

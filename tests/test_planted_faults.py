@@ -68,6 +68,11 @@ planted fault trips gives no assurance.
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
   of the `homology-functoriality` selftest suite.
+* `Hypergraph._by_degree`, the step from edge masks to basis words,
+  bucketing a word by its highest vertex instead of its size:
+  `test_fast_paths.test_edges_are_bucketed_by_degree` and the
+  `homology-functoriality` selftest suite, whose operators then leave the
+  carrier.
 
 A fault inside a function body is planted by rebuilding the function from
 its source with one line changed. A suite's run without any fault comes
@@ -125,7 +130,7 @@ def class_with_slack(faces_allowed, cofaces_allowed):
         faces = cofaces = 0
         for v in range(len(self.vertices)):
             b = 1 << v
-            missing = {m ^ b for m in self._masks} - self._masks - {0}
+            missing = {m ^ b for m in self.masks} - self.masks - {0}
             faces += sum(1 for m in missing if not m & b)
             cofaces += sum(1 for m in missing if m & b)
         return faces <= faces_allowed, cofaces <= cofaces_allowed
@@ -260,7 +265,7 @@ def test_unclassified_invariant_trace_exits_one(monkeypatch, tmp_path, capsys):
 
     def trace_without_a_vertex(h, verts):
         t = trace(h, verts)
-        return t.with_edges(t.edges - {min(e for e in t.edges if len(e) == 1)})
+        return t.with_masks(t.masks - {min(m for m in t.masks if m.bit_count() == 1)})
 
     path = tmp_path / "h.json"
     path.write_text(json.dumps({"vertices": ["s0", "s1"],
@@ -427,7 +432,7 @@ def inclusion_by_rebuild(small, large, op, q, ring):
 
 @pytest.mark.parametrize("old, new", [
     # the degree -1 truncation forgotten: the empty-word row stays
-    ("if w in h.edges]", "if w in h.edges or w == ()]"),
+    ("if w in words]", "if w in words or w == ()]"),
     # one entry of each matrix dropped
     ("if i in rows and j in cols))", "if i in rows and j in cols and (i, j) != (0, 0)))"),
 ], ids=["empty-word-row-kept", "one-entry-dropped"])
@@ -439,6 +444,18 @@ def test_restrict_faults_are_caught(monkeypatch, old, new):
         test_homology.test_restrict_matches_build_complex()
     result = selftest.run_suite("homology-functoriality")
     assert result.failures > 0 and result.detail == "edge complex is the word complex restricted"
+
+
+def test_words_bucketed_by_their_highest_vertex_are_caught(monkeypatch, unfaulted):
+    assert unfaulted["homology-functoriality"].failures == 0
+    rule = planted(Hypergraph._by_degree.func, "m.bit_count() - 1", "m.bit_length() - 1")
+    rule.__set_name__(Hypergraph, "_by_degree")
+    monkeypatch.setattr(Hypergraph, "_by_degree", rule)
+    with pytest.raises(AssertionError):
+        test_fast_paths.test_edges_are_bucketed_by_degree()
+    result = selftest.run_suite("homology-functoriality")
+    assert result.failures > 0 and result.detail == (
+        "OperatorLeavesCarrier: image word (1,) of basis element (0, 1) is outside the carrier")
 
 
 @pytest.mark.parametrize("func, old, new", [

@@ -42,9 +42,9 @@ from hyperhom.words import VertexMap, VertexSet, WedgeOperator
 
 V2 = VertexSet.of("a", "b")
 V3 = VertexSet.of("a", "b", "c")
-SEGMENT = Hypergraph(V2, frozenset({(), (0,), (1,), (0, 1)}))
-POINTS = Hypergraph(V2, frozenset({(0,), (1,)}))
-LINK = Hypergraph(V2, frozenset({(0, 1)}))  # no faces: independence only
+SEGMENT = Hypergraph.of(V2, [(), (0,), (1,), (0, 1)])
+POINTS = Hypergraph.of(V2, [(0,), (1,)])
+LINK = Hypergraph.of(V2, [(0, 1)])  # no faces: independence only
 CUBE = Hypergraph(V3, power_set(V3))  # both classes
 M1 = SparseMatrix(2, 1, QQ, (((0, 0), 1), ((1, 0), -1)))
 M2 = SparseMatrix(1, 2, QQ, (((0, 1), Fraction(1, 2)),))
@@ -68,7 +68,7 @@ CASES = {
                      ("d", 3, OMEGA3.terms), ("partial", 0, ((1, ()),))],
                     [("x", 1, ()), ("partial", 1, ((1, (0, 1)),)),
                      ("d", 2, ((1, (1, 0)),))]),
-    Hypergraph: ([(V2, SEGMENT.edges), (V2, POINTS.edges), (V3, POINTS.edges)], []),
+    Hypergraph: ([(V2, SEGMENT.masks), (V2, POINTS.masks), (V3, POINTS.masks)], []),
     InvariantReport: ([("partial", (0, 1), SEGMENT), ("d", (), POINTS)], []),
     Carrier: ([(V2, SEGMENT), (V2, None, 2), (V3, CUBE), (V2, None, 3)], []),
     ComplexSpec: ([(edge_carrier(SEGMENT), ALPHA, 0, QQ),
@@ -88,7 +88,7 @@ CASES = {
     SequenceNode: ([("sum", 0, 2), ("union", 0, 2), ("intersection", -1, 0)], []),
     LongExactSequence: ([((NODE,), (M1,), ((0, 2, False),)), ((), (), ())], []),
     DualityReport: ([(((0, 1, 1),),), (((0, 1, 2), (1, 0, 0)),), ((),)], []),
-    Filtration: ([(V2, (Fraction(0), Fraction(1)), ((0, (0,)), (1, (1,))), "simplicial"),
+    Filtration: ([(V2, (Fraction(0), Fraction(1)), ((0, 0b01), (1, 0b10)), "simplicial"),
                   (V2, (), (), "independence")], []),
     PersistentRanks: ([(0, (Fraction(0),), {(0, 0): 1}), (1, (), {})], []),
     Barcode: ([(0, ((Fraction(0), None, 1),)), (1, ())], []),
@@ -180,11 +180,11 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
 
 
 def test_cached_properties_survive_freezing():
-    h = Hypergraph(V3, frozenset({(), (0,), (1,), (2,), (0, 1)}))
+    h = Hypergraph.of(V3, [(), (0,), (1,), (2,), (0, 1)])
     assert h.degree_edges(0) == [(0,), (1,), (2,)]
     assert h.top_degree == 1 and h.is_simplicial_complex
     assert h.classify() is h.classify()
-    assert h == Hypergraph(V3, frozenset(h.edges)) and hash(h) == hash(Hypergraph(V3, h.edges))
+    assert h == Hypergraph(V3, frozenset(h.masks)) and hash(h) == hash(Hypergraph(V3, h.masks))
 
 
 def test_cli_answers_without_importing_dataclasses_or_inspect(tmp_path):

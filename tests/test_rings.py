@@ -87,8 +87,8 @@ VS = VertexSet.of("a", "b", "c", "d")
 
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_assembled_matrices_are_canonical(weights):
-    tetra = closure(Hypergraph(VS, frozenset({(0, 1, 2, 3)})), ClosureOp.DELTA_UP)
-    cotetra = closure(Hypergraph(VS, frozenset({(0,)})), ClosureOp.BAR_DELTA_UP)
+    tetra = closure(Hypergraph.of(VS, [(0, 1, 2, 3)]), ClosureOp.DELTA_UP)
+    cotetra = closure(Hypergraph.of(VS, [(0,)]), ClosureOp.BAR_DELTA_UP)
     specs = [
         ComplexSpec(edge_carrier(tetra), WedgeOperator.weighted_sum("partial", weights),
                     0, QQ),

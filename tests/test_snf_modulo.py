@@ -87,7 +87,7 @@ def arity_three_blocks() -> list:
     coefficient patterns with torsion [3, 3, 3, 3], none (the one whose
     Smith normal form grows its coefficients), [9, 9] and [2, 2]."""
     vs = VertexSet.of(*[f"v{i}" for i in range(8)])
-    carrier = edge_carrier(Hypergraph(vs, frozenset(
+    carrier = edge_carrier(Hypergraph.of(vs, (
         c for r in range(6) for c in combinations(range(8), r))))
     gens = list(combinations(range(8), 3))
     blocks = []

@@ -118,8 +118,8 @@ def test_unit_stage_matches_oracle_on_arity_three_patterns():
     """Both arity-3 coefficient patterns of the integer route on 8
     vertices, every boundary at every offset."""
     vs = VertexSet.of(*[f"v{i}" for i in range(8)])
-    edges = frozenset(c for r in range(6) for c in combinations(range(8), r))
-    carrier = edge_carrier(Hypergraph(vs, edges))
+    edges = [c for r in range(6) for c in combinations(range(8), r)]
+    carrier = edge_carrier(Hypergraph.of(vs, edges))
     gens = list(combinations(range(8), 3))
     shapes = set()
     for coeff in PATTERNS.values():
