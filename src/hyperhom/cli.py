@@ -157,10 +157,7 @@ def _homology_command(args, kind: str) -> dict:
     if args.n is not None:
         group = built.homology(args.n)
         return jsonio.group_to_json(group.degree, group.presentation)
-    rows = [
-        jsonio.group_to_json(g.degree, g.presentation)
-        for g in (built.homology(n) for n in built.spec.degrees())
-    ]
+    rows = [jsonio.group_to_json(g.degree, g.presentation) for g in built.table()]
     return {"ring": str(ring), "q": built.spec.q, "groups": rows}
 
 

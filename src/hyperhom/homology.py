@@ -52,7 +52,9 @@ from .linalg import (
     SparseMatrix,
     SubquotientPresentation,
     _axpy,
+    _rows_of,
     boundary_invariants,
+    forward_pivots,
     homology_presentation,
     kernel_basis,
     rank,
@@ -202,6 +204,7 @@ class BuiltComplex:
     def __init__(self, spec: ComplexSpec, bases: dict, mats: dict):
         self.spec, self.bases, self.mats = spec, bases, mats
         self._solvers, self._invariants = {}, {}
+        self._leads = {}  # degree -> `forward_pivots` of its field matrix; keys are the leads
 
     def restrict(self, h: Hypergraph) -> "BuiltComplex":
         """The subcomplex on h, a family of the operator's class made of this
@@ -245,17 +248,49 @@ class BuiltComplex:
         return self.matrix(n - self.spec.operator.shift)
 
     def homology(self, n: int) -> HomologyGroup:
+        """H_n, from the ranks of the two matrices at degree n alone. The
+        outgoing one is ranked first, so that its leads clear the incoming
+        one (see `invariants`)."""
         self.spec.require_on_grid(n)
+        out = self.invariants(n)
         return HomologyGroup(n, homology_presentation(
             self.matrix(n), self.incoming_matrix(n),
-            self.invariants(n), self.invariants(n - self.spec.operator.shift),
+            out, self.invariants(n - self.spec.operator.shift),
         ))
+
+    def table(self) -> list:
+        """The homology at every degree of the grid, ascending, computed in
+        the operator's order (see `invariants`): up the grid for `partial`,
+        down it for `d`."""
+        degrees = self.spec.degrees()
+        down = self.spec.operator.shift > 0
+        groups = [self.homology(n) for n in (degrees[::-1] if down else degrees)]
+        return groups[::-1] if down else groups
 
     def invariants(self, n: int) -> tuple:
         """(rank, nonunit invariant factors) of the matrix leaving degree n,
-        computed once: each matrix serves the degrees at both its ends."""
+        computed once: each matrix serves the degrees at both its ends.
+
+        Over a field the lead set of `forward_pivots` is kept beside the
+        rank, and B = matrix(n) leaves out its rows at the cached leads of
+        A = matrix(n + shift) (clearing): B's rows are A's columns, and an
+        echelon row r of A with lead l has r.B = 0, so B's row l is a
+        combination of its later rows and B keeps its rank and lead set.
+        A.B = 0 is the square-zero check that `build_complex` makes on
+        every pair (a restriction is a subcomplex), and it makes this
+        exact. So `table` ranks up the grid for `partial` and down it for
+        `d`, and `homology` ranks the outgoing matrix first. The Smith
+        normal form over Z and the solvers' kernel bases read full
+        matrices."""
         if n not in self._invariants:
-            self._invariants[n] = boundary_invariants(self.matrix(n))
+            m = self.matrix(n)
+            if m.ring.is_field:
+                cleared = self._leads.get(n + self.spec.operator.shift, {})
+                leads = self._leads[n] = forward_pivots(
+                    [row for i, row in enumerate(_rows_of(m)) if i not in cleared], m.ring)
+                self._invariants[n] = len(leads), ()
+            else:
+                self._invariants[n] = boundary_invariants(m)
         return self._invariants[n]
 
     def solver(self, n: int) -> "DegreeSolver":
@@ -279,8 +314,7 @@ def build_complex(spec: ComplexSpec) -> BuiltComplex:
 
 
 def homology_table(spec: ComplexSpec) -> list:
-    built = build_complex(spec)
-    return [built.homology(n) for n in spec.degrees()]
+    return build_complex(spec).table()
 
 
 class DegreeSolver:
@@ -627,13 +661,9 @@ def duality_check(vertices: VertexSet, coeffs, q: int, max_degree: int) -> Duali
     carrier = word_carrier(vertices, max_degree)
     low = build_complex(ComplexSpec(carrier, alpha, q, QQ))
     high = build_complex(ComplexSpec(carrier, omega, q, QQ))
-    step = alpha.arity
-    rows = []
-    for n in low.spec.degrees():
-        if n > max_degree - step:
-            continue
-        rows.append((n, low.homology(n).presentation.free_rank,
-                     high.homology(n).presentation.free_rank))
+    top = max_degree - alpha.arity
+    rows = [(g.degree, g.presentation.free_rank, h.presentation.free_rank)
+            for g, h in zip(low.table(), high.table()) if g.degree <= top]
     return DualityReport(tuple(rows))
 
 

@@ -12,8 +12,11 @@ through the ring for every term.
 A rank needs only the number of pivots, and the pairing of barcodes
 only which row took each, so both come from `forward_pivots`, a forward
 elimination that keeps no reduced rows: mod p over F_p, and fraction-free
-over Q and Z, where the rows stay integers. Only the field `kernel_basis`
-reads reduced rows. They come from `field_reduce`, a sparse Gauss-Jordan
+over Q and Z, where the rows stay integers. Over a field, the ranks of a
+complex and the barcode's negative edges leave out the rows that the
+matrix leaving their degree proves dependent (clearing, see
+`forward_pivots`). Only the field `kernel_basis` reads reduced rows.
+They come from `field_reduce`, a sparse Gauss-Jordan
 reduction over Q or F_p whose pivots are the columns independent of
 those before them and whose pivot rows are the reduced row echelon form,
 both unique, so a kernel basis does not depend on the order rows are
@@ -172,6 +175,16 @@ def forward_pivots(rows: list, ring: Ring) -> dict:
     denominators, which keeps the rank; the step is
     row = (a / g) row - (b / g) prow with g = gcd(a, b); and a row is
     divided by its content when it becomes a pivot row.
+
+    The lead set is that of the row space, so a row that is a combination
+    of others may be left out. Over a field, `BuiltComplex.invariants`
+    and `persistence._negative_edges` leave out B = matrix(n)'s rows at
+    the leads of A = matrix(n + shift) (clearing): an echelon row r of A
+    with lead l has r.B = 0, so B's row l is a combination of its later
+    rows. A.B = 0 is the square-zero check `build_complex` makes on every
+    pair, and it makes this exact. A is ranked first: the degrees go up
+    the grid for `partial` and down it for `d`. The Smith normal form
+    over Z and the field kernel bases read full matrices.
     """
     p = ring.p
     pivots = {}  # lead column -> (its row's index, a or a^-1 over F_p, the rest of the row)

@@ -18,9 +18,10 @@ so barcodes are read off the final complex alone, by the pairing of
 Zomorodian & Carlsson (Discrete Comput. Geom. 2005) computed as the
 cohomology reduction with clearing (de Silva, Morozov & Vejdemo-Johansson,
 Inverse Problems 2011; Bauer, Kerber & Reininghaus, "Clear and compress",
-2014) on `forward_pivots`, and the rank grid counts the bars alive over
-each pair of thresholds. Persistent Mayer-Vietoris builds the union of
-the two final families once and cuts every threshold's square from it.
+2014) on `forward_pivots`, clearing across degrees too, and the rank
+grid counts the bars alive over each pair of thresholds. Persistent
+Mayer-Vietoris builds the union of the two final families once and cuts
+every threshold's square from it.
 Every sublevel carries the class `validate` proved, and `combine` keeps
 it for their unions and intersections, so no square is classified. The
 vertical maps of its naturality squares are the inclusions between
@@ -41,6 +42,7 @@ from itertools import accumulate, repeat
 from .errors import MonotonicityViolation, SchemaViolation
 from .homology import (
     MV_NODE_PARTS,
+    BuiltComplex,
     ComplexSpec,
     build_complex,
     edge_carrier,
@@ -209,12 +211,25 @@ def _pairing(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int)
     """The bars in degree n as (birth index, death index, multiplicity), by
     birth, then death, an open bar dying at index len(f.grid): the
     cohomology reduction with clearing on the final complex, whose class
-    `validate` proved, its edges in birth order. The pivots of
-    `forward_pivots` on the outgoing rows are the n-edges that close a bar
-    where they map; they open none and their rows are skipped. Every other
-    n-edge's coboundary row, keyed by its cofaces, is passed oldest first,
-    so the newest is reduced first; it opens a bar that the coface at its
-    pivot closes, or none does. Bars of length zero are dropped."""
+    `validate` proved, its edges in birth order.
+
+    The negative n-edges, whose column is independent of the columns of
+    earlier edges, close a bar where they map and open none; their
+    coboundary rows are skipped. `_negative_edges` finds them degree by
+    degree, up the grid from its first degree for `partial` and down from
+    its top for `d`, each degree leaving out the rows at the negative
+    edges found one degree before (clearing): with B = matrix(t) and
+    A = matrix(t + shift), an echelon row r of A with lead l has r.B = 0,
+    so B's row l is a combination of its later rows. A.B = 0 is the
+    square-zero check `build_complex` makes on every pair, and it makes
+    this exact. Lead sets depend on the column order, so these (birth
+    order) stay apart from the complex's own (`BuiltComplex.invariants`).
+    The Smith normal form over Z and the kernel bases read full matrices.
+
+    Every other n-edge's coboundary row, keyed by its cofaces, is passed
+    oldest first, so the newest is reduced first; it opens a bar that the
+    coface at its pivot closes, or none does. Bars of length zero are
+    dropped."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
@@ -224,19 +239,38 @@ def _pairing(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int)
     pos = {_word(mask): k for k, (_, mask) in enumerate(f.indexed)}
     births = [b for b, _ in f.indexed]
     place = [pos[e] for e in built.basis(n)]  # of each n-edge, in birth order
+    if not place:
+        return []
     coface = [pos[e] for e in built.basis(n - operator.shift)]
-    out_rows, co_rows = {}, {k: {} for k in sorted(place)}
-    for (i, j), v in built.matrix(n).entries:
-        out_rows.setdefault(i, {})[place[j]] = v
+    co_rows = {k: {} for k in sorted(place)}
     for (i, j), v in built.incoming_matrix(n).entries:
         co_rows[place[i]][coface[j]] = v
-    negative = forward_pivots(list(out_rows.values()), ring)
+    negative = _negative_edges(built, pos, n)
     opened = [k for k in co_rows if k not in negative]
     pairs = forward_pivots([co_rows[k] for k in opened], ring)
     bars = Counter((births[opened[k]], births[c]) for c, k in pairs.items())
     closed = set(pairs.values())
     bars.update((births[e], len(f.grid)) for k, e in enumerate(opened) if k not in closed)
     return [(b, d, bars[b, d]) for b, d in sorted(bars) if b != d]
+
+
+def _negative_edges(built: BuiltComplex, pos: dict, n: int) -> dict:
+    """The negative n-edges of `_pairing`, as the keys: `pos` numbers the
+    edges in birth order, and each degree from the grid's far end to n
+    drops the rows at the negative edges of the degree before."""
+    spec = built.spec
+    shift, degrees = spec.operator.shift, spec.degrees()
+    walk = [t for t in degrees if t <= n] if shift < 0 else [t for t in degrees[::-1] if t >= n]
+    negative = {}
+    for t in walk:
+        reached = [pos[e] for e in built.basis(t + shift)]
+        place = [pos[e] for e in built.basis(t)]
+        rows = {}
+        for (i, j), v in built.matrix(t).entries:
+            if reached[i] not in negative:
+                rows.setdefault(i, {})[place[j]] = v
+        negative = forward_pivots(list(rows.values()), spec.ring)
+    return negative
 
 
 @record

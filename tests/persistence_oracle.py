@@ -8,6 +8,10 @@ on a carrier that classifies the final complex again) and the rank grid,
 which counts the bars alive over each grid pair one pair at a time. Each
 function reads a filtration only through `births`, `vertices`,
 `monotonicity_class` and `final_complex`.
+
+`full_row_negatives` is the route that found the barcode's negative
+edges before clearing across degrees: one elimination of every row of
+the degree's outgoing matrix.
 """
 
 from collections import Counter
@@ -16,7 +20,7 @@ from fractions import Fraction
 from hyperhom.errors import MonotonicityViolation, SchemaViolation
 from hyperhom.homology import ComplexSpec, build_complex, edge_carrier
 from hyperhom.hypergraphs import Hypergraph
-from hyperhom.linalg import field_reduce
+from hyperhom.linalg import field_reduce, forward_pivots
 from hyperhom.persistence import Barcode, Filtration, PersistentRanks, _check_operator
 
 
@@ -105,3 +109,13 @@ def persistent_ranks(f, operator, q, ring, n) -> PersistentRanks:
     ranks = {(i, j): rank_between(bars, grid[i], grid[j])
              for i in range(len(grid)) for j in range(i, len(grid))}
     return PersistentRanks(n, tuple(grid), ranks)
+
+
+def full_row_negatives(built, pos, n) -> set:
+    """The negative n-edges of `persistence._negative_edges`, numbered by
+    `pos`, from `forward_pivots` on every row of the outgoing matrix."""
+    place = [pos[e] for e in built.basis(n)]
+    rows = {}
+    for (i, j), v in built.matrix(n).entries:
+        rows.setdefault(i, {})[place[j]] = v
+    return set(forward_pivots(list(rows.values()), built.spec.ring))

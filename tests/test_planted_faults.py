@@ -68,6 +68,16 @@ planted fault trips gives no assurance.
   the empty edge, or dropping one entry:
   `test_homology.test_restrict_matches_build_complex` and the block check
   of the `homology-functoriality` selftest suite.
+* `BuiltComplex.invariants` clearing with the leads of the wrong
+  neighbour, matrix(n - shift) instead of matrix(n + shift): the groups
+  of the walk against the operator's order in
+  `test_clearing.test_cleared_ranks_match_full_rows` (there those leads
+  are cached, and rows are dropped that are not dependent), and a solver's
+  Betti number against the cleared one in
+  `test_homology.test_degree_solver_against_greedy_rank_oracle`. The
+  table commands walk in the operator's order, where the wrong leads are
+  never cached, so no pin sees it. A rule that never clears gives the
+  same answers, slower: the rows handed in the table walk see it.
 * `Hypergraph._by_degree`, the step from edge masks to basis words,
   bucketing a word by its highest vertex instead of its size:
   `test_fast_paths.test_edges_are_bucketed_by_degree` and the
@@ -102,6 +112,7 @@ from hyperhom.hypergraphs import Hypergraph
 from hyperhom.linalg import SparseMatrix
 from hyperhom.rings import QQ
 
+import test_clearing
 import test_degree_solver
 import test_fast_paths
 import test_homology
@@ -334,6 +345,23 @@ def test_rank_faults_are_caught(monkeypatch, unfaulted, old, new, raised, detail
         test_linalg.test_rank_matches_fraction_free_oracle_on_boundaries(QQ)
     result = selftest.run_suite("linalg-properties")
     assert result.failures > 0 and result.detail.startswith(detail)
+
+
+def test_clearing_with_the_wrong_neighbours_leads_is_caught(monkeypatch):
+    test_clearing.test_cleared_ranks_match_full_rows(monkeypatch, "partial")  # the rewrite holds
+    invariants = BuiltComplex.invariants
+    monkeypatch.setattr(BuiltComplex, "invariants", planted(
+        invariants, "n + self.spec.operator.shift", "n - self.spec.operator.shift"))
+    for kind in ("partial", "d"):
+        with pytest.raises(AssertionError, match="groups against the operator's order"):
+            test_clearing.test_cleared_ranks_match_full_rows(monkeypatch, kind)
+    with pytest.raises(AssertionError, match="betti"):
+        test_homology.test_degree_solver_against_greedy_rank_oracle()
+    # a rule that never clears gives the same answers; only the count sees it
+    monkeypatch.setattr(BuiltComplex, "invariants", planted(
+        invariants, "n + self.spec.operator.shift", "None"))
+    with pytest.raises(AssertionError, match="rows handed"):
+        test_clearing.test_cleared_ranks_match_full_rows(monkeypatch, "partial")
 
 
 def transposed(coords, square_only):
