@@ -95,7 +95,9 @@ def _inputs(args, *names, load=_load_hypergraph, kind=None) -> list:
 
 
 def _comma_list(text: str) -> list:
-    return [part for part in text.split(",") if part]
+    """Every comma-separated slot, an empty one the label ""; an empty
+    value has no slots."""
+    return text.split(",") if text else []
 
 
 CLOSURE_NAMES = {op.value: op for op in ClosureOp}

@@ -36,6 +36,7 @@ and the connecting map leave through it.
 from __future__ import annotations
 
 from itertools import product
+from operator import attrgetter
 
 from .errors import (
     CarrierTooLarge,
@@ -155,6 +156,13 @@ class ComplexSpec:
         bottom = -1 if self.on_grid(-1) else self.q
         return list(range(bottom, self.carrier.top_degree + 1, self.operator.arity))
 
+    def walk(self) -> list:
+        """The degrees in the operator's order, in which each matrix clears
+        the next (see `linalg.forward_pivots`): up the grid for `partial`,
+        down it for `d`."""
+        degrees = self.degrees()
+        return degrees[::-1] if self.operator.shift > 0 else degrees
+
 
 @record
 class HomologyGroup:
@@ -259,29 +267,21 @@ class BuiltComplex:
         ))
 
     def table(self) -> list:
-        """The homology at every degree of the grid, ascending, computed in
-        the operator's order (see `invariants`): up the grid for `partial`,
-        down it for `d`."""
-        degrees = self.spec.degrees()
-        down = self.spec.operator.shift > 0
-        groups = [self.homology(n) for n in (degrees[::-1] if down else degrees)]
-        return groups[::-1] if down else groups
+        """The homology at every degree of the grid, ascending, computed
+        along `ComplexSpec.walk`, where each matrix clears the next."""
+        return sorted(map(self.homology, self.spec.walk()), key=attrgetter("degree"))
 
     def invariants(self, n: int) -> tuple:
         """(rank, nonunit invariant factors) of the matrix leaving degree n,
         computed once: each matrix serves the degrees at both its ends.
 
         Over a field the lead set of `forward_pivots` is kept beside the
-        rank, and B = matrix(n) leaves out its rows at the cached leads of
-        A = matrix(n + shift) (clearing): B's rows are A's columns, and an
-        echelon row r of A with lead l has r.B = 0, so B's row l is a
-        combination of its later rows and B keeps its rank and lead set.
-        A.B = 0 is the square-zero check that `build_complex` makes on
-        every pair (a restriction is a subcomplex), and it makes this
-        exact. So `table` ranks up the grid for `partial` and down it for
-        `d`, and `homology` ranks the outgoing matrix first. The Smith
-        normal form over Z and the solvers' kernel bases read full
-        matrices."""
+        rank, and matrix(n) leaves out its rows at the cached leads of
+        matrix(n + shift), by the clearing rule of `linalg.forward_pivots`
+        (a restriction is a subcomplex, so the rule holds for it too). So
+        `table` ranks along `ComplexSpec.walk`, and `homology` ranks the
+        outgoing matrix first. The Smith normal form over Z and the
+        solvers' kernel bases read full matrices."""
         if n not in self._invariants:
             m = self.matrix(n)
             if m.ring.is_field:
@@ -574,8 +574,8 @@ def mv_sequence(complexes: dict) -> LongExactSequence:
     """The long exact sequence linking intersection, direct sum, and union
     of the complexes given by `mv_complexes`."""
     spec = complexes["cup"].spec
-    # the connecting maps step with the boundary, so the grid runs that way
-    grid = sorted(spec.degrees(), reverse=spec.operator.shift < 0)
+    # the connecting maps step with the boundary, against the operator's walk
+    grid = spec.walk()[::-1]
     leaving = (_mv_first_map, _mv_second_map, _mv_connecting)
 
     nodes = []

@@ -177,14 +177,19 @@ def forward_pivots(rows: list, ring: Ring) -> dict:
     divided by its content when it becomes a pivot row.
 
     The lead set is that of the row space, so a row that is a combination
-    of others may be left out. Over a field, `BuiltComplex.invariants`
-    and `persistence._negative_edges` leave out B = matrix(n)'s rows at
-    the leads of A = matrix(n + shift) (clearing): an echelon row r of A
-    with lead l has r.B = 0, so B's row l is a combination of its later
-    rows. A.B = 0 is the square-zero check `build_complex` makes on every
-    pair, and it makes this exact. A is ranked first: the degrees go up
-    the grid for `partial` and down it for `d`. The Smith normal form
-    over Z and the field kernel bases read full matrices.
+    of others may be left out. This is the clearing rule, stated here
+    once. Over a field, let B = matrix(n) and A = matrix(n + shift), so
+    that A.B = 0 and B's rows are A's columns, numbered alike in any one
+    order. An echelon row r of A with lead l has r.B = 0, so B's row l is
+    a combination of B's rows after l; by descending induction, every row
+    of B at a lead of A lies in the span of B's other rows. Leaving out
+    those rows keeps B's rank and lead set. A.B = 0 is the square-zero
+    check `build_complex` makes on every pair, and it makes this exact.
+    So A is ranked first, along `ComplexSpec.walk`: up the grid for
+    `partial`, down it for `d`. `BuiltComplex.invariants` clears in basis
+    order and `persistence._clearing_walk` in birth order; lead sets
+    depend on the column order, so the two keep their own. The Smith
+    normal form over Z and the field kernel bases read full matrices.
     """
     p = ring.p
     pivots = {}  # lead column -> (its row's index, a or a^-1 over F_p, the rest of the row)

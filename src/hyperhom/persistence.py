@@ -18,10 +18,10 @@ so barcodes are read off the final complex alone, by the pairing of
 Zomorodian & Carlsson (Discrete Comput. Geom. 2005) computed as the
 cohomology reduction with clearing (de Silva, Morozov & Vejdemo-Johansson,
 Inverse Problems 2011; Bauer, Kerber & Reininghaus, "Clear and compress",
-2014) on `forward_pivots`, clearing across degrees too, and the rank
-grid counts the bars alive over each pair of thresholds. Persistent
-Mayer-Vietoris builds the union of the two final families once and cuts
-every threshold's square from it.
+2014) in one walk through the degrees, and the rank grid counts the
+bars alive over each pair of thresholds. Persistent Mayer-Vietoris
+builds the union of the two final families once and cuts every
+threshold's square from it.
 Every sublevel carries the class `validate` proved, and `combine` keeps
 it for their unions and intersections, so no square is classified. The
 vertical maps of its naturality squares are the inclusions between
@@ -209,68 +209,56 @@ def barcode(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) 
 
 def _pairing(f: Filtration, operator: WedgeOperator, q: int, ring: Ring, n: int) -> list:
     """The bars in degree n as (birth index, death index, multiplicity), by
-    birth, then death, an open bar dying at index len(f.grid): the
-    cohomology reduction with clearing on the final complex, whose class
-    `validate` proved, its edges in birth order.
-
-    The negative n-edges, whose column is independent of the columns of
-    earlier edges, close a bar where they map and open none; their
-    coboundary rows are skipped. `_negative_edges` finds them degree by
-    degree, up the grid from its first degree for `partial` and down from
-    its top for `d`, each degree leaving out the rows at the negative
-    edges found one degree before (clearing): with B = matrix(t) and
-    A = matrix(t + shift), an echelon row r of A with lead l has r.B = 0,
-    so B's row l is a combination of its later rows. A.B = 0 is the
-    square-zero check `build_complex` makes on every pair, and it makes
-    this exact. Lead sets depend on the column order, so these (birth
-    order) stay apart from the complex's own (`BuiltComplex.invariants`).
-    The Smith normal form over Z and the kernel bases read full matrices.
-
-    Every other n-edge's coboundary row, keyed by its cofaces, is passed
-    oldest first, so the newest is reduced first; it opens a bar that the
-    coface at its pivot closes, or none does. Bars of length zero are
-    dropped."""
+    birth, then death, an open bar dying at index len(f.grid): the pairs
+    of `_clearing_walk` on the final complex, whose class `validate`
+    proved, cleared by the rule of `linalg.forward_pivots`. A negative
+    n-edge closes a bar where it maps and opens none; every other n-edge
+    opens a bar that the coface paired with it closes, or none does.
+    Bars of length zero are dropped."""
     _check_operator(f, operator)
     if not ring.is_field:
         raise SchemaViolation("persistence needs field coefficients")
     spec = ComplexSpec(edge_carrier(f.final_complex), operator, q, ring)
     spec.require_on_grid(n)
     built = build_complex(spec)
+    if not built.basis(n):  # no n-edge, no bar: nothing to walk
+        return []
     pos = {_word(mask): k for k, (_, mask) in enumerate(f.indexed)}
     births = [b for b, _ in f.indexed]
-    place = [pos[e] for e in built.basis(n)]  # of each n-edge, in birth order
-    if not place:
-        return []
-    coface = [pos[e] for e in built.basis(n - operator.shift)]
-    co_rows = {k: {} for k in sorted(place)}
-    for (i, j), v in built.incoming_matrix(n).entries:
-        co_rows[place[i]][coface[j]] = v
-    negative = _negative_edges(built, pos, n)
-    opened = [k for k in co_rows if k not in negative]
-    pairs = forward_pivots([co_rows[k] for k in opened], ring)
-    bars = Counter((births[opened[k]], births[c]) for c, k in pairs.items())
-    closed = set(pairs.values())
-    bars.update((births[e], len(f.grid)) for k, e in enumerate(opened) if k not in closed)
+    negative, pairs = _clearing_walk(built, pos, n)
+    bars = Counter((births[e], births[c]) for c, e in pairs.items())
+    paired = negative.keys() | pairs.values()
+    bars.update((births[pos[e]], len(f.grid)) for e in built.basis(n) if pos[e] not in paired)
     return [(b, d, bars[b, d]) for b, d in sorted(bars) if b != d]
 
 
-def _negative_edges(built: BuiltComplex, pos: dict, n: int) -> dict:
-    """The negative n-edges of `_pairing`, as the keys: `pos` numbers the
-    edges in birth order, and each degree from the grid's far end to n
-    drops the rows at the negative edges of the degree before."""
+def _clearing_walk(built: BuiltComplex, pos: dict, n: int) -> tuple:
+    """(negative, pairs): the cohomology reduction with clearing in degree
+    n, `pos` numbering the edges in birth order. It steps through the
+    degrees in the operator's order (`ComplexSpec.walk`) up to n, and then
+    to n - shift. A step hands `forward_pivots` the rows of matrix(t), its
+    columns the t-edges, oldest row first so that the newest is reduced
+    first, less the rows at the previous step's leads (the clearing rule
+    of `linalg.forward_pivots`), and keeps its leads as {column: row}, both
+    numbered by `pos`. At n the leads are the negative n-edges, whose
+    column is independent of the columns of earlier edges; at n - shift
+    they pair each coface with the n-edge whose coboundary row it leads."""
     spec = built.spec
-    shift, degrees = spec.operator.shift, spec.degrees()
-    walk = [t for t in degrees if t <= n] if shift < 0 else [t for t in degrees[::-1] if t >= n]
-    negative = {}
-    for t in walk:
-        reached = [pos[e] for e in built.basis(t + shift)]
+    shift = spec.operator.shift
+    leads = negative = {}
+    at = []  # the previous step's columns: this step's rows
+    for t in [t for t in spec.walk() if (t - n) * shift > 0] + [n, n - shift]:
         place = [pos[e] for e in built.basis(t)]
-        rows = {}
+        order = sorted(k for k in at if k not in leads)
+        rows = {k: {} for k in order}
         for (i, j), v in built.matrix(t).entries:
-            if reached[i] not in negative:
-                rows.setdefault(i, {})[place[j]] = v
-        negative = forward_pivots(list(rows.values()), spec.ring)
-    return negative
+            row = rows.get(at[i])
+            if row is not None:
+                row[place[j]] = v
+        negative, leads = leads, {c: order[k] for c, k in forward_pivots(
+            [rows[k] for k in order], spec.ring).items()}
+        at = place
+    return negative, leads
 
 
 @record

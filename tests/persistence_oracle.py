@@ -112,8 +112,9 @@ def persistent_ranks(f, operator, q, ring, n) -> PersistentRanks:
 
 
 def full_row_negatives(built, pos, n) -> set:
-    """The negative n-edges of `persistence._negative_edges`, numbered by
-    `pos`, from `forward_pivots` on every row of the outgoing matrix."""
+    """The negative n-edges of `persistence._clearing_walk`, numbered by
+    `pos`, from `forward_pivots` on every row of the outgoing matrix: the
+    lead set of matrix(n), with its columns in birth order."""
     place = [pos[e] for e in built.basis(n)]
     rows = {}
     for (i, j), v in built.matrix(n).entries:

@@ -2,14 +2,17 @@
 
 Over a field, `BuiltComplex.invariants(n)` hands `forward_pivots` the
 rows of matrix(n) less those at the leads of matrix(n + shift), when
-those are cached, and `persistence._negative_edges` drops, degree by
-degree, the rows at the negative edges of the degree before. The oracle
-is `forward_pivots` on every row, the route both took before: each
-cleared rank, lead set and negative set must equal it. The ranks are
+those are cached, and `persistence._clearing_walk` steps through the
+degrees to the barcode's degree n and one past it, each step dropping
+the rows at the leads of the step before. The oracle is `forward_pivots`
+on every row, the route both took before: each cleared rank, lead set,
+negative set and lead set of the pairs must equal it. The ranks are
 checked for the table walk in the operator's order (where clearing
 pays), for the opposite order (where the leads of the wrong neighbour
 are the ones cached) and for one degree alone, with the rows each matrix
-was handed counted against the rule itself.
+was handed counted against the rule itself; the barcode walk's rows are
+counted so too. A walk that never clears gives the same answers, slower,
+and only these counts see it.
 """
 
 import random
@@ -18,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from hyperhom import persistence
+from hyperhom.errors import SchemaViolation
 from hyperhom.homology import BuiltComplex, ComplexSpec, build_complex, edge_carrier, word_carrier
 from hyperhom.linalg import forward_pivots
 from hyperhom.persistence import Filtration, barcode
@@ -130,14 +134,33 @@ def test_cleared_ranks_match_full_rows(monkeypatch, kind):
     assert cleared >= 400
 
 
+def outcome(call, *args):
+    """What `call` returns, or the class and text of the error it raises."""
+    try:
+        return call(*args)
+    except SchemaViolation as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("cls", ["simplicial", "independence"])
-def test_barcode_negative_sets_match_full_rows(cls):
-    """Rips filtrations whose births are coarsened so that many tie; the
-    negative sets at every degree, and the bars at two, against the
-    full-row route and `persistence_oracle.barcode`."""
+def test_barcode_negative_sets_match_full_rows(monkeypatch, cls):
+    """Rips filtrations whose births are coarsened so that many tie, at
+    every degree of the grid and one past each end (below the bottom, off
+    the grid; above the top, no edges): the walk's negative set and pair
+    leads against the full-row route, the rows each step was handed
+    against the clearing rule, and the bars against
+    `persistence_oracle.barcode`."""
+    handed = []
+
+    def counting(rows, ring):
+        handed.append(len(rows))
+        return forward_pivots(rows, ring)
+
+    # where the walk looks it up, also when a test plants a fault there
+    monkeypatch.setitem(persistence._clearing_walk.__globals__, "forward_pivots", counting)
     kind = "partial" if cls == "simplicial" else "d"
     rng = random.Random(f"clearing:{cls}")
-    negatives = 0
+    negatives = cleared = cases = 0
     for arity, q in GRIDS:
         for ring in (QQ, GF(5)):
             fine = rips_filtration(rng, 9, 4, cls)
@@ -145,11 +168,28 @@ def test_barcode_negative_sets_match_full_rows(cls):
             assert len(f.grid) < len(fine.grid)
             op = random_operator(rng, kind, 9, arity)
             built = build_complex(ComplexSpec(edge_carrier(f.final_complex), op, q, ring))
+            spec, shift = built.spec, op.shift
             pos = {e: k for k, (e, _) in enumerate(f.births)}
-            for n in built.spec.degrees():
-                found = persistence._negative_edges(built, pos, n)
-                assert found.keys() == persistence_oracle.full_row_negatives(built, pos, n)
-                negatives += len(found)
-            for n in rng.sample(built.spec.degrees(), min(2, len(built.spec.degrees()))):
-                assert barcode(f, op, q, ring, n) == persistence_oracle.barcode(f, op, q, ring, n)
-    assert negatives >= 150
+            bottom, top = spec.degrees()[0], spec.degrees()[-1]
+            full = {t: persistence_oracle.full_row_negatives(built, pos, t)
+                    for t in range(bottom - 2 * arity, top + 3 * arity, arity)}
+            for n in range(bottom - arity, top + 2 * arity, arity):
+                cases += 1
+                bars = outcome(barcode, f, op, q, ring, n)
+                assert bars == outcome(persistence_oracle.barcode, f, op, q, ring, n), (cls, n)
+                if not spec.on_grid(n):
+                    assert bars[0] is SchemaViolation
+                    continue
+                handed.clear()
+                negative, pairs = persistence._clearing_walk(built, pos, n)
+                assert negative.keys() == full[n], ("negative", cls, n)
+                assert pairs.keys() == full[n - shift], ("pair leads", cls, n)
+                negatives += len(negative)
+                steps = [t for t in spec.walk() if (t < n if shift < 0 else t > n)]
+                expected, dropped = [], 0
+                for t in steps + [n, n - shift]:
+                    expected.append(built.matrix(t).rows - dropped)
+                    cleared += dropped
+                    dropped = len(full[t])
+                assert handed == expected, ("rows handed", cls, n)
+    assert negatives >= 150 and cleared >= 400 and cases >= 30, (negatives, cleared, cases)

@@ -295,6 +295,24 @@ def test_trace_reads_vertex_labels_as_documents_do(tmp_path, capsys):
         "error": "NotASubset", "detail": "unknown vertex 'zz'"}
 
 
+# an empty slot is the label "", found or refused like any other
+def test_vertices_keep_their_empty_slots(tmp_path, capsys):
+    labelled = write(tmp_path, "l.json", {"vertices": ["", "a"], "edges": [[], [""], ["a"]]})
+    code, doc = run(capsys, "trace", "--vertices", ",a", labelled)
+    assert (code, doc) == (0, {"vertices": ["", "a"], "edges": [[], [""], ["a"]]})
+    code, doc = run(capsys, "trace", "--vertices", "", labelled)
+    assert (code, doc) == (0, {"vertices": [], "edges": [[]]})
+    code = main(["trace", "--vertices", "s0,", write(tmp_path, "h.json", H_DOC)])
+    assert assert_one_error_document(capsys, code) == {
+        "error": "NotASubset", "detail": "unknown vertex ''"}
+    # three vertices, so two weights are too few
+    code = main(["duality", "--vertices", "a,,b", "--coeffs", "1,2", "--max-degree", "2"])
+    assert assert_one_error_document(capsys, code) == {
+        "error": "SchemaViolation", "detail": "one weight per vertex required"}
+    assert main(["duality", "--vertices", "a,,b", "--coeffs", "1,2,3", "--max-degree", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_unknown_flag_rejected(tmp_path, capsys):
     f = write(tmp_path, "h.json", H_DOC)
     code = main(["classify", "--bogus", f])

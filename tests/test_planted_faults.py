@@ -6,9 +6,14 @@ planted fault trips gives no assurance.
   missing coface: `test_fast_paths.test_classify_matches_two_comprehension_check`.
 * The edge ingest accepting a repeated vertex:
   `test_fast_paths.test_ingest_matches_old_route`.
-* The barcode pairing `persistence._pairing` dropping one bar, or
-  reducing the coboundary rows oldest first instead of newest first: the
-  `persistence` selftest suite.
+* The barcode pairing `persistence._pairing` dropping one bar, or its
+  walk `persistence._clearing_walk` reducing the rows oldest first
+  instead of newest first: the `persistence` selftest suite. The walk
+  never clearing, or clearing by the leads of the step two back: the
+  rows handed in
+  `test_clearing.test_barcode_negative_sets_match_full_rows`. Birth
+  positions number every edge, so no other step's leads meet a step's
+  rows, and both give the same answers, slower.
 * The deletion scan behind `wedge_apply` with one sign flipped, and its
   run rule skipped for even runs:
   `test_words.test_wedge_apply_matches_composition_oracle`; the
@@ -200,10 +205,22 @@ def test_barcode_dropping_one_bar_is_caught(monkeypatch, unfaulted):
 def test_barcode_reducing_the_oldest_coboundary_row_first_is_caught(monkeypatch, unfaulted):
     # the homology row order on the cohomology pivots: other pairs, wrong bars
     assert unfaulted["persistence"].failures == 0
-    monkeypatch.setattr(persistence, "_pairing", planted(
-        persistence._pairing, "sorted(place)", "sorted(place, reverse=True)"))
+    monkeypatch.setattr(persistence, "_clearing_walk", planted(
+        persistence._clearing_walk, "sorted(k for k in at if k not in leads)",
+        "sorted((k for k in at if k not in leads), reverse=True)"))
     result = selftest.run_suite("persistence")
     assert result.failures > 0 and result.detail == "bars count the inclusion rank"
+
+
+@pytest.mark.parametrize("dropped", ["()", "negative"], ids=["never", "two-steps-back"])
+def test_barcode_walk_clearing_by_the_wrong_leads_is_caught(monkeypatch, dropped):
+    # the same answers, slower: only the rows handed see it
+    test_clearing.test_barcode_negative_sets_match_full_rows(monkeypatch, "simplicial")
+    monkeypatch.setattr(persistence, "_clearing_walk", planted(
+        persistence._clearing_walk, "k not in leads", f"k not in {dropped}"))
+    for cls in ("simplicial", "independence"):
+        with pytest.raises(AssertionError, match="rows handed"):
+            test_clearing.test_barcode_negative_sets_match_full_rows(monkeypatch, cls)
 
 
 def test_insertion_with_two_weights_exchanged_is_caught(monkeypatch, unfaulted):
