@@ -45,13 +45,6 @@ from .words import (
     WedgeOperator,
     WordClass,
     classify_word,
-    differential,
-    face,
-    induced_map,
-    insert,
-    join,
-    partial,
-    project_simplicial,
     wedge_apply,
     wedge_chain,
 )

@@ -18,15 +18,7 @@ class InternalCheckError(HyperhomError):
     """A computed object failed an internal consistency check."""
 
 
-class IndexOutOfRange(InputError):
-    pass
-
-
 class NotSimplicial(InputError):
-    pass
-
-
-class NotOrderPreserving(InputError):
     pass
 
 

@@ -62,7 +62,7 @@ from .linalg import (
 )
 from .records import record
 from .rings import QQ, Ring, canonical
-from .words import FULL, SIMPLICIAL, FreeChain, VertexSet, WedgeOperator, wedge_apply
+from .words import FULL, SIMPLICIAL, VertexSet, WedgeOperator, wedge_apply
 
 
 @record
@@ -666,9 +666,3 @@ def duality_check(vertices: VertexSet, coeffs, q: int, max_degree: int) -> Duali
             for g, h in zip(low.table(), high.table()) if g.degree <= top]
     return DualityReport(tuple(rows))
 
-
-def delta_pairing(x: FreeChain, y: FreeChain):
-    """Bilinear pairing with orthonormal words."""
-    if x.ring != y.ring:
-        raise SchemaViolation("pairing needs one ring")
-    return x.ring.normal(sum(c * y.terms[w] for w, c in x.terms.items() if w in y.terms))

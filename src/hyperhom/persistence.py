@@ -302,8 +302,8 @@ def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
     horizontal map of the two sequences. A part both thresholds share maps
     by the identity. Both grids start at the same bottom degree and the
     union's top degree never falls, so the earlier nodes are the first of
-    the later ones (the last, when the grid runs down): one offset aligns
-    them."""
+    the later ones (the last, when the grid runs down): one offset, where
+    the first earlier node sits among the later ones, aligns them."""
     ring = cx_x["cup"].spec.ring
 
     def vertical(label, n):
@@ -319,7 +319,7 @@ def _mv_square_check(cx_x, cx_y, seq_x, seq_y) -> bool:
 
     keys = [(node.label, node.degree) for node in seq_x.nodes]
     keys_y = [(node.label, node.degree) for node in seq_y.nodes]
-    offset = len(keys_y) - len(keys) if cx_y["cup"].spec.operator.shift < 0 else 0
+    offset = keys_y.index(keys[0]) if keys and keys[0] in keys_y else 0
     if keys_y[offset:offset + len(keys)] != keys:
         return False
     vert = {key: vertical(*key) for key in keys}

@@ -15,7 +15,6 @@ from .errors import NotAChainMap
 from .homology import (
     ComplexSpec,
     build_complex,
-    delta_pairing,
     duality_check,
     edge_carrier,
     inclusion_induced,
@@ -47,13 +46,9 @@ from .words import (
     VertexMap,
     VertexSet,
     WedgeOperator,
-    concat_product,
-    differential,
-    face,
-    induced_map,
-    insert,
-    partial,
-    project_simplicial,
+    WordClass,
+    classify_word,
+    wedge_apply,
     wedge_chain,
 )
 
@@ -89,57 +84,43 @@ def _words_upto(nletters, maxlen):
         yield from itertools.product(range(nletters), repeat=ln)
 
 
-def _face_sum(i, s, c):
-    """The i-th face deletion of s, with sign (-1)^i, on every word of c."""
-    return FreeChain(c.ring, c.degree - 1, (
-        (w[:i] + w[i + 1 :], -v if i & 1 else v) for w, v in c.terms.items() if w[i] == s))
+def _one(kind, s) -> WedgeOperator:
+    """The single derivation at s: deletion for kind "partial", insertion
+    for kind "d"."""
+    return WedgeOperator(kind, 1, ((1, (s,)),))
 
 
-def _insert_sum(i, s, c):
-    """The insertion of s before position i, with sign (-1)^i, on every
-    word of c."""
-    return FreeChain(c.ring, c.degree + 1, (
-        (w[:i] + (s,) + w[i:], -v if i & 1 else v) for w, v in c.terms.items()))
+def _concat(a, b) -> FreeChain:
+    """The free-algebra product: concatenation, bilinear, with the empty
+    word as its unit."""
+    return FreeChain(a.ring, a.degree + b.degree + 1, (
+        (w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()))
+
+
+def _relabel(images, c) -> FreeChain:
+    """The chain map of a vertex map on the simplicial ambient: letter i of
+    each word read as images[i], and the words that are not strictly
+    increasing dropped."""
+    return FreeChain(c.ring, c.degree, (
+        (v, x) for w, x in c.terms.items()
+        if classify_word(v := tuple(images[i] for i in w)) is WordClass.SIMPLICIAL_ACYCLIC))
 
 
 def suite_free_calculus(rng) -> _Tally:
-    """Deletion/insertion identities, anticommutation, and the derivation
-    rules, exhaustive over three letters and words of length up to 4."""
+    """The laws of the single derivations, through `wedge_chain`:
+    anticommutation, exhaustive over three letters and words of length up
+    to 4; the derivation rules over concatenation, the insertion rule with
+    its junction term; and naturality under strictly increasing vertex
+    maps."""
     t = _Tally()
     for w in _words_upto(3, 4):
-        n = len(w) - 1
         c = FreeChain.single(ZZ, w)
-        for s in range(3):
-            for tt in range(3):
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = _face_sum(i, s, _face_sum(j, tt, c))
-                        rhs = -_face_sum(j - 1, tt, _face_sum(i, s, c))
-                        t.check(lhs == rhs, f"deletion pair law at {w} {i} {j}")
-                for j in range(n + 2):
-                    for i in range(n + 1):
-                        lhs = _face_sum(i, s, _insert_sum(j, tt, c))
-                        if i < j:
-                            rhs = -_insert_sum(j - 1, tt, _face_sum(i, s, c))
-                        elif i == j:
-                            rhs = c if s == tt else FreeChain.zero(ZZ, n)
-                        else:
-                            rhs = -_insert_sum(j, tt, _face_sum(i - 1, s, c))
-                        t.check(lhs == rhs, f"mixed law at {w} {i} {j}")
-                for j in range(n + 2):
-                    for i in range(j + 1):
-                        lhs = _insert_sum(i, s, _insert_sum(j, tt, c))
-                        rhs = -_insert_sum(j + 1, tt, _insert_sum(i, s, c))
-                        t.check(lhs == rhs, f"insertion pair law at {w} {i} {j}")
-                t.check(
-                    partial(s, partial(tt, c)) == -partial(tt, partial(s, c)),
-                    f"deletion anticommutation at {w}",
-                )
-                t.check(
-                    differential(s, differential(tt, c, FULL), FULL)
-                    == -differential(tt, differential(s, c, FULL), FULL),
-                    f"insertion anticommutation at {w}",
-                )
+        for kind in ("partial", "d"):
+            for s in range(3):
+                for tt in range(3):
+                    a, b = _one(kind, s), _one(kind, tt)
+                    t.check(wedge_chain(a, wedge_chain(b, c))
+                            == -wedge_chain(b, wedge_chain(a, c)), f"{kind} anticommutation at {w}")
     for wl in _words_upto(3, 3):
         if not wl:
             continue
@@ -150,56 +131,45 @@ def suite_free_calculus(rng) -> _Tally:
             eta = FreeChain.single(ZZ, wr)
             sign = (-1) ** (xi.degree + 1)
             for s in range(3):
-                lhs = partial(s, concat_product(xi, eta))
-                rhs = concat_product(partial(s, xi), eta) + concat_product(
-                    xi, partial(s, eta)
-                ).scaled(sign)
+                delete, ins = _one("partial", s), _one("d", s)
+                lhs = wedge_chain(delete, _concat(xi, eta))
+                rhs = (_concat(wedge_chain(delete, xi), eta)
+                       + _concat(xi, wedge_chain(delete, eta)).scaled(sign))
                 t.check(lhs == rhs, "deletion derivation rule")
-                lhs = differential(s, concat_product(xi, eta), FULL)
-                junction = concat_product(
-                    concat_product(xi, FreeChain.single(ZZ, (s,))), eta
-                )
-                rhs = (
-                    concat_product(differential(s, xi, FULL), eta)
-                    + concat_product(xi, differential(s, eta, FULL)).scaled(sign)
-                    - junction.scaled(sign)
-                )
+                lhs = wedge_chain(ins, _concat(xi, eta))
+                junction = _concat(_concat(xi, FreeChain.single(ZZ, (s,))), eta)
+                rhs = (_concat(wedge_chain(ins, xi), eta)
+                       + _concat(xi, wedge_chain(ins, eta)).scaled(sign)
+                       - junction.scaled(sign))
                 t.check(lhs == rhs, "insertion derivation rule with junction term")
-    # naturality of both derivation families under strictly increasing maps
-    big = VertexSet.of(*[f"z{i}" for i in range(7)])
     for _ in range(500):
         k = rng.randint(2, 4)
-        f = VertexMap(
-            VertexSet.of(*[f"y{i}" for i in range(k)]),
-            big,
-            tuple(sorted(rng.sample(range(7), k))),
-        )
+        images = tuple(sorted(rng.sample(range(7), k)))
         w = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
         c = FreeChain.single(ZZ, w)
         s = rng.randrange(k)
         if len(w) > 1:
-            t.check(
-                induced_map(f, partial(s, c)) == partial(f(s), induced_map(f, c)),
-                "naturality of deletions",
-            )
-        t.check(
-            induced_map(f, differential(s, c, SIMPLICIAL))
-            == differential(f(s), induced_map(f, c), SIMPLICIAL),
-            "naturality of insertions",
-        )
+            t.check(_relabel(images, wedge_chain(_one("partial", s), c))
+                    == wedge_chain(_one("partial", images[s]), _relabel(images, c)),
+                    "naturality of deletions")
+        t.check(_relabel(images, wedge_chain(_one("d", s), c, SIMPLICIAL))
+                == wedge_chain(_one("d", images[s]), _relabel(images, c), SIMPLICIAL),
+                "naturality of insertions")
     return t
 
 
 def suite_projection_compatibility(rng) -> _Tally:
-    """Quotient insertion equals full insertion followed by projection,
-    exhaustive over five vertices."""
+    """The simplicial insertion equals the full one projected onto the
+    strictly increasing words, through `wedge_chain`, exhaustive over five
+    vertices."""
     t = _Tally()
     for size in range(6):
         for w in itertools.combinations(range(5), size):
             c = FreeChain.single(ZZ, w)
             for s in range(5):
-                quot = differential(s, c, SIMPLICIAL)
-                full = project_simplicial(differential(s, c, FULL))
+                quot = wedge_chain(_one("d", s), c, SIMPLICIAL)
+                # the identity relabeling is the projection
+                full = _relabel(range(5), wedge_chain(_one("d", s), c, FULL))
                 t.check(quot == full, f"projection mismatch at {w} {s}")
     return t
 
@@ -451,23 +421,15 @@ def suite_trace_laws(rng) -> _Tally:
 
 
 def _matrixwise_invariant(h, s, mode):
-    for e in h.edges:
-        w = tuple(e)
-        if mode == PARTIAL:
-            if len(w) < 2:
-                continue
-            for i in range(len(w)):
-                img = face(i, s, w, ZZ)
-                if any(word not in h.edges for word in img.terms):
-                    return False
-        else:
-            if not w or s in w:
-                continue
-            for i in range(len(w) + 1):
-                for word in insert(i, s, w, ZZ).terms:
-                    if tuple(sorted(word)) == word and word not in h.edges:
-                        return False
-    return True
+    """Whether the single derivation at s keeps the edges of h among its
+    edges, its images read from `wedge_apply`: deletions from the edges of
+    two or more vertices, simplicial insertions into the nonempty edges
+    without s."""
+    if mode == PARTIAL:
+        words = [e for e in h.edges if len(e) >= 2]
+    else:
+        words = [e for e in h.edges if e and s not in e]
+    return all(v in h.edges for v, _, _ in wedge_apply(_one(mode, s), words, ZZ, SIMPLICIAL))
 
 
 def suite_invariance(rng) -> _Tally:
@@ -673,6 +635,11 @@ def _check_complement_law(t: _Tally, rng, ring, arity) -> None:
                         f"complement law at degree {n} over {ring}")
 
 
+def _delta_pairing(x, y):
+    """The bilinear pairing in which the words are orthonormal."""
+    return x.ring.normal(sum(c * y.terms[w] for w, c in x.terms.items() if w in y.terms))
+
+
 def suite_duality(rng) -> _Tally:
     """Betti numbers of the two weighted complexes agree, the two weighted
     derivation families are adjoint under the word pairing, and the
@@ -711,8 +678,8 @@ def suite_duality(rng) -> _Tally:
             cx = FreeChain.single(QQ, xi)
             ce = FreeChain.single(QQ, eta)
             t.check(
-                delta_pairing(wedge_chain(a, cx, FULL), ce)
-                == delta_pairing(cx, wedge_chain(w, ce, FULL)),
+                _delta_pairing(wedge_chain(a, cx, FULL), ce)
+                == _delta_pairing(cx, wedge_chain(w, ce, FULL)),
                 f"adjointness at {xi} {eta}",
             )
     for ring in (ZZ, GF(5)):

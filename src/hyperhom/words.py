@@ -4,34 +4,32 @@ A word is a tuple of vertex indices; the empty tuple is the augmentation
 element of degree -1, and a word of length n+1 has degree n. Two families
 of degree-shifting derivations act on formal sums of words:
 
-* `face(i, s, w)` deletes letter i when it equals s, with sign (-1)^i,
-* `insert(i, s, w)` inserts s before position i, with sign (-1)^i.
+* deleting s lowers the degree: the sum, over the positions i where s
+  stands, of the word without letter i, with sign (-1)^i;
+* inserting s raises it: the sum, over the slots i, of the word with s
+  inserted before position i, with sign (-1)^i.
 
-Summing over positions gives the degree-lowering operator `partial` and
-the degree-raising operator `differential`. On strictly increasing words
-the insertion operator descends to a quotient rule with at most one
-surviving term; that quotient is selected with ambient="simplicial".
+On strictly increasing words the insertion derivation descends to a
+quotient rule with at most one surviving term; that quotient is selected
+with ambient="simplicial".
 
 Convention: inserting into the empty word is allowed, so the raising
 operator sends the degree -1 generator to the sum of single-letter words.
 This is the unique extension of the insertion formula to length zero and
 it preserves anticommutation (exercised by the test suite).
 
-`face`, `insert`, `partial` and `differential` are the reference
-primitives on `FreeChain`, with `join`, `concat_product` and
-`induced_map`. Each is written as its sum: one generator of signed
-(word, coefficient) terms, which the `FreeChain` constructor adds up,
-summing repeated words and dropping the zeros, so that no term is added
-by copying a running sum. `wedge_apply` is the one implementation of the
-calculus that the engine runs: it takes an operator and a list of words,
-and returns the image of every word in one call, so a matrix is one call.
-It builds the operator's term table once, coercing the coefficients into
-the ring, and never composes `FreeChain` sums. Two run rules carry the
-calculus: deleting g from a run of k letters g that starts at i gives
-one word with sign (-1)^i when k is odd and nothing when k is even, and
-inserting g at a slot i followed by k letters g (and not preceded by g)
-gives one word with sign (-1)^i when k is even and nothing when k is
-odd.
+`wedge_apply` is the calculus: the one implementation that the engine
+runs and that the selftest checks. An operator is a `WedgeOperator`, and
+a single derivation is the one-term arity-1 operator
+`WedgeOperator(kind, 1, ((1, (s,)),))`. `wedge_apply` takes an operator
+and a list of words, and returns the image of every word in one call, so
+a matrix is one call. It builds the operator's term table once, coercing
+the coefficients into the ring, and never composes `FreeChain` sums.
+Two run rules carry the calculus: deleting g from a run of k letters g
+that starts at i gives one word with sign (-1)^i when k is odd and
+nothing when k is even, and inserting g at a slot i followed by k
+letters g (and not preceded by g) gives one word with sign (-1)^i when k
+is even and nothing when k is odd.
 
 An arity-1 operator, a weighted sum of single derivations, reads each
 word once, in one scan over all its letters:
@@ -64,9 +62,9 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import combinations, repeat
 
-from .errors import IndexOutOfRange, NotOrderPreserving, NotSimplicial, SchemaViolation
+from .errors import NotSimplicial, SchemaViolation
 from .records import record
-from .rings import Ring, ZZ
+from .rings import Ring
 
 _set = object.__setattr__
 
@@ -120,10 +118,6 @@ class VertexMap:
     @property
     def injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
-
-    @property
-    def order_preserving(self) -> bool:
-        return all(a <= b for a, b in zip(self.images, self.images[1:]))
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -217,90 +211,6 @@ class FreeChain:
             return f"FreeChain<0 @ deg {self.degree}>"
         body = " + ".join(f"{c}*{w}" for w, c in self.sorted_terms())
         return f"FreeChain<{body}>"
-
-
-def face(i: int, s: int, w: Word, ring: Ring = ZZ) -> FreeChain:
-    """Delete letter i of w when it equals s, with sign (-1)^i."""
-    n = len(w) - 1
-    if n < 0 or not 0 <= i <= n:
-        raise IndexOutOfRange(f"face index {i} invalid for a degree {n} word")
-    if w[i] != s:
-        return FreeChain.zero(ring, n - 1)
-    coeff = ring.one if i % 2 == 0 else ring.neg(ring.one)
-    return FreeChain(ring, n - 1, {w[:i] + w[i + 1 :]: coeff})
-
-
-def insert(i: int, s: int, w: Word, ring: Ring = ZZ) -> FreeChain:
-    """Insert s before position i of w, with sign (-1)^i."""
-    n = len(w) - 1
-    if not 0 <= i <= n + 1:
-        raise IndexOutOfRange(f"insertion index {i} invalid for a degree {n} word")
-    coeff = ring.one if i % 2 == 0 else ring.neg(ring.one)
-    return FreeChain(ring, n + 1, {w[:i] + (s,) + w[i:]: coeff})
-
-
-def _increasing(chain: FreeChain):
-    """The terms of `chain`, each word checked, as it is reached, to be
-    strictly increasing."""
-    for w, c in chain.terms.items():
-        if classify_word(w) is not WordClass.SIMPLICIAL_ACYCLIC:
-            raise NotSimplicial(f"word {w} is not strictly increasing")
-        yield w, c
-
-
-def partial(s: int, chain: FreeChain) -> FreeChain:
-    """Sum of all face deletions of s; lowers degree by one."""
-    return FreeChain(chain.ring, chain.degree - 1, (
-        (w[:i] + w[i + 1 :], -c if i & 1 else c)
-        for w, c in chain.terms.items() for i in range(len(w)) if w[i] == s))
-
-
-def differential(s: int, chain: FreeChain, ambient: str = FULL) -> FreeChain:
-    """Sum of all insertions of s; raises degree by one.
-
-    ambient="full" sums every signed insertion; ambient="simplicial"
-    applies the quotient rule on strictly increasing words: only the
-    sorted slot of s keeps the word increasing, and none does when s is
-    already a letter.
-    """
-    if ambient == SIMPLICIAL:
-        terms = _increasing(chain)
-        slots = lambda w: () if s in w else (bisect_left(w, s),)
-    else:
-        terms = chain.terms.items()
-        slots = lambda w: range(len(w) + 1)
-    return FreeChain(chain.ring, chain.degree + 1, (
-        (w[:i] + (s,) + w[i:], -c if i & 1 else c) for w, c in terms for i in slots(w)))
-
-
-def project_simplicial(chain: FreeChain) -> FreeChain:
-    """Coordinate projection onto strictly increasing words (no sorting)."""
-    return FreeChain(chain.ring, chain.degree, {
-        w: c for w, c in chain.terms.items()
-        if classify_word(w) is WordClass.SIMPLICIAL_ACYCLIC})
-
-
-def join(a: FreeChain, b: FreeChain) -> FreeChain:
-    """Signed sorted concatenation, zero whenever a letter repeats: the
-    sign is that of the permutation that sorts the concatenation."""
-    if a.ring != b.ring:
-        raise SchemaViolation("ring mismatch in join")
-    left, right = list(_increasing(a)), list(_increasing(b))
-    return FreeChain(a.ring, a.degree + b.degree + 1, (
-        (tuple(sorted(w1 + w2)), (-1) ** sum(x > y for x in w1 for y in w2) * c1 * c2)
-        for w1, c1 in left for w2, c2 in right if set(w1).isdisjoint(w2)))
-
-
-def concat_product(a: FreeChain, b: FreeChain) -> FreeChain:
-    """Free-algebra product: plain concatenation, bilinear.
-
-    The empty word concatenates as the unit, so degree -1 factors are
-    allowed and absorb into the other side.
-    """
-    if a.ring != b.ring:
-        raise SchemaViolation("ring mismatch in product")
-    return FreeChain(a.ring, a.degree + b.degree + 1, (
-        (w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()))
 
 
 @record
@@ -540,11 +450,3 @@ def wedge_chain(op: WedgeOperator, chain: FreeChain, ambient: str = FULL) -> Fre
     out.terms = {v: y for v, x in acc.items() if (y := ring.normal(x)) != 0}
     return out
 
-
-def induced_map(f: VertexMap, chain: FreeChain) -> FreeChain:
-    """Relabel letters through an order-preserving vertex map, then project
-    back onto strictly increasing words (collapsed words die)."""
-    if not f.order_preserving:
-        raise NotOrderPreserving("vertex map must be order preserving")
-    return project_simplicial(FreeChain(chain.ring, chain.degree, (
-        (tuple(map(f, w)), c) for w, c in _increasing(chain))))

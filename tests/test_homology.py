@@ -21,7 +21,6 @@ from hyperhom.homology import (
     _word_count,
     ComplexSpec,
     build_complex,
-    delta_pairing,
     duality_check,
     edge_carrier,
     homology_table,
@@ -44,6 +43,7 @@ from hyperhom.hypergraphs import (
 )
 from hyperhom.linalg import SparseMatrix, kernel_basis, rank
 from hyperhom.rings import GF, QQ, ZZ
+from hyperhom.selftest import _delta_pairing
 from hyperhom.words import FULL, FreeChain, VertexSet, WedgeOperator, wedge_chain
 
 from field_oracle import (
@@ -802,8 +802,8 @@ def test_adjointness_of_weighted_operators():
                 continue
             cx = FreeChain.single(QQ, xi)
             ce = FreeChain.single(QQ, eta)
-            lhs = delta_pairing(wedge_chain(a, cx, FULL), ce)
-            rhs = delta_pairing(cx, wedge_chain(w, ce, FULL))
+            lhs = _delta_pairing(wedge_chain(a, cx, FULL), ce)
+            rhs = _delta_pairing(cx, wedge_chain(w, ce, FULL))
             assert lhs == rhs
 
 
@@ -815,8 +815,8 @@ def test_adjointness_arity_three_sign():
     for xi in [(0, 1, 2), (2, 1, 0), (0, 2, 1)]:
         cx = FreeChain.single(QQ, xi)
         ce = FreeChain(QQ, -1, {(): 1})
-        lhs = delta_pairing(wedge_chain(a, cx, FULL), ce)
-        rhs = delta_pairing(cx, wedge_chain(w, ce, FULL))
+        lhs = _delta_pairing(wedge_chain(a, cx, FULL), ce)
+        rhs = _delta_pairing(cx, wedge_chain(w, ce, FULL))
         assert lhs == rhs
 
 

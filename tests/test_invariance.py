@@ -12,7 +12,8 @@ from hyperhom.invariance import (
     is_invariant,
 )
 from hyperhom.rings import ZZ
-from hyperhom.words import VertexMap, VertexSet, face, insert
+from hyperhom.words import VertexMap, VertexSet
+from words_oracle import face, insert
 
 S3 = VertexSet.of("s0", "s1", "s2")
 H = Hypergraph.of(S3, [[1], [2], [0, 1], [0, 2]])

@@ -19,12 +19,16 @@ planted fault trips gives no assurance.
   `test_words.test_wedge_apply_matches_composition_oracle`; the
   simplicial merge putting a letter one slot late:
   `test_fast_paths.test_assembly_matches_per_word_route`.
+* One letter's coefficient negated in a scan of `wedge_apply`, which
+  conjugates the complexes and so moves no group: the simplicial merge,
+  `words._merges`, by the `projection-compatibility` selftest suite and
+  the naturality of insertions in the `free-calculus` suite; the deletion
+  scan, `words._deletions`, by the naturality of deletions in that suite;
+  the insertion scan on all words, `words._insertions`, by both suites.
 * The `FreeChain` constructor keeping the last of a repeated word's
-  coefficients instead of summing them: the `free-calculus` selftest
-  suite and `test_words.test_calculus_matches_copy_on_add_oracle`.
-* `partial` without its sign (-1)^i: the same suite and test.
-* The simplicial `differential` inserting one slot past the sorted one:
-  the `projection-compatibility` selftest suite and the same test.
+  coefficients instead of summing them: the deletion derivation rule of
+  the `free-calculus` selftest suite and
+  `test_words.test_calculus_matches_copy_on_add_oracle`.
 * `invariance.trace` dropping a one-vertex edge, so that the invariant
   trace fails to classify: `invariant-trace` exits 1 with one error
   document, as a failed internal check.
@@ -261,31 +265,36 @@ def test_simplicial_merge_one_slot_late_is_caught(monkeypatch):
         test_fast_paths.test_assembly_matches_per_word_route()
 
 
-def test_constructor_keeping_the_last_repeated_word_is_caught(monkeypatch):
+def test_constructor_keeping_the_last_repeated_word_is_caught(monkeypatch, unfaulted):
+    assert unfaulted["free-calculus"].failures == 0
     monkeypatch.setattr(words.FreeChain, "__init__", planted(
         words.FreeChain.__init__, "acc[w] = acc.get(w, 0) + c", "acc[w] = c"))
     result = selftest.run_suite("free-calculus")
-    assert result.failures > 0 and result.detail == "insertion anticommutation at ()"
+    assert result.failures > 0 and result.detail == "deletion derivation rule"
     with pytest.raises(AssertionError):
         test_words.test_calculus_matches_copy_on_add_oracle()
 
 
-@pytest.mark.parametrize("func, old, new, suite, detail", [
-    ("partial", "-c if i & 1 else c", "c", "free-calculus",
-     "deletion anticommutation at (0, 0)"),
-    ("differential", "(bisect_left(w, s),)", "(bisect_left(w, s) + 1,)",
-     "projection-compatibility", "projection mismatch at () 0"),
-], ids=["partial-unsigned", "simplicial-slot-late"])
-def test_reference_primitive_faults_are_caught(monkeypatch, unfaulted, func, old, new, suite,
-                                               detail):
-    assert unfaulted[suite].failures == 0
-    faulty = planted(getattr(words, func), old, new)
-    for module in (words, selftest, test_words):
-        monkeypatch.setattr(module, func, faulty)
-    result = selftest.run_suite(suite)
-    assert result.failures > 0 and result.detail == detail
-    with pytest.raises(AssertionError):
-        test_words.test_calculus_matches_copy_on_add_oracle()
+@pytest.mark.parametrize("scan, old, new, caught", [
+    ("_merges", "t[p & 1]", "t[(p & 1) ^ (g == 1)]", {
+        "projection-compatibility": "projection mismatch at () 1",
+        "free-calculus": "naturality of insertions"}),
+    ("_deletions", "u[i + 1 :], table[g][i & 1]", "u[i + 1 :], table[g][(i & 1) ^ (g == 1)]", {
+        "free-calculus": "naturality of deletions"}),
+    ("_insertions", "t[i & 1]", "t[(i & 1) ^ (g == 1)]", {
+        "projection-compatibility": "projection mismatch at () 1",
+        "free-calculus": "insertion derivation rule with junction term"}),
+], ids=["merges", "deletions", "insertions"])
+def test_one_letter_sign_in_a_scan_is_caught(monkeypatch, unfaulted, scan, old, new, caught):
+    # negating one letter's weight conjugates every complex by (-1)^[1 in x],
+    # so no group moves: only a law between two letters, or between the
+    # two ambients, sees it
+    for suite in caught:
+        assert unfaulted[suite].failures == 0
+    monkeypatch.setattr(words, scan, planted(getattr(words, scan), old, new))
+    for suite, detail in caught.items():
+        result = selftest.run_suite(suite)
+        assert result.failures > 0 and result.detail == detail, result
 
 
 def test_unclassified_invariant_trace_exits_one(monkeypatch, tmp_path, capsys):

@@ -3,20 +3,50 @@
 Each primitive builds its sum one term at a time: the term becomes a
 one-word `FreeChain` from `face` or `insert`, is scaled, and is added by
 copying the whole running dict. `words` built `partial`, `differential`,
-`join`, `concat_product` and `induced_map` this way before each became
-one sum that the `FreeChain` constructor adds up. The arithmetic here
-(`plus`, `scaled`) is its own and sets `terms` directly, so that a fault
-in the constructor's summing cannot reach the oracle.
+`join`, `concat_product` and `induced_map` this way, before the engine's
+calculus became `wedge_apply` alone. The arithmetic here (`plus`,
+`scaled`) is its own and sets `terms` directly, so that a fault in the
+constructor's summing cannot reach the oracle.
 """
 
-from hyperhom.errors import NotOrderPreserving, NotSimplicial, SchemaViolation
-from hyperhom.words import SIMPLICIAL, FreeChain, WordClass, classify_word, face, insert
+from hyperhom.errors import InputError, NotSimplicial, SchemaViolation
+from hyperhom.rings import ZZ
+from hyperhom.words import SIMPLICIAL, FreeChain, WordClass, classify_word
+
+
+class IndexOutOfRange(InputError):
+    pass
+
+
+class NotOrderPreserving(InputError):
+    pass
 
 
 def _chain(ring, degree, terms):
-    res = FreeChain(ring, degree)
-    res.terms = terms
+    """A chain with these terms, made without the constructor."""
+    res = FreeChain.__new__(FreeChain)
+    res.ring, res.degree, res.terms = ring, degree, terms
     return res
+
+
+def face(i, s, w, ring=ZZ):
+    """Delete letter i of w when it equals s, with sign (-1)^i."""
+    n = len(w) - 1
+    if n < 0 or not 0 <= i <= n:
+        raise IndexOutOfRange(f"face index {i} invalid for a degree {n} word")
+    if w[i] != s:
+        return _chain(ring, n - 1, {})
+    coeff = ring.one if i % 2 == 0 else ring.neg(ring.one)
+    return _chain(ring, n - 1, {w[:i] + w[i + 1 :]: coeff})
+
+
+def insert(i, s, w, ring=ZZ):
+    """Insert s before position i of w, with sign (-1)^i."""
+    n = len(w) - 1
+    if not 0 <= i <= n + 1:
+        raise IndexOutOfRange(f"insertion index {i} invalid for a degree {n} word")
+    coeff = ring.one if i % 2 == 0 else ring.neg(ring.one)
+    return _chain(ring, n + 1, {w[:i] + (s,) + w[i:]: coeff})
 
 
 def plus(a, b):
@@ -144,7 +174,7 @@ def concat_product(a, b):
 
 
 def induced_map(f, chain):
-    if not f.order_preserving:
+    if any(a > b for a, b in zip(f.images, f.images[1:])):
         raise NotOrderPreserving("vertex map must be order preserving")
     out = FreeChain.zero(chain.ring, chain.degree)
     for w, c in chain.terms.items():
